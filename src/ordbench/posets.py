@@ -189,7 +189,6 @@ class Poset:
                 between = self._up[i] & self._down[j] & ~(1 << i) & ~(1 << j)
                 if not between:
                     out.append((e, self.elements[j]))
-        out.sort(key=lambda p: (self.index(p[0]), self.index(p[1])))
         return tuple(out)
 
     def _upper_masks(self, max_elements: int = 20) -> list:

@@ -31,9 +31,7 @@ def path_space(Y: Poset) -> Tuple[Poset, MonotoneMap]:
     bot = Y.bottom()
     if bot is None:
         raise PosetError("path space needs a pointed poset")
-    children: Dict = {e: [] for e in Y.elements}
-    for a, b in Y.covers():
-        children[a].append(b)
+    children = _cover_children(Y)
     paths: List[tuple] = []
 
     def walk(path: tuple) -> None:

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, lcm
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .posets import MonotoneMap, Poset, PosetError, _bits
 
@@ -79,12 +79,6 @@ class Valuation:
         """Total weight of a set of elements (typically an upper set)."""
         return sum((self.weights[self.poset.index(x)] for x in U), Fraction(0))
 
-    def _mass_of_mask(self, mask: int) -> Fraction:
-        total = Fraction(0)
-        for i in _bits(mask):
-            total += self.weights[i]
-        return total
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Valuation)
@@ -143,6 +137,31 @@ def _require_same_poset(nu: Valuation, mu: Valuation) -> Poset:
     if nu.poset != mu.poset:
         raise ValuationError("valuations live on different posets")
     return nu.poset
+
+
+def _upper_masses(
+    vals: Sequence[Valuation], masks: List[int]
+) -> Tuple[int, List[tuple]]:
+    """The one upper-set mass kernel: integer masses over a common denominator.
+
+    Scales every weight of ``vals`` to an integer over ``D``, the lcm of all
+    their denominators, once. Returns ``(D, rows)`` where ``rows[v][u]`` is
+    ``D`` times the mass of ``vals[v]`` on ``masks[u]``. When ``masks`` is a
+    poset's upper-set listing, the carrier is last, so ``masks[:-1]`` are the
+    proper upper sets.
+    """
+    D = lcm(*(w.denominator for v in vals for w in v.weights))
+    members = [tuple(_bits(m)) for m in masks]
+    rows = []
+    for v in vals:
+        a = [w.numerator * (D // w.denominator) for w in v.weights]
+        rows.append(tuple(sum([a[i] for i in ix]) for ix in members))
+    return D, rows
+
+
+def _dominated(lo: tuple, hi: tuple) -> bool:
+    """Mass vector ``lo`` is at most ``hi`` on every upper set."""
+    return all(x <= y for x, y in zip(lo, hi))
 
 
 # -- the pointwise order ------------------------------------------------------
@@ -225,23 +244,8 @@ def _transport_decide(nu: Valuation, mu: Valuation) -> StochasticOrderReport:
 
 
 def _oracle_leq(nu: Valuation, mu: Valuation, max_elements: int = 20) -> bool:
-    P = nu.poset
-    masks = P._upper_masks(max_elements)
-    denom = lcm(*(w.denominator for w in nu.weights + mu.weights))
-    a = [int(w * denom) for w in nu.weights]
-    b = [int(w * denom) for w in mu.weights]
-    for mask in masks:
-        sa = sb = 0
-        m = mask
-        while m:
-            low = m & -m
-            i = low.bit_length() - 1
-            sa += a[i]
-            sb += b[i]
-            m ^= low
-        if sa > sb:
-            return False
-    return True
+    _, (a, b) = _upper_masses((nu, mu), nu.poset._upper_masks(max_elements))
+    return _dominated(a, b)
 
 
 def stochastic_leq(nu: Valuation, mu: Valuation, *, mode: str = "flow") -> bool:
@@ -308,71 +312,69 @@ def way_below_report(nu: Valuation, mu: Valuation) -> WayBelowReport:
     P = _require_same_poset(nu, mu)
     if not P.is_pointed:
         raise ValuationError("strict approximation needs a pointed poset")
-    full = (1 << len(P.elements)) - 1
+    masks = P._upper_masks()
+    D, (a, b) = _upper_masses((nu, mu), masks)
     violations = []
-    for mask in P._upper_masks():
-        if mask == full:
+    for mask, x, y in zip(masks[:-1], a, b):
+        if y == 0 and x > 0:
+            kind = "support_on_null"
+        elif y > 0 and x > y:
+            kind = "mass_exceeds"
+        elif y > 0 and x == y:
+            kind = "equal_mass"
+        else:
             continue
-        a = nu._mass_of_mask(mask)
-        b = mu._mass_of_mask(mask)
         upper = frozenset(P.elements[i] for i in _bits(mask))
-        if b == 0 and a > 0:
-            violations.append(
-                {"kind": "support_on_null", "upper": upper, "lhs": a, "rhs": b}
-            )
-        elif b > 0 and a > b:
-            violations.append(
-                {"kind": "mass_exceeds", "upper": upper, "lhs": a, "rhs": b}
-            )
-        elif b > 0 and a == b:
-            violations.append(
-                {"kind": "equal_mass", "upper": upper, "lhs": a, "rhs": b}
-            )
+        violations.append(
+            {
+                "kind": kind,
+                "upper": upper,
+                "lhs": Fraction(x, D),
+                "rhs": Fraction(y, D),
+            }
+        )
     return WayBelowReport(not violations, tuple(violations))
 
 
 @dataclass(frozen=True)
 class MixingReport:
+    """Outcome of :func:`mixing_oracle`.
+
+    ``epsilon`` is 1/k for the first feasible k, or None when no mix works.
+    ``searched_up_to`` is the bound 2 * (#upper sets) * D, with D the common
+    denominator of both valuations; the closed-form k always falls within it.
+    """
+
     exists: bool
     epsilon: Optional[Fraction] = None
     searched_up_to: int = 0
 
 
 def mixing_oracle(nu: Valuation, mu: Valuation) -> MixingReport:
-    """Search for epsilon = 1/k with nu below (1-eps) mu + eps (bottom mass).
+    """Largest epsilon = 1/k with nu below (1-eps) mu + eps (bottom mass), if any.
 
-    The search set is k = 1 .. 2 * (#upper sets) * common-denominator, which
-    is enough: if the strict criterion holds at all, every strict mass gap is
-    at least 1/denominator while the mix concedes at most eps, so the largest
-    k always works. The first feasible k (largest epsilon) is reported.
+    On a proper upper set U the mix has mass (1 - 1/k) mu(U), so k works iff
+    k * (mu(U) - nu(U)) >= mu(U) on every such U. No k works if some U has
+    nu(U) > mu(U), or nu(U) = mu(U) > 0. Otherwise the first feasible k is
+    computed in closed form: max(1, max over mu(U) > 0 of
+    ceil(mu(U) / (mu(U) - nu(U)))). It is at most D, the common denominator
+    of the weights, by the gap argument: every strict mass gap is at least
+    1/D while the mix concedes at most eps, so k = D works whenever any k
+    does.
     """
     P = _require_same_poset(nu, mu)
     if not P.is_pointed:
         raise ValuationError("mixing oracle needs a pointed poset")
     masks = P._upper_masks()
-    denom = lcm(*(w.denominator for w in nu.weights + mu.weights))
-    k_max = 2 * len(masks) * denom
-    full = (1 << len(P.elements)) - 1
-    a = [int(w * denom) for w in nu.weights]
-    b = [int(w * denom) for w in mu.weights]
-    proper = []
-    for mask in masks:
-        if mask == full:
-            continue
-        sa = sb = 0
-        m = mask
-        while m:
-            low = m & -m
-            i = low.bit_length() - 1
-            sa += a[i]
-            sb += b[i]
-            m ^= low
-        proper.append((sa, sb))
-    for k in range(1, k_max + 1):
-        # nu(U) <= (1 - 1/k) mu(U) on proper upper sets, in integers
-        if all(sa * k <= sb * (k - 1) for sa, sb in proper):
-            return MixingReport(True, Fraction(1, k), k_max)
-    return MixingReport(False, None, k_max)
+    D, (a, b) = _upper_masses((nu, mu), masks)
+    bound = 2 * len(masks) * D
+    k = 1
+    for x, y in zip(a[:-1], b[:-1]):
+        if x > y or (x == y > 0):
+            return MixingReport(False, None, bound)
+        if y > 0:
+            k = max(k, -(-y // (y - x)))
+    return MixingReport(True, Fraction(1, k), bound)
 
 
 # -- pushforward --------------------------------------------------------------
@@ -451,13 +453,6 @@ def grid(P: Poset, N: int, *, cap: int = GRID_CAP) -> List[Valuation]:
     return out
 
 
-def _mass_vectors(vals: List[Valuation], masks: List[int]) -> List[tuple]:
-    vecs = []
-    for v in vals:
-        vecs.append(tuple(v._mass_of_mask(m) for m in masks))
-    return vecs
-
-
 def grid_poset(P: Poset, N: int, *, cap: int = GRID_CAP) -> Poset:
     """The grid ordered by upper-set-mass comparison, as a poset.
 
@@ -465,16 +460,12 @@ def grid_poset(P: Poset, N: int, *, cap: int = GRID_CAP) -> Poset:
     covers of the result give the Hasse diagram of the discretized order.
     """
     vals = grid(P, N, cap=cap)
-    masks = P._upper_masks()
-    vecs = _mass_vectors(vals, masks)
-    k = len(vals)
+    _, vecs = _upper_masses(vals, P._upper_masks())
     ups = []
-    for i in range(k):
+    for vi in vecs:
         mask = 0
-        vi = vecs[i]
-        for j in range(k):
-            vj = vecs[j]
-            if all(x <= y for x, y in zip(vi, vj)):
+        for j, vj in enumerate(vecs):
+            if _dominated(vi, vj):
                 mask |= 1 << j
         ups.append(mask)
     return Poset._from_up_masks(tuple(vals), tuple(ups))
@@ -491,28 +482,15 @@ def minimal_upper_bounds_grid(
     P = _require_same_poset(v1, v2)
     masks = P._upper_masks()
     vals = grid(P, N, cap=cap)
-    vecs = _mass_vectors(vals, masks)
-    lo1 = tuple(v1._mass_of_mask(m) for m in masks)
-    lo2 = tuple(v2._mass_of_mask(m) for m in masks)
-    ub_idx = [
-        i
-        for i, vec in enumerate(vecs)
-        if all(a <= c for a, c in zip(lo1, vec))
-        and all(b <= c for b, c in zip(lo2, vec))
+    _, (lo1, lo2, *vecs) = _upper_masses([v1, v2] + vals, masks)
+    ub = [
+        i for i, vec in enumerate(vecs) if _dominated(lo1, vec) and _dominated(lo2, vec)
     ]
-    minimal = []
-    for i in ub_idx:
-        vi = vecs[i]
-        dominated = False
-        for j in ub_idx:
-            if i != j and vecs[j] != vi and all(
-                x <= y for x, y in zip(vecs[j], vi)
-            ):
-                dominated = True
-                break
-        if not dominated:
-            minimal.append(vals[i])
-    return minimal
+    return [
+        vals[i]
+        for i in ub
+        if not any(vecs[j] != vecs[i] and _dominated(vecs[j], vecs[i]) for j in ub)
+    ]
 
 
 def tightly_below(mu: Valuation, nu: Valuation) -> bool:
@@ -528,18 +506,17 @@ def tightly_below(mu: Valuation, nu: Valuation) -> bool:
     appear.
     """
     P = _require_same_poset(mu, nu)
-    full = (1 << len(P.elements)) - 1
-    supp = mu._support_mask()
-    for mask in P._upper_masks():
-        if mask == full:
-            continue
-        a = mu._mass_of_mask(mask)
-        b = nu._mass_of_mask(mask)
-        if a > b:
-            return False
-        if a == b and a > 0 and bin(supp & mask).count("1") != 1:
-            return False
-    return True
+    masks = P._upper_masks()
+    _, (a, b) = _upper_masses((mu, nu), masks)
+    return _tight(a, b, mu._support_mask(), masks)
+
+
+def _tight(a: tuple, b: tuple, supp: int, masks: List[int]) -> bool:
+    """:func:`tightly_below` on kernel rows; ``supp`` is the lower support."""
+    return all(
+        x < y or (x == y and (x == 0 or bin(supp & m).count("1") == 1))
+        for m, x, y in zip(masks[:-1], a, b)
+    )
 
 
 def maximal_below_grid(
@@ -553,21 +530,17 @@ def maximal_below_grid(
     P = nu.poset
     masks = P._upper_masks()
     vals = grid(P, N, cap=cap)
-    below = [v for v in vals if tightly_below(v, nu)]
-    vecs = _mass_vectors(below, masks)
-    out = []
-    for i, v in enumerate(below):
-        vi = vecs[i]
-        dominated = False
-        for j in range(len(below)):
-            if j != i and vecs[j] != vi and all(
-                x <= y for x, y in zip(vi, vecs[j])
-            ):
-                dominated = True
-                break
-        if not dominated:
-            out.append(v)
-    return out
+    _, (nu_row, *vecs) = _upper_masses([nu] + vals, masks)
+    below = [
+        i
+        for i, v in enumerate(vals)
+        if _tight(vecs[i], nu_row, v._support_mask(), masks)
+    ]
+    return [
+        vals[i]
+        for i in below
+        if not any(vecs[j] != vecs[i] and _dominated(vecs[i], vecs[j]) for j in below)
+    ]
 
 
 # -- deliberately broken rounding schemes --------------------------------------
@@ -622,7 +595,8 @@ def failed_deflation_a(nu: Valuation, N: int) -> SetFunctionRounding:
     _require_pointed(P)
     step = Fraction(1, N)
     masks = P._upper_masks()
-    rounded = {m: round_down_strict(nu._mass_of_mask(m), step) for m in masks}
+    D, (row,) = _upper_masses((nu,), masks)
+    rounded = {m: round_down_strict(Fraction(x, D), step) for m, x in zip(masks, row)}
     sets = {m: frozenset(P.elements[i] for i in _bits(m)) for m in masks}
     witness = None
     for ai in range(len(masks)):
@@ -682,16 +656,16 @@ def failed_deflation_b(nu: Valuation, N: int) -> WeightRounding:
     rounded = _round_weights_to_bottom(nu, N)
     masks = P._upper_masks()
     vals = grid(P, N)
-    vecs = _mass_vectors(vals, masks)
     images = [_round_weights_to_bottom(v, N) for v in vals]
-    img_vecs = _mass_vectors(images, masks)
+    _, rows = _upper_masses(vals + images, masks)
+    vecs, img_vecs = rows[: len(vals)], rows[len(vals) :]
     witness = None
     for i in range(len(vals)):
         for j in range(len(vals)):
-            if i == j:
-                continue
-            if all(x <= y for x, y in zip(vecs[i], vecs[j])) and not all(
-                x <= y for x, y in zip(img_vecs[i], img_vecs[j])
+            if (
+                i != j
+                and _dominated(vecs[i], vecs[j])
+                and not _dominated(img_vecs[i], img_vecs[j])
             ):
                 witness = (vals[i], vals[j])
                 break

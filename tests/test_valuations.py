@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ordbench import (
+    MixingReport,
     MonotoneMap,
     Valuation,
     ValuationError,
@@ -32,7 +33,13 @@ from ordbench import (
     way_below_report,
 )
 
-from oracles import brute_stochastic_leq, random_poset, random_valuation
+from oracles import (
+    brute_stochastic_leq,
+    brute_upper_sets,
+    random_pointed_poset,
+    random_poset,
+    random_valuation,
+)
 
 DIAMOND = parse_poset("elements: bot a b top\norder: bot < a; bot < b; a < top; b < top")
 F = Fraction
@@ -181,16 +188,71 @@ def test_way_below_matches_mixing_oracle():
         rep = mixing_oracle(nu, mu)
         assert way_below(nu, mu) == rep.exists
         if rep.exists:
-            eps = rep.epsilon
-            mixed = Valuation(
-                P,
-                {
-                    x: (1 - eps) * mu.weight(x)
-                    + (eps if x == P.bottom() else 0)
-                    for x in P.elements
-                },
-            )
-            assert stochastic_leq(nu, mixed)
+            k = 1 / rep.epsilon
+            assert stochastic_leq(nu, _bottom_mix(mu, rep.epsilon))
+            if k > 1:  # the reported epsilon is the largest of the form 1/k
+                assert not stochastic_leq(nu, _bottom_mix(mu, F(1, k - 1)))
+
+
+def _bottom_mix(mu, eps):
+    """(1 - eps) * mu + eps * (unit mass at bottom)."""
+    bot = mu.poset.bottom()
+    weights = {x: (1 - eps) * w for x, w in zip(mu.poset.elements, mu.weights)}
+    weights[bot] += eps
+    return Valuation(mu.poset, weights)
+
+
+def test_mixing_oracle_at_a_large_prime_denominator():
+    """The first feasible k near D / 2 and the infeasible case come out directly."""
+    D = 100003
+    nu = val(bot=H + F(1, D), top=H - F(1, D))
+    mu = val(bot=H, top=H)
+    # six upper sets on the diamond, common denominator 2D
+    assert mixing_oracle(nu, mu) == MixingReport(True, F(1, 50002), 2400072)
+    assert not stochastic_leq(nu, _bottom_mix(mu, F(1, 50001)))
+    unrelated = val(bot=1 - F(1, D), a=F(1, D))
+    assert mixing_oracle(unrelated, dirac(DIAMOND, "b")) == MixingReport(
+        False, None, 1200036
+    )
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=80, deadline=None)
+def test_upper_mass_queries_match_fraction_sums(seed):
+    """Violation lists, tight domination and rounded masses agree with summing
+    Fractions over brute-force upper sets, in increasing-bitmask order."""
+    rng = random.Random(seed)
+    P = random_pointed_poset(rng, rng.randint(1, 7))
+    nu = random_valuation(rng, P, rng.randint(1, 12))
+    mu = nu if rng.random() < 0.2 else random_valuation(rng, P, rng.randint(1, 12))
+    uppers = sorted(
+        brute_upper_sets(P), key=lambda U: sum(1 << P.index(x) for x in U)
+    )
+    proper = uppers[:-1]
+    want = []
+    for U in proper:
+        a, b = nu.mass(U), mu.mass(U)
+        if b == 0 and a > 0:
+            kind = "support_on_null"
+        elif b > 0 and a > b:
+            kind = "mass_exceeds"
+        elif b > 0 and a == b:
+            kind = "equal_mass"
+        else:
+            continue
+        want.append({"kind": kind, "upper": U, "lhs": a, "rhs": b})
+    assert list(way_below_report(nu, mu).violations) == want
+
+    supp = set(nu.support)
+    assert tightly_below(nu, mu) == all(
+        nu.mass(U) < mu.mass(U)
+        or (nu.mass(U) == mu.mass(U) and (nu.mass(U) == 0 or len(supp & U) == 1))
+        for U in proper
+    )
+
+    N = rng.randint(1, 5)
+    rounded = [(U, round_down_strict(nu.mass(U), F(1, N))) for U in uppers]
+    assert list(failed_deflation_a(nu, N).values.items()) == rounded
 
 
 # -- pushforward -----------------------------------------------------------------------
