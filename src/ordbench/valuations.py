@@ -134,9 +134,16 @@ def format_valuation(v: Valuation) -> str:
 
 
 def _require_same_poset(nu: Valuation, mu: Valuation) -> Poset:
-    if nu.poset != mu.poset:
+    if nu.poset is not mu.poset and nu.poset != mu.poset:
         raise ValuationError("valuations live on different posets")
     return nu.poset
+
+
+def _scaled_weights(vals: Sequence[Valuation]) -> Tuple[int, List[List[int]]]:
+    """Every weight of ``vals`` as an integer over ``D``, the lcm of all their
+    denominators: returns ``(D, ints)`` with ``ints[v][i] == D * weight``."""
+    D = lcm(*(w.denominator for v in vals for w in v.weights))
+    return D, [[w.numerator * (D // w.denominator) for w in v.weights] for v in vals]
 
 
 def _upper_masses(
@@ -150,12 +157,9 @@ def _upper_masses(
     poset's upper-set listing, the carrier is last, so ``masks[:-1]`` are the
     proper upper sets.
     """
-    D = lcm(*(w.denominator for v in vals for w in v.weights))
+    D, ints = _scaled_weights(vals)
     members = [tuple(_bits(m)) for m in masks]
-    rows = []
-    for v in vals:
-        a = [w.numerator * (D // w.denominator) for w in v.weights]
-        rows.append(tuple(sum([a[i] for i in ix]) for ix in members))
+    rows = [tuple(sum([a[i] for i in ix]) for ix in members) for a in ints]
     return D, rows
 
 
@@ -172,75 +176,106 @@ class StochasticOrderReport:
     """Decision plus certificate for one order comparison.
 
     When the comparison holds, ``transport`` carries an exact coupling: a
-    nonnegative flow on pairs (x, y) with x <= y whose row sums are the left
-    weights and column sums the right weights. When it fails,
-    ``violating_upper`` is an upper set where the left mass exceeds the right.
+    positive flow on pairs (x, y) with x <= y whose row sums are the left
+    weights and column sums the right weights, keyed in element order of x,
+    then of y. When it fails, ``violating_upper`` is the up-closure of the
+    left support on the source side of the minimal minimum cut: an upper set
+    where the left mass exceeds the right. ``augmentations`` counts the
+    augmenting paths the flow found; it is work done, not part of the answer.
     """
 
     result: bool
     transport: Optional[Dict[tuple, Fraction]] = None
     violating_upper: Optional[frozenset] = None
+    augmentations: int = 0
 
 
 def _transport_decide(nu: Valuation, mu: Valuation) -> StochasticOrderReport:
+    """Strassen's transport problem as an integer max flow on the supports.
+
+    Nodes are the left support, the right support (same element order), the
+    source and the sink, numbered in that order. Source edges carry the left
+    weights, sink edges the right weights, both scaled by D; a middle edge
+    joins i to every j above it in the right support, with capacity D, which
+    never binds as the total flow is at most D. Residuals sit in flat lists:
+    edge ``e`` and its reverse ``e ^ 1``. Every adjacency list is in node
+    order, so the breadth-first searches, and with them the plan, are fixed
+    by the input alone.
+    """
     P = nu.poset
-    n = len(P.elements)
-    src, snk = 2 * n, 2 * n + 1
-    size = 2 * n + 2
-    zero = Fraction(0)
-    cap = [[zero] * size for _ in range(size)]
-    for i, w in enumerate(nu.weights):
-        cap[src][i] = w
-    for j, w in enumerate(mu.weights):
-        cap[n + j][snk] = w
-    for i in range(n):
-        if nu.weights[i]:
-            row = P._up[i]
-            for j in _bits(row):
-                if mu.weights[j]:
-                    cap[i][n + j] = Fraction(2)  # never binding: total mass is 1
-    flow = [[zero] * size for _ in range(size)]
-    total = zero
-    reachable: set = set()
+    D, (a, b) = _scaled_weights((nu, mu))
+    left = [i for i, x in enumerate(a) if x]
+    right = [j for j, y in enumerate(b) if y]
+    L = len(left)
+    node = {j: L + k for k, j in enumerate(right)}
+    src = L + len(right)
+    snk = src + 1
+    adj: List[List[int]] = [[] for _ in range(snk + 1)]
+    head: List[int] = []
+    res: List[int] = []
+
+    def edge(u: int, v: int, c: int) -> None:
+        adj[u].append(len(head))
+        head.append(v)
+        res.append(c)
+        adj[v].append(len(head))
+        head.append(u)
+        res.append(0)
+
+    pairs = []
+    right_mask = mu._support_mask()
+    for k, i in enumerate(left):
+        for j in _bits(P._up[i] & right_mask):
+            edge(k, node[j], D)
+            pairs.append((i, j))
+    for k, i in enumerate(left):
+        edge(src, k, a[i])
+    for j in right:
+        edge(node[j], snk, b[j])
+
+    total = augmentations = 0
     while True:
-        parent = [-1] * size
-        parent[src] = src
+        via = [-1] * (snk + 1)  # the edge each reached node was reached by
+        via[src] = -2
         queue = [src]
         for u in queue:
-            for v in range(size):
-                if parent[v] < 0 and cap[u][v] - flow[u][v] > 0:
-                    parent[v] = u
+            for e in adj[u]:
+                v = head[e]
+                if via[v] == -1 and res[e]:
+                    via[v] = e
                     queue.append(v)
-        if parent[snk] < 0:
-            reachable = {v for v in range(size) if parent[v] >= 0}
+            if via[snk] != -1:  # sink edges come last, so u is done anyway
+                break
+        if via[snk] == -1:
             break
-        bottleneck = None
+        path = []
         v = snk
         while v != src:
-            u = parent[v]
-            slack = cap[u][v] - flow[u][v]
-            bottleneck = slack if bottleneck is None else min(bottleneck, slack)
-            v = u
-        v = snk
-        while v != src:
-            u = parent[v]
-            flow[u][v] += bottleneck
-            flow[v][u] -= bottleneck
-            v = u
+            e = via[v]
+            path.append(e)
+            v = head[e ^ 1]
+        bottleneck = min([res[e] for e in path])
+        for e in path:
+            res[e] -= bottleneck
+            res[e ^ 1] += bottleneck
         total += bottleneck
-    if total == 1:
-        plan = {}
-        for i in range(n):
-            for j in range(n):
-                f = flow[i][n + j]
-                if f > 0:
-                    plan[(P.elements[i], P.elements[j])] = f
-        return StochasticOrderReport(True, transport=plan)
-    witness_seed = [
-        P.elements[i] for i in range(n) if i in reachable and nu.weights[i]
-    ]
-    violating = frozenset(P.up_closure(witness_seed))
-    return StochasticOrderReport(False, violating_upper=violating)
+        augmentations += 1
+    if total == D:
+        elements = P.elements
+        plan = {
+            (elements[i], elements[j]): Fraction(res[2 * m + 1], D)
+            for m, (i, j) in enumerate(pairs)
+            if res[2 * m + 1]
+        }
+        return StochasticOrderReport(
+            True, transport=plan, augmentations=augmentations
+        )
+    seed = [P.elements[i] for k, i in enumerate(left) if via[k] != -1]
+    return StochasticOrderReport(
+        False,
+        violating_upper=frozenset(P.up_closure(seed)),
+        augmentations=augmentations,
+    )
 
 
 def _oracle_leq(nu: Valuation, mu: Valuation, max_elements: int = 20) -> bool:
@@ -252,9 +287,15 @@ def stochastic_leq(nu: Valuation, mu: Valuation, *, mode: str = "flow") -> bool:
     """Decide whether ``nu`` sits below ``mu`` in the upper-set-mass order.
 
     ``mode="flow"`` solves the exact transport problem (works at any poset
-    size); ``mode="oracle"`` quantifies over all upper sets (needs the
+    size): by Strassen's theorem ``nu <= mu`` iff a coupling moves nu's mass
+    only upward onto mu, i.e. iff a max flow carries all of nu's mass. The
+    flow is Edmonds-Karp in integers, with weights scaled by D, the lcm of
+    their denominators, on the support graph: nodes for supp(nu), supp(mu),
+    a source and a sink, and an edge from i to each j >= i in supp(mu). It
+    allocates nothing of size n x n and does no ``Fraction`` arithmetic in
+    its loop. ``mode="oracle"`` quantifies over all upper sets (needs the
     upper-set enumeration to be feasible); ``mode="both"`` runs the two and
-    insists they agree.
+    insists they agree. :func:`stochastic_leq_report` gives the certificate.
     """
     _require_same_poset(nu, mu)
     if mode == "flow":

@@ -219,6 +219,30 @@ def test_val_order_false_with_violating_upper(capsys, diamond_file):
     assert "violating_upper: {a, top}" in out
 
 
+GRID33 = (
+    "elements: p00 p01 p02 p10 p11 p12 p20 p21 p22\n"
+    "order: p00 < p01; p01 < p02; p10 < p11; p11 < p12; p20 < p21; p21 < p22; "
+    "p00 < p10; p10 < p20; p01 < p11; p11 < p21; p02 < p12; p12 < p22\n"
+)
+GRID33_LOW = "p00:1/4 p01:1/6 p10:1/6 p02:1/12 p11:1/6 p20:1/6"
+GRID33_HIGH = "p01:1/12 p11:1/4 p12:1/6 p21:1/6 p22:1/6 p20:1/6"
+
+
+def test_val_order_pins_the_plan_among_many_couplings(capsys, tmp_path):
+    grid_file = tmp_path / "grid33.poset"
+    grid_file.write_text(GRID33)
+    code, out, _ = run(capsys, "val-order", str(grid_file), GRID33_LOW, GRID33_HIGH)
+    assert code == 0
+    assert out == (
+        "result: true\n"
+        "transport: p00->p01:1/12 p00->p11:1/6 p01->p11:1/12 p01->p12:1/12 "
+        "p02->p12:1/12 p10->p20:1/6 p11->p21:1/6 p20->p22:1/6\n"
+    )
+    code, out, _ = run(capsys, "val-order", str(grid_file), GRID33_HIGH, GRID33_LOW)
+    assert code == 1
+    assert out == "result: false\nviolating_upper: {p11, p12, p21, p22}\n"
+
+
 def test_val_order_modes_agree(capsys, diamond_file):
     for mode in ("flow", "oracle", "both"):
         code, out, _ = run(

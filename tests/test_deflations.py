@@ -265,11 +265,16 @@ def test_separating_set_condition_holds_for_random_controlled_pairs(seed):
     for x in P.elements:
         below = [z for z in P.elements if P.leq(z, x)]
         fx[x] = rng.choice([bot] + below)
-    # force monotonicity by collapsing to bottom where it fails
-    for x in P.elements:
-        for y in P.elements:
-            if P.leq(x, y) and not P.leq(fx[x], fx[y]):
-                fx[x] = bot
+    # force monotonicity by collapsing to bottom where it fails; a collapse
+    # can break a pair already checked, so repeat until none fails
+    changed = True
+    while changed:
+        changed = False
+        for x in P.elements:
+            for y in P.elements:
+                if P.leq(x, y) and not P.leq(fx[x], fx[y]):
+                    fx[x] = bot
+                    changed = True
     f = MonotoneMap(P, P, fx)
     phi = QuasiDeflation(P, {x: (fx[x],) for x in P.elements}, check=False)
     if not check_quasi_deflation(P, phi.as_dict()).valid:

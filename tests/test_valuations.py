@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from ordbench import (
     MixingReport,
     MonotoneMap,
+    Poset,
     Valuation,
     ValuationError,
     dirac,
@@ -32,6 +33,7 @@ from ordbench import (
     way_below,
     way_below_report,
 )
+from ordbench.valuations import _oracle_leq
 
 from oracles import (
     brute_stochastic_leq,
@@ -135,6 +137,104 @@ def test_flow_decision_matches_upper_set_quantification(seed):
     nu = random_valuation(rng, P, rng.choice([2, 3, 4]))
     mu = random_valuation(rng, P, rng.choice([2, 3, 4]))
     assert stochastic_leq(nu, mu) == brute_stochastic_leq(nu, mu)
+
+
+def _coupling_problem(P, plan, nu, mu):
+    """None if ``plan`` is an exact coupling of nu and mu on x <= y pairs."""
+    rows = {x: F(0) for x in P.elements}
+    cols = {y: F(0) for y in P.elements}
+    for (x, y), w in plan.items():
+        if type(w) is not Fraction or w <= 0:
+            return f"weight {w!r} on {x}->{y}"
+        if not P.leq(x, y):
+            return f"{x}->{y} is not an order pair"
+        rows[x] += w
+        cols[y] += w
+    if [rows[x] for x in P.elements] != list(nu.weights):
+        return "row sums are not the left weights"
+    if [cols[y] for y in P.elements] != list(mu.weights):
+        return "column sums are not the right weights"
+    return None
+
+
+def _check_certificate(nu, mu, rep):
+    P = nu.poset
+    if rep.result:
+        assert rep.violating_upper is None
+        assert _coupling_problem(P, rep.transport, nu, mu) is None
+    else:
+        assert rep.transport is None
+        U = rep.violating_upper
+        assert P.up_closure(U) == U
+        assert nu.mass(U) > mu.mass(U)
+
+
+def _moved_up(rng, nu):
+    """``nu`` with a random share of each weight moved to an element above."""
+    P = nu.poset
+    w = list(nu.weights)
+    for i, x in enumerate(P.elements):
+        if nu.weights[i]:
+            j = P.index(rng.choice(sorted(P.up_closure([x]), key=P.index)))
+            part = nu.weights[i] * F(rng.randint(0, 12), 12)
+            w[i] -= part
+            w[j] += part
+    return Valuation(P, w)
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_flow_certificate_on_mixed_denominators(seed):
+    rng = random.Random(seed)
+    P = random_poset(rng, rng.randint(1, 8))
+    nu = random_valuation(rng, P, rng.randint(1, 12))
+    if rng.random() < 0.5:
+        mu = _moved_up(rng, nu)
+    else:
+        mu = random_valuation(rng, P, rng.randint(1, 12))
+    rep = stochastic_leq_report(nu, mu)
+    assert rep.result == _oracle_leq(nu, mu)
+    if len(P) <= 5:
+        assert rep.result == brute_stochastic_leq(nu, mu)
+    _check_certificate(nu, mu, rep)
+
+
+def test_augmentations_count_the_augmenting_paths():
+    # bot -> a carries the first half, a -> top the second: two paths.
+    assert stochastic_leq_report(val(bot=H, a=H), val(a=H, top=H)).augmentations == 2
+    # Each of the three left supports is drained by a path of its own.
+    t = F(1, 3)
+    rep = stochastic_leq_report(val(bot=t, a=t, b=t), val(a=t, b=t, top=t))
+    assert rep.result and rep.augmentations == 3
+    assert stochastic_leq_report(val(top=1), val(top=1)).augmentations == 1
+    assert stochastic_leq_report(val(top=1), val(bot=1)).augmentations == 0
+
+
+def test_flow_decides_both_directions_on_a_thousand_elements():
+    rng = random.Random(7)
+    rows, cols = 40, 25
+    P = Poset(
+        [(r, c) for r in range(rows) for c in range(cols)],
+        [((r, c), (r + 1, c)) for r in range(rows - 1) for c in range(cols)]
+        + [((r, c), (r, c + 1)) for r in range(rows) for c in range(cols - 1)],
+    )
+    points = rng.sample([(r, c) for r in range(rows - 4) for c in range(cols - 4)], 60)
+    raw = [F(rng.randint(1, 12), rng.randint(1, 12)) for _ in points]
+    weights = [w / sum(raw) for w in raw]
+    nu = Valuation(P, dict(zip(points, weights)))
+    moved = {}
+    for (r, c), w in zip(points, weights):
+        up = (r + rng.randint(1, 4), c + rng.randint(0, 4))
+        half = w / 2
+        moved[(r, c)] = moved.get((r, c), F(0)) + half
+        moved[up] = moved.get(up, F(0)) + w - half
+    mu = Valuation(P, moved)
+    up_rep = stochastic_leq_report(nu, mu)
+    assert up_rep.result
+    _check_certificate(nu, mu, up_rep)
+    down_rep = stochastic_leq_report(mu, nu)
+    assert not down_rep.result
+    _check_certificate(mu, nu, down_rep)
 
 
 # -- way-below -----------------------------------------------------------------------
