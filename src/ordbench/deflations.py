@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Tuple
 
-from .posets import MonotoneMap, Poset, PosetError
-from .smyth import FinMap, dagger
+from .posets import MonotoneMap, Poset, PosetError, _arrow, _lines
+from .smyth import FinMap, dagger, parse_antichain
 
 
 class QuasiDeflation(FinMap):
@@ -27,16 +27,23 @@ class QuasiDeflation(FinMap):
 
     def __init__(self, poset: Poset, table, *, check: bool = True):
         super().__init__(poset, poset, table, check=check)
-        if check:
-            for x in poset.elements:
-                if not poset.smyth_leq(self(x), (x,)):
-                    raise PosetError(
-                        f"not a quasi-deflation: {x!r} is not above its value {self(x)!r}"
-                    )
+        strays = self._strays() if check else ()
+        if strays:
+            x = strays[0]
+            raise PosetError(
+                f"not a quasi-deflation: {x!r} is not above its value {self(x)!r}"
+            )
 
     @property
     def poset(self) -> Poset:
         return self.source
+
+    def _strays(self) -> tuple:
+        """The elements not above their own value, in element order."""
+        P = self.source
+        return tuple(
+            x for x, E in zip(P.elements, self.values) if not P.smyth_leq(E, (x,))
+        )
 
 
 def eta_deflation(P: Poset) -> QuasiDeflation:
@@ -57,20 +64,19 @@ def check_quasi_deflation(P: Poset, table) -> QuasiDeflationReport:
     Membership violations are elements not above their assigned antichain;
     monotonicity violations are pairs x <= y whose antichains fail to refine.
     """
-    get = table.__getitem__ if isinstance(table, dict) else table
-    values = {x: P.antichain_normalize(get(x)) for x in P.elements}
-    membership = tuple(
-        x for x in P.elements if not P.smyth_leq(values[x], (x,))
+    phi = QuasiDeflation(P, table, check=False)
+    membership = phi._strays()
+    pairs = tuple(zip(P.elements, phi.values))
+    mono = tuple(
+        (x, y)
+        for x, E in pairs
+        for y, F in pairs
+        if x != y and P.leq(x, y) and not P.smyth_leq(E, F)
     )
-    mono = []
-    for x in P.elements:
-        for y in P.elements:
-            if x != y and P.leq(x, y) and not P.smyth_leq(values[x], values[y]):
-                mono.append((x, y))
     return QuasiDeflationReport(
         valid=not membership and not mono,
         membership_violations=membership,
-        monotonicity_violations=tuple(mono),
+        monotonicity_violations=mono,
     )
 
 
@@ -213,31 +219,15 @@ def parse_quasi_deflation(P: Poset, text: str, *, check: bool = True):
     the control must then be total), otherwise a plain
     :class:`QuasiDeflation`.
     """
-    from .smyth import parse_antichain
-
     table: dict = {}
     control: dict = {}
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for ln, line in _lines(text):
         target = table
         if line.startswith("control:"):
-            line = line[len("control:"):].strip()
-            target = control
-        lhs, arrow, rhs = line.partition("->")
-        if not arrow or not lhs.strip() or not rhs.strip():
-            raise PosetError(f"line {ln}: expected 'x -> ...', got {raw.strip()!r}")
-        x = lhs.strip()
+            line, target = line[len("control:"):].strip(), control
+        x, rhs = _arrow(ln, line, target, "x -> ...", "element")
         P.index(x)
-        if x in target:
-            raise PosetError(f"line {ln}: repeated element {x!r}")
-        if target is control:
-            y = rhs.strip()
-            P.index(y)
-            control[x] = y
-        else:
-            table[x] = parse_antichain(P, rhs)
+        target[x] = P._member(rhs) if target is control else parse_antichain(P, rhs)
     phi = QuasiDeflation(P, table, check=check)
     if not control:
         return phi

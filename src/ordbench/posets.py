@@ -11,8 +11,9 @@ is deterministic with respect to it.
 from __future__ import annotations
 
 import itertools
+import warnings
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Tuple
 
 
 class PosetError(ValueError):
@@ -154,10 +155,22 @@ class Poset:
 
     # -- closures and upper sets ------------------------------------------
 
+    def _member(self, x):
+        """``x`` itself, once checked to be an element."""
+        self.index(x)
+        return x
+
     def _mask_of(self, S: Iterable) -> int:
         mask = 0
         for x in S:
             mask |= 1 << self.index(x)
+        return mask
+
+    def _up_mask(self, S: Iterable) -> int:
+        """The mask of the upward closure of ``S``."""
+        mask = 0
+        for x in S:
+            mask |= self._up[self.index(x)]
         return mask
 
     def _set_of(self, mask: int) -> frozenset:
@@ -165,10 +178,7 @@ class Poset:
 
     def up_closure(self, S: Iterable) -> frozenset:
         """All elements above something in ``S`` (including ``S`` itself)."""
-        mask = 0
-        for x in S:
-            mask |= self._up[self.index(x)]
-        return self._set_of(mask)
+        return self._set_of(self._up_mask(S))
 
     def down_closure(self, S: Iterable) -> frozenset:
         mask = 0
@@ -244,10 +254,7 @@ class Poset:
 
     def smyth_leq(self, E: Iterable, F: Iterable) -> bool:
         """Upper-closure containment: every member of F is above some member of E."""
-        up_e = 0
-        for x in E:
-            up_e |= self._up[self.index(x)]
-        return not (self._mask_of(F) & ~up_e)
+        return not (self._mask_of(F) & ~self._up_mask(E))
 
     # -- constructions ------------------------------------------------------
 
@@ -284,12 +291,44 @@ class Poset:
 # -- monotone maps ---------------------------------------------------------
 
 
+def _values(source: Poset, mapping, fit: Callable, noun: str = "map") -> tuple:
+    """``fit`` of the value of ``mapping`` (a dict or a callable) at each
+    element of ``source``, in element order; a missing value is a PosetError."""
+    get = mapping.__getitem__ if isinstance(mapping, dict) else mapping
+    out = []
+    for e in source.elements:
+        try:
+            v = get(e)
+        except KeyError:
+            raise PosetError(f"{noun} is missing a value for {e!r}") from None
+        out.append(fit(v))
+    return tuple(out)
+
+
+def _first_failing_cover(source: Poset, target: Poset, values: Sequence) -> Optional[tuple]:
+    """The first cover ``(x, y)`` of ``source`` at which a map is not monotone.
+
+    ``values[i]`` holds the target elements that element ``i`` goes to: one
+    for a point map, an antichain for a map into the Smyth order. A cover
+    fails when some member of the value at ``y`` is above no member of the
+    value at ``x``. Both orders are transitive, so the covers decide
+    monotonicity. Returns None when every cover holds.
+    """
+    ups = [target._up_mask(v) for v in values]
+    marks = [target._mask_of(v) for v in values]
+    index = source._index
+    for x, y in source.covers():
+        if marks[index[y]] & ~ups[index[x]]:
+            return x, y
+    return None
+
+
 class MonotoneMap:
     """A monotone function between two finite posets.
 
     The mapping may be given as a dict or a callable; it is evaluated on
     every source element at construction time. With ``check=True`` (the
-    default) monotonicity is verified and a violating pair is reported.
+    default) monotonicity is verified and a violating cover is reported.
     """
 
     __slots__ = ("source", "target", "values")
@@ -297,31 +336,15 @@ class MonotoneMap:
     def __init__(self, source: Poset, target: Poset, mapping, *, check: bool = True):
         self.source = source
         self.target = target
-        get = mapping.__getitem__ if isinstance(mapping, dict) else mapping
-        values = []
-        for e in source.elements:
-            try:
-                v = get(e)
-            except KeyError:
-                raise PosetError(f"map is missing a value for {e!r}") from None
-            target.index(v)
-            values.append(v)
-        self.values = tuple(values)
+        self.values = _values(source, mapping, target._member)
         if check:
-            bad = self._monotone_witness()
+            bad = _first_failing_cover(source, target, [(v,) for v in self.values])
             if bad is not None:
                 x, y = bad
                 raise PosetError(
                     f"not monotone: {x!r} <= {y!r} but "
                     f"{self(x)!r} !<= {self(y)!r}"
                 )
-
-    def _monotone_witness(self) -> Optional[tuple]:
-        src, tgt = self.source, self.target
-        for x, y in src.covers():
-            if not tgt.leq(self(x), self(y)):
-                return (x, y)
-        return None
 
     def __call__(self, x):
         return self.values[self.source.index(x)]
@@ -352,47 +375,76 @@ class MonotoneMap:
 
 @dataclass(frozen=True)
 class MapReport:
-    """Outcome of the monotone/surjective/proper predicate battery.
+    """Outcome of the monotone/surjective predicate battery.
 
-    ``proper`` coincides with ``monotone`` here: on finite posets a monotone
-    map automatically has closed down-images and compact preimages of
-    principal filters, so no separate computation is warranted.
+    ``monotone_witness`` is the first cover ``(x, y)`` of the source, in
+    :meth:`Poset.covers` order, whose images are out of order. It is always
+    a cover: on a < c < b, a failure between a and b shows at (a, c) or
+    (c, b).
     """
 
     monotone: bool
     surjective: bool
-    proper: bool
     monotone_witness: Optional[tuple] = None
     missing: Optional[tuple] = None
 
+    @property
+    def proper(self) -> bool:
+        """Deprecated: equal to ``monotone``, as every monotone map between
+        finite posets has closed down-images and compact filter preimages."""
+        warnings.warn(
+            "MapReport.proper is deprecated; it always equals MapReport.monotone",
+            DeprecationWarning,
+            stacklevel=2,
+        )
+        return self.monotone
+
 
 def map_predicates(source: Poset, target: Poset, mapping) -> MapReport:
-    """Check a raw mapping without raising; see :class:`MapReport`."""
-    get = mapping.__getitem__ if isinstance(mapping, dict) else mapping
-    values = tuple(get(e) for e in source.elements)
-    witness = None
-    for x in source.elements:
-        for y in source.elements:
-            if source.leq(x, y) and not target.leq(
-                values[source.index(x)], values[source.index(y)]
-            ):
-                witness = (x, y)
-                break
-        if witness:
-            break
-    monotone = witness is None
+    """Check a raw mapping without raising; see :class:`MapReport`.
+
+    A missing value or a value outside ``target`` is still a PosetError.
+    """
+    values = _values(source, mapping, target._member)
+    witness = _first_failing_cover(source, target, [(v,) for v in values])
     hit = set(values)
     missing = tuple(e for e in target.elements if e not in hit)
     return MapReport(
-        monotone=monotone,
+        monotone=witness is None,
         surjective=not missing,
-        proper=monotone,
         monotone_witness=witness,
         missing=missing or None,
     )
 
 
 # -- parsing and emission ----------------------------------------------------
+
+
+def _lines(text: str) -> Iterator[Tuple[int, str]]:
+    """The numbered non-blank lines of ``text``, ``#`` comments stripped.
+
+    Every line-oriented format reads its text through this; errors then
+    name the line as ``line N:``.
+    """
+    for ln, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield ln, line
+
+
+def _arrow(ln: int, line: str, seen, shape: str, noun: str = "source element") -> tuple:
+    """Split ``x -> rhs`` into stripped ``(x, rhs)``.
+
+    Rejects a line that does not have that ``shape`` and an ``x`` already in
+    ``seen``.
+    """
+    lhs, arrow, rhs = line.partition("->")
+    x, rhs = lhs.strip(), rhs.strip()
+    if not arrow or not x or not rhs:
+        raise PosetError(f"line {ln}: expected {shape!r}, got {line!r}")
+    if x in seen:
+        raise PosetError(f"line {ln}: repeated {noun} {x!r}")
+    return x, rhs
 
 
 def parse_poset(text: str) -> Poset:
@@ -410,10 +462,7 @@ def parse_poset(text: str) -> Poset:
     elements: list = []
     seen = set()
     relations: list = []
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for ln, line in _lines(text):
         if line.startswith("elements:"):
             for tok in line[len("elements:"):].split():
                 if tok in seen:
@@ -446,19 +495,10 @@ def format_poset(P: Poset) -> str:
 def parse_map(source: Poset, target: Poset, text: str) -> MonotoneMap:
     """Read a monotone map from ``x -> y`` lines (``#`` starts a comment)."""
     table: dict = {}
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        lhs, arrow, rhs = line.partition("->")
-        if not arrow or not lhs.strip() or not rhs.strip():
-            raise PosetError(f"line {ln}: expected 'x -> y', got {line!r}")
-        x, y = lhs.strip(), rhs.strip()
-        if x in table:
-            raise PosetError(f"line {ln}: repeated source element {x!r}")
+    for ln, line in _lines(text):
+        x, y = _arrow(ln, line, table, "x -> y")
         source.index(x)
-        target.index(y)
-        table[x] = y
+        table[x] = target._member(y)
     return MonotoneMap(source, target, table)
 
 

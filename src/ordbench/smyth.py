@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, List, Optional
 
-from .posets import MonotoneMap, Poset, PosetError, _bits
+from .posets import MonotoneMap, Poset, PosetError, _arrow, _first_failing_cover, _lines, _values
 
 FIN_CAP = 100_000
 
@@ -33,22 +33,15 @@ class FinMap:
     def __init__(self, source: Poset, target: Poset, table, *, check: bool = True):
         self.source = source
         self.target = target
-        get = table.__getitem__ if isinstance(table, dict) else table
-        vals = []
-        for e in source.elements:
-            try:
-                raw = get(e)
-            except KeyError:
-                raise PosetError(f"antichain map is missing a value for {e!r}") from None
-            vals.append(target.antichain_normalize(raw))
-        self.values = tuple(vals)
+        self.values = _values(source, table, target.antichain_normalize, "antichain map")
         if check:
-            for x, y in source.covers():
-                if not target.smyth_leq(self(x), self(y)):
-                    raise PosetError(
-                        f"not monotone into the antichain order: {x!r} <= {y!r} "
-                        f"but {self(x)!r} does not refine to {self(y)!r}"
-                    )
+            bad = _first_failing_cover(source, target, self.values)
+            if bad is not None:
+                x, y = bad
+                raise PosetError(
+                    f"not monotone into the antichain order: {x!r} <= {y!r} "
+                    f"but {self(x)!r} does not refine to {self(y)!r}"
+                )
 
     def __call__(self, x) -> tuple:
         return self.values[self.source.index(x)]
@@ -164,19 +157,8 @@ def fin_poset(P: Poset, *, cap: int = FIN_CAP) -> Poset:
     """The antichains of P as a poset under the refinement order."""
     chains = fin_antichains(P, cap=cap)
     ups = []
-    # Precompute the upward-closure mask of each antichain once.
-    closure = []
-    for E in chains:
-        m = 0
-        for x in E:
-            m |= P._up[P.index(x)]
-        closure.append(m)
-    member_mask = [0] * len(chains)
-    for k, E in enumerate(chains):
-        mm = 0
-        for x in E:
-            mm |= 1 << P.index(x)
-        member_mask[k] = mm
+    closure = [P._up_mask(E) for E in chains]
+    member_mask = [P._mask_of(E) for E in chains]
     for i in range(len(chains)):
         mask = 0
         for j in range(len(chains)):
@@ -441,16 +423,8 @@ def format_antichain(E) -> str:
 def parse_finmap(source: Poset, target: Poset, text: str) -> FinMap:
     """Read an antichain-valued map from ``x -> {y1, y2}`` lines."""
     table: dict = {}
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        lhs, arrow, rhs = line.partition("->")
-        if not arrow or not lhs.strip() or not rhs.strip():
-            raise PosetError(f"line {ln}: expected 'x -> {{y1, y2}}', got {line!r}")
-        x = lhs.strip()
-        if x in table:
-            raise PosetError(f"line {ln}: repeated source element {x!r}")
+    for ln, line in _lines(text):
+        x, rhs = _arrow(ln, line, table, "x -> {y1, y2}")
         source.index(x)
         table[x] = parse_antichain(target, rhs)
     return FinMap(source, target, table)

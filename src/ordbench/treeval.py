@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from .posets import MonotoneMap, Poset, PosetError
-from .valuations import Valuation, ValuationError
+from .posets import MonotoneMap, Poset, PosetError, _lines
+from .valuations import Valuation, ValuationError, _fractions
 
 
 def path_space(Y: Poset) -> Tuple[Poset, MonotoneMap]:
@@ -33,22 +33,18 @@ def path_space(Y: Poset) -> Tuple[Poset, MonotoneMap]:
         raise PosetError("path space needs a pointed poset")
     children = _cover_children(Y)
     paths: List[tuple] = []
-
-    def walk(path: tuple) -> None:
+    parent: List[int] = []
+    stack = [((bot,), -1)]
+    while stack:
+        path, above = stack.pop()
+        here = len(paths)
         paths.append(path)
-        for c in children[path[-1]]:
-            walk(path + (c,))
-
-    walk((bot,))
-    k = len(paths)
-    index = {p: i for i, p in enumerate(paths)}
-    ups = []
-    for p in paths:
-        mask = 0
-        for q, j in index.items():
-            if len(q) >= len(p) and q[: len(p)] == p:
-                mask |= 1 << j
-        ups.append(mask)
+        parent.append(above)
+        # reversed, so children pop in element order and paths stay in preorder
+        stack.extend((path + (c,), here) for c in reversed(children[path[-1]]))
+    ups = [1 << i for i in range(len(paths))]
+    for i in range(len(paths) - 1, 0, -1):
+        ups[parent[i]] |= ups[i]
     pi = Poset._from_up_masks(tuple(paths), tuple(ups))
     r = MonotoneMap(pi, Y, lambda p: p[-1])
     assert pi.is_tree()
@@ -198,26 +194,8 @@ def format_admissible(f: AdmissibleMap) -> str:
 
 def parse_admissible(T: Poset, text: str) -> AdmissibleMap:
     """Read the header plus one ``elem:p/q`` line per node; omitted nodes get 0."""
-    lines = [
-        ln.split("#", 1)[0].strip()
-        for ln in text.splitlines()
-    ]
-    lines = [ln for ln in lines if ln]
-    if not lines or lines[0] != ADMISSIBLE_HEADER:
+    lines = list(_lines(text))
+    if not lines or lines[0][1] != ADMISSIBLE_HEADER:
         raise ValuationError(f"expected first line {ADMISSIBLE_HEADER!r}")
-    values: Dict = {}
-    for ln in lines[1:]:
-        name, _, frac = ln.partition(":")
-        name = name.strip()
-        frac = frac.strip()
-        if not name or not frac:
-            raise ValuationError(f"malformed line {ln!r}, expected elem:p/q")
-        if name not in T:
-            raise ValuationError(f"unknown element {name!r}")
-        if name in values:
-            raise ValuationError(f"repeated element {name!r}")
-        try:
-            values[name] = Fraction(frac)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValuationError(f"bad fraction in {ln!r}: {exc}") from None
-    return admissible(T, values)
+    entries = ((f"line {ln}: ", line) for ln, line in lines[1:])
+    return admissible(T, _fractions(T, entries, "line"))

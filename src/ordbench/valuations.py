@@ -102,28 +102,37 @@ def dirac(P: Poset, x) -> Valuation:
     return Valuation(P, {x: Fraction(1)})
 
 
+def _fractions(P: Poset, entries: Iterable[Tuple[str, str]], kind: str) -> dict:
+    """Read ``(where, entry)`` pairs of ``name:fraction`` entries into a dict.
+
+    Errors are prefixed by ``where`` and call the entry a ``kind``. Names
+    split at the last colon, as a fraction never holds one.
+    """
+    out: dict = {}
+    for where, entry in entries:
+        name, colon, frac = entry.rpartition(":")
+        name, frac = name.strip(), frac.strip()
+        if not colon or not name or not frac:
+            raise ValuationError(f"{where}malformed {kind} {entry!r}, expected elem:p/q")
+        if name not in P:
+            raise ValuationError(f"{where}unknown element {name!r}")
+        if name in out:
+            raise ValuationError(f"{where}repeated element {name!r}")
+        try:
+            out[name] = Fraction(frac)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ValuationError(f"{where}bad fraction in {entry!r}: {exc}") from None
+    return out
+
+
 def parse_valuation(P: Poset, text: str) -> Valuation:
     """Read space-separated ``elem:p/q`` entries; omitted elements get 0.
 
     The parser insists on known elements, no repeats, nonnegative fractions,
     and a total of exactly one.
     """
-    weights: Dict = {}
-    for token in text.split():
-        if ":" not in token:
-            raise ValuationError(f"malformed entry {token!r}, expected elem:p/q")
-        name, _, frac = token.partition(":")
-        if not name or not frac:
-            raise ValuationError(f"malformed entry {token!r}, expected elem:p/q")
-        if name not in P:
-            raise ValuationError(f"unknown element {name!r}")
-        if name in weights:
-            raise ValuationError(f"repeated element {name!r}")
-        try:
-            weights[name] = Fraction(frac)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValuationError(f"bad fraction in {token!r}: {exc}") from None
-    return Valuation(P, weights)
+    entries = (("", token) for token in text.split())
+    return Valuation(P, _fractions(P, entries, "entry"))
 
 
 def format_valuation(v: Valuation) -> str:

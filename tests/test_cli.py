@@ -1,4 +1,5 @@
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -100,6 +101,20 @@ def test_pathspace_text_lists_endpoints(capsys, diamond_file):
 def test_pathspace_dot_matches_golden(capsys, diamond_file):
     _, out, _ = run(capsys, "pathspace", diamond_file, "--dot")
     assert out == (GOLDEN / "pathspace_diamond.dot").read_text()
+
+
+def test_pathspace_walks_a_long_chain(capsys, tmp_path):
+    n = 1200
+    poset = tmp_path / "chain.poset"
+    poset.write_text(
+        "elements: " + " ".join(f"c{i}" for i in range(n)) + "\n"
+        "order: " + "; ".join(f"c{i} < c{i + 1}" for i in range(n - 1)) + "\n"
+    )
+    code, out, _ = run(capsys, "pathspace", str(poset))
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) == n
+    assert lines[-1].endswith(f"c{n - 2}/c{n - 1} -> c{n - 1}")
 
 
 def test_fin_matches_golden(capsys, diamond_file):
@@ -411,6 +426,16 @@ def test_lazy_truncate_dot_matches_golden(capsys):
     assert out == (GOLDEN / "t_trunc_depth1.dot").read_text()
 
 
+def test_val_order_reads_names_with_colons_from_a_truncation(capsys, tmp_path):
+    code, out, _ = run(capsys, "lazy", "t", "truncate", "1")
+    assert code == 0 and "n:0:0" in out
+    poset = tmp_path / "t.poset"
+    poset.write_text(out)
+    code, out, _ = run(capsys, "val-order", str(poset), "n:0:0:1/2 top:1/2", "top:1")
+    assert code == 0
+    assert "transport: n:0:0->top:1/2 top->top:1/2" in out
+
+
 def test_lazy_rejects_malformed_codes(capsys):
     code, _, err = run(capsys, "lazy", "n2", "leq", "n:0:x", "omega")
     assert code == 2
@@ -424,10 +449,15 @@ def test_lazy_rejects_malformed_codes(capsys):
 def test_installed_script_emits_identical_dot(tmp_path):
     poset = tmp_path / "d.poset"
     poset.write_text(DIAMOND)
+    # the child does not inherit pytest's sys.path, so give it the src dir
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "ordbench.cli", "hasse", str(poset), "--dot"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert proc.stdout == (GOLDEN / "diamond_hasse.dot").read_text()

@@ -1,0 +1,107 @@
+"""Round trips through the shared line reader, one per line-oriented format.
+
+Element names are drawn from an alphabet with ``:``, ``.``, ``_`` and
+digits, so a name may look like part of a ``name:fraction`` entry.
+"""
+
+from fractions import Fraction
+
+from hypothesis import given, settings, strategies as st
+
+from ordbench import (
+    ControlledQuasiDeflation,
+    MonotoneMap,
+    Poset,
+    QuasiDeflation,
+    Valuation,
+    format_admissible,
+    format_finmap,
+    format_map,
+    format_poset,
+    format_quasi_deflation,
+    format_valuation,
+    parse_admissible,
+    parse_finmap,
+    parse_map,
+    parse_poset,
+    parse_quasi_deflation,
+    parse_valuation,
+    valuation_to_admissible,
+)
+
+NAMES = st.lists(
+    st.text(alphabet="abxyz019_.:", min_size=1, max_size=4),
+    min_size=1,
+    max_size=6,
+    unique=True,
+)
+
+
+@st.composite
+def posets(draw, tree: bool = False):
+    """A random poset on random names; with ``tree``, a rooted tree."""
+    names = draw(NAMES)
+    n = len(names)
+    if tree:
+        parents = [draw(st.integers(0, i - 1)) for i in range(1, n)]
+        relations = [(names[p], names[i]) for i, p in enumerate(parents, start=1)]
+    else:
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+        relations = [(names[i], names[j]) for (i, j), k in zip(pairs, keep) if k]
+    return Poset(names, relations)
+
+
+@st.composite
+def threshold_maps(draw, P: Poset) -> dict:
+    """A monotone endomap of P: x goes to b on an upper set U, else to a <= b."""
+    pairs = [(a, b) for a in P.elements for b in P.elements if P.leq(a, b)]
+    a, b = draw(st.sampled_from(pairs))
+    U = P.up_closure(draw(st.sets(st.sampled_from(P.elements))))
+    return {x: b if x in U else a for x in P.elements}
+
+
+@st.composite
+def valuations(draw, P: Poset) -> Valuation:
+    raw = draw(st.lists(st.integers(0, 5), min_size=len(P), max_size=len(P)))
+    if not any(raw):
+        raw[0] = 1
+    total = sum(raw)
+    return Valuation(P, [Fraction(w, total) for w in raw])
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_poset_and_map_round_trip(data):
+    P = data.draw(posets())
+    assert parse_poset(format_poset(P)) == P
+    f = MonotoneMap(P, P, data.draw(threshold_maps(P)))
+    assert parse_map(P, P, format_map(f)) == f
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_finmap_and_quasi_deflation_round_trip(data):
+    P = data.draw(posets())
+    f = data.draw(threshold_maps(P))
+    g = data.draw(threshold_maps(P))
+    # the union of monotone point maps with the identity is a quasi-deflation
+    phi = QuasiDeflation(P, {x: {x, f[x]} for x in P.elements})
+    h = parse_finmap(P, P, format_finmap(phi))
+    assert h.values == phi.values
+    assert parse_quasi_deflation(P, format_quasi_deflation(phi)) == phi
+    control = MonotoneMap(P, P, g)
+    both = ControlledQuasiDeflation(control, phi)
+    back = parse_quasi_deflation(P, format_quasi_deflation(both))
+    assert back.control == control and back.deflation == phi
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_valuation_and_admissible_round_trip(data):
+    P = data.draw(posets())
+    nu = data.draw(valuations(P))
+    assert parse_valuation(P, format_valuation(nu)).weights == nu.weights
+    T = data.draw(posets(tree=True))
+    f = valuation_to_admissible(data.draw(valuations(T)))
+    assert parse_admissible(T, format_admissible(f)).values == f.values

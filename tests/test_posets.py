@@ -1,7 +1,10 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ordbench import (
+    FinMap,
     MonotoneMap,
     Poset,
     PosetError,
@@ -152,7 +155,8 @@ def test_map_predicates(diamond):
     rep = map_predicates(
         diamond, chain, {"bot": "lo", "a": "lo", "b": "lo", "top": "hi"}
     )
-    assert rep.monotone and rep.surjective and rep.proper
+    with pytest.deprecated_call():
+        assert rep.monotone and rep.surjective and rep.proper
     rep2 = map_predicates(diamond, chain, {x: "lo" for x in diamond.elements})
     assert rep2.monotone and not rep2.surjective
     assert rep2.missing == ("hi",)
@@ -160,9 +164,53 @@ def test_map_predicates(diamond):
         diamond, chain, {"bot": "hi", "a": "lo", "b": "lo", "top": "lo"}
     )
     assert not rep3.monotone
-    assert rep3.monotone_witness is not None
+    assert rep3.monotone_witness == ("bot", "a")
     # properness and monotonicity coincide on finite posets
-    assert rep3.proper == rep3.monotone
+    with pytest.deprecated_call():
+        assert rep3.proper == rep3.monotone
+
+
+def test_map_predicates_witness_is_a_cover():
+    # listed a, b, c with a < c < b: the failure between a and b shows at (a, c)
+    P = parse_poset("elements: a b c\norder: a < c; c < b")
+    chain = parse_poset("elements: lo hi\norder: lo < hi")
+    rep = map_predicates(P, chain, {"a": "hi", "b": "lo", "c": "lo"})
+    assert rep.monotone_witness == ("a", "c")
+
+
+def test_map_predicates_missing_value_is_a_poset_error():
+    P = parse_poset("elements: a b")
+    with pytest.raises(PosetError, match="map is missing a value for 'b'"):
+        map_predicates(P, P, {"a": "a"})
+
+
+SMALL_POSETS = [P for n in range(1, 5) for P in enumerate_posets(n)]
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_cover_monotonicity_matches_all_pairs(seed):
+    """The cover check agrees with every pair x <= y, for point maps and for
+    maps into antichains, on every poset with at most 4 elements."""
+    rng = random.Random(seed)
+    for P in SMALL_POSETS:
+        Q = rng.choice(SMALL_POSETS)
+        table = {x: rng.choice(Q.elements) for x in P.elements}
+        pairs = [(x, y) for x in P.elements for y in P.elements if P.leq(x, y)]
+        monotone = all(Q.leq(table[x], table[y]) for x, y in pairs)
+        rep = map_predicates(P, Q, table)
+        assert rep.monotone == monotone
+        if not monotone:
+            x, y = rep.monotone_witness
+            assert (x, y) in P.covers() and not Q.leq(table[x], table[y])
+        sets = {x: rng.sample(Q.elements, rng.randint(1, len(Q))) for x in P.elements}
+        refines = all(Q.smyth_leq(sets[x], sets[y]) for x, y in pairs)
+        try:
+            FinMap(P, Q, sets)
+        except PosetError:
+            assert not refines
+        else:
+            assert refines
 
 
 # -- text formats -------------------------------------------------------------
