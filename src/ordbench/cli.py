@@ -3,7 +3,9 @@
 Every subcommand is a thin wrapper over one library call plus formatting;
 nothing is computed here that a library user could not reproduce. Exit codes:
 0 for success (or a true answer), 1 for a false answer or a found
-counterexample witness, 2 for usage, file, or input format errors.
+counterexample witness, 2 for usage, file, or input format errors, 3 for an
+internal error (any other exception), reported as one ``internal error:
+<Type>: <message>`` line on stderr so that a crash never reads as "false".
 """
 
 from __future__ import annotations
@@ -568,6 +570,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (PosetError, ValuationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -11,7 +11,6 @@ is deterministic with respect to it.
 from __future__ import annotations
 
 import itertools
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Tuple
 
@@ -186,20 +185,44 @@ class Poset:
             mask |= self._down[self.index(x)]
         return self._set_of(mask)
 
+    def _cover_masks(self) -> list:
+        """For each element index, the mask of its upper covers.
+
+        The covers of i are the minimal elements of its strict up-set. The
+        walk takes the lowest remaining bit, steps down inside what remains
+        until it reaches a minimal element, keeps that as a cover and drops
+        everything above it. When element order extends the partial order
+        the lowest bit is already minimal, so the walk costs one step per
+        cover. This is the only code that derives the Hasse diagram.
+        """
+        up, down = self._up, self._down
+        out = []
+        for i, row in enumerate(up):
+            rest = row & ~(1 << i)
+            covers = 0
+            while rest:
+                j = (rest & -rest).bit_length() - 1
+                below = down[j] & rest
+                while below != 1 << j:
+                    j = (below ^ 1 << j).bit_length() - 1
+                    below = down[j] & rest
+                covers |= 1 << j
+                rest &= ~up[j]
+            out.append(covers)
+        return out
+
     def covers(self) -> tuple:
         """The transitive reduction, as (lower, upper) pairs.
 
         A pair (x, y) is a cover when x < y and nothing sits strictly
         between. Pairs come out sorted by (index of x, index of y).
         """
-        out = []
-        for i, e in enumerate(self.elements):
-            strict_up = self._up[i] & ~(1 << i)
-            for j in _bits(strict_up):
-                between = self._up[i] & self._down[j] & ~(1 << i) & ~(1 << j)
-                if not between:
-                    out.append((e, self.elements[j]))
-        return tuple(out)
+        els = self.elements
+        return tuple(
+            (els[i], els[j])
+            for i, covers in enumerate(self._cover_masks())
+            for j in _bits(covers)
+        )
 
     def _upper_masks(self, max_elements: int = 20) -> list:
         n = len(self.elements)
@@ -276,16 +299,15 @@ class Poset:
     def is_tree(self) -> bool:
         """True when the strict predecessors of every element form a chain.
 
-        Requires a least element; raises PosetError otherwise.
+        Requires a least element; raises PosetError otherwise. Every element
+        above bottom has a lower cover, and it has exactly one just when its
+        strict predecessors form a chain, so a tree is a pointed poset with
+        exactly n - 1 covers.
         """
         if not self.is_pointed:
             raise PosetError("is_tree needs a pointed poset")
-        for i in range(len(self.elements)):
-            d = self._down[i]
-            for j in _bits(d):
-                if d & ~(self._down[j] | self._up[j]):
-                    return False
-        return True
+        covers = sum(mask.bit_count() for mask in self._cover_masks())
+        return covers == len(self.elements) - 1
 
 
 # -- monotone maps ---------------------------------------------------------
@@ -316,11 +338,18 @@ def _first_failing_cover(source: Poset, target: Poset, values: Sequence) -> Opti
     """
     ups = [target._up_mask(v) for v in values]
     marks = [target._mask_of(v) for v in values]
-    index = source._index
-    for x, y in source.covers():
-        if marks[index[y]] & ~ups[index[x]]:
-            return x, y
+    for i, covers in enumerate(source._cover_masks()):
+        for j in _bits(covers):
+            if marks[j] & ~ups[i]:
+                return source.elements[i], source.elements[j]
     return None
+
+
+def _unreached(target: Poset, values: Iterable) -> list:
+    """The elements of ``target`` outside ``values``, in element order: empty
+    just when a map with these values is onto ``target``."""
+    hit = set(values)
+    return [e for e in target.elements if e not in hit]
 
 
 class MonotoneMap:
@@ -388,17 +417,6 @@ class MapReport:
     monotone_witness: Optional[tuple] = None
     missing: Optional[tuple] = None
 
-    @property
-    def proper(self) -> bool:
-        """Deprecated: equal to ``monotone``, as every monotone map between
-        finite posets has closed down-images and compact filter preimages."""
-        warnings.warn(
-            "MapReport.proper is deprecated; it always equals MapReport.monotone",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.monotone
-
 
 def map_predicates(source: Poset, target: Poset, mapping) -> MapReport:
     """Check a raw mapping without raising; see :class:`MapReport`.
@@ -407,8 +425,7 @@ def map_predicates(source: Poset, target: Poset, mapping) -> MapReport:
     """
     values = _values(source, mapping, target._member)
     witness = _first_failing_cover(source, target, [(v,) for v in values])
-    hit = set(values)
-    missing = tuple(e for e in target.elements if e not in hit)
+    missing = tuple(_unreached(target, values))
     return MapReport(
         monotone=witness is None,
         surjective=not missing,

@@ -15,7 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, List, Optional
 
-from .posets import MonotoneMap, Poset, PosetError, _arrow, _first_failing_cover, _lines, _values
+from .posets import (
+    MonotoneMap, Poset, PosetError, _arrow, _first_failing_cover, _lines, _unreached, _values
+)
 
 FIN_CAP = 100_000
 
@@ -132,24 +134,22 @@ def fin_antichains(P: Poset, *, cap: int = FIN_CAP) -> List[tuple]:
     Raises PosetError when more than ``cap`` antichains would be produced;
     the count grows exponentially on wide posets.
     """
-    n = len(P.elements)
     up, down = P._up, P._down
     out: List[tuple] = []
-
-    def rec(start: int, chosen: List[int], allowed: int) -> None:
-        for i in range(start, n):
-            if not (allowed >> i) & 1:
-                continue
-            chosen.append(i)
-            out.append(tuple(P.elements[j] for j in chosen))
-            if len(out) > cap:
-                raise PosetError(
-                    f"antichain enumeration exceeded the cap of {cap}"
-                )
-            rec(i + 1, chosen, allowed & ~(up[i] | down[i]))
-            chosen.pop()
-
-    rec(0, [], (1 << n) - 1)
+    # (antichain so far, mask of the elements that may still extend it)
+    stack = [((), (1 << len(P.elements)) - 1)]
+    while stack:
+        chosen, free = stack.pop()
+        if not free:
+            continue
+        i = (free & -free).bit_length() - 1
+        grown = chosen + (P.elements[i],)
+        out.append(grown)
+        if len(out) > cap:
+            raise PosetError(f"antichain enumeration exceeded the cap of {cap}")
+        # the antichains without i come after every antichain that extends grown
+        stack.append((chosen, free & ~(1 << i)))
+        stack.append((grown, free & ~(up[i] | down[i])))
     return out
 
 
@@ -288,8 +288,7 @@ def canonical_quasi_section(r: MonotoneMap) -> FinMap:
     monotone into the antichain order and satisfies both section laws.
     """
     X, Y = r.source, r.target
-    image = set(r.values)
-    missing = [y for y in Y.elements if y not in image]
+    missing = _unreached(Y, r.values)
     if missing:
         raise PosetError(
             f"canonical section needs a surjective map; unreached: {missing!r}"
@@ -334,7 +333,7 @@ def check_quasi_retraction(r: MonotoneMap, qs: FinMap) -> QuasiSectionReport:
             break
     canonical = None
     canon_table = None
-    if set(Y.elements) <= set(r.values):
+    if not _unreached(Y, r.values):
         canon = canonical_quasi_section(r)
         canon_table = canon.as_dict()
         canonical = canon.values == qs.values

@@ -14,9 +14,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
-from .posets import MonotoneMap, Poset, PosetError, _lines
+from .posets import MonotoneMap, Poset, PosetError, _bits, _lines, _unreached
 from .valuations import Valuation, ValuationError, _fractions
 
 
@@ -31,24 +31,25 @@ def path_space(Y: Poset) -> Tuple[Poset, MonotoneMap]:
     bot = Y.bottom()
     if bot is None:
         raise PosetError("path space needs a pointed poset")
-    children = _cover_children(Y)
+    children = Y._cover_masks()
     paths: List[tuple] = []
     parent: List[int] = []
-    stack = [((bot,), -1)]
+    stack = [((bot,), Y.index(bot), -1)]
     while stack:
-        path, above = stack.pop()
+        path, end, above = stack.pop()
         here = len(paths)
         paths.append(path)
         parent.append(above)
         # reversed, so children pop in element order and paths stay in preorder
-        stack.extend((path + (c,), here) for c in reversed(children[path[-1]]))
+        kids = reversed(list(_bits(children[end])))
+        stack.extend((path + (Y.elements[c],), c, here) for c in kids)
     ups = [1 << i for i in range(len(paths))]
     for i in range(len(paths) - 1, 0, -1):
         ups[parent[i]] |= ups[i]
     pi = Poset._from_up_masks(tuple(paths), tuple(ups))
     r = MonotoneMap(pi, Y, lambda p: p[-1])
     assert pi.is_tree()
-    assert set(r.values) == set(Y.elements)
+    assert not _unreached(Y, r.values)
     return pi, r
 
 
@@ -87,11 +88,24 @@ def _as_value_tuple(T: Poset, values) -> Tuple[Fraction, ...]:
     return vals
 
 
-def _cover_children(T: Poset) -> Dict:
-    out: Dict = {e: [] for e in T.elements}
-    for a, b in T.covers():
-        out[a].append(b)
-    return out
+def _child_sums(T: Poset, vals: Tuple[Fraction, ...]) -> List[Fraction]:
+    """For each node index, the sum of ``vals`` over its cover children."""
+    return [
+        sum((vals[c] for c in _bits(children)), Fraction(0))
+        for children in T._cover_masks()
+    ]
+
+
+def _children_first(T: Poset, node: Callable[[int, Fraction], Fraction]) -> Tuple[Fraction, ...]:
+    """One value per node of a tree, children before parents: ``node(i, s)``
+    gives the value at index ``i`` from the sum ``s`` of its children's values.
+    """
+    children = T._cover_masks()
+    vals = [Fraction(0)] * len(children)
+    # deeper nodes have strictly larger predecessor sets
+    for i in sorted(range(len(children)), key=lambda i: -T._down[i].bit_count()):
+        vals[i] = node(i, sum((vals[c] for c in _bits(children[i])), Fraction(0)))
+    return tuple(vals)
 
 
 def check_admissible(T: Poset, values) -> AdmissibleReport:
@@ -111,12 +125,10 @@ def check_admissible(T: Poset, values) -> AdmissibleReport:
             violations.append(f"value at {e!r} is {v}, outside [0, 1]")
     if vals[T.index(bot)] != 1:
         violations.append(f"value at bottom {bot!r} is {vals[T.index(bot)]}, not 1")
-    kids = _cover_children(T)
-    for e in T.elements:
-        child_sum = sum((vals[T.index(c)] for c in kids[e]), Fraction(0))
-        if vals[T.index(e)] < child_sum:
+    for e, v, child_sum in zip(T.elements, vals, _child_sums(T, vals)):
+        if v < child_sum:
             violations.append(
-                f"value at {e!r} is {vals[T.index(e)]}, below its children's sum {child_sum}"
+                f"value at {e!r} is {v}, below its children's sum {child_sum}"
             )
     return AdmissibleReport(valid=not violations, violations=tuple(violations))
 
@@ -134,19 +146,14 @@ def valuation_to_admissible(nu: Valuation) -> AdmissibleMap:
     T = nu.poset
     if not T.is_tree():
         raise PosetError("admissible coordinates exist only on trees")
-    vals = tuple(nu.mass(T.up_closure([t])) for t in T.elements)
-    return AdmissibleMap(T, vals)
+    return AdmissibleMap(T, _children_first(T, lambda i, s: nu.weights[i] + s))
 
 
 def admissible_to_valuation(f: AdmissibleMap) -> Valuation:
     """Atom weights from filter masses: node value minus children total."""
     T = f.tree
-    kids = _cover_children(T)
-    weights = {}
-    for e in T.elements:
-        w = f(e) - sum((f(c) for c in kids[e]), Fraction(0))
-        if w:
-            weights[e] = w
+    sums = _child_sums(T, f.values)
+    weights = {e: v - s for e, v, s in zip(T.elements, f.values, sums) if v != s}
     return Valuation(T, weights)
 
 
@@ -162,21 +169,11 @@ def admissible_lub(f1: AdmissibleMap, f2: AdmissibleMap) -> Optional[AdmissibleM
     if f1.tree != f2.tree:
         raise ValuationError("admissible maps live on different trees")
     T = f1.tree
-    kids = _cover_children(T)
-    # children-first: deeper nodes have strictly larger predecessor sets
-    order = sorted(
-        range(len(T.elements)),
-        key=lambda i: -bin(T._down[i]).count("1"),
-    )
-    vals: List[Optional[Fraction]] = [None] * len(T.elements)
-    for i in order:
-        e = T.elements[i]
-        child_sum = sum((vals[T.index(c)] for c in kids[e]), Fraction(0))
-        vals[i] = max(f1.values[i], f2.values[i], child_sum)
+    vals = _children_first(T, lambda i, s: max(f1.values[i], f2.values[i], s))
     root = T.index(T.bottom())
     if vals[root] > 1:
         return None
-    return AdmissibleMap(T, tuple(vals))
+    return AdmissibleMap(T, vals)
 
 
 # -- serialization --------------------------------------------------------------

@@ -17,10 +17,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from math import comb, lcm
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .posets import MonotoneMap, Poset, PosetError, _bits
+from .posets import MonotoneMap, Poset, PosetError, _bits, _unreached
 
 GRID_CAP = 100_000
 
@@ -452,8 +453,7 @@ def pushforward_preimage(r: MonotoneMap, nu: Valuation) -> Valuation:
     if nu.poset != r.target:
         raise ValuationError("valuation does not live on the map's target")
     X = r.source
-    image = set(r.values)
-    missing = [y for y in r.target.elements if y not in image]
+    missing = _unreached(r.target, r.values)
     if missing:
         raise ValuationError(f"map is not surjective; unreached: {missing!r}")
     section = {}
@@ -473,12 +473,16 @@ def pushforward_preimage(r: MonotoneMap, nu: Valuation) -> Valuation:
 
 
 def _compositions(total: int, parts: int):
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+    """Every ``parts``-tuple of naturals summing to ``total``, lexicographically.
+
+    Stars and bars: each combination of ``parts - 1`` bar positions among
+    ``total + parts - 1`` slots gives the gaps between bars, and
+    ``combinations`` lists the bar positions in the order the gaps need.
+    """
+    slots = total + parts - 1
+    for bars in combinations(range(slots), parts - 1):
+        edges = (-1,) + bars + (slots,)
+        yield tuple(b - a - 1 for a, b in zip(edges, edges[1:]))
 
 
 def grid(P: Poset, N: int, *, cap: int = GRID_CAP) -> List[Valuation]:

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from ordbench import cli
 from ordbench.cli import main
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -115,6 +116,15 @@ def test_pathspace_walks_a_long_chain(capsys, tmp_path):
     lines = out.splitlines()
     assert len(lines) == n
     assert lines[-1].endswith(f"c{n - 2}/c{n - 1} -> c{n - 1}")
+
+
+def test_internal_error_exits_3_with_one_line(capsys, monkeypatch, diamond_file):
+    def crash(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "_cmd_check_poset", crash)
+    code, out, err = run(capsys, "check-poset", diamond_file)
+    assert (code, out, err) == (3, "", "internal error: RuntimeError: boom\n")
 
 
 def test_fin_matches_golden(capsys, diamond_file):

@@ -132,6 +132,28 @@ def test_is_tree(diamond):
         Poset("ab", []).is_tree()
 
 
+def test_covers_and_is_tree_match_brute_force():
+    """On every poset with at most 5 elements, in every element order: covers
+    are the transitive reduction of ``leq``, and a pointed poset is a tree
+    just when the strict predecessors of each element form a chain."""
+    for n in range(1, 6):
+        for P in enumerate_posets(n):
+            els = P.elements
+            lt = {(x, y) for x in els for y in els if x != y and P.leq(x, y)}
+            reduction = tuple(
+                (x, y) for x in els for y in els
+                if (x, y) in lt and not any((x, z) in lt and (z, y) in lt for z in els)
+            )
+            assert P.covers() == reduction
+            if P.is_pointed:
+                chains = all(
+                    P.comparable(a, b)
+                    for y in els for a in els for b in els
+                    if (a, y) in lt and (b, y) in lt
+                )
+                assert P.is_tree() == chains
+
+
 # -- monotone maps ----------------------------------------------------------
 
 
@@ -155,8 +177,7 @@ def test_map_predicates(diamond):
     rep = map_predicates(
         diamond, chain, {"bot": "lo", "a": "lo", "b": "lo", "top": "hi"}
     )
-    with pytest.deprecated_call():
-        assert rep.monotone and rep.surjective and rep.proper
+    assert rep.monotone and rep.surjective
     rep2 = map_predicates(diamond, chain, {x: "lo" for x in diamond.elements})
     assert rep2.monotone and not rep2.surjective
     assert rep2.missing == ("hi",)
@@ -165,9 +186,6 @@ def test_map_predicates(diamond):
     )
     assert not rep3.monotone
     assert rep3.monotone_witness == ("bot", "a")
-    # properness and monotonicity coincide on finite posets
-    with pytest.deprecated_call():
-        assert rep3.proper == rep3.monotone
 
 
 def test_map_predicates_witness_is_a_cover():

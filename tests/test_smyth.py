@@ -15,6 +15,7 @@ from ordbench import (
     dagger,
     eta,
     eta_map,
+    fin_antichains,
     fin_poset,
     format_antichain,
     format_finmap,
@@ -130,6 +131,12 @@ def test_fin_poset_cap():
     wide = Poset(range(17), [])
     with pytest.raises(PosetError, match="cap"):
         fin_poset(wide)
+
+
+def test_fin_antichains_cap_trips_before_any_depth_limit():
+    # the first 1,200 antichains grow one element at a time
+    with pytest.raises(PosetError, match="exceeded the cap of 1500"):
+        fin_antichains(Poset(range(1200), []), cap=1500)
 
 
 # -- monad laws ---------------------------------------------------------------

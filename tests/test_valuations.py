@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 from math import comb
@@ -33,7 +34,7 @@ from ordbench import (
     way_below,
     way_below_report,
 )
-from ordbench.valuations import _oracle_leq
+from ordbench.valuations import _compositions, _oracle_leq
 
 from oracles import (
     brute_stochastic_leq,
@@ -432,6 +433,20 @@ def test_grid_counts_follow_stars_and_bars():
     assert len(grid(DIAMOND, 2)) == 10
     for N in (1, 2, 3, 4):
         assert len(grid(DIAMOND, N)) == comb(N + 3, 3)
+
+
+def test_grid_lists_compositions_lexicographically():
+    P = Poset(range(3), [])
+    expected = sorted(t for t in itertools.product(range(4), repeat=3) if sum(t) == 3)
+    assert [tuple(v.weights[i] * 3 for i in range(3)) for v in grid(P, 3)] == expected
+
+
+def test_grid_compositions_need_no_recursion():
+    # grid(P, 1) on an 1100-element P is within GRID_CAP; its compositions
+    # have one part per element
+    n = 1100
+    units = [tuple(int(i == j) for j in range(n)) for i in reversed(range(n))]
+    assert list(_compositions(1, n)) == units
 
 
 def test_grid_cap():
