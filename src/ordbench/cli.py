@@ -463,7 +463,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("poset")
     p.add_argument(
         "--max-elements", type=int, default=20,
-        help="size guard for the 2^n sweep (default: 20)",
+        help="refuse posets with more elements, since an antichain of n elements "
+        "has 2^n upper sets (default: 20)",
     )
 
     p = add("pathspace", _cmd_pathspace, "cover-chain tree and endpoint map")

@@ -26,6 +26,33 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def _upper_walk(up: Sequence[int], down: Sequence[int], excluded: int = 0) -> list:
+    """The masks of every upper set disjoint from ``excluded``, increasing.
+
+    ``up[i]`` and ``down[i]`` are the masks of the elements above and below
+    element ``i``; ``excluded`` must be down-closed. The walk decides the
+    highest free index first and takes the excluded branch before the
+    included one: excluding ``i`` excludes everything below it, including
+    ``i`` includes everything above it. A free index has nothing included
+    below it and nothing excluded above it, so both branches are live and
+    every branch ends in an upper set (Birkhoff's bijection with antichains,
+    walked as in Squire, "Enumerating the ideals of a poset", 1995). The two
+    branches agree above ``i`` and differ at ``i``, so the masks come out in
+    increasing order, one branch point per upper set.
+    """
+    out = []
+    # (mask included so far, mask of the indices still free)
+    stack = [(0, ((1 << len(up)) - 1) & ~excluded)]
+    while stack:
+        inc, free = stack.pop()
+        while free:
+            i = free.bit_length() - 1
+            stack.append((inc | up[i], free & ~up[i]))
+            free &= ~down[i]
+        out.append(inc)
+    return out
+
+
 class Poset:
     """A finite poset over an ordered list of distinct element identifiers.
 
@@ -228,33 +255,21 @@ class Poset:
         n = len(self.elements)
         if n > max_elements:
             raise PosetError(
-                f"upper-set enumeration needs 2^{n} subset checks; "
+                f"upper-set enumeration on {n} elements may list up to 2^{n} sets; "
                 f"raise max_elements (currently {max_elements}) to allow it"
             )
-        if self._uppers_cache is not None:
-            return self._uppers_cache
-        up = self._up
-        out = []
-        for mask in range(1 << n):
-            m = mask
-            ok = True
-            while m:
-                low = m & -m
-                if up[low.bit_length() - 1] & ~mask:
-                    ok = False
-                    break
-                m ^= low
-            if ok:
-                out.append(mask)
-        self._uppers_cache = out
-        return out
+        if self._uppers_cache is None:
+            self._uppers_cache = _upper_walk(self._up, self._down)
+        return self._uppers_cache
 
     def upper_sets(self, max_elements: int = 20) -> list:
         """Every upward-closed subset, the empty set and the carrier included.
 
         Listed in increasing bitmask order over element indices, which is
-        deterministic for a fixed element order. Guarded by ``max_elements``
-        because the scan is over all ``2^n`` subsets.
+        deterministic for a fixed element order. The work is a few mask
+        operations per upper set listed, but an antichain of ``n`` elements
+        has ``2^n`` of them, so posets with more than ``max_elements``
+        elements are refused.
         """
         return [self._set_of(m) for m in self._upper_masks(max_elements)]
 
@@ -570,41 +585,17 @@ def enumerate_posets(n: int) -> Iterator[Poset]:
                 downs[j] |= 1 << i
         zbit = 1 << k
         full = (1 << k) - 1
-        for D in range(full + 1):
-            ok = True
+        # down-sets are the complements of the upper sets, in increasing order
+        for up_mask in reversed(_upper_walk(ups, downs)):
+            D = full & ~up_mask
             allowed = full
-            m = D
-            while m:
-                low = m & -m
-                i = low.bit_length() - 1
-                if downs[i] & ~D:
-                    ok = False
-                    break
+            for i in _bits(D):
                 allowed &= ups[i]
-                m ^= low
-            if not ok:
-                continue
             allowed &= ~D
-            # up-closed subsets of `allowed`, enumerated by descending submask
-            U = allowed
-            while True:
-                good = True
-                m = U
-                while m:
-                    low = m & -m
-                    if ups[low.bit_length() - 1] & ~U:
-                        good = False
-                        break
-                    m ^= low
-                if good:
-                    new = []
-                    for i in range(k):
-                        new.append(ups[i] | (zbit if (D >> i) & 1 else 0))
-                    new.append(zbit | U)
-                    yield new
-                if U == 0:
-                    break
-                U = (U - 1) & allowed
+            below = [ups[i] | (zbit if (D >> i) & 1 else 0) for i in range(k)]
+            # up-closed subsets of `allowed`, in decreasing order
+            for U in reversed(_upper_walk(ups, downs, full & ~allowed)):
+                yield below + [zbit | U]
 
     def rec(ups: list) -> Iterator[Poset]:
         if len(ups) == n:

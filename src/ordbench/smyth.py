@@ -16,7 +16,8 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, List, Optional
 
 from .posets import (
-    MonotoneMap, Poset, PosetError, _arrow, _first_failing_cover, _lines, _unreached, _values
+    MonotoneMap, Poset, PosetError, _arrow, _bits, _first_failing_cover, _lines, _unreached,
+    _values,
 )
 
 FIN_CAP = 100_000
@@ -135,22 +136,25 @@ def fin_antichains(P: Poset, *, cap: int = FIN_CAP) -> List[tuple]:
     the count grows exponentially on wide posets.
     """
     up, down = P._up, P._down
-    out: List[tuple] = []
-    # (antichain so far, mask of the elements that may still extend it)
-    stack = [((), (1 << len(P.elements)) - 1)]
+    found: List[int] = []
+    # (mask of the antichain so far, mask of the elements that may still extend it)
+    stack = [(0, (1 << len(P.elements)) - 1)]
     while stack:
         chosen, free = stack.pop()
         if not free:
             continue
-        i = (free & -free).bit_length() - 1
-        grown = chosen + (P.elements[i],)
-        out.append(grown)
-        if len(out) > cap:
+        low = free & -free
+        i = low.bit_length() - 1
+        grown = chosen | low
+        found.append(grown)
+        if len(found) > cap:
             raise PosetError(f"antichain enumeration exceeded the cap of {cap}")
         # the antichains without i come after every antichain that extends grown
-        stack.append((chosen, free & ~(1 << i)))
+        stack.append((chosen, free ^ low))
         stack.append((grown, free & ~(up[i] | down[i])))
-    return out
+    # element tuples are built only once the cap has held
+    els = P.elements
+    return [tuple(els[i] for i in _bits(mask)) for mask in found]
 
 
 def fin_poset(P: Poset, *, cap: int = FIN_CAP) -> Poset:

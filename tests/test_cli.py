@@ -92,6 +92,17 @@ def test_upper_sets_guard(capsys, tmp_path):
     assert code == 2 and "max_elements" in err
 
 
+def test_upper_sets_of_a_tall_chain(capsys, tmp_path):
+    tall = tmp_path / "tall.poset"
+    names = [f"c{i}" for i in range(30)]
+    tall.write_text(
+        "elements: " + " ".join(names) + "\norder: "
+        + "; ".join(f"{a} < {b}" for a, b in zip(names, names[1:])) + "\n"
+    )
+    code, out, _ = run(capsys, "upper-sets", str(tall), "--max-elements", "30")
+    assert code == 0 and len(out.splitlines()) == 31
+
+
 def test_pathspace_text_lists_endpoints(capsys, diamond_file):
     code, out, _ = run(capsys, "pathspace", diamond_file)
     assert code == 0

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -100,6 +101,51 @@ def test_upper_sets_guard():
     with pytest.raises(PosetError, match="max_elements"):
         big.upper_sets()
     assert len(big.upper_sets(max_elements=21)) == 2**21
+
+
+def _check_upper_masks(P):
+    """``_upper_masks`` lists the brute-force upper sets in strictly
+    increasing mask order, from the empty set to the carrier."""
+    masks = P._upper_masks(max_elements=len(P))
+    brute = {sum(1 << P.index(x) for x in U) for U in brute_upper_sets(P)}
+    assert set(masks) == brute
+    assert all(a < b for a, b in zip(masks, masks[1:]))
+    assert masks[0] == 0 and masks[-1] == (1 << len(P)) - 1
+
+
+def test_upper_masks_match_brute_force_up_to_5():
+    for n in range(1, 6):
+        for P in enumerate_posets(n):
+            _check_upper_masks(P)
+
+
+@given(
+    st.integers(1, 12).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))),
+            st.sampled_from(["kept", "shuffled", "reversed"]),
+            st.randoms(use_true_random=False),
+        )
+    )
+)
+@settings(max_examples=60, deadline=None)
+def test_upper_masks_match_brute_force_on_random_posets(case):
+    n, pairs, order, rng = case
+    els = list(range(n))
+    if order == "shuffled":
+        rng.shuffle(els)
+    elif order == "reversed":
+        els.reverse()
+    # i < j in the drawn pairs keeps the relation acyclic, whatever the order
+    _check_upper_masks(Poset(els, [(i, j) for i, j in pairs if i < j]))
+
+
+def test_upper_sets_of_a_long_chain():
+    chain = Poset(range(60), [(i, i + 1) for i in range(59)])
+    ups = chain.upper_sets(max_elements=60)
+    assert len(ups) == 61
+    assert ups[0] == frozenset() and ups[-1] == frozenset(range(60))
 
 
 def test_antichain_normalize(diamond):
@@ -304,6 +350,17 @@ def test_enumeration_counts_pinned():
     for n, count in LABELED_POSET_COUNTS.items():
         if n <= 5:
             assert sum(1 for _ in enumerate_posets(n)) == count
+
+
+def test_enumeration_order_pinned():
+    """The sequence of up-mask tuples for n <= 5, as a SHA-256 digest."""
+    h = hashlib.sha256()
+    for n in range(1, 6):
+        for P in enumerate_posets(n):
+            h.update((repr(P._up) + "\n").encode())
+    assert h.hexdigest() == (
+        "01cac34e4fcf7cc1683b0e9d24ddc7c1ed10db58990cf1d8e31c3de4374a0a4f"
+    )
 
 
 def test_enumeration_count_n6():

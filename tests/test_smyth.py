@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -137,6 +138,20 @@ def test_fin_antichains_cap_trips_before_any_depth_limit():
     # the first 1,200 antichains grow one element at a time
     with pytest.raises(PosetError, match="exceeded the cap of 1500"):
         fin_antichains(Poset(range(1200), []), cap=1500)
+
+
+def test_fin_antichains_cap_trips_before_the_tuples_are_built():
+    # 5,000 antichains of the 1200-element antichain hold about 5.5 M
+    # element references as tuples, but only 5,000 masks
+    wide = Poset(range(1200), [])
+    tracemalloc.start()
+    try:
+        with pytest.raises(PosetError, match="exceeded the cap of 5000"):
+            fin_antichains(wide, cap=5000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 5_000_000
 
 
 # -- monad laws ---------------------------------------------------------------
