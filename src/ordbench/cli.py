@@ -11,6 +11,7 @@ internal error (any other exception), reported as one ``internal error:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -131,14 +132,14 @@ def _cmd_upper_sets(args) -> int:
 
 
 def _relabel(P: Poset, rename) -> Poset:
-    return Poset._from_up_masks(tuple(rename(e) for e in P.elements), P._up)
+    return Poset._from_up_masks(tuple(rename(e) for e in P.elements), P._up, P._down)
 
 
 def _cmd_pathspace(args) -> int:
     P = _load_poset(args.poset)
     pi, r = path_space(P)
-    named = _relabel(pi, lambda p: "/".join(str(x) for x in p))
     if args.dot:
+        named = _relabel(pi, lambda p: "/".join(str(x) for x in p))
         sys.stdout.write(poset_to_dot(named, name="pathspace"))
     else:
         for p in pi.elements:
@@ -308,7 +309,7 @@ def _cmd_val_push(args) -> int:
     return 0
 
 
-def _cmd_demo_failed(args) -> int:
+def _cmd_demo_failed_deflations(args) -> int:
     P = _load_poset(args.poset)
     N = args.grid
     targets = [parse_valuation(P, args.nu)] if args.nu else grid(P, N)
@@ -417,7 +418,7 @@ def _nat(text: str) -> int:
     return n
 
 
-def _cmd_enumerate(args) -> int:
+def _cmd_enumerate_posets(args) -> int:
     count = 0
     for P in enumerate_posets(args.n):
         count += 1
@@ -432,18 +433,17 @@ def _cmd_enumerate(args) -> int:
 # -- parser --------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on first use; ``parse_args``
+    leaves it unchanged, so every call of :func:`main` shares it."""
     ap = argparse.ArgumentParser(
         prog="ordbench",
         description="Exact-arithmetic workbench for finite posets, antichain "
         "powerspaces, and probability valuations.",
     )
+    # `main` runs the command `x-y` through the handler `_cmd_x_y`
     sub = ap.add_subparsers(dest="command", required=True, metavar="command")
-
-    def add(name, func, help_):
-        p = sub.add_parser(name, help=help_)
-        p.set_defaults(func=func)
-        return p
 
     def fmt_flag(p):
         p.add_argument(
@@ -451,15 +451,15 @@ def build_parser() -> argparse.ArgumentParser:
             help="output style (default: text)",
         )
 
-    p = add("check-poset", _cmd_check_poset, "validate a poset file, print a summary")
+    p = sub.add_parser("check-poset", help="validate a poset file, print a summary")
     p.add_argument("poset")
     fmt_flag(p)
 
-    p = add("hasse", _cmd_hasse, "print cover pairs, or DOT with --dot")
+    p = sub.add_parser("hasse", help="print cover pairs, or DOT with --dot")
     p.add_argument("poset")
     p.add_argument("--dot", action="store_true")
 
-    p = add("upper-sets", _cmd_upper_sets, "list every upper set")
+    p = sub.add_parser("upper-sets", help="list every upper set")
     p.add_argument("poset")
     p.add_argument(
         "--max-elements", type=int, default=20,
@@ -467,26 +467,25 @@ def build_parser() -> argparse.ArgumentParser:
         "has 2^n upper sets (default: 20)",
     )
 
-    p = add("pathspace", _cmd_pathspace, "cover-chain tree and endpoint map")
+    p = sub.add_parser("pathspace", help="cover-chain tree and endpoint map")
     p.add_argument("poset")
     p.add_argument("--dot", action="store_true")
 
-    p = add("fin", _cmd_fin, "list the antichains (canonical finitary compacts)")
+    p = sub.add_parser("fin", help="list the antichains (canonical finitary compacts)")
     p.add_argument("poset")
     p.add_argument("--cap", type=int, default=FIN_CAP)
     p.add_argument("--dot", action="store_true")
 
-    p = add("monad-laws", _cmd_monad_laws, "check the three extension laws")
+    p = sub.add_parser("monad-laws", help="check the three extension laws")
     p.add_argument("poset")
     p.add_argument("h", nargs="?", help="antichain-valued map file (default: unit)")
     p.add_argument("g", nargs="?", help="second map file (default: unit)")
     p.add_argument("--cap", type=int, default=FIN_CAP)
     fmt_flag(p)
 
-    p = add(
+    p = sub.add_parser(
         "quasi-retraction",
-        _cmd_quasi_retraction,
-        "check section laws for a map, canonical section by default",
+        help="check section laws for a map, canonical section by default",
     )
     p.add_argument("source")
     p.add_argument("target")
@@ -494,44 +493,44 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("qs", nargs="?", help="section file of 'y -> {x1, x2}' lines")
     fmt_flag(p)
 
-    p = add("koenig", _cmd_koenig, "chain through descending antichain stages")
+    p = sub.add_parser("koenig", help="chain through descending antichain stages")
     p.add_argument("poset")
     p.add_argument("element")
     p.add_argument("stage", nargs="+", help="antichains, innermost last, e.g. 'a,b'")
 
-    p = add("val-order", _cmd_val_order, "decide nu <= mu in the pointwise order")
+    p = sub.add_parser("val-order", help="decide nu <= mu in the pointwise order")
     p.add_argument("poset")
     p.add_argument("nu")
     p.add_argument("mu")
     p.add_argument("--mode", choices=("flow", "oracle", "both"), default="flow")
     fmt_flag(p)
 
-    p = add("val-waybelow", _cmd_val_waybelow, "decide strict approximation")
+    p = sub.add_parser("val-waybelow", help="decide strict approximation")
     p.add_argument("poset")
     p.add_argument("nu")
     p.add_argument("mu")
     fmt_flag(p)
 
-    p = add("val-mub", _cmd_val_mub, "minimal common upper bounds on a grid")
+    p = sub.add_parser("val-mub", help="minimal common upper bounds on a grid")
     p.add_argument("poset")
     p.add_argument("nu1")
     p.add_argument("nu2")
     p.add_argument("--grid", type=int, required=True, metavar="N")
     p.add_argument("--cap", type=int, default=GRID_CAP)
 
-    p = add("val-maxbelow", _cmd_val_maxbelow, "maximal grid approximants from below")
+    p = sub.add_parser("val-maxbelow", help="maximal grid approximants from below")
     p.add_argument("poset")
     p.add_argument("nu")
     p.add_argument("--grid", type=int, required=True, metavar="N")
     p.add_argument("--cap", type=int, default=GRID_CAP)
 
-    p = add("val-grid", _cmd_val_grid, "list grid valuations, or their order as DOT")
+    p = sub.add_parser("val-grid", help="list grid valuations, or their order as DOT")
     p.add_argument("poset")
     p.add_argument("--grid", type=int, required=True, metavar="N")
     p.add_argument("--cap", type=int, default=GRID_CAP)
     p.add_argument("--dot", action="store_true")
 
-    p = add("val-push", _cmd_val_push, "transport a valuation along a map")
+    p = sub.add_parser("val-push", help="transport a valuation along a map")
     p.add_argument("source")
     p.add_argument("target")
     p.add_argument("map", help="file of 'x -> y' lines")
@@ -541,22 +540,21 @@ def build_parser() -> argparse.ArgumentParser:
         help="lift from the target instead (needs a surjective map)",
     )
 
-    p = add(
+    p = sub.add_parser(
         "demo-failed-deflations",
-        _cmd_demo_failed,
-        "run the three rounding schemes, exit 1 when witnesses appear",
+        help="run the three rounding schemes, exit 1 when witnesses appear",
     )
     p.add_argument("poset")
     p.add_argument("nu", nargs="?", help="valuation (default: scan the whole grid)")
     p.add_argument("--grid", type=int, required=True, metavar="N")
 
-    p = add("lazy", _cmd_lazy, "countable-poset queries: leq, family, witness, truncate")
+    p = sub.add_parser("lazy", help="countable-poset queries: leq, family, witness, truncate")
     p.add_argument("kind", choices=lz.KINDS)
     p.add_argument("action", choices=("leq", "family", "witness", "truncate"))
     p.add_argument("args", nargs="*")
     p.add_argument("--dot", action="store_true")
 
-    p = add("enumerate-posets", _cmd_enumerate, "count (or list) labeled posets")
+    p = sub.add_parser("enumerate-posets", help="count (or list) labeled posets")
     p.add_argument("n", type=int)
     p.add_argument("--list", action="store_true")
 
@@ -564,10 +562,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # looked up at call time, so a handler replaced after start-up still runs
+    handler = globals()["_cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return handler(args)
     except (PosetError, ValuationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

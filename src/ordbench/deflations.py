@@ -235,13 +235,20 @@ def parse_quasi_deflation(P: Poset, text: str, *, check: bool = True):
 
 
 def format_quasi_deflation(obj) -> str:
-    """Inverse of :func:`parse_quasi_deflation` for either variant."""
+    """Inverse of :func:`parse_quasi_deflation` for either variant.
+
+    Raises PosetError on an element whose name begins with ``control:``,
+    which would read back as a control line.
+    """
     from .smyth import format_antichain
 
     if isinstance(obj, ControlledQuasiDeflation):
         phi, control = obj.deflation, obj.control
     else:
         phi, control = obj, None
+    for x in phi.poset.elements:
+        if str(x).startswith("control:"):
+            raise PosetError(f"the quasi-deflation format cannot write the name {str(x)!r}")
     lines = [
         f"{x} -> {format_antichain(E)}"
         for x, E in zip(phi.poset.elements, phi.values)

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple, Union
 
-from .posets import MonotoneMap, Poset, PosetError
+from .posets import MonotoneMap, Poset, PosetError, _closure
 
 Code = Tuple
 BOT: Code = ("bot",)
@@ -268,14 +268,8 @@ def truncate(L: LazyPoset, k: int) -> Truncation:
         codes.append(omega_side(0))
         codes.append(omega_side(1))
     names = tuple(format_code(c) for c in codes)
-    ups = []
-    for c in codes:
-        mask = 0
-        for jdx, d in enumerate(codes):
-            if L.leq(c, d):
-                mask |= 1 << jdx
-        ups.append(mask)
-    P = Poset._from_up_masks(names, tuple(ups))
+    succ = [[j for j, d in enumerate(codes) if d != c and L.leq(c, d)] for c in codes]
+    P = Poset._from_up_masks(names, *_closure(succ))
 
     def embed(name: str) -> Code:
         P.index(name)

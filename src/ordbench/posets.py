@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional, Sequence, Tuple
+from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 
 class PosetError(ValueError):
@@ -53,6 +53,57 @@ def _upper_walk(up: Sequence[int], down: Sequence[int], excluded: int = 0) -> li
     return out
 
 
+def _closure(succ: Sequence[Sequence[int]]) -> Optional[Tuple[tuple, tuple]]:
+    """The reflexive transitive closure of a relation given by successor lists.
+
+    ``succ[i]`` lists indices j with i <= j (no self-loops; repeats allowed).
+    Kahn's algorithm (Kahn, "Topological sorting of large networks", 1962)
+    orders the indices so that every relation points forward. Then
+    ``up[i]`` is i's bit OR-ed with ``up`` of its successors, taken in
+    reverse order, and ``down[j]`` is j's bit OR-ed with ``down`` of its
+    predecessors, pushed forward in order: one mask OR per element and per
+    relation. Returns ``(up, down)``, or None when the relation has a cycle.
+    """
+    n = len(succ)
+    indegree = [0] * n
+    for row in succ:
+        for j in row:
+            indegree[j] += 1
+    order = [i for i in range(n) if not indegree[i]]
+    for i in order:  # grows while it is walked
+        for j in succ[i]:
+            indegree[j] -= 1
+            if not indegree[j]:
+                order.append(j)
+    if len(order) < n:
+        return None
+    up = [1 << i for i in range(n)]
+    for i in reversed(order):
+        mask = up[i]
+        for j in succ[i]:
+            mask |= up[j]
+        up[i] = mask
+    down = [1 << i for i in range(n)]
+    for i in order:
+        mask = down[i]
+        for j in succ[i]:
+            down[j] |= mask
+    return tuple(up), tuple(down)
+
+
+def _cycle_message(elements: tuple, succ: Sequence[Sequence[int]]) -> str:
+    """Name the first element, in element order, that lies on a cycle, and the
+    first other element on a cycle with it.
+
+    Runs only on cyclic input: a Warshall closure over bit rows, O(n^2).
+    """
+    up = [1 << i | sum(1 << j for j in set(row)) for i, row in enumerate(succ)]
+    for k in range(len(up)):
+        up = [row | up[k] if row >> k & 1 else row for row in up]
+    i, j = next((i, j) for i, r in enumerate(up) for j in _bits(r) if j != i and up[j] >> i & 1)
+    return f"cycle detected: {elements[i]!r} <= {elements[j]!r} <= {elements[i]!r}"
+
+
 class Poset:
     """A finite poset over an ordered list of distinct element identifiers.
 
@@ -61,7 +112,11 @@ class Poset:
             listings will use. Identifiers must be hashable and unique.
         relations: pairs ``(x, y)`` meaning ``x <= y``. The reflexive
             transitive closure is taken automatically; a relation cycle
-            between distinct elements is rejected.
+            between distinct elements is rejected. Self-loops and repeated
+            pairs are allowed.
+
+    Construction costs O(n + relations) mask ORs (see :func:`_closure`):
+    the order is stored as the up-set and down-set mask of each element.
 
     Raises:
         PosetError: duplicate identifiers, unknown identifiers in a
@@ -72,57 +127,36 @@ class Poset:
 
     def __init__(self, elements: Iterable, relations: Iterable[tuple] = ()):
         elements = tuple(elements)
-        if len(set(elements)) != len(elements):
-            seen = set()
-            for e in elements:
-                if e in seen:
-                    raise PosetError(f"duplicate element: {e!r}")
-                seen.add(e)
+        self._index = index = {}
+        for i, e in enumerate(elements):
+            if index.setdefault(e, i) != i:
+                raise PosetError(f"duplicate element: {e!r}")
         self.elements = elements
-        self._index = {e: i for i, e in enumerate(elements)}
-        n = len(elements)
-        up = [1 << i for i in range(n)]
+        succ: List[List[int]] = [[] for _ in elements]
         for x, y in relations:
-            ix = self._index.get(x)
-            iy = self._index.get(y)
+            ix = index.get(x)
+            iy = index.get(y)
             if ix is None:
                 raise PosetError(f"relation mentions undeclared element: {x!r}")
             if iy is None:
                 raise PosetError(f"relation mentions undeclared element: {y!r}")
-            up[ix] |= 1 << iy
-        # Reachability closure over the bit rows.
-        for k in range(n):
-            bit = 1 << k
-            row = up[k]
-            for i in range(n):
-                if up[i] & bit:
-                    up[i] |= row
-        for i in range(n):
-            for j in _bits(up[i] & ~(1 << i)):
-                if up[j] & (1 << i):
-                    raise PosetError(
-                        f"cycle detected: {elements[i]!r} <= {elements[j]!r} <= {elements[i]!r}"
-                    )
-        self._up = tuple(up)
-        self._finish()
-
-    def _finish(self) -> None:
-        n = len(self.elements)
-        down = [0] * n
-        for i, mask in enumerate(self._up):
-            for j in _bits(mask):
-                down[j] |= 1 << i
-        self._down = tuple(down)
+            if ix != iy:
+                succ[ix].append(iy)
+        masks = _closure(succ)
+        if masks is None:
+            raise PosetError(_cycle_message(elements, succ))
+        self._up, self._down = masks
         self._uppers_cache = None
 
     @classmethod
-    def _from_up_masks(cls, elements: tuple, up: tuple) -> "Poset":
-        """Trusted constructor for already-closed, already-checked masks."""
+    def _from_up_masks(cls, elements: tuple, up: tuple, down: tuple) -> "Poset":
+        """Trusted constructor for already-closed, already-checked mask tuples;
+        ``down`` must be the transpose of ``up``."""
         self = object.__new__(cls)
         self.elements = elements
         self._index = {e: i for i, e in enumerate(elements)}
-        self._up = tuple(up)
-        self._finish()
+        self._up, self._down = up, down
+        self._uppers_cache = None
         return self
 
     # -- basic queries ----------------------------------------------------
@@ -300,16 +334,14 @@ class Poset:
         """Componentwise order on pairs, carrier in row-major order."""
         elements = tuple(itertools.product(self.elements, other.elements))
         m = len(other.elements)
-        ups = []
-        for i, up_i in enumerate(self._up):
-            for j, up_j in enumerate(other._up):
-                mask = 0
-                for a in _bits(up_i):
-                    base = a * m
-                    for b in _bits(up_j):
-                        mask |= 1 << (base + b)
-                ups.append(mask)
-        return Poset._from_up_masks(elements, tuple(ups))
+        mine, theirs = self._cover_masks(), other._cover_masks()
+        # (i, j) is covered by (a, j) for a covering i and by (i, b) for b covering j
+        succ = [
+            [a * m + j for a in _bits(mine[i])] + [i * m + b for b in _bits(theirs[j])]
+            for i in range(len(mine))
+            for j in range(m)
+        ]
+        return Poset._from_up_masks(elements, *_closure(succ))
 
     def is_tree(self) -> bool:
         """True when the strict predecessors of every element form a chain.
@@ -516,8 +548,16 @@ def parse_poset(text: str) -> Poset:
 
 
 def format_poset(P: Poset) -> str:
-    """Inverse of :func:`parse_poset`, covers only."""
-    lines = ["elements: " + " ".join(str(e) for e in P.elements)]
+    """Inverse of :func:`parse_poset`, covers only.
+
+    Raises PosetError on a name the format cannot read back: an empty one,
+    or one holding whitespace, ``<``, ``;`` or ``#``.
+    """
+    names = [str(e) for e in P.elements]
+    for name in names:
+        if not name or any(c.isspace() or c in "<;#" for c in name):
+            raise PosetError(f"the poset format cannot write the element name {name!r}")
+    lines = ["elements: " + " ".join(names)]
     cov = P.covers()
     if cov:
         lines.append("order: " + "; ".join(f"{a} < {b}" for a, b in cov))
@@ -577,12 +617,8 @@ def enumerate_posets(n: int) -> Iterator[Poset]:
         raise PosetError("enumerate_posets supports 1 <= n <= 6")
     elements = tuple(range(n))
 
-    def extend(ups: list) -> Iterator[list]:
+    def extend(ups: list, downs: list) -> Iterator[Tuple[list, list]]:
         k = len(ups)
-        downs = [0] * k
-        for i in range(k):
-            for j in _bits(ups[i]):
-                downs[j] |= 1 << i
         zbit = 1 << k
         full = (1 << k) - 1
         # down-sets are the complements of the upper sets, in increasing order
@@ -595,13 +631,14 @@ def enumerate_posets(n: int) -> Iterator[Poset]:
             below = [ups[i] | (zbit if (D >> i) & 1 else 0) for i in range(k)]
             # up-closed subsets of `allowed`, in decreasing order
             for U in reversed(_upper_walk(ups, downs, full & ~allowed)):
-                yield below + [zbit | U]
+                above = [downs[i] | (zbit if (U >> i) & 1 else 0) for i in range(k)]
+                yield below + [zbit | U], above + [zbit | D]
 
-    def rec(ups: list) -> Iterator[Poset]:
+    def rec(ups: list, downs: list) -> Iterator[Poset]:
         if len(ups) == n:
-            yield Poset._from_up_masks(elements, tuple(ups))
+            yield Poset._from_up_masks(elements, tuple(ups), tuple(downs))
             return
-        for new in extend(ups):
-            yield from rec(new)
+        for new_ups, new_downs in extend(ups, downs):
+            yield from rec(new_ups, new_downs)
 
-    yield from rec([1])
+    yield from rec([1], [1])

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, List, Optional
 
 from .posets import (
-    MonotoneMap, Poset, PosetError, _arrow, _bits, _first_failing_cover, _lines, _unreached,
-    _values,
+    MonotoneMap, Poset, PosetError, _arrow, _bits, _closure, _first_failing_cover, _lines,
+    _unreached, _values,
 )
 
 FIN_CAP = 100_000
@@ -160,17 +160,14 @@ def fin_antichains(P: Poset, *, cap: int = FIN_CAP) -> List[tuple]:
 def fin_poset(P: Poset, *, cap: int = FIN_CAP) -> Poset:
     """The antichains of P as a poset under the refinement order."""
     chains = fin_antichains(P, cap=cap)
-    ups = []
     closure = [P._up_mask(E) for E in chains]
     member_mask = [P._mask_of(E) for E in chains]
-    for i in range(len(chains)):
-        mask = 0
-        for j in range(len(chains)):
-            # chains[i] <= chains[j] iff members of j land inside closure of i
-            if not (member_mask[j] & ~closure[i]):
-                mask |= 1 << j
-        ups.append(mask)
-    return Poset._from_up_masks(tuple(chains), tuple(ups))
+    # chains[i] <= chains[j] iff members of j land inside closure of i
+    succ = [
+        [j for j, members in enumerate(member_mask) if j != i and not members & ~up]
+        for i, up in enumerate(closure)
+    ]
+    return Poset._from_up_masks(tuple(chains), *_closure(succ))
 
 
 # -- monad laws ---------------------------------------------------------------

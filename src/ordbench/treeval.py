@@ -16,37 +16,43 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, List, Optional, Tuple
 
-from .posets import MonotoneMap, Poset, PosetError, _bits, _lines, _unreached
+from .posets import MonotoneMap, Poset, PosetError, _bits, _closure, _lines, _unreached
 from .valuations import Valuation, ValuationError, _fractions
 
+PATH_CAP = 10_000
 
-def path_space(Y: Poset) -> Tuple[Poset, MonotoneMap]:
+
+def path_space(Y: Poset, *, cap: int = PATH_CAP) -> Tuple[Poset, MonotoneMap]:
     """Build the prefix tree of cover chains from bottom, plus the endpoint map.
 
     Paths are materialized as tuples of elements; the returned poset lists
     them in depth-first order (children visited in element order), so output
     is deterministic. The endpoint map is verified monotone and surjective
     and the result verified to be a tree before returning.
+
+    Raises PosetError when there are more than ``cap`` paths; their number
+    grows exponentially on products.
     """
     bot = Y.bottom()
     if bot is None:
         raise PosetError("path space needs a pointed poset")
     children = Y._cover_masks()
     paths: List[tuple] = []
-    parent: List[int] = []
+    succ: List[List[int]] = []  # the index of each path's one-step extensions
     stack = [((bot,), Y.index(bot), -1)]
     while stack:
         path, end, above = stack.pop()
         here = len(paths)
+        if here == cap:
+            raise PosetError(f"path space exceeded the cap of {cap} paths at length {len(path)}")
+        if here:
+            succ[above].append(here)
         paths.append(path)
-        parent.append(above)
+        succ.append([])
         # reversed, so children pop in element order and paths stay in preorder
         kids = reversed(list(_bits(children[end])))
         stack.extend((path + (Y.elements[c],), c, here) for c in kids)
-    ups = [1 << i for i in range(len(paths))]
-    for i in range(len(paths) - 1, 0, -1):
-        ups[parent[i]] |= ups[i]
-    pi = Poset._from_up_masks(tuple(paths), tuple(ups))
+    pi = Poset._from_up_masks(tuple(paths), *_closure(succ))
     r = MonotoneMap(pi, Y, lambda p: p[-1])
     assert pi.is_tree()
     assert not _unreached(Y, r.values)

@@ -21,9 +21,10 @@ from itertools import combinations
 from math import comb, lcm
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .posets import MonotoneMap, Poset, PosetError, _bits, _unreached
+from .posets import MonotoneMap, Poset, PosetError, _bits, _closure, _unreached
 
 GRID_CAP = 100_000
+_ZERO = Fraction(0)
 
 
 class ValuationError(ValueError):
@@ -35,29 +36,36 @@ class Valuation:
 
     Accepts a dict (missing elements default to weight zero) or a sequence
     aligned with the element order. Weights must be nonnegative and sum to
-    exactly one.
+    exactly one. Only the given entries of a dict are converted, and only
+    nonzero weights are checked and summed; every other element shares one
+    zero.
     """
 
     __slots__ = ("poset", "weights")
 
     def __init__(self, poset: Poset, weights):
         self.poset = poset
+        n = len(poset.elements)
         if isinstance(weights, dict):
-            for e in weights:
-                poset.index(e)
-            vals = [Fraction(weights.get(e, 0)) for e in poset.elements]
+            given = sorted((poset.index(e), w) for e, w in weights.items())
+            vals = [_ZERO] * n
+            for i, w in given:
+                vals[i] = w if type(w) is Fraction else Fraction(w)
+            nonzero = [i for i, _ in given if vals[i]]
         else:
-            vals = [Fraction(w) for w in weights]
-            if len(vals) != len(poset.elements):
-                raise ValuationError(
-                    f"expected {len(poset.elements)} weights, got {len(vals)}"
-                )
-        for e, w in zip(poset.elements, vals):
-            if w < 0:
-                raise ValuationError(f"negative weight at {e!r}: {w}")
-        total = sum(vals)
-        if total != 1:
-            raise ValuationError(f"weights sum to {total}, not 1")
+            vals = [w if type(w) is Fraction else Fraction(w) for w in weights]
+            if len(vals) != n:
+                raise ValuationError(f"expected {n} weights, got {len(vals)}")
+            nonzero = [i for i, w in enumerate(vals) if w]
+        for i in nonzero:
+            if vals[i].numerator < 0:
+                raise ValuationError(f"negative weight at {poset.elements[i]!r}: {vals[i]}")
+        # The sum in integers over one common denominator. lcm unpacks a list:
+        # unpacking a generator fills CPython's tuple free lists (~5 MB).
+        D = lcm(*[vals[i].denominator for i in nonzero])
+        total = sum([vals[i].numerator * (D // vals[i].denominator) for i in nonzero])
+        if total != D:
+            raise ValuationError(f"weights sum to {Fraction(total, D)}, not 1")
         self.weights = tuple(vals)
 
     def weight(self, x) -> Fraction:
@@ -99,7 +107,6 @@ class Valuation:
 
 def dirac(P: Poset, x) -> Valuation:
     """Unit mass at a single element."""
-    P.index(x)
     return Valuation(P, {x: Fraction(1)})
 
 
@@ -152,7 +159,7 @@ def _require_same_poset(nu: Valuation, mu: Valuation) -> Poset:
 def _scaled_weights(vals: Sequence[Valuation]) -> Tuple[int, List[List[int]]]:
     """Every weight of ``vals`` as an integer over ``D``, the lcm of all their
     denominators: returns ``(D, ints)`` with ``ints[v][i] == D * weight``."""
-    D = lcm(*(w.denominator for v in vals for w in v.weights))
+    D = lcm(*[w.denominator for v in vals for w in v.weights])
     return D, [[w.numerator * (D // w.denominator) for w in v.weights] for v in vals]
 
 
@@ -501,10 +508,8 @@ def grid(P: Poset, N: int, *, cap: int = GRID_CAP) -> List[Valuation]:
         raise ValuationError(
             f"grid would hold {count} valuations, above the cap of {cap}"
         )
-    out = []
-    for tup in _compositions(N, n):
-        out.append(Valuation(P, [Fraction(k, N) for k in tup]))
-    return out
+    row = [Fraction(k, N) for k in range(N + 1)]
+    return [Valuation(P, [row[k] for k in tup]) for tup in _compositions(N, n)]
 
 
 def grid_poset(P: Poset, N: int, *, cap: int = GRID_CAP) -> Poset:
@@ -515,14 +520,10 @@ def grid_poset(P: Poset, N: int, *, cap: int = GRID_CAP) -> Poset:
     """
     vals = grid(P, N, cap=cap)
     _, vecs = _upper_masses(vals, P._upper_masks())
-    ups = []
-    for vi in vecs:
-        mask = 0
-        for j, vj in enumerate(vecs):
-            if _dominated(vi, vj):
-                mask |= 1 << j
-        ups.append(mask)
-    return Poset._from_up_masks(tuple(vals), tuple(ups))
+    succ = [
+        [j for j, b in enumerate(vecs) if j != i and _dominated(a, b)] for i, a in enumerate(vecs)
+    ]
+    return Poset._from_up_masks(tuple(vals), *_closure(succ))
 
 
 def minimal_upper_bounds_grid(

@@ -62,6 +62,41 @@ def brute_upper_sets(P):
     return out
 
 
+def reference_closure(elements, relations):
+    """The order masks a relation list generates, by the textbook route.
+
+    Warshall's O(n^2) closure over bit rows, then a bit-by-bit transpose for
+    the down masks. Returns ``(up, down)`` as tuples, or, when the closure
+    has a cycle, the message naming its first element in element order and
+    the first other element on a cycle with it.
+    """
+    index = {e: i for i, e in enumerate(elements)}
+    n = len(elements)
+    up = [1 << i for i in range(n)]
+    for x, y in relations:
+        up[index[x]] |= 1 << index[y]
+    for k in range(n):
+        for i in range(n):
+            if up[i] >> k & 1:
+                up[i] |= up[k]
+    for i in range(n):
+        for j in range(n):
+            if j != i and up[i] >> j & 1 and up[j] >> i & 1:
+                x, y = elements[i], elements[j]
+                return f"cycle detected: {x!r} <= {y!r} <= {x!r}"
+    return tuple(up), transpose(up)
+
+
+def transpose(up):
+    """The down masks of an order given by its up masks, one bit at a time."""
+    down = [0] * len(up)
+    for i, mask in enumerate(up):
+        for j in range(len(up)):
+            if mask >> j & 1:
+                down[j] |= 1 << i
+    return tuple(down)
+
+
 def brute_stochastic_leq(nu, mu):
     """nu below mu iff no upper set carries more nu-mass than mu-mass."""
     return all(nu.mass(U) <= mu.mass(U) for U in brute_upper_sets(nu.poset))

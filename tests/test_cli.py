@@ -308,6 +308,17 @@ def test_val_order_json_carries_certificate(capsys, diamond_file):
     assert "transport" in data
 
 
+def test_one_parser_serves_every_call_without_leaking_flags(capsys, diamond_file):
+    nu, mu = "bot:1/2 a:1/2", "a:1/2 top:1/2"
+    code, out, _ = run(capsys, "val-order", diamond_file, nu, mu, "--format", "json")
+    assert code == 0 and json.loads(out)["result"] is True
+    code, out, _ = run(capsys, "hasse", diamond_file, "--dot")
+    assert code == 0 and out.startswith("digraph hasse {")
+    code, out, _ = run(capsys, "val-order", diamond_file, nu, mu)
+    assert (code, out) == (0, "result: true\ntransport: bot->a:1/2 a->top:1/2\n")
+    assert cli.build_parser() is cli.build_parser()
+
+
 def test_val_order_rejects_bad_mass(capsys, diamond_file):
     code, _, err = run(capsys, "val-order", diamond_file, "a:1/2", "a:1/2 top:1/2")
     assert code == 2 and "error:" in err

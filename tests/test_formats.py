@@ -1,17 +1,22 @@
 """Round trips through the shared line reader, one per line-oriented format.
 
 Element names are drawn from an alphabet with ``:``, ``.``, ``_`` and
-digits, so a name may look like part of a ``name:fraction`` entry.
+digits, so a name may look like part of a ``name:fraction`` entry. The
+poset format also meets names with whitespace, ``<``, ``;`` and ``#``, and
+the quasi-deflation format names that begin with ``control:``; each must
+refuse to write a name it cannot read back.
 """
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from ordbench import (
     ControlledQuasiDeflation,
     MonotoneMap,
     Poset,
+    PosetError,
     QuasiDeflation,
     Valuation,
     format_admissible,
@@ -29,18 +34,17 @@ from ordbench import (
     valuation_to_admissible,
 )
 
-NAMES = st.lists(
-    st.text(alphabet="abxyz019_.:", min_size=1, max_size=4),
-    min_size=1,
-    max_size=6,
-    unique=True,
-)
+SAFE = "abxyz019_.:"
+NAME = st.text(alphabet=SAFE, min_size=1, max_size=4)
+UNWRITABLE = " \t<;#"  # characters the poset format cannot carry in a name
+POSET_NAME = NAME | st.text(alphabet=SAFE + UNWRITABLE, min_size=1, max_size=4)
+CONTROL_NAME = NAME | st.text(alphabet=SAFE, max_size=3).map("control:".__add__)
 
 
 @st.composite
-def posets(draw, tree: bool = False):
+def posets(draw, tree: bool = False, name=NAME):
     """A random poset on random names; with ``tree``, a rooted tree."""
-    names = draw(NAMES)
+    names = draw(st.lists(name, min_size=1, max_size=6, unique=True))
     n = len(names)
     if tree:
         parents = [draw(st.integers(0, i - 1)) for i in range(1, n)]
@@ -71,27 +75,36 @@ def valuations(draw, P: Poset) -> Valuation:
 
 
 @given(st.data())
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=100, deadline=None)
 def test_poset_and_map_round_trip(data):
-    P = data.draw(posets())
+    P = data.draw(posets(name=POSET_NAME))
+    if any(set(e) & set(UNWRITABLE) for e in P.elements):
+        with pytest.raises(PosetError, match="cannot write the element name"):
+            format_poset(P)
+        return
     assert parse_poset(format_poset(P)) == P
     f = MonotoneMap(P, P, data.draw(threshold_maps(P)))
     assert parse_map(P, P, format_map(f)) == f
 
 
 @given(st.data())
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=200, deadline=None)
 def test_finmap_and_quasi_deflation_round_trip(data):
-    P = data.draw(posets())
+    P = data.draw(posets(name=CONTROL_NAME))
     f = data.draw(threshold_maps(P))
     g = data.draw(threshold_maps(P))
     # the union of monotone point maps with the identity is a quasi-deflation
     phi = QuasiDeflation(P, {x: {x, f[x]} for x in P.elements})
     h = parse_finmap(P, P, format_finmap(phi))
     assert h.values == phi.values
-    assert parse_quasi_deflation(P, format_quasi_deflation(phi)) == phi
     control = MonotoneMap(P, P, g)
     both = ControlledQuasiDeflation(control, phi)
+    if any(e.startswith("control:") for e in P.elements):
+        for obj in (phi, both):
+            with pytest.raises(PosetError, match="cannot write the name"):
+                format_quasi_deflation(obj)
+        return
+    assert parse_quasi_deflation(P, format_quasi_deflation(phi)) == phi
     back = parse_quasi_deflation(P, format_quasi_deflation(both))
     assert back.control == control and back.deflation == phi
 

@@ -6,19 +6,33 @@ from hypothesis import given, settings, strategies as st
 
 from ordbench import (
     FinMap,
+    LazyPoset,
     MonotoneMap,
     Poset,
     PosetError,
     enumerate_posets,
+    fin_poset,
     format_map,
     format_poset,
+    grid_poset,
     map_predicates,
     parse_map,
     parse_poset,
+    path_space,
     poset_to_dot,
+    truncate,
 )
+from ordbench.cli import _relabel
+from ordbench.lazy import KINDS
 
-from oracles import LABELED_POSET_COUNTS, brute_posets, brute_upper_sets
+from oracles import (
+    LABELED_POSET_COUNTS,
+    brute_posets,
+    brute_relations,
+    brute_upper_sets,
+    reference_closure,
+    transpose,
+)
 
 DIAMOND = "elements: bot a b top\norder: bot < a; bot < b; a < top; b < top\n"
 
@@ -168,6 +182,21 @@ def test_product_row_major():
     assert P.elements == (("0", "0"), ("0", "1"), ("1", "0"), ("1", "1"))
     assert P.leq(("0", "0"), ("1", "1"))
     assert not P.leq(("0", "1"), ("1", "0"))
+
+
+def test_product_is_the_componentwise_order():
+    small = [P for n in range(1, 4) for P in brute_posets(n)]
+    small += [Poset(P.elements[::-1], P.covers()) for P in small]
+    for A in small:
+        for B in small:
+            P = A.product(B)
+            pairs = [
+                (x, y)
+                for x in P.elements
+                for y in P.elements
+                if A.leq(x[0], y[0]) and B.leq(x[1], y[1])
+            ]
+            assert (P._up, P._down) == reference_closure(P.elements, pairs)
 
 
 def test_is_tree(diamond):
@@ -327,6 +356,70 @@ def test_dot_quotes_awkward_names():
     P = Poset(['he said "hi"', "b"], [('he said "hi"', "b")])
     out = poset_to_dot(P)
     assert '"he said \\"hi\\""' in out
+
+
+# -- the closure kernel against the textbook closure ----------------------------
+
+
+def _masks_or_message(elements, relations):
+    try:
+        P = Poset(elements, relations)
+    except PosetError as exc:
+        return str(exc)
+    return P._up, P._down
+
+
+def test_closure_matches_reference_on_every_small_relation():
+    for n in range(1, 6):
+        for rel in brute_relations(n):
+            rel = sorted(rel)  # the diagonal pairs are self-loops
+            cyclic = rel + [(j, i) for i, j in rel if i != j][:1]
+            for elements in (tuple(range(n)), tuple(reversed(range(n)))):
+                for relations in (rel, cyclic):
+                    assert _masks_or_message(elements, relations) == reference_closure(
+                        elements, relations
+                    )
+
+
+@st.composite
+def labeled_relations(draw):
+    """Elements kept, shuffled or reversed, and relations along a hidden
+    linear order, with self-loops, repeats and sometimes one reversed pair."""
+    n = draw(st.integers(1, 40))
+    names = [f"v{i}" for i in range(n)]
+    rank = draw(st.permutations(range(n)))
+    index = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(index, index), max_size=3 * n))
+    pairs = [(a, b) if rank[a] <= rank[b] else (b, a) for a, b in pairs]
+    pairs += pairs[: draw(st.integers(0, 3))]
+    if draw(st.booleans()):
+        pairs += [(b, a) for a, b in pairs if a != b][:1]
+    order = draw(st.sampled_from(["kept", "shuffled", "reversed"]))
+    if order == "shuffled":
+        elements = draw(st.permutations(names))
+    else:
+        elements = names[::-1] if order == "reversed" else names
+    return tuple(elements), [(names[a], names[b]) for a, b in pairs]
+
+
+@given(labeled_relations())
+@settings(max_examples=200, deadline=None)
+def test_closure_matches_reference_on_random_relations(case):
+    elements, relations = case
+    assert _masks_or_message(elements, relations) == reference_closure(elements, relations)
+
+
+def test_every_constructor_stores_the_transpose_as_down_masks():
+    chain = Poset(range(3), [(0, 1), (1, 2)])
+    pair = Poset("vw", [])
+    D = parse_poset(DIAMOND)
+    tree, _ = path_space(chain.product(chain))
+    built = [chain.product(pair), pair.product(chain), chain.product(chain), tree]
+    built += [_relabel(tree, str), grid_poset(D, 2), fin_poset(D)]
+    built += [truncate(LazyPoset(kind), k).poset for kind in KINDS for k in (1, 3)]
+    built += list(enumerate_posets(5))
+    for P in built:
+        assert P._down == transpose(P._up)
 
 
 # -- exhaustive enumeration ----------------------------------------------------

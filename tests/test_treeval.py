@@ -1,10 +1,12 @@
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ordbench import (
+    PATH_CAP,
     AdmissibleMap,
     Poset,
     PosetError,
@@ -73,6 +75,26 @@ def test_diamond_path_space(diamond_paths):
 def test_path_space_requires_pointed():
     with pytest.raises(PosetError):
         path_space(Poset("ab", []))
+
+
+def _chain(n):
+    return Poset(range(n), [(i, i + 1) for i in range(n - 1)])
+
+
+def test_path_space_cap_trips_on_a_chain_product():
+    # an a x b chain product has C(a + b, a) - 1 cover chains from bottom
+    with pytest.raises(PosetError, match=f"cap of {PATH_CAP} paths at length"):
+        path_space(_chain(8).product(_chain(8)))  # 12,869 paths
+    grid44 = _chain(4).product(_chain(4))  # 69 paths
+    assert len(path_space(grid44, cap=69)[0]) == 69
+    with pytest.raises(PosetError, match="cap of 68 paths at length 7"):
+        path_space(grid44, cap=68)
+
+
+def test_path_space_of_a_chain_product_under_the_default_cap():
+    Pi, r = path_space(_chain(7).product(_chain(7)))
+    assert len(Pi) == comb(14, 7) - 1 <= PATH_CAP
+    assert Pi.is_tree() and r(Pi.elements[-1]) == (6, 6)
 
 
 def test_path_count_equals_saturated_chain_count():

@@ -63,6 +63,14 @@ def test_weights_must_sum_to_one():
         Valuation(DIAMOND, {"a": F(3, 2), "b": F(-1, 2)})
 
 
+def test_dict_errors_name_the_first_bad_entry_in_element_order():
+    # a dict is read in element order, whatever order its keys were given in
+    with pytest.raises(ValuationError, match="negative weight at 'a': -1/2"):
+        Valuation(DIAMOND, {"top": F(-1, 2), "a": F(-1, 2), "b": F(2)})
+    with pytest.raises(ValueError, match="'x'"):
+        Valuation(DIAMOND, {"top": "y", "a": "x"})
+
+
 def test_dirac_masses():
     d = dirac(DIAMOND, "bot")
     assert d.weight("bot") == 1
@@ -447,6 +455,15 @@ def test_grid_compositions_need_no_recursion():
     n = 1100
     units = [tuple(int(i == j) for j in range(n)) for i in reversed(range(n))]
     assert list(_compositions(1, n)) == units
+
+
+def test_grid_of_a_long_chain_at_denominator_one():
+    n = 1100
+    P = Poset(range(n), [(i, i + 1) for i in range(n - 1)])
+    G = grid(P, 1)
+    # one Dirac per element, lexicographic: the last element's comes first
+    assert [v.support for v in G] == [(e,) for e in reversed(P.elements)]
+    assert all(v.weight(v.support[0]) == 1 for v in G)
 
 
 def test_grid_cap():
