@@ -132,7 +132,7 @@ def _cmd_upper_sets(args) -> int:
 
 
 def _relabel(P: Poset, rename) -> Poset:
-    return Poset._from_up_masks(tuple(rename(e) for e in P.elements), P._up, P._down)
+    return Poset._from_masks(tuple(rename(e) for e in P.elements), P._up, P._down)
 
 
 def _cmd_pathspace(args) -> int:

@@ -269,7 +269,7 @@ def truncate(L: LazyPoset, k: int) -> Truncation:
         codes.append(omega_side(1))
     names = tuple(format_code(c) for c in codes)
     succ = [[j for j, d in enumerate(codes) if d != c and L.leq(c, d)] for c in codes]
-    P = Poset._from_up_masks(names, *_closure(succ))
+    P = Poset._from_masks(names, *_closure(succ))
 
     def embed(name: str) -> Code:
         P.index(name)

@@ -149,7 +149,7 @@ class Poset:
         self._uppers_cache = None
 
     @classmethod
-    def _from_up_masks(cls, elements: tuple, up: tuple, down: tuple) -> "Poset":
+    def _from_masks(cls, elements: tuple, up: tuple, down: tuple) -> "Poset":
         """Trusted constructor for already-closed, already-checked mask tuples;
         ``down`` must be the transpose of ``up``."""
         self = object.__new__(cls)
@@ -341,7 +341,7 @@ class Poset:
             for i in range(len(mine))
             for j in range(m)
         ]
-        return Poset._from_up_masks(elements, *_closure(succ))
+        return Poset._from_masks(elements, *_closure(succ))
 
     def is_tree(self) -> bool:
         """True when the strict predecessors of every element form a chain.
@@ -636,7 +636,7 @@ def enumerate_posets(n: int) -> Iterator[Poset]:
 
     def rec(ups: list, downs: list) -> Iterator[Poset]:
         if len(ups) == n:
-            yield Poset._from_up_masks(elements, tuple(ups), tuple(downs))
+            yield Poset._from_masks(elements, tuple(ups), tuple(downs))
             return
         for new_ups, new_downs in extend(ups, downs):
             yield from rec(new_ups, new_downs)

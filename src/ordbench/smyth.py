@@ -167,7 +167,7 @@ def fin_poset(P: Poset, *, cap: int = FIN_CAP) -> Poset:
         [j for j, members in enumerate(member_mask) if j != i and not members & ~up]
         for i, up in enumerate(closure)
     ]
-    return Poset._from_up_masks(tuple(chains), *_closure(succ))
+    return Poset._from_masks(tuple(chains), *_closure(succ))
 
 
 # -- monad laws ---------------------------------------------------------------

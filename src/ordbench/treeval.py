@@ -22,7 +22,7 @@ from .valuations import Valuation, ValuationError, _fractions
 PATH_CAP = 10_000
 
 
-def path_space(Y: Poset, *, cap: int = PATH_CAP) -> Tuple[Poset, MonotoneMap]:
+def path_space(Y: Poset) -> Tuple[Poset, MonotoneMap]:
     """Build the prefix tree of cover chains from bottom, plus the endpoint map.
 
     Paths are materialized as tuples of elements; the returned poset lists
@@ -30,7 +30,7 @@ def path_space(Y: Poset, *, cap: int = PATH_CAP) -> Tuple[Poset, MonotoneMap]:
     is deterministic. The endpoint map is verified monotone and surjective
     and the result verified to be a tree before returning.
 
-    Raises PosetError when there are more than ``cap`` paths; their number
+    Raises PosetError when there are more than ``PATH_CAP`` paths; their number
     grows exponentially on products.
     """
     bot = Y.bottom()
@@ -43,8 +43,10 @@ def path_space(Y: Poset, *, cap: int = PATH_CAP) -> Tuple[Poset, MonotoneMap]:
     while stack:
         path, end, above = stack.pop()
         here = len(paths)
-        if here == cap:
-            raise PosetError(f"path space exceeded the cap of {cap} paths at length {len(path)}")
+        if here == PATH_CAP:
+            raise PosetError(
+                f"path space exceeded the cap of {PATH_CAP} paths at length {len(path)}"
+            )
         if here:
             succ[above].append(here)
         paths.append(path)
@@ -52,7 +54,7 @@ def path_space(Y: Poset, *, cap: int = PATH_CAP) -> Tuple[Poset, MonotoneMap]:
         # reversed, so children pop in element order and paths stay in preorder
         kids = reversed(list(_bits(children[end])))
         stack.extend((path + (Y.elements[c],), c, here) for c in kids)
-    pi = Poset._from_up_masks(tuple(paths), *_closure(succ))
+    pi = Poset._from_masks(tuple(paths), *_closure(succ))
     r = MonotoneMap(pi, Y, lambda p: p[-1])
     assert pi.is_tree()
     assert not _unreached(Y, r.values)

@@ -24,7 +24,6 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from .posets import MonotoneMap, Poset, PosetError, _bits, _closure, _unreached
 
 GRID_CAP = 100_000
-_ZERO = Fraction(0)
 
 
 class ValuationError(ValueError):
@@ -48,7 +47,7 @@ class Valuation:
         n = len(poset.elements)
         if isinstance(weights, dict):
             given = sorted((poset.index(e), w) for e, w in weights.items())
-            vals = [_ZERO] * n
+            vals = [Fraction(0)] * n
             for i, w in given:
                 vals[i] = w if type(w) is Fraction else Fraction(w)
             nonzero = [i for i, _ in given if vals[i]]
@@ -60,12 +59,9 @@ class Valuation:
         for i in nonzero:
             if vals[i].numerator < 0:
                 raise ValuationError(f"negative weight at {poset.elements[i]!r}: {vals[i]}")
-        # The sum in integers over one common denominator. lcm unpacks a list:
-        # unpacking a generator fills CPython's tuple free lists (~5 MB).
-        D = lcm(*[vals[i].denominator for i in nonzero])
-        total = sum([vals[i].numerator * (D // vals[i].denominator) for i in nonzero])
-        if total != D:
-            raise ValuationError(f"weights sum to {Fraction(total, D)}, not 1")
+        total = sum(vals[i] for i in nonzero)
+        if total != 1:
+            raise ValuationError(f"weights sum to {total}, not 1")
         self.weights = tuple(vals)
 
     def weight(self, x) -> Fraction:
@@ -159,7 +155,7 @@ def _require_same_poset(nu: Valuation, mu: Valuation) -> Poset:
 def _scaled_weights(vals: Sequence[Valuation]) -> Tuple[int, List[List[int]]]:
     """Every weight of ``vals`` as an integer over ``D``, the lcm of all their
     denominators: returns ``(D, ints)`` with ``ints[v][i] == D * weight``."""
-    D = lcm(*[w.denominator for v in vals for w in v.weights])
+    D = lcm(*(w.denominator for v in vals for w in v.weights))
     return D, [[w.numerator * (D // w.denominator) for w in v.weights] for v in vals]
 
 
@@ -523,7 +519,7 @@ def grid_poset(P: Poset, N: int, *, cap: int = GRID_CAP) -> Poset:
     succ = [
         [j for j, b in enumerate(vecs) if j != i and _dominated(a, b)] for i, a in enumerate(vecs)
     ]
-    return Poset._from_up_masks(tuple(vals), *_closure(succ))
+    return Poset._from_masks(tuple(vals), *_closure(succ))
 
 
 def minimal_upper_bounds_grid(

@@ -35,16 +35,28 @@ from ordbench import (
 )
 
 SAFE = "abxyz019_.:"
-NAME = st.text(alphabet=SAFE, min_size=1, max_size=4)
+NAMES = st.lists(
+    st.text(alphabet=SAFE, min_size=1, max_size=4),
+    min_size=1,
+    max_size=6,
+    unique=True,
+)
 UNWRITABLE = " \t<;#"  # characters the poset format cannot carry in a name
-POSET_NAME = NAME | st.text(alphabet=SAFE + UNWRITABLE, min_size=1, max_size=4)
-CONTROL_NAME = NAME | st.text(alphabet=SAFE, max_size=3).map("control:".__add__)
+# names the poset format must refuse: empty, or holding an unwritable character
+BAD_POSET_NAME = st.just("") | st.builds(
+    lambda a, c, b: a + c + b,
+    st.text(alphabet=SAFE + UNWRITABLE, max_size=2),
+    st.sampled_from(UNWRITABLE),
+    st.text(alphabet=SAFE + UNWRITABLE, max_size=2),
+)
+# names the quasi-deflation format must refuse: they read back as control lines
+CONTROL_NAME = st.text(alphabet=SAFE, max_size=3).map("control:".__add__)
 
 
 @st.composite
-def posets(draw, tree: bool = False, name=NAME):
+def posets(draw, tree: bool = False):
     """A random poset on random names; with ``tree``, a rooted tree."""
-    names = draw(st.lists(name, min_size=1, max_size=6, unique=True))
+    names = draw(NAMES)
     n = len(names)
     if tree:
         parents = [draw(st.integers(0, i - 1)) for i in range(1, n)]
@@ -74,39 +86,65 @@ def valuations(draw, P: Poset) -> Valuation:
     return Valuation(P, [Fraction(w, total) for w in raw])
 
 
+@st.composite
+def with_name(draw, P: Poset, name) -> Poset:
+    """P with one more element, drawn from ``name``, at a random position,
+    below a random upper set of P."""
+    extra = draw(name)
+    at = draw(st.integers(0, len(P)))
+    above = P.up_closure(draw(st.sets(st.sampled_from(P.elements))))
+    elements = P.elements[:at] + (extra,) + P.elements[at:]
+    return Poset(elements, [*P.covers(), *((extra, y) for y in above)])
+
+
 @given(st.data())
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=60, deadline=None)
 def test_poset_and_map_round_trip(data):
-    P = data.draw(posets(name=POSET_NAME))
-    if any(set(e) & set(UNWRITABLE) for e in P.elements):
-        with pytest.raises(PosetError, match="cannot write the element name"):
-            format_poset(P)
-        return
+    P = data.draw(posets())
     assert parse_poset(format_poset(P)) == P
     f = MonotoneMap(P, P, data.draw(threshold_maps(P)))
     assert parse_map(P, P, format_map(f)) == f
 
 
 @given(st.data())
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=60, deadline=None)
 def test_finmap_and_quasi_deflation_round_trip(data):
-    P = data.draw(posets(name=CONTROL_NAME))
+    P = data.draw(posets())
     f = data.draw(threshold_maps(P))
     g = data.draw(threshold_maps(P))
     # the union of monotone point maps with the identity is a quasi-deflation
     phi = QuasiDeflation(P, {x: {x, f[x]} for x in P.elements})
     h = parse_finmap(P, P, format_finmap(phi))
     assert h.values == phi.values
+    assert parse_quasi_deflation(P, format_quasi_deflation(phi)) == phi
     control = MonotoneMap(P, P, g)
     both = ControlledQuasiDeflation(control, phi)
-    if any(e.startswith("control:") for e in P.elements):
-        for obj in (phi, both):
-            with pytest.raises(PosetError, match="cannot write the name"):
-                format_quasi_deflation(obj)
-        return
-    assert parse_quasi_deflation(P, format_quasi_deflation(phi)) == phi
     back = parse_quasi_deflation(P, format_quasi_deflation(both))
     assert back.control == control and back.deflation == phi
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_poset_format_refuses_names_it_cannot_read_back(data):
+    P = data.draw(with_name(data.draw(posets()), BAD_POSET_NAME))
+    bad = next(e for e in P.elements if not e or set(e) & set(UNWRITABLE))
+    with pytest.raises(PosetError) as err:
+        format_poset(P)
+    assert str(err.value) == f"the poset format cannot write the element name {bad!r}"
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_quasi_deflation_format_refuses_control_names(data):
+    P = data.draw(with_name(data.draw(posets()), CONTROL_NAME))
+    bad = next(e for e in P.elements if e.startswith("control:"))
+    f = data.draw(threshold_maps(P))
+    phi = QuasiDeflation(P, {x: {x, f[x]} for x in P.elements})
+    both = ControlledQuasiDeflation(MonotoneMap(P, P, data.draw(threshold_maps(P))), phi)
+    for obj in (phi, both):
+        with pytest.raises(PosetError) as err:
+            format_quasi_deflation(obj)
+        assert str(err.value) == f"the quasi-deflation format cannot write the name {bad!r}"
 
 
 @given(st.data())

@@ -5,6 +5,7 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ordbench import treeval
 from ordbench import (
     PATH_CAP,
     AdmissibleMap,
@@ -81,14 +82,16 @@ def _chain(n):
     return Poset(range(n), [(i, i + 1) for i in range(n - 1)])
 
 
-def test_path_space_cap_trips_on_a_chain_product():
+def test_path_space_cap_trips_on_a_chain_product(monkeypatch):
     # an a x b chain product has C(a + b, a) - 1 cover chains from bottom
     with pytest.raises(PosetError, match=f"cap of {PATH_CAP} paths at length"):
         path_space(_chain(8).product(_chain(8)))  # 12,869 paths
     grid44 = _chain(4).product(_chain(4))  # 69 paths
-    assert len(path_space(grid44, cap=69)[0]) == 69
+    monkeypatch.setattr(treeval, "PATH_CAP", 69)
+    assert len(path_space(grid44)[0]) == 69
+    monkeypatch.setattr(treeval, "PATH_CAP", 68)
     with pytest.raises(PosetError, match="cap of 68 paths at length 7"):
-        path_space(grid44, cap=68)
+        path_space(grid44)
 
 
 def test_path_space_of_a_chain_product_under_the_default_cap():
