@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Tuple
 
-from .posets import MonotoneMap, Poset, PosetError, _arrow, _lines
+from .posets import MonotoneMap, Poset, PosetError, _arrow, _lines, _require_writable
 from .smyth import FinMap, dagger, parse_antichain
 
 
@@ -237,8 +237,9 @@ def parse_quasi_deflation(P: Poset, text: str, *, check: bool = True):
 def format_quasi_deflation(obj) -> str:
     """Inverse of :func:`parse_quasi_deflation` for either variant.
 
-    Raises PosetError on an element whose name begins with ``control:``,
-    which would read back as a control line.
+    Raises PosetError on a name it cannot read back (see
+    :func:`~ordbench.posets._require_writable`), and on an element whose
+    name begins with ``control:``, which would read back as a control line.
     """
     from .smyth import format_antichain
 
@@ -246,6 +247,7 @@ def format_quasi_deflation(obj) -> str:
         phi, control = obj.deflation, obj.control
     else:
         phi, control = obj, None
+    _require_writable(phi.poset.elements, "quasi-deflation")
     for x in phi.poset.elements:
         if str(x).startswith("control:"):
             raise PosetError(f"the quasi-deflation format cannot write the name {str(x)!r}")

@@ -551,12 +551,16 @@ def format_poset(P: Poset) -> str:
     """Inverse of :func:`parse_poset`, covers only.
 
     Raises PosetError on a name the format cannot read back: an empty one,
-    or one holding whitespace, ``<``, ``;`` or ``#``.
+    one holding whitespace, ``<``, ``;`` or ``#``, or one written twice.
     """
     names = [str(e) for e in P.elements]
+    seen = set()
     for name in names:
         if not name or any(c.isspace() or c in "<;#" for c in name):
             raise PosetError(f"the poset format cannot write the element name {name!r}")
+        if name in seen:
+            raise PosetError(f"the poset format cannot write two elements named {name!r}")
+        seen.add(name)
     lines = ["elements: " + " ".join(names)]
     cov = P.covers()
     if cov:
@@ -574,8 +578,27 @@ def parse_map(source: Poset, target: Poset, text: str) -> MonotoneMap:
     return MonotoneMap(source, target, table)
 
 
+def _require_writable(names: Iterable, fmt: str, splits: Tuple[str, ...] = ()) -> None:
+    """Refuse a name that a line format would not read back.
+
+    Every line format strips its names, reads each line alone, ends it at
+    ``#`` and splits a map line at its first ``->``; ``splits`` adds what
+    else the format splits at. So a name must be nonempty, hold none of
+    these and no line break, and have no outer whitespace.
+    """
+    for name in map(str, names):
+        if (
+            name.splitlines() != [name]
+            or name != name.strip()
+            or any(s in name for s in ("#", "->", *splits))
+        ):
+            raise PosetError(f"the {fmt} format cannot write the name {name!r}")
+
+
 def format_map(f: MonotoneMap) -> str:
-    """Inverse of :func:`parse_map`."""
+    """Inverse of :func:`parse_map`; refuses names it cannot read back
+    (see :func:`_require_writable`)."""
+    _require_writable((*f.source.elements, *f.values), "map")
     lines = [f"{x} -> {y}" for x, y in zip(f.source.elements, f.values)]
     return "\n".join(lines) + "\n"
 

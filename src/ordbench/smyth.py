@@ -17,7 +17,7 @@ from typing import Callable, Iterable, List, Optional
 
 from .posets import (
     MonotoneMap, Poset, PosetError, _arrow, _bits, _closure, _first_failing_cover, _lines,
-    _unreached, _values,
+    _require_writable, _unreached, _values,
 )
 
 FIN_CAP = 100_000
@@ -417,6 +417,9 @@ def parse_antichain(P: Poset, text: str) -> tuple:
 
 
 def format_antichain(E) -> str:
+    """Inverse of :func:`parse_antichain`; refuses names it cannot read
+    back, which here also means names holding ``,``, ``{`` or ``}``."""
+    _require_writable(E, "antichain", (",", "{", "}"))
     return "{" + ", ".join(str(x) for x in E) + "}"
 
 
@@ -431,7 +434,9 @@ def parse_finmap(source: Poset, target: Poset, text: str) -> FinMap:
 
 
 def format_finmap(h: FinMap) -> str:
-    """Inverse of :func:`parse_finmap`, values in canonical form."""
+    """Inverse of :func:`parse_finmap`, values in canonical form; refuses
+    names it cannot read back."""
+    _require_writable(h.source.elements, "finmap")
     lines = [
         f"{x} -> {format_antichain(E)}"
         for x, E in zip(h.source.elements, h.values)

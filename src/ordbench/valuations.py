@@ -17,8 +17,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations_with_replacement
 from math import comb, lcm
+from operator import add, sub
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .posets import MonotoneMap, Poset, PosetError, _bits, _closure, _unreached
@@ -63,6 +64,15 @@ class Valuation:
         if total != 1:
             raise ValuationError(f"weights sum to {total}, not 1")
         self.weights = tuple(vals)
+
+    @classmethod
+    def _from_weights(cls, poset: Poset, weights) -> "Valuation":
+        """Trusted constructor for weights already checked: one nonnegative
+        ``Fraction`` per element, summing to one."""
+        self = object.__new__(cls)
+        self.poset = poset
+        self.weights = tuple(weights)
+        return self
 
     def weight(self, x) -> Fraction:
         return self.weights[self.poset.index(x)]
@@ -171,9 +181,24 @@ def _upper_masses(
     proper upper sets.
     """
     D, ints = _scaled_weights(vals)
-    members = [tuple(_bits(m)) for m in masks]
-    rows = [tuple(sum([a[i] for i in ix]) for ix in members) for a in ints]
-    return D, rows
+    return D, _mass_rows(ints, masks)
+
+
+def _mass_rows(ints: Sequence[Sequence[int]], masks: List[int]) -> List[tuple]:
+    """``rows[v][u]``: the sum of the integer weights ``ints[v]`` on ``masks[u]``.
+
+    ``masks`` is an upper-set listing in increasing order: it starts with the
+    empty set, and an upper set less one of its minimal elements is a smaller
+    upper set. So the masses are built a column at a time, one upper set
+    from an earlier one plus one element's column: one add per row and upper
+    set, whatever the upper sets' sizes.
+    """
+    weight = list(zip(*ints))
+    column = {0: [0] * len(ints)}
+    for m in masks[1:]:
+        x = next(x for x in _bits(m) if m ^ 1 << x in column)
+        column[m] = list(map(add, column[m ^ 1 << x], weight[x]))
+    return list(zip(*[column[m] for m in masks]))
 
 
 def _dominated(lo: tuple, hi: tuple) -> bool:
@@ -478,22 +503,17 @@ def pushforward_preimage(r: MonotoneMap, nu: Valuation) -> Valuation:
 def _compositions(total: int, parts: int):
     """Every ``parts``-tuple of naturals summing to ``total``, lexicographically.
 
-    Stars and bars: each combination of ``parts - 1`` bar positions among
-    ``total + parts - 1`` slots gives the gaps between bars, and
-    ``combinations`` lists the bar positions in the order the gaps need.
+    Stars and bars: the partial sums of the first ``parts - 1`` parts are a
+    nondecreasing sequence in [0, total], and ``combinations_with_replacement``
+    lists those sequences in the lexicographic order the parts need.
     """
-    slots = total + parts - 1
-    for bars in combinations(range(slots), parts - 1):
-        edges = (-1,) + bars + (slots,)
-        yield tuple(b - a - 1 for a, b in zip(edges, edges[1:]))
+    for cuts in combinations_with_replacement(range(total + 1), parts - 1):
+        yield tuple(map(sub, (*cuts, total), (0, *cuts)))
 
 
-def grid(P: Poset, N: int, *, cap: int = GRID_CAP) -> List[Valuation]:
-    """All valuations whose weights are multiples of 1/N, lexicographic order.
-
-    The count is C(N + n - 1, n - 1) for n elements; a cap guards against
-    accidental explosions.
-    """
+def _grid_points(P: Poset, N: int, cap: int) -> List[tuple]:
+    """The grid of :func:`grid` as integer compositions of ``N`` (the weights
+    times N), lexicographically, once ``N``, ``P`` and the count pass."""
     if not isinstance(N, int) or N < 1:
         raise ValuationError("grid denominator must be a positive integer")
     n = len(P.elements)
@@ -504,8 +524,58 @@ def grid(P: Poset, N: int, *, cap: int = GRID_CAP) -> List[Valuation]:
         raise ValuationError(
             f"grid would hold {count} valuations, above the cap of {cap}"
         )
+    return list(_compositions(N, n))
+
+
+def _grid_moves(P: Poset, N: int, points: List[tuple]) -> List[List[int]]:
+    """For each grid point, the indices of the points one unit move above it.
+
+    A move takes one unit (1/N) from an element x that holds some to an
+    upper cover y of x. The moves generate the grid order: a point p sits
+    below q iff an integer coupling carries p to q along x <= z pairs (by
+    Strassen's theorem, and max flow has integral solutions); one unit's
+    route x -> z with x < z can be cut to x -> y with x covered by y <= z,
+    and the point after that move still lies below q. Each point is keyed
+    by its counts read as digits in base N + 1, so a move adds
+    (N+1)^y - (N+1)^x to the key. O(M * (n + covers)) for M points.
+    """
+    digit = [(N + 1) ** x for x in range(len(P.elements))]
+    keys = [sum([k * d for k, d in zip(p, digit)]) for p in points]
+    index = {key: i for i, key in enumerate(keys)}
+    steps = [
+        (x, digit[y] - digit[x])
+        for x, covers in enumerate(P._cover_masks())
+        for y in _bits(covers)
+    ]
+    return [[index[key + step] for x, step in steps if p[x]] for p, key in zip(points, keys)]
+
+
+def _grid_valuations(P: Poset, N: int, points: Iterable[tuple]) -> List[Valuation]:
+    """The valuations of grid points, sharing one row of ``Fraction(k, N)``."""
     row = [Fraction(k, N) for k in range(N + 1)]
-    return [Valuation(P, [row[k] for k in tup]) for tup in _compositions(N, n)]
+    return [Valuation._from_weights(P, [row[k] for k in p]) for p in points]
+
+
+def _grid_masses(
+    N: int, points: List[tuple], vals: Sequence[Valuation], masks: List[int]
+) -> Tuple[List[tuple], List[tuple]]:
+    """Integer upper-set masses of ``vals`` and of the grid points, all over
+    one denominator: the lcm of N and of the denominators of ``vals``."""
+    D, ints = _scaled_weights(vals)
+    L = lcm(N, D)
+    ints = [[w * (L // D) for w in a] for a in ints]
+    ints += [[k * (L // N) for k in p] for p in points]
+    rows = _mass_rows(ints, masks)
+    return rows[: len(vals)], rows[len(vals) :]
+
+
+def grid(P: Poset, N: int, *, cap: int = GRID_CAP) -> List[Valuation]:
+    """All valuations whose weights are multiples of 1/N, lexicographic order.
+
+    The count is M = C(N + n - 1, n - 1) for n elements; a cap guards against
+    accidental explosions. Costs O(M * n).
+    """
+    return _grid_valuations(P, N, _grid_points(P, N, cap))
 
 
 def grid_poset(P: Poset, N: int, *, cap: int = GRID_CAP) -> Poset:
@@ -513,13 +583,13 @@ def grid_poset(P: Poset, N: int, *, cap: int = GRID_CAP) -> Poset:
 
     Elements are the :class:`Valuation` objects themselves (in grid order);
     covers of the result give the Hasse diagram of the discretized order.
+    The order is the closure of the unit moves along covers (see
+    :func:`_grid_moves`), so no two points are compared: O(M * (n + covers))
+    to list the points and moves, then O(M + moves) ORs of M-bit masks.
     """
-    vals = grid(P, N, cap=cap)
-    _, vecs = _upper_masses(vals, P._upper_masks())
-    succ = [
-        [j for j, b in enumerate(vecs) if j != i and _dominated(a, b)] for i, a in enumerate(vecs)
-    ]
-    return Poset._from_masks(tuple(vals), *_closure(succ))
+    points = _grid_points(P, N, cap)
+    masks = _closure(_grid_moves(P, N, points))
+    return Poset._from_masks(tuple(_grid_valuations(P, N, points)), *masks)
 
 
 def minimal_upper_bounds_grid(
@@ -528,20 +598,22 @@ def minimal_upper_bounds_grid(
     """Minimal grid valuations dominating both inputs; possibly empty.
 
     Domination and minimality are both with respect to the upper-set-mass
-    order; results come back in grid enumeration order.
+    order; results come back in grid enumeration order. The upper bounds are
+    found on integer masses, O(M * #U) sums for #U upper sets. They form an
+    upper set of the grid, so a bound is minimal iff no other bound reaches
+    it in one unit move: O(M * (n + covers)) more, and no pairwise scan.
     """
     P = _require_same_poset(v1, v2)
     masks = P._upper_masks()
-    vals = grid(P, N, cap=cap)
-    _, (lo1, lo2, *vecs) = _upper_masses([v1, v2] + vals, masks)
-    ub = [
-        i for i, vec in enumerate(vecs) if _dominated(lo1, vec) and _dominated(lo2, vec)
-    ]
-    return [
-        vals[i]
-        for i in ub
-        if not any(vecs[j] != vecs[i] and _dominated(vecs[j], vecs[i]) for j in ub)
-    ]
+    points = _grid_points(P, N, cap)
+    (lo1, lo2), rows = _grid_masses(N, points, (v1, v2), masks)
+    lo = tuple(map(max, lo1, lo2))
+    bound = [_dominated(lo, row) for row in rows]
+    beaten = set()
+    for i, succ in enumerate(_grid_moves(P, N, points)):
+        if bound[i]:
+            beaten.update(succ)
+    return _grid_valuations(P, N, [p for i, p in enumerate(points) if bound[i] and i not in beaten])
 
 
 def tightly_below(mu: Valuation, nu: Valuation) -> bool:
@@ -577,21 +649,24 @@ def maximal_below_grid(
 
     Always nonempty on a pointed poset, since the unit mass at bottom is
     tightly below everything. Results come back in grid enumeration order.
+    The tight set is found on integer masses, O(M * #U) sums for #U upper
+    sets. It is not closed downward, so maximality is a scan over its pairs:
+    O(T^2 * #U) for T tight points.
     """
     P = nu.poset
     masks = P._upper_masks()
-    vals = grid(P, N, cap=cap)
-    _, (nu_row, *vecs) = _upper_masses([nu] + vals, masks)
+    points = _grid_points(P, N, cap)
+    (nu_row,), rows = _grid_masses(N, points, (nu,), masks)
     below = [
         i
-        for i, v in enumerate(vals)
-        if _tight(vecs[i], nu_row, v._support_mask(), masks)
+        for i, p in enumerate(points)
+        if _tight(rows[i], nu_row, sum([1 << x for x, k in enumerate(p) if k]), masks)
     ]
-    return [
-        vals[i]
-        for i in below
-        if not any(vecs[j] != vecs[i] and _dominated(vecs[i], vecs[j]) for j in below)
+    # distinct points have distinct mass rows
+    maximal = [
+        points[i] for i in below if not any(j != i and _dominated(rows[i], rows[j]) for j in below)
     ]
+    return _grid_valuations(P, N, maximal)
 
 
 # -- deliberately broken rounding schemes --------------------------------------
@@ -695,32 +770,48 @@ def _round_weights_to_bottom(nu: Valuation, N: int) -> Valuation:
     return Valuation(P, out)
 
 
+def _reach(succ: List[List[int]], i: int) -> set:
+    """The indices reachable from ``i`` along ``succ``, ``i`` included."""
+    seen = {i}
+    stack = [i]
+    while stack:
+        for j in succ[stack.pop()]:
+            if j not in seen:
+                seen.add(j)
+                stack.append(j)
+    return seen
+
+
 def failed_deflation_b(nu: Valuation, N: int) -> WeightRounding:
     """Round non-bottom weights strictly down to 1/N, residue to bottom.
 
     The output is always dominated by the input, but the scheme is not
     monotone; the witness search runs over ordered grid pairs in enumeration
-    order and reports the first order-violating image pair.
+    order and reports the first order-violating image pair. On the grid the
+    rounding is integer: a count c off bottom becomes max(c - 1, 0). For
+    each point i in turn, the points above i and above its image are walked
+    along the unit moves (see :func:`_grid_moves`), and the least j above i
+    whose image is not above i's image closes the search: O(M) per point,
+    O(M^2) when there is no witness, in O(M * covers) memory.
     """
     P = nu.poset
     _require_pointed(P)
     rounded = _round_weights_to_bottom(nu, N)
-    masks = P._upper_masks()
-    vals = grid(P, N)
-    images = [_round_weights_to_bottom(v, N) for v in vals]
-    _, rows = _upper_masses(vals + images, masks)
-    vecs, img_vecs = rows[: len(vals)], rows[len(vals) :]
+    points = _grid_points(P, N, GRID_CAP)
+    moves = _grid_moves(P, N, points)
+    bot = P.index(P.bottom())
+    index = {p: i for i, p in enumerate(points)}
+    images = []
+    for p in points:
+        image = [max(k - 1, 0) for k in p]
+        image[bot] = N - (sum(image) - image[bot])
+        images.append(index[tuple(image)])
     witness = None
-    for i in range(len(vals)):
-        for j in range(len(vals)):
-            if (
-                i != j
-                and _dominated(vecs[i], vecs[j])
-                and not _dominated(img_vecs[i], img_vecs[j])
-            ):
-                witness = (vals[i], vals[j])
-                break
-        if witness:
+    for i in range(len(points)):
+        above = _reach(moves, images[i])
+        failed = [j for j in _reach(moves, i) if images[j] not in above]
+        if failed:
+            witness = tuple(_grid_valuations(P, N, (points[i], points[min(failed)])))
             break
     return WeightRounding(rounded=rounded, witness=witness)
 

@@ -278,3 +278,86 @@ def saturated_chain_count(P):
         return 1 + sum(count(c) for c in kids[x])
 
     return count(bot)
+
+
+# -- the grid by pairwise dominance -------------------------------------------
+
+
+def dominance_grid(P, N):
+    """Every valuation with weights in (1/N)N, lexicographic in the counts,
+    each built and checked by the public constructor."""
+    from ordbench import Valuation
+
+    n = len(P.elements)
+    return [
+        Valuation(P, [Fraction(k, N) for k in counts])
+        for counts in product(range(N + 1), repeat=n)
+        if sum(counts) == N
+    ]
+
+
+def _dominance_rows(vals):
+    from ordbench.valuations import _upper_masses
+
+    return _upper_masses(vals, vals[0].poset._upper_masks())[1]
+
+
+def _dominated(lo, hi):
+    return all(x <= y for x, y in zip(lo, hi))
+
+
+def dominance_grid_order(P, N):
+    """``(up, down)`` masks of the grid order, every pair compared on every
+    upper set: O(M^2 * #U)."""
+    vecs = _dominance_rows(dominance_grid(P, N))
+    up = [sum(1 << j for j, b in enumerate(vecs) if _dominated(a, b)) for a in vecs]
+    return tuple(up), transpose(up)
+
+
+def dominance_minimal_upper_bounds(v1, v2, N):
+    """Grid points above both inputs that no other such point lies below."""
+    vals = dominance_grid(v1.poset, N)
+    lo1, lo2, *vecs = _dominance_rows([v1, v2] + vals)
+    ub = [i for i, v in enumerate(vecs) if _dominated(lo1, v) and _dominated(lo2, v)]
+    return [
+        vals[i]
+        for i in ub
+        if not any(vecs[j] != vecs[i] and _dominated(vecs[j], vecs[i]) for j in ub)
+    ]
+
+
+def dominance_maximal_below(nu, N):
+    """Grid points tightly below ``nu`` that no other such point lies above."""
+    from ordbench import tightly_below
+
+    vals = dominance_grid(nu.poset, N)
+    nu_row, *vecs = _dominance_rows([nu] + vals)
+    below = [i for i, v in enumerate(vals) if tightly_below(v, nu)]
+    return [
+        vals[i]
+        for i in below
+        if not any(vecs[j] != vecs[i] and _dominated(vecs[i], vecs[j]) for j in below)
+    ]
+
+
+def dominance_rounding_witness(P, N):
+    """The first grid pair (i, j), i then j in grid order, with i below j and
+    the bottom-rounded image of i not below that of j; None if none."""
+    from ordbench import Valuation, round_down_strict
+
+    bot = P.bottom()
+    step = Fraction(1, N)
+
+    def rounded(v):
+        out = {e: round_down_strict(w, step) for e, w in zip(P.elements, v.weights) if e != bot}
+        out[bot] = 1 - sum(out.values())
+        return Valuation(P, out)
+
+    vals = dominance_grid(P, N)
+    rows = _dominance_rows(vals + [rounded(v) for v in vals])
+    vecs, imgs = rows[: len(vals)], rows[len(vals) :]
+    for i, a in enumerate(vecs):
+        for j, b in enumerate(vecs):
+            if i != j and _dominated(a, b) and not _dominated(imgs[i], imgs[j]):
+                return vals[i], vals[j]
+    return None

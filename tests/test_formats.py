@@ -3,8 +3,11 @@
 Element names are drawn from an alphabet with ``:``, ``.``, ``_`` and
 digits, so a name may look like part of a ``name:fraction`` entry. The
 poset format also meets names with whitespace, ``<``, ``;`` and ``#``, and
-the quasi-deflation format names that begin with ``control:``; each must
-refuse to write a name it cannot read back.
+two elements with one name; the map, finmap, antichain and quasi-deflation
+formats meet empty names, names with outer whitespace or a line break or
+holding ``#`` or ``->``, and for antichains ``,``, ``{`` or ``}``; the
+quasi-deflation format also meets names that begin with ``control:``. Each
+must refuse to write a name it cannot read back.
 """
 
 from fractions import Fraction
@@ -19,7 +22,9 @@ from ordbench import (
     PosetError,
     QuasiDeflation,
     Valuation,
+    eta_deflation,
     format_admissible,
+    format_antichain,
     format_finmap,
     format_map,
     format_poset,
@@ -48,6 +53,30 @@ BAD_POSET_NAME = st.just("") | st.builds(
     st.text(alphabet=SAFE + UNWRITABLE, max_size=2),
     st.sampled_from(UNWRITABLE),
     st.text(alphabet=SAFE + UNWRITABLE, max_size=2),
+)
+# names no line format can read back: empty, with outer whitespace or a line
+# break, or holding "#" or "->"
+BAD_LINE_NAME = (
+    st.just("")
+    | st.builds(
+        lambda a, c, b: a + c + b,
+        st.text(alphabet=SAFE, max_size=2),
+        st.sampled_from(["#", "->", "\n", "\r", "\u2028"]),
+        st.text(alphabet=SAFE, max_size=2),
+    )
+    | st.builds(
+        lambda ws, a, left: ws + a if left else a + ws,
+        st.sampled_from(" \t"),
+        st.text(alphabet=SAFE, min_size=1, max_size=3),
+        st.booleans(),
+    )
+)
+# names an antichain cannot carry, though a map line can
+BAD_ANTICHAIN_NAME = st.builds(
+    lambda a, c, b: a + c + b,
+    st.text(alphabet=SAFE, max_size=2),
+    st.sampled_from(",{}"),
+    st.text(alphabet=SAFE, max_size=2),
 )
 # names the quasi-deflation format must refuse: they read back as control lines
 CONTROL_NAME = st.text(alphabet=SAFE, max_size=3).map("control:".__add__)
@@ -131,6 +160,66 @@ def test_poset_format_refuses_names_it_cannot_read_back(data):
     with pytest.raises(PosetError) as err:
         format_poset(P)
     assert str(err.value) == f"the poset format cannot write the element name {bad!r}"
+
+
+class Alias:
+    """An element that is not equal to ``name`` but prints as it."""
+
+    def __init__(self, name):
+        self.name = name
+
+    def __str__(self):
+        return self.name
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_poset_format_refuses_two_elements_with_one_name(data):
+    P = data.draw(posets())
+    name = data.draw(st.sampled_from(P.elements))
+    P = data.draw(with_name(P, st.just(Alias(name))))
+    with pytest.raises(PosetError) as err:
+        format_poset(P)
+    assert str(err.value) == f"the poset format cannot write two elements named {name!r}"
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_line_formats_refuse_names_they_cannot_read_back(data):
+    bad = data.draw(BAD_LINE_NAME)
+    P = data.draw(with_name(data.draw(posets()), st.just(bad)))
+    f = data.draw(threshold_maps(P))
+    phi = QuasiDeflation(P, {x: {x, f[x]} for x in P.elements})
+    both = ControlledQuasiDeflation(MonotoneMap(P, P, data.draw(threshold_maps(P))), phi)
+    for fmt, write, obj in (
+        ("map", format_map, MonotoneMap(P, P, f)),
+        ("finmap", format_finmap, phi),
+        ("quasi-deflation", format_quasi_deflation, phi),
+        ("quasi-deflation", format_quasi_deflation, both),
+        ("antichain", format_antichain, (bad,)),
+    ):
+        with pytest.raises(PosetError) as err:
+            write(obj)
+        assert str(err.value) == f"the {fmt} format cannot write the name {bad!r}"
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_antichain_values_refuse_separators_in_names(data):
+    bad = data.draw(BAD_ANTICHAIN_NAME)
+    P = data.draw(with_name(data.draw(posets()), st.just(bad)))
+    unit = eta_deflation(P)  # every element is in its own value
+    for write, obj in (
+        (format_antichain, (bad,)),
+        (format_finmap, unit),
+        (format_quasi_deflation, unit),
+    ):
+        with pytest.raises(PosetError) as err:
+            write(obj)
+        assert str(err.value) == f"the antichain format cannot write the name {bad!r}"
+    # a map line carries the same name
+    identity = MonotoneMap(P, P, {x: x for x in P.elements})
+    assert parse_map(P, P, format_map(identity)) == identity
 
 
 @given(st.data())

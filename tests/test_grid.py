@@ -1,0 +1,128 @@
+"""The grid kernel against the pairwise dominance route of ``oracles``.
+
+The library builds the grid order from unit moves along covers and answers
+minimal upper bounds, maximal approximants and the rounding witness from
+integer counts; the oracle compares every pair of grid points on every
+upper set. Both must agree exactly: masks, lists in grid order, and the
+first witness.
+"""
+
+import random
+import tracemalloc
+from fractions import Fraction
+
+from hypothesis import given, settings, strategies as st
+
+from ordbench import (
+    Poset,
+    Valuation,
+    dirac,
+    failed_deflation_b,
+    grid_poset,
+    maximal_below_grid,
+    minimal_upper_bounds_grid,
+    parse_poset,
+    stochastic_leq,
+)
+
+from oracles import (
+    brute_posets,
+    dominance_grid_order,
+    dominance_maximal_below,
+    dominance_minimal_upper_bounds,
+    dominance_rounding_witness,
+)
+
+DIAMOND = parse_poset("elements: bot a b top\norder: bot < a; bot < b; a < top; b < top")
+
+
+def _chain(n):
+    return Poset(range(n), [(i, i + 1) for i in range(n - 1)])
+
+
+def _valuation(rng, P, denominator):
+    raw = [rng.randrange(denominator + 1) for _ in P.elements]
+    if not any(raw):
+        raw[rng.randrange(len(raw))] = 1
+    return Valuation(P, [Fraction(w, sum(raw)) for w in raw])
+
+
+def _agree(P, N, v1, v2):
+    G = grid_poset(P, N)
+    assert (G._up, G._down) == dominance_grid_order(P, N)
+    assert minimal_upper_bounds_grid(v1, v2, N) == dominance_minimal_upper_bounds(v1, v2, N)
+    assert maximal_below_grid(v1, N) == dominance_maximal_below(v1, N)
+    if P.is_pointed:
+        assert failed_deflation_b(v1, N).witness == dominance_rounding_witness(P, N)
+
+
+def test_kernel_matches_dominance_on_every_small_poset():
+    rng = random.Random(8)
+    for n in range(1, 5):
+        for Q in brute_posets(n):
+            for elements in (Q.elements, Q.elements[::-1]):
+                P = Poset(elements, Q.covers())
+                for N in (1, 2, 3):
+                    # denominators 5 and 7 never divide N
+                    _agree(P, N, _valuation(rng, P, 5), _valuation(rng, P, 7))
+
+
+@st.composite
+def shuffled_posets(draw):
+    """A random order on range(n), in shuffled element order; half of them
+    get 0 as their bottom, so the rounding witness is checked too."""
+    n = draw(st.integers(1, 6))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    pointed = draw(st.booleans())
+    elements = draw(st.permutations(range(n)))
+    return Poset(elements, [p for p, k in zip(pairs, keep) if k or (pointed and p[0] == 0)])
+
+
+@given(shuffled_posets(), st.integers(1, 3), st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_kernel_matches_dominance_on_random_posets(P, N, seed):
+    rng = random.Random(seed)
+    v1 = _valuation(rng, P, rng.choice((4, 5, 7)))
+    v2 = _valuation(rng, P, rng.choice((4, 5, 7)))
+    _agree(P, N, v1, v2)
+
+
+def test_grid_poset_of_a_three_by_three_product_at_denominator_five():
+    C = _chain(3)
+    P = C.product(C)
+    G = grid_poset(P, 5)
+    assert len(G.elements) == 1287
+    # one move per cover of P and per way to place the other N - 1 units,
+    # and here every move is a cover
+    assert len(G.covers()) == 5940
+    rng = random.Random(5)
+    for _ in range(300):
+        x, y = rng.sample(G.elements, 2)
+        assert G.leq(x, y) == stochastic_leq(x, y)
+
+
+def test_rounding_witness_on_a_large_grid():
+    # 5,456 grid points; the dominance route takes about a second here
+    out = failed_deflation_b(dirac(DIAMOND, "a"), 30)
+    assert out.witness == dominance_rounding_witness(DIAMOND, 30)
+
+
+def test_upper_bounds_and_approximants_take_memory_linear_in_the_grid():
+    N = 48  # C(51, 3) = 20,825 grid points on the diamond, 6 upper sets
+    points = 20825
+    nu = Valuation(DIAMOND, {"bot": Fraction(1, 2), "a": Fraction(1, 3), "top": Fraction(1, 6)})
+    tracemalloc.start()
+    try:
+        mubs = minimal_upper_bounds_grid(nu, dirac(DIAMOND, "b"), N)
+        _, mub_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        below = maximal_below_grid(nu, N)
+        _, below_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert [str(v) for v in mubs] == ["b:1/2 top:1/2"]
+    assert all(stochastic_leq(v, nu) for v in below)
+    # one bit per pair of points would already take points**2 / 8 = 54 MB
+    for peak in (mub_peak, below_peak):
+        assert peak < 1000 * points, peak
