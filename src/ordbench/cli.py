@@ -219,14 +219,7 @@ def _cmd_val_order(args) -> int:
     rep = stochastic_leq_report(nu, mu)
     pairs = [("result", rep.result)]
     if rep.transport is not None:
-        plan = " ".join(
-            f"{x}->{y}:{w}"
-            for (x, y), w in sorted(
-                rep.transport.items(),
-                key=lambda kv: (P.index(kv[0][0]), P.index(kv[0][1])),
-            )
-            if w
-        )
+        plan = " ".join(f"{x}->{y}:{w}" for (x, y), w in rep.transport.items())
         pairs.append(("transport", plan))
     if rep.violating_upper is not None:
         pairs.append(("violating_upper", rep.violating_upper))
@@ -239,30 +232,22 @@ def _cmd_val_waybelow(args) -> int:
     nu = parse_valuation(P, args.nu)
     mu = parse_valuation(P, args.mu)
     rep = way_below_report(nu, mu)
-    pairs = [("result", rep.result)]
-    for v in rep.violations:
-        pairs.append(
-            (
-                "violation",
-                f"kind={v['kind']} upper={_fmt_upper(P, v['upper'])} "
-                f"lhs={v['lhs']} rhs={v['rhs']}",
-            )
-        )
-    if args.format == "json":
-        obj = {
-            "result": rep.result,
-            "violations": [
-                {
-                    "kind": v["kind"],
-                    "upper": _json_value(P, v["upper"]),
-                    "lhs": str(v["lhs"]),
-                    "rhs": str(v["rhs"]),
-                }
-                for v in rep.violations
-            ],
+    violations = [
+        {
+            "kind": v["kind"],
+            "upper": _json_value(P, v["upper"]),
+            "lhs": str(v["lhs"]),
+            "rhs": str(v["rhs"]),
         }
-        print(json.dumps(obj, indent=2))
+        for v in rep.violations
+    ]
+    if args.format == "json":
+        print(json.dumps({"result": rep.result, "violations": violations}, indent=2))
     else:
+        pairs = [("result", rep.result)]
+        for v in violations:
+            text = dict(v, upper="{" + ", ".join(v["upper"]) + "}")
+            pairs.append(("violation", " ".join(f"{k}={w}" for k, w in text.items())))
         _emit("text", P, pairs)
     return 0 if rep.result else 1
 
@@ -313,6 +298,8 @@ def _cmd_demo_failed_deflations(args) -> int:
     P = _load_poset(args.poset)
     N = args.grid
     targets = [parse_valuation(P, args.nu)] if args.nu else grid(P, N)
+    # every attempt runs before anything is printed, so a failing one prints nothing
+    lines = []
     found = False
 
     hit_a = None
@@ -324,24 +311,24 @@ def _cmd_demo_failed_deflations(args) -> int:
     if hit_a:
         v, rep = hit_a
         U, V = rep.witness
-        print(
+        lines.append(
             f"attempt a: modularity fails at nu={format_valuation(v)}: "
             f"U={_fmt_upper(P, U)} V={_fmt_upper(P, V)}"
         )
         found = True
     else:
-        print("attempt a: no modularity witness")
+        lines.append("attempt a: no modularity witness")
 
     rep_b = failed_deflation_b(targets[0], N)
     if rep_b.witness is not None:
         lo, hi = rep_b.witness
-        print(
+        lines.append(
             f"attempt b: monotonicity fails: {format_valuation(lo)} <= "
             f"{format_valuation(hi)} but the rounded images are not ordered"
         )
         found = True
     else:
-        print("attempt b: no monotonicity witness")
+        lines.append("attempt b: no monotonicity witness")
 
     hit_c = None
     for v in targets:
@@ -351,14 +338,15 @@ def _cmd_demo_failed_deflations(args) -> int:
             break
     if hit_c:
         v, rep = hit_c
-        print(
+        lines.append(
             f"attempt c: no largest grid valuation below nu={format_valuation(v)}: "
             f"{rep.cardinality} maximal members"
         )
         found = True
     else:
-        print("attempt c: every valuation scanned has a unique largest approximant")
+        lines.append("attempt c: every valuation scanned has a unique largest approximant")
 
+    print("\n".join(lines))
     return 1 if found else 0
 
 

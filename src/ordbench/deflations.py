@@ -13,7 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Tuple
 
-from .posets import MonotoneMap, Poset, PosetError, _arrow, _lines, _require_writable
+from .posets import (
+    MonotoneMap, Poset, PosetError, _arrow, _failing_pairs, _lines, _require_writable,
+)
 from .smyth import FinMap, dagger, parse_antichain
 
 
@@ -66,13 +68,8 @@ def check_quasi_deflation(P: Poset, table) -> QuasiDeflationReport:
     """
     phi = QuasiDeflation(P, table, check=False)
     membership = phi._strays()
-    pairs = tuple(zip(P.elements, phi.values))
-    mono = tuple(
-        (x, y)
-        for x, E in pairs
-        for y, F in pairs
-        if x != y and P.leq(x, y) and not P.smyth_leq(E, F)
-    )
+    strict_ups = [up & ~(1 << i) for i, up in enumerate(P._up)]
+    mono = tuple(_failing_pairs(P, P, phi.values, strict_ups))
     return QuasiDeflationReport(
         valid=not membership and not mono,
         membership_violations=membership,

@@ -374,22 +374,30 @@ def _values(source: Poset, mapping, fit: Callable, noun: str = "map") -> tuple:
     return tuple(out)
 
 
-def _first_failing_cover(source: Poset, target: Poset, values: Sequence) -> Optional[tuple]:
-    """The first cover ``(x, y)`` of ``source`` at which a map is not monotone.
+def _failing_pairs(
+    source: Poset, target: Poset, values: Sequence, rows: Sequence[int]
+) -> Iterator[tuple]:
+    """Every pair ``(x, y)`` with ``y`` in the mask ``rows[x]`` at which a map
+    is not monotone, in index order of x, then of y.
 
     ``values[i]`` holds the target elements that element ``i`` goes to: one
-    for a point map, an antichain for a map into the Smyth order. A cover
+    for a point map, an antichain for a map into the Smyth order. A pair
     fails when some member of the value at ``y`` is above no member of the
-    value at ``x``. Both orders are transitive, so the covers decide
-    monotonicity. Returns None when every cover holds.
+    value at ``x``. This is the only monotonicity check.
     """
     ups = [target._up_mask(v) for v in values]
     marks = [target._mask_of(v) for v in values]
-    for i, covers in enumerate(source._cover_masks()):
-        for j in _bits(covers):
+    for i, row in enumerate(rows):
+        for j in _bits(row):
             if marks[j] & ~ups[i]:
-                return source.elements[i], source.elements[j]
-    return None
+                yield source.elements[i], source.elements[j]
+
+
+def _first_failing_cover(source: Poset, target: Poset, values: Sequence) -> Optional[tuple]:
+    """The first cover ``(x, y)`` of ``source`` at which a map is not monotone
+    (see :func:`_failing_pairs`), or None. Both orders are transitive, so the
+    covers decide monotonicity."""
+    return next(_failing_pairs(source, target, values, source._cover_masks()), None)
 
 
 def _unreached(target: Poset, values: Iterable) -> list:

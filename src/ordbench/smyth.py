@@ -158,14 +158,20 @@ def fin_antichains(P: Poset, *, cap: int = FIN_CAP) -> List[tuple]:
 
 
 def fin_poset(P: Poset, *, cap: int = FIN_CAP) -> Poset:
-    """The antichains of P as a poset under the refinement order."""
+    """The antichains of P as a poset under the refinement order.
+
+    E sits below F iff the closure of F lies inside the closure of E, and
+    every nonempty upper set is the closure of one antichain. So the upper
+    covers of E are the antichains whose closure is E's less one member of
+    E, when that is nonempty; their closure is the order, with no pair of
+    antichains compared.
+    """
     chains = fin_antichains(P, cap=cap)
     closure = [P._up_mask(E) for E in chains]
-    member_mask = [P._mask_of(E) for E in chains]
-    # chains[i] <= chains[j] iff members of j land inside closure of i
+    index = {up: i for i, up in enumerate(closure)}
     succ = [
-        [j for j, members in enumerate(member_mask) if j != i and not members & ~up]
-        for i, up in enumerate(closure)
+        [index[up ^ 1 << x] for x in _bits(P._mask_of(E)) if up ^ 1 << x]
+        for E, up in zip(chains, closure)
     ]
     return Poset._from_masks(tuple(chains), *_closure(succ))
 

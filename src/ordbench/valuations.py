@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 from math import comb, lcm
 from operator import add, sub
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -316,8 +316,8 @@ def _transport_decide(nu: Valuation, mu: Valuation) -> StochasticOrderReport:
     )
 
 
-def _oracle_leq(nu: Valuation, mu: Valuation, max_elements: int = 20) -> bool:
-    _, (a, b) = _upper_masses((nu, mu), nu.poset._upper_masks(max_elements))
+def _oracle_leq(nu: Valuation, mu: Valuation) -> bool:
+    _, (a, b) = _upper_masses((nu, mu), nu.poset._upper_masks())
     return _dominated(a, b)
 
 
@@ -511,11 +511,15 @@ def _compositions(total: int, parts: int):
         yield tuple(map(sub, (*cuts, total), (0, *cuts)))
 
 
+def _require_denominator(N: int) -> None:
+    if not isinstance(N, int) or N < 1:
+        raise ValuationError("grid denominator must be a positive integer")
+
+
 def _grid_points(P: Poset, N: int, cap: int) -> List[tuple]:
     """The grid of :func:`grid` as integer compositions of ``N`` (the weights
     times N), lexicographically, once ``N``, ``P`` and the count pass."""
-    if not isinstance(N, int) or N < 1:
-        raise ValuationError("grid denominator must be a positive integer")
+    _require_denominator(N)
     n = len(P.elements)
     if n == 0:
         raise ValuationError("grid needs a nonempty poset")
@@ -672,6 +676,13 @@ def maximal_below_grid(
 # -- deliberately broken rounding schemes --------------------------------------
 
 
+def _units_below(xs: Iterable[int], D: int, N: int) -> List[int]:
+    """The one strict round-down: for each x, the number of whole 1/N units
+    strictly below x/D, floored at 0. ``D`` and ``N`` are positive; a
+    positive multiple of 1/N loses one unit."""
+    return [max(-(-x * N // D) - 1, 0) for x in xs]
+
+
 def round_down_strict(v: Fraction, step: Fraction) -> Fraction:
     """Largest multiple of ``step`` that is zero or strictly below ``v``.
 
@@ -682,13 +693,8 @@ def round_down_strict(v: Fraction, step: Fraction) -> Fraction:
     step = Fraction(step)
     if step <= 0:
         raise ValuationError("step must be positive")
-    if v <= 0:
-        return Fraction(0)
-    q = v / step
-    ceil_q = -((-q.numerator) // q.denominator)
-    k = ceil_q - 1
-    if k <= 0:
-        return Fraction(0)
+    # v / step = v.numerator * step.denominator / (v.denominator * step.numerator)
+    (k,) = _units_below((v.numerator,), v.denominator * step.numerator, step.denominator)
     return k * step
 
 
@@ -716,27 +722,27 @@ def failed_deflation_a(nu: Valuation, N: int) -> SetFunctionRounding:
 
     The result is monotone but in general not modular; the witness search
     scans upper-set pairs in enumeration order and reports the first failure.
+    The rounded masses are compared as integer counts of 1/N units.
     """
     P = nu.poset
     _require_pointed(P)
-    step = Fraction(1, N)
+    _require_denominator(N)
     masks = P._upper_masks()
     D, (row,) = _upper_masses((nu,), masks)
-    rounded = {m: round_down_strict(Fraction(x, D), step) for m, x in zip(masks, row)}
-    sets = {m: frozenset(P.elements[i] for i in _bits(m)) for m in masks}
-    witness = None
-    for ai in range(len(masks)):
-        for bi in range(ai + 1, len(masks)):
-            u, v = masks[ai], masks[bi]
-            lhs = rounded[u | v] + rounded[u & v]
-            rhs = rounded[u] + rounded[v]
-            if lhs != rhs:
-                witness = (sets[u], sets[v])
-                break
-        if witness:
-            break
+    units = dict(zip(masks, _units_below(row, D, N)))
+    sets = {m: P._set_of(m) for m in masks}
+    witness = next(
+        (
+            (sets[u], sets[v])
+            for u, v in combinations(masks, 2)
+            if units[u | v] + units[u & v] != units[u] + units[v]
+        ),
+        None,
+    )
     return SetFunctionRounding(
-        values={sets[m]: rounded[m] for m in masks}, witness=witness, step=step
+        values={sets[m]: Fraction(k, N) for m, k in units.items()},
+        witness=witness,
+        step=Fraction(1, N),
     )
 
 
@@ -751,23 +757,6 @@ class WeightRounding:
 
     rounded: Valuation
     witness: Optional[Tuple[Valuation, Valuation]] = None
-
-
-def _round_weights_to_bottom(nu: Valuation, N: int) -> Valuation:
-    P = nu.poset
-    bot = P.bottom()
-    step = Fraction(1, N)
-    out: Dict = {}
-    kept = Fraction(0)
-    for e, w in zip(P.elements, nu.weights):
-        if e == bot:
-            continue
-        r = round_down_strict(w, step)
-        if r:
-            out[e] = r
-            kept += r
-    out[bot] = 1 - kept
-    return Valuation(P, out)
 
 
 def _reach(succ: List[List[int]], i: int) -> set:
@@ -787,25 +776,30 @@ def failed_deflation_b(nu: Valuation, N: int) -> WeightRounding:
 
     The output is always dominated by the input, but the scheme is not
     monotone; the witness search runs over ordered grid pairs in enumeration
-    order and reports the first order-violating image pair. On the grid the
-    rounding is integer: a count c off bottom becomes max(c - 1, 0). For
-    each point i in turn, the points above i and above its image are walked
-    along the unit moves (see :func:`_grid_moves`), and the least j above i
-    whose image is not above i's image closes the search: O(M) per point,
-    O(M^2) when there is no witness, in O(M * covers) memory.
+    order and reports the first order-violating image pair. The input and
+    every grid point are rounded by :func:`_units_below`; on the grid a
+    count c off bottom becomes max(c - 1, 0). For each point i in turn, the
+    points above i and above its image are walked along the unit moves (see
+    :func:`_grid_moves`), and the least j above i whose image is not above
+    i's image closes the search: O(M) per point, O(M^2) when there is no
+    witness, in O(M * covers) memory.
     """
     P = nu.poset
     _require_pointed(P)
-    rounded = _round_weights_to_bottom(nu, N)
+    _require_denominator(N)
+    bot = P.index(P.bottom())
+
+    def to_bottom(xs: Sequence[int], D: int) -> tuple:
+        image = _units_below(xs, D, N)
+        image[bot] = N - (sum(image) - image[bot])
+        return tuple(image)
+
+    D, (ints,) = _scaled_weights((nu,))
+    rounded = _grid_valuations(P, N, [to_bottom(ints, D)])[0]
     points = _grid_points(P, N, GRID_CAP)
     moves = _grid_moves(P, N, points)
-    bot = P.index(P.bottom())
     index = {p: i for i, p in enumerate(points)}
-    images = []
-    for p in points:
-        image = [max(k - 1, 0) for k in p]
-        image[bot] = N - (sum(image) - image[bot])
-        images.append(index[tuple(image)])
+    images = [index[to_bottom(p, N)] for p in points]
     witness = None
     for i in range(len(points)):
         above = _reach(moves, images[i])

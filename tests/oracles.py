@@ -9,6 +9,7 @@ fine; these only run at desk scale.
 
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
+from math import ceil
 
 from ordbench import Poset
 
@@ -340,21 +341,30 @@ def dominance_maximal_below(nu, N):
     ]
 
 
+def strict_round_down(v, step):
+    """The largest multiple of ``step`` strictly below ``v``, or 0, by the
+    ceiling of the exact quotient."""
+    v, step = Fraction(v), Fraction(step)
+    return max(ceil(v / step) - 1, 0) * step
+
+
+def bottom_rounding(v, N):
+    """Every weight of ``v`` off bottom strictly rounded down to 1/N, the
+    residue on bottom."""
+    from ordbench import Valuation
+
+    P = v.poset
+    bot = P.bottom()
+    out = {e: strict_round_down(w, Fraction(1, N)) for e, w in zip(P.elements, v.weights) if e != bot}
+    out[bot] = 1 - sum(out.values())
+    return Valuation(P, out)
+
+
 def dominance_rounding_witness(P, N):
     """The first grid pair (i, j), i then j in grid order, with i below j and
     the bottom-rounded image of i not below that of j; None if none."""
-    from ordbench import Valuation, round_down_strict
-
-    bot = P.bottom()
-    step = Fraction(1, N)
-
-    def rounded(v):
-        out = {e: round_down_strict(w, step) for e, w in zip(P.elements, v.weights) if e != bot}
-        out[bot] = 1 - sum(out.values())
-        return Valuation(P, out)
-
     vals = dominance_grid(P, N)
-    rows = _dominance_rows(vals + [rounded(v) for v in vals])
+    rows = _dominance_rows(vals + [bottom_rounding(v, N) for v in vals])
     vecs, imgs = rows[: len(vals)], rows[len(vals) :]
     for i, a in enumerate(vecs):
         for j, b in enumerate(vecs):

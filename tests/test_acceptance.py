@@ -577,15 +577,16 @@ def test_c09_binary_lubs_are_least_grid_upper_bounds():
         for N in (1, 2, 3, 4):
             A = _grid_coords(leq, N)
             M = A.shape[0]
+            # G[k, j]: A[k] >= A[j]; A[k] >= max(A[j], A[i]) iff G[k, j] and G[k, i]
+            G = (A[:, None, :] >= A[None, :, :]).all(axis=2)
             fs = perm = None
             for i in range(M):
                 L = _pairwise_lub_coords(A, i, children, order)
                 bounded = L[:, root] <= N
-                C = np.maximum(A, A[i])
-                dom = (A[:, None, :] >= C[None, :, :]).all(axis=2)
+                dom = G & G[:, i][:, None]
                 assert (dom.any(axis=0) == bounded).all()
-                least_ok = ~dom | (A[:, None, :] >= L[None, :, :]).all(axis=2)
-                assert least_ok[:, bounded].all()
+                least_ok = ~dom[:, bounded] | (A[:, None, :] >= L[bounded][None, :, :]).all(axis=2)
+                assert least_ok.all()
                 pair_count += M
 
                 if rng.random() < 2.0 / M:

@@ -338,6 +338,30 @@ def test_val_waybelow_reports_the_tangency(capsys, diamond_file):
     assert "upper={a, top}" in out
 
 
+def test_val_waybelow_renders_one_violation_list_both_ways(capsys, diamond_file):
+    nu, mu = "bot:1/4 a:3/4", "bot:1/2 b:1/2"
+    code, out, _ = run(capsys, "val-waybelow", diamond_file, nu, mu, "--format", "json")
+    assert code == 1
+    assert out == (
+        '{\n  "result": false,\n  "violations": [\n'
+        '    {\n      "kind": "support_on_null",\n      "upper": [\n        "a",\n'
+        '        "top"\n      ],\n      "lhs": "3/4",\n      "rhs": "0"\n    },\n'
+        '    {\n      "kind": "mass_exceeds",\n      "upper": [\n        "a",\n'
+        '        "b",\n        "top"\n      ],\n      "lhs": "3/4",\n      "rhs": "1/2"\n'
+        "    }\n  ]\n}\n"
+    )
+    code, out, _ = run(capsys, "val-waybelow", diamond_file, nu, mu)
+    assert code == 1
+    assert out == (
+        "result: false\n"
+        "violation: kind=support_on_null upper={a, top} lhs=3/4 rhs=0\n"
+        "violation: kind=mass_exceeds upper={a, b, top} lhs=3/4 rhs=1/2\n"
+    )
+    code, out, _ = run(capsys, "val-waybelow", diamond_file, "bot:1", "top:1", "--format", "json")
+    assert code == 0
+    assert out == '{\n  "result": true,\n  "violations": []\n}\n'
+
+
 def test_val_waybelow_positive(capsys, diamond_file):
     code, out, _ = run(capsys, "val-waybelow", diamond_file, "bot:1", "top:1")
     assert code == 0
@@ -417,6 +441,27 @@ def test_demo_is_quiet_on_a_chain(capsys, chain_file):
     assert code == 0
     assert "no modularity witness" in out
     assert "no monotonicity witness" in out
+
+
+def test_a_failing_demo_prints_nothing(capsys, tmp_path):
+    # attempt a finds no witness here; attempt b's grid of 352,716 points
+    # is above the cap
+    names = [f"x{i}" for i in range(12)]
+    w12 = tmp_path / "w12.poset"
+    w12.write_text(
+        f"elements: {' '.join(names)}\norder: " + "; ".join(f"x0 < {x}" for x in names[1:]) + "\n"
+    )
+    code, out, err = run(
+        capsys, "demo-failed-deflations", str(w12), "x0:1/2 x1:1/2", "--grid", "10"
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: grid would hold 352716 valuations, above the cap of 100000\n"
+
+
+def test_demo_rejects_a_zero_grid_with_an_explicit_valuation(capsys, diamond_file):
+    code, out, err = run(capsys, "demo-failed-deflations", diamond_file, "a:1", "--grid", "0")
+    assert (code, out) == (2, "")
+    assert err == "error: grid denominator must be a positive integer\n"
 
 
 # -- lazy commands ----------------------------------------------------------------------

@@ -11,6 +11,7 @@ from ordbench import (
     QuasiDeflation,
     check_controlled,
     check_quasi_deflation,
+    enumerate_posets,
     eta_deflation,
     format_quasi_deflation,
     parse_poset,
@@ -32,6 +33,24 @@ def const_bottom(P):
 
 
 # -- validity checking -------------------------------------------------------
+
+
+def test_monotonicity_violations_are_every_failing_pair():
+    """Every pair x < y whose antichains fail to refine, x then y in element
+    order, on every poset with at most 4 elements in kept and reversed
+    element order."""
+    rng = random.Random(9)
+    for n in range(1, 5):
+        for P in enumerate_posets(n):
+            for Q in (P, Poset(P.elements[::-1], P.covers())):
+                table = {x: rng.sample(Q.elements, rng.randint(1, len(Q))) for x in Q.elements}
+                want = tuple(
+                    (x, y)
+                    for x in Q.elements
+                    for y in Q.elements
+                    if x != y and Q.leq(x, y) and not Q.smyth_leq(table[x], table[y])
+                )
+                assert check_quasi_deflation(Q, table).monotonicity_violations == want
 
 
 def test_unit_table_is_valid():

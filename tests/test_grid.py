@@ -26,6 +26,7 @@ from ordbench import (
 )
 
 from oracles import (
+    bottom_rounding,
     brute_posets,
     dominance_grid_order,
     dominance_maximal_below,
@@ -53,7 +54,9 @@ def _agree(P, N, v1, v2):
     assert minimal_upper_bounds_grid(v1, v2, N) == dominance_minimal_upper_bounds(v1, v2, N)
     assert maximal_below_grid(v1, N) == dominance_maximal_below(v1, N)
     if P.is_pointed:
-        assert failed_deflation_b(v1, N).witness == dominance_rounding_witness(P, N)
+        out = failed_deflation_b(v1, N)
+        assert out.rounded == bottom_rounding(v1, N)
+        assert out.witness == dominance_rounding_witness(P, N)
 
 
 def test_kernel_matches_dominance_on_every_small_poset():

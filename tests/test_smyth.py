@@ -14,6 +14,7 @@ from ordbench import (
     check_monad_laws,
     check_quasi_retraction,
     dagger,
+    enumerate_posets,
     eta,
     eta_map,
     fin_antichains,
@@ -29,7 +30,7 @@ from ordbench import (
     smyth_map,
 )
 
-from oracles import random_finmap, random_monotone_map, random_poset
+from oracles import random_finmap, random_monotone_map, random_poset, transpose
 
 DIAMOND = parse_poset("elements: bot a b top\norder: bot < a; bot < b; a < top; b < top")
 CHAIN3 = parse_poset("elements: x0 x1 x2\norder: x0 < x1; x1 < x2")
@@ -126,6 +127,22 @@ def test_fin_poset_of_diamond():
     assert F.leq(("bot",), ("a", "b"))
     assert F.leq(("a", "b"), ("top",))
     assert not F.leq(("a",), ("b",))
+
+
+def test_fin_poset_matches_the_pairwise_refinement_order():
+    """On every poset with at most 4 elements, in kept and reversed element
+    order."""
+    for n in range(1, 5):
+        for P in enumerate_posets(n):
+            for Q in (P, Poset(P.elements[::-1], P.covers())):
+                chains = fin_antichains(Q)
+                F = fin_poset(Q)
+                assert F.elements == tuple(chains)
+                up = tuple(
+                    sum(1 << j for j, G in enumerate(chains) if Q.smyth_leq(E, G))
+                    for E in chains
+                )
+                assert (F._up, F._down) == (up, transpose(up))
 
 
 def test_fin_poset_cap():

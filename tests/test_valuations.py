@@ -42,6 +42,7 @@ from oracles import (
     random_pointed_poset,
     random_poset,
     random_valuation,
+    strict_round_down,
 )
 
 DIAMOND = parse_poset("elements: bot a b top\norder: bot < a; bot < b; a < top; b < top")
@@ -328,8 +329,9 @@ def test_mixing_oracle_at_a_large_prime_denominator():
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=80, deadline=None)
 def test_upper_mass_queries_match_fraction_sums(seed):
-    """Violation lists, tight domination and rounded masses agree with summing
-    Fractions over brute-force upper sets, in increasing-bitmask order."""
+    """Violation lists, tight domination, rounded masses and the first
+    modularity witness agree with summing Fractions over brute-force upper
+    sets, in increasing-bitmask order."""
     rng = random.Random(seed)
     P = random_pointed_poset(rng, rng.randint(1, 7))
     nu = random_valuation(rng, P, rng.randint(1, 12))
@@ -360,8 +362,11 @@ def test_upper_mass_queries_match_fraction_sums(seed):
     )
 
     N = rng.randint(1, 5)
-    rounded = [(U, round_down_strict(nu.mass(U), F(1, N))) for U in uppers]
-    assert list(failed_deflation_a(nu, N).values.items()) == rounded
+    f = {U: strict_round_down(nu.mass(U), F(1, N)) for U in uppers}
+    pairs = itertools.combinations(uppers, 2)
+    witness = next(((U, V) for U, V in pairs if f[U | V] + f[U & V] != f[U] + f[V]), None)
+    out = failed_deflation_a(nu, N)
+    assert (list(out.values.items()), out.witness) == (list(f.items()), witness)
 
 
 # -- pushforward -----------------------------------------------------------------------
@@ -556,6 +561,20 @@ def test_strict_rounding():
     assert round_down_strict(F(3, 4), H) == H
     assert round_down_strict(F(0), H) == 0
     assert round_down_strict(F(1, 5), H) == 0
+
+
+@given(st.integers(-20, 40), st.integers(1, 12), st.integers(1, 9), st.integers(1, 9))
+@settings(max_examples=200, deadline=None)
+def test_strict_rounding_matches_the_ceiling_definition(num, den, snum, sden):
+    v, step = F(num, den), F(snum, sden)
+    assert round_down_strict(v, step) == strict_round_down(v, step)
+
+
+@pytest.mark.parametrize("N", [0, -1, 2.0, "2", F(2)])
+def test_rounding_schemes_check_the_denominator_first(N):
+    for scheme in (failed_deflation_a, failed_deflation_b):
+        with pytest.raises(ValuationError, match="^grid denominator must be a positive integer$"):
+            scheme(val(a=H, b=H), N)
 
 
 def test_set_function_rounding_breaks_modularity():
