@@ -37,11 +37,9 @@ from .smyth import (
     koenig_chain,
     parse_antichain,
     parse_finmap,
-    FIN_CAP,
 )
 from .treeval import path_space
 from .valuations import (
-    GRID_CAP,
     ValuationError,
     failed_deflation_a,
     failed_deflation_b,
@@ -150,11 +148,11 @@ def _cmd_pathspace(args) -> int:
 def _cmd_fin(args) -> int:
     P = _load_poset(args.poset)
     if args.dot:
-        F = fin_poset(P, cap=args.cap)
+        F = fin_poset(P)
         named = _relabel(F, format_antichain)
         sys.stdout.write(poset_to_dot(named, name="fin"))
     else:
-        for E in fin_antichains(P, cap=args.cap):
+        for E in fin_antichains(P):
             print(format_antichain(E))
     return 0
 
@@ -164,7 +162,7 @@ def _cmd_monad_laws(args) -> int:
     h = parse_finmap(P, P, _read(args.h)) if args.h else None
     g_source = h.target if h is not None else P
     g = parse_finmap(g_source, g_source, _read(args.g)) if args.g else None
-    rep = check_monad_laws(P, h, g, cap=args.cap)
+    rep = check_monad_laws(P, h, g)
     witness = None
     if rep.witness is not None:
         witness = " ".join(f"{k}={v}" for k, v in rep.witness.items())
@@ -256,7 +254,7 @@ def _cmd_val_mub(args) -> int:
     P = _load_poset(args.poset)
     v1 = parse_valuation(P, args.nu1)
     v2 = parse_valuation(P, args.nu2)
-    for m in minimal_upper_bounds_grid(v1, v2, args.grid, cap=args.cap):
+    for m in minimal_upper_bounds_grid(v1, v2, args.grid):
         print(format_valuation(m))
     return 0
 
@@ -264,7 +262,7 @@ def _cmd_val_mub(args) -> int:
 def _cmd_val_maxbelow(args) -> int:
     P = _load_poset(args.poset)
     nu = parse_valuation(P, args.nu)
-    for m in maximal_below_grid(nu, args.grid, cap=args.cap):
+    for m in maximal_below_grid(nu, args.grid):
         print(format_valuation(m))
     return 0
 
@@ -272,11 +270,11 @@ def _cmd_val_maxbelow(args) -> int:
 def _cmd_val_grid(args) -> int:
     P = _load_poset(args.poset)
     if args.dot:
-        G = grid_poset(P, args.grid, cap=args.cap)
+        G = grid_poset(P, args.grid)
         named = _relabel(G, format_valuation)
         sys.stdout.write(poset_to_dot(named, name="grid"))
     else:
-        for v in grid(P, args.grid, cap=args.cap):
+        for v in grid(P, args.grid):
             print(format_valuation(v))
     return 0
 
@@ -302,12 +300,10 @@ def _cmd_demo_failed_deflations(args) -> int:
     lines = []
     found = False
 
-    hit_a = None
-    for v in targets:
-        rep = failed_deflation_a(v, N)
-        if rep.witness is not None:
-            hit_a = (v, rep)
-            break
+    hit_a = next(
+        ((v, rep) for v in targets for rep in [failed_deflation_a(v, N)] if rep.witness is not None),
+        None,
+    )
     if hit_a:
         v, rep = hit_a
         U, V = rep.witness
@@ -330,12 +326,10 @@ def _cmd_demo_failed_deflations(args) -> int:
     else:
         lines.append("attempt b: no monotonicity witness")
 
-    hit_c = None
-    for v in targets:
-        rep = failed_deflation_c(v, N)
-        if not rep.unique:
-            hit_c = (v, rep)
-            break
+    hit_c = next(
+        ((v, rep) for v in targets for rep in [failed_deflation_c(v, N)] if not rep.unique),
+        None,
+    )
     if hit_c:
         v, rep = hit_c
         lines.append(
@@ -461,14 +455,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fin", help="list the antichains (canonical finitary compacts)")
     p.add_argument("poset")
-    p.add_argument("--cap", type=int, default=FIN_CAP)
     p.add_argument("--dot", action="store_true")
 
     p = sub.add_parser("monad-laws", help="check the three extension laws")
     p.add_argument("poset")
     p.add_argument("h", nargs="?", help="antichain-valued map file (default: unit)")
     p.add_argument("g", nargs="?", help="second map file (default: unit)")
-    p.add_argument("--cap", type=int, default=FIN_CAP)
     fmt_flag(p)
 
     p = sub.add_parser(
@@ -504,18 +496,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("nu1")
     p.add_argument("nu2")
     p.add_argument("--grid", type=int, required=True, metavar="N")
-    p.add_argument("--cap", type=int, default=GRID_CAP)
 
     p = sub.add_parser("val-maxbelow", help="maximal grid approximants from below")
     p.add_argument("poset")
     p.add_argument("nu")
     p.add_argument("--grid", type=int, required=True, metavar="N")
-    p.add_argument("--cap", type=int, default=GRID_CAP)
 
     p = sub.add_parser("val-grid", help="list grid valuations, or their order as DOT")
     p.add_argument("poset")
     p.add_argument("--grid", type=int, required=True, metavar="N")
-    p.add_argument("--cap", type=int, default=GRID_CAP)
     p.add_argument("--dot", action="store_true")
 
     p = sub.add_parser("val-push", help="transport a valuation along a map")

@@ -129,12 +129,13 @@ def mu(P: Poset, Q2: Iterable[Iterable]) -> tuple:
     return P.antichain_normalize(flat)
 
 
-def fin_antichains(P: Poset, *, cap: int = FIN_CAP) -> List[tuple]:
+def fin_antichains(P: Poset) -> List[tuple]:
     """All nonempty canonical antichains of P, in lexicographic index order.
 
-    Raises PosetError when more than ``cap`` antichains would be produced;
-    the count grows exponentially on wide posets.
+    Raises PosetError when more than ``FIN_CAP`` antichains would be
+    produced; the count grows exponentially on wide posets.
     """
+    cap = FIN_CAP
     up, down = P._up, P._down
     found: List[int] = []
     # (mask of the antichain so far, mask of the elements that may still extend it)
@@ -157,16 +158,17 @@ def fin_antichains(P: Poset, *, cap: int = FIN_CAP) -> List[tuple]:
     return [tuple(els[i] for i in _bits(mask)) for mask in found]
 
 
-def fin_poset(P: Poset, *, cap: int = FIN_CAP) -> Poset:
+def fin_poset(P: Poset) -> Poset:
     """The antichains of P as a poset under the refinement order.
 
     E sits below F iff the closure of F lies inside the closure of E, and
     every nonempty upper set is the closure of one antichain. So the upper
     covers of E are the antichains whose closure is E's less one member of
     E, when that is nonempty; their closure is the order, with no pair of
-    antichains compared.
+    antichains compared. The antichains come from :func:`fin_antichains`,
+    so more than ``FIN_CAP`` of them raise PosetError.
     """
-    chains = fin_antichains(P, cap=cap)
+    chains = fin_antichains(P)
     closure = [P._up_mask(E) for E in chains]
     index = {up: i for i, up in enumerate(closure)}
     succ = [
@@ -203,14 +205,13 @@ def check_monad_laws(
     P: Poset,
     h: Optional[FinMap] = None,
     g: Optional[FinMap] = None,
-    *,
-    cap: int = FIN_CAP,
 ) -> MonadLawsReport:
     """Verify the three laws pointwise on every antichain of P.
 
     ``h`` maps P into antichains of some poset Y, and ``g`` maps Y into
     antichains of some poset Z; both default to the unit on P. Returns the
-    first violation found, scanning law by law.
+    first violation found, scanning law by law. More than ``FIN_CAP``
+    antichains of P raise PosetError.
     """
     if h is None:
         h = eta_map(P)
@@ -220,7 +221,7 @@ def check_monad_laws(
         raise PosetError("h must have source P")
     if g.source != h.target:
         raise PosetError("g must have source equal to h's target poset")
-    fin_p = fin_antichains(P, cap=cap)
+    fin_p = fin_antichains(P)
     eta_p = eta_map(P)
     eta_dag = dagger(eta_p)
     h_dag = dagger(h)

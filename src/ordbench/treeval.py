@@ -16,7 +16,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, List, Optional, Tuple
 
-from .posets import MonotoneMap, Poset, PosetError, _bits, _closure, _lines, _unreached
+from .posets import (
+    MonotoneMap, Poset, PosetError, _bits, _closure, _lines, _require_writable, _unreached,
+)
 from .valuations import Valuation, ValuationError, _fractions
 
 PATH_CAP = 10_000
@@ -76,7 +78,10 @@ class AdmissibleMap:
         return self.values[self.tree.index(t)]
 
     def __str__(self) -> str:
-        return format_admissible(self)
+        # the text of format_admissible, without its name check
+        lines = [ADMISSIBLE_HEADER]
+        lines += [f"{e}:{v}" for e, v in zip(self.tree.elements, self.values) if v]
+        return "\n".join(lines) + "\n"
 
 
 @dataclass(frozen=True)
@@ -190,11 +195,10 @@ ADMISSIBLE_HEADER = "kind: admissible"
 
 
 def format_admissible(f: AdmissibleMap) -> str:
-    lines = [ADMISSIBLE_HEADER]
-    for e, v in zip(f.tree.elements, f.values):
-        if v:
-            lines.append(f"{e}:{v}")
-    return "\n".join(lines) + "\n"
+    """Inverse of :func:`parse_admissible`; refuses names it cannot read back
+    (see :func:`~ordbench.posets._require_writable`)."""
+    _require_writable(f.tree.elements, "admissible")
+    return str(f)
 
 
 def parse_admissible(T: Poset, text: str) -> AdmissibleMap:

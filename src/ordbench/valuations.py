@@ -516,9 +516,11 @@ def _require_denominator(N: int) -> None:
         raise ValuationError("grid denominator must be a positive integer")
 
 
-def _grid_points(P: Poset, N: int, cap: int) -> List[tuple]:
+def _grid_points(P: Poset, N: int) -> List[tuple]:
     """The grid of :func:`grid` as integer compositions of ``N`` (the weights
-    times N), lexicographically, once ``N``, ``P`` and the count pass."""
+    times N), lexicographically, once ``N``, ``P`` and the count pass. This
+    is the one place ``GRID_CAP`` is read: every grid consumer obeys it."""
+    cap = GRID_CAP
     _require_denominator(N)
     n = len(P.elements)
     if n == 0:
@@ -573,16 +575,17 @@ def _grid_masses(
     return rows[: len(vals)], rows[len(vals) :]
 
 
-def grid(P: Poset, N: int, *, cap: int = GRID_CAP) -> List[Valuation]:
+def grid(P: Poset, N: int) -> List[Valuation]:
     """All valuations whose weights are multiples of 1/N, lexicographic order.
 
-    The count is M = C(N + n - 1, n - 1) for n elements; a cap guards against
-    accidental explosions. Costs O(M * n).
+    The count is M = C(N + n - 1, n - 1) for n elements; more than
+    ``GRID_CAP`` raises ValuationError before any point is built. Costs
+    O(M * n).
     """
-    return _grid_valuations(P, N, _grid_points(P, N, cap))
+    return _grid_valuations(P, N, _grid_points(P, N))
 
 
-def grid_poset(P: Poset, N: int, *, cap: int = GRID_CAP) -> Poset:
+def grid_poset(P: Poset, N: int) -> Poset:
     """The grid ordered by upper-set-mass comparison, as a poset.
 
     Elements are the :class:`Valuation` objects themselves (in grid order);
@@ -590,15 +593,14 @@ def grid_poset(P: Poset, N: int, *, cap: int = GRID_CAP) -> Poset:
     The order is the closure of the unit moves along covers (see
     :func:`_grid_moves`), so no two points are compared: O(M * (n + covers))
     to list the points and moves, then O(M + moves) ORs of M-bit masks.
+    Held to ``GRID_CAP`` points.
     """
-    points = _grid_points(P, N, cap)
+    points = _grid_points(P, N)
     masks = _closure(_grid_moves(P, N, points))
     return Poset._from_masks(tuple(_grid_valuations(P, N, points)), *masks)
 
 
-def minimal_upper_bounds_grid(
-    v1: Valuation, v2: Valuation, N: int, *, cap: int = GRID_CAP
-) -> List[Valuation]:
+def minimal_upper_bounds_grid(v1: Valuation, v2: Valuation, N: int) -> List[Valuation]:
     """Minimal grid valuations dominating both inputs; possibly empty.
 
     Domination and minimality are both with respect to the upper-set-mass
@@ -606,10 +608,11 @@ def minimal_upper_bounds_grid(
     found on integer masses, O(M * #U) sums for #U upper sets. They form an
     upper set of the grid, so a bound is minimal iff no other bound reaches
     it in one unit move: O(M * (n + covers)) more, and no pairwise scan.
+    Held to ``GRID_CAP`` points.
     """
     P = _require_same_poset(v1, v2)
     masks = P._upper_masks()
-    points = _grid_points(P, N, cap)
+    points = _grid_points(P, N)
     (lo1, lo2), rows = _grid_masses(N, points, (v1, v2), masks)
     lo = tuple(map(max, lo1, lo2))
     bound = [_dominated(lo, row) for row in rows]
@@ -646,20 +649,18 @@ def _tight(a: tuple, b: tuple, supp: int, masks: List[int]) -> bool:
     )
 
 
-def maximal_below_grid(
-    nu: Valuation, N: int, *, cap: int = GRID_CAP
-) -> List[Valuation]:
+def maximal_below_grid(nu: Valuation, N: int) -> List[Valuation]:
     """Maximal grid valuations tightly below ``nu`` (see :func:`tightly_below`).
 
     Always nonempty on a pointed poset, since the unit mass at bottom is
     tightly below everything. Results come back in grid enumeration order.
     The tight set is found on integer masses, O(M * #U) sums for #U upper
     sets. It is not closed downward, so maximality is a scan over its pairs:
-    O(T^2 * #U) for T tight points.
+    O(T^2 * #U) for T tight points. Held to ``GRID_CAP`` points.
     """
     P = nu.poset
     masks = P._upper_masks()
-    points = _grid_points(P, N, cap)
+    points = _grid_points(P, N)
     (nu_row,), rows = _grid_masses(N, points, (nu,), masks)
     below = [
         i
@@ -782,7 +783,7 @@ def failed_deflation_b(nu: Valuation, N: int) -> WeightRounding:
     points above i and above its image are walked along the unit moves (see
     :func:`_grid_moves`), and the least j above i whose image is not above
     i's image closes the search: O(M) per point, O(M^2) when there is no
-    witness, in O(M * covers) memory.
+    witness, in O(M * covers) memory. Held to ``GRID_CAP`` points.
     """
     P = nu.poset
     _require_pointed(P)
@@ -796,7 +797,7 @@ def failed_deflation_b(nu: Valuation, N: int) -> WeightRounding:
 
     D, (ints,) = _scaled_weights((nu,))
     rounded = _grid_valuations(P, N, [to_bottom(ints, D)])[0]
-    points = _grid_points(P, N, GRID_CAP)
+    points = _grid_points(P, N)
     moves = _grid_moves(P, N, points)
     index = {p: i for i, p in enumerate(points)}
     images = [index[to_bottom(p, N)] for p in points]

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from ordbench import cli
+from ordbench import cli, smyth
 from ordbench.cli import main
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -144,9 +144,28 @@ def test_fin_matches_golden(capsys, diamond_file):
     assert out == (GOLDEN / "fin_diamond.txt").read_text()
 
 
-def test_fin_cap(capsys, diamond_file):
-    code, _, err = run(capsys, "fin", diamond_file, "--cap", "2")
+def test_fin_cap(capsys, diamond_file, monkeypatch):
+    monkeypatch.setattr(smyth, "FIN_CAP", 2)
+    code, _, err = run(capsys, "fin", diamond_file)
     assert code == 2 and "cap" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("fin", "{poset}", "--cap", "2"),
+        ("monad-laws", "{poset}", "--cap", "2"),
+        ("val-mub", "{poset}", "a:1", "b:1", "--grid", "2", "--cap", "5"),
+        ("val-maxbelow", "{poset}", "a:1", "--grid", "2", "--cap", "5"),
+        ("val-grid", "{poset}", "--grid", "2", "--cap", "5"),
+    ],
+)
+def test_cap_flags_are_usage_errors(capsys, diamond_file, argv):
+    # the caps are module constants; no command takes a --cap flag
+    with pytest.raises(SystemExit) as exc:
+        main([a.format(poset=diamond_file) for a in argv])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --cap" in capsys.readouterr().err
 
 
 def test_enumerate_count(capsys):

@@ -1,13 +1,15 @@
 """Round trips through the shared line reader, one per line-oriented format.
 
 Element names are drawn from an alphabet with ``:``, ``.``, ``_`` and
-digits, so a name may look like part of a ``name:fraction`` entry. The
-poset format also meets names with whitespace, ``<``, ``;`` and ``#``, and
-two elements with one name; the map, finmap, antichain and quasi-deflation
-formats meet empty names, names with outer whitespace or a line break or
-holding ``#`` or ``->``, and for antichains ``,``, ``{`` or ``}``; the
-quasi-deflation format also meets names that begin with ``control:``. Each
-must refuse to write a name it cannot read back.
+digits, so a name may look like part of a ``name:fraction`` entry; the
+truncations of the lazy posets add their codes (``n:0:1``, ``omega0``,
+``bot``). The poset format also meets names with whitespace, ``<``, ``;``
+and ``#``, and two elements with one name; the map, finmap, antichain,
+quasi-deflation and admissible formats meet empty names, names with outer
+whitespace or a line break or holding ``#`` or ``->``, and for antichains
+``,``, ``{`` or ``}``; the quasi-deflation format also meets names that
+begin with ``control:``. Each must refuse to write a name it cannot read
+back.
 """
 
 from fractions import Fraction
@@ -38,6 +40,7 @@ from ordbench import (
     parse_valuation,
     valuation_to_admissible,
 )
+from ordbench import lazy
 
 SAFE = "abxyz019_.:"
 NAMES = st.lists(
@@ -191,12 +194,15 @@ def test_line_formats_refuse_names_they_cannot_read_back(data):
     f = data.draw(threshold_maps(P))
     phi = QuasiDeflation(P, {x: {x, f[x]} for x in P.elements})
     both = ControlledQuasiDeflation(MonotoneMap(P, P, data.draw(threshold_maps(P))), phi)
+    T = data.draw(posets(tree=True))
+    T = Poset((*T.elements, bad), [*T.covers(), (data.draw(st.sampled_from(T.elements)), bad)])
     for fmt, write, obj in (
         ("map", format_map, MonotoneMap(P, P, f)),
         ("finmap", format_finmap, phi),
         ("quasi-deflation", format_quasi_deflation, phi),
         ("quasi-deflation", format_quasi_deflation, both),
         ("antichain", format_antichain, (bad,)),
+        ("admissible", format_admissible, valuation_to_admissible(data.draw(valuations(T)))),
     ):
         with pytest.raises(PosetError) as err:
             write(obj)
@@ -245,3 +251,16 @@ def test_valuation_and_admissible_round_trip(data):
     T = data.draw(posets(tree=True))
     f = valuation_to_admissible(data.draw(valuations(T)))
     assert parse_admissible(T, format_admissible(f)).values == f.values
+
+
+@pytest.mark.parametrize("kind", lazy.KINDS)
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_lazy_truncations_round_trip(kind, k):
+    # lazy codes such as n:0:1, omega0 and bot hold colons and digits
+    P = lazy.truncate(lazy.LazyPoset(kind), k).poset
+    assert parse_poset(format_poset(P)) == P
+    n = len(P)
+    nu = Valuation(P, {x: Fraction(i + 1, n * (n + 1) // 2) for i, x in enumerate(P.elements)})
+    assert parse_valuation(P, format_valuation(nu)).weights == nu.weights
+    unit = eta_deflation(P)
+    assert parse_quasi_deflation(P, format_quasi_deflation(unit)) == unit

@@ -29,6 +29,7 @@ from ordbench import (
     path_space,
     smyth_map,
 )
+from ordbench import smyth
 
 from oracles import random_finmap, random_monotone_map, random_poset, transpose
 
@@ -151,24 +152,39 @@ def test_fin_poset_cap():
         fin_poset(wide)
 
 
-def test_fin_antichains_cap_trips_before_any_depth_limit():
+def test_fin_antichains_cap_trips_before_any_depth_limit(monkeypatch):
     # the first 1,200 antichains grow one element at a time
+    monkeypatch.setattr(smyth, "FIN_CAP", 1500)
     with pytest.raises(PosetError, match="exceeded the cap of 1500"):
-        fin_antichains(Poset(range(1200), []), cap=1500)
+        fin_antichains(Poset(range(1200), []))
 
 
-def test_fin_antichains_cap_trips_before_the_tuples_are_built():
+def test_fin_antichains_cap_trips_before_the_tuples_are_built(monkeypatch):
     # 5,000 antichains of the 1200-element antichain hold about 5.5 M
     # element references as tuples, but only 5,000 masks
     wide = Poset(range(1200), [])
+    monkeypatch.setattr(smyth, "FIN_CAP", 5000)
     tracemalloc.start()
     try:
         with pytest.raises(PosetError, match="exceeded the cap of 5000"):
-            fin_antichains(wide, cap=5000)
+            fin_antichains(wide)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 5_000_000
+
+
+def test_fin_cap_holds_at_the_count_and_trips_one_below(monkeypatch):
+    # the diamond has five antichains; every consumer reads the one FIN_CAP
+    consumers = (fin_antichains, fin_poset, check_monad_laws)
+    monkeypatch.setattr(smyth, "FIN_CAP", 5)
+    assert len(fin_antichains(DIAMOND)) == len(fin_poset(DIAMOND)) == 5
+    assert check_monad_laws(DIAMOND).ok
+    monkeypatch.setattr(smyth, "FIN_CAP", 4)
+    for consumer in consumers:
+        with pytest.raises(PosetError) as err:
+            consumer(DIAMOND)
+        assert str(err.value) == "antichain enumeration exceeded the cap of 4"
 
 
 # -- monad laws ---------------------------------------------------------------

@@ -34,6 +34,7 @@ from ordbench import (
     way_below,
     way_below_report,
 )
+from ordbench import valuations
 from ordbench.valuations import _compositions, _oracle_leq
 
 from oracles import (
@@ -474,6 +475,29 @@ def test_grid_of_a_long_chain_at_denominator_one():
 def test_grid_cap():
     with pytest.raises(ValuationError, match="cap"):
         grid(DIAMOND, 200)
+
+
+def test_grid_cap_holds_at_the_count_and_trips_one_below(monkeypatch):
+    # the diamond's grid at N = 2 has C(5, 3) = 10 points; every consumer
+    # reads the one GRID_CAP
+    nu = parse_valuation(DIAMOND, "a:1/2 b:1/2")
+    consumers = (
+        lambda: grid(DIAMOND, 2),
+        lambda: grid_poset(DIAMOND, 2),
+        lambda: minimal_upper_bounds_grid(dirac(DIAMOND, "a"), dirac(DIAMOND, "b"), 2),
+        lambda: maximal_below_grid(nu, 2),
+        lambda: failed_deflation_b(nu, 2),
+        lambda: failed_deflation_c(nu, 2),
+    )
+    monkeypatch.setattr(valuations, "GRID_CAP", 10)
+    assert len(grid(DIAMOND, 2)) == len(grid_poset(DIAMOND, 2)) == 10
+    for consumer in consumers:
+        consumer()
+    monkeypatch.setattr(valuations, "GRID_CAP", 9)
+    for consumer in consumers:
+        with pytest.raises(ValuationError) as err:
+            consumer()
+        assert str(err.value) == "grid would hold 10 valuations, above the cap of 9"
 
 
 def test_grid_poset_orders_by_stochastic_leq():
