@@ -124,7 +124,7 @@ def _cmd_hasse(args) -> int:
 
 def _cmd_upper_sets(args) -> int:
     P = _load_poset(args.poset)
-    for U in P.upper_sets(max_elements=args.max_elements):
+    for U in P.upper_sets():
         print(_fmt_upper(P, U))
     return 0
 
@@ -443,11 +443,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("upper-sets", help="list every upper set")
     p.add_argument("poset")
-    p.add_argument(
-        "--max-elements", type=int, default=20,
-        help="refuse posets with more elements, since an antichain of n elements "
-        "has 2^n upper sets (default: 20)",
-    )
 
     p = sub.add_parser("pathspace", help="cover-chain tree and endpoint map")
     p.add_argument("poset")

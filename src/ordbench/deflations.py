@@ -16,7 +16,7 @@ from typing import Iterable, List, Optional, Tuple
 from .posets import (
     MonotoneMap, Poset, PosetError, _arrow, _failing_pairs, _lines, _require_writable,
 )
-from .smyth import FinMap, dagger, parse_antichain
+from .smyth import FinMap, dagger, eta_map, format_antichain, parse_antichain
 
 
 class QuasiDeflation(FinMap):
@@ -46,11 +46,6 @@ class QuasiDeflation(FinMap):
         return tuple(
             x for x, E in zip(P.elements, self.values) if not P.smyth_leq(E, (x,))
         )
-
-
-def eta_deflation(P: Poset) -> QuasiDeflation:
-    """The unit as a quasi-deflation (always valid)."""
-    return QuasiDeflation(P, lambda x: (x,), check=False)
 
 
 @dataclass(frozen=True)
@@ -128,7 +123,7 @@ def qfs_separator(
         )
 
     if candidates is None:
-        psi = eta_deflation(P)
+        psi = QuasiDeflation(P, eta_map(P), check=False)
         assert separates(psi)
         return psi
     for psi in candidates:
@@ -238,8 +233,6 @@ def format_quasi_deflation(obj) -> str:
     :func:`~ordbench.posets._require_writable`), and on an element whose
     name begins with ``control:``, which would read back as a control line.
     """
-    from .smyth import format_antichain
-
     if isinstance(obj, ControlledQuasiDeflation):
         phi, control = obj.deflation, obj.control
     else:

@@ -14,6 +14,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
+UPPER_MAX_ELEMENTS = 20
+
 
 class PosetError(ValueError):
     """Input data violates a partial-order axiom or a stated precondition."""
@@ -285,27 +287,31 @@ class Poset:
             for j in _bits(covers)
         )
 
-    def _upper_masks(self, max_elements: int = 20) -> list:
+    def _upper_masks(self) -> list:
+        """The masks of :meth:`upper_sets`, listed once per poset. This is the
+        one place ``UPPER_MAX_ELEMENTS`` is read: every upper-set consumer
+        obeys it, and it is checked before the cached listing is returned."""
+        limit = UPPER_MAX_ELEMENTS
         n = len(self.elements)
-        if n > max_elements:
+        if n > limit:
             raise PosetError(
-                f"upper-set enumeration on {n} elements may list up to 2^{n} sets; "
-                f"raise max_elements (currently {max_elements}) to allow it"
+                f"upper-set enumeration on {n} elements may list up to 2^{n} sets, "
+                f"above the limit of {limit} elements"
             )
         if self._uppers_cache is None:
             self._uppers_cache = _upper_walk(self._up, self._down)
         return self._uppers_cache
 
-    def upper_sets(self, max_elements: int = 20) -> list:
+    def upper_sets(self) -> list:
         """Every upward-closed subset, the empty set and the carrier included.
 
         Listed in increasing bitmask order over element indices, which is
         deterministic for a fixed element order. The work is a few mask
         operations per upper set listed, but an antichain of ``n`` elements
-        has ``2^n`` of them, so posets with more than ``max_elements``
+        has ``2^n`` of them, so posets with more than ``UPPER_MAX_ELEMENTS``
         elements are refused.
         """
-        return [self._set_of(m) for m in self._upper_masks(max_elements)]
+        return [self._set_of(m) for m in self._upper_masks()]
 
     # -- antichains and the Smyth preorder ---------------------------------
 

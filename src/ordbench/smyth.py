@@ -100,13 +100,9 @@ def dagger(h: FinMap) -> Callable[[Iterable], tuple]:
 
 
 def smyth_map(r: MonotoneMap) -> Callable[[Iterable], tuple]:
-    """The antichain action of a monotone map: image, then normalize."""
-    tgt = r.target
-
-    def action(E: Iterable) -> tuple:
-        return tgt.antichain_normalize({r(x) for x in E})
-
-    return action
+    """The antichain action of a monotone map: the extension (see
+    :func:`dagger`) of the unit after ``r``, so image, then normalize."""
+    return dagger(FinMap(r.source, r.target, lambda x: (r(x),), check=False))
 
 
 def mu(P: Poset, Q2: Iterable[Iterable]) -> tuple:
@@ -309,10 +305,12 @@ def canonical_quasi_section(r: MonotoneMap) -> FinMap:
 
 
 def check_quasi_retraction(r: MonotoneMap, qs: FinMap) -> QuasiSectionReport:
-    """Check both section laws for ``qs`` against ``r``; never raises.
+    """Check both section laws for ``qs`` against ``r``.
 
-    Violations are reported in element order, retraction law first, so a
-    failing input always produces the same witness.
+    A law that fails is reported, not raised. Violations are reported in
+    element order, retraction law first, so a failing input always produces
+    the same witness. Raises PosetError only when ``qs`` does not map the
+    target of ``r`` into antichains of its source.
     """
     X, Y = r.source, r.target
     if qs.source != Y or qs.target != X:

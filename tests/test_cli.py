@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from ordbench import cli, smyth
+from ordbench import cli, posets, smyth
 from ordbench.cli import main
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -89,17 +89,33 @@ def test_upper_sets_guard(capsys, tmp_path):
     wide = tmp_path / "wide.poset"
     wide.write_text("elements: " + " ".join(f"e{i}" for i in range(21)) + "\norder:\n")
     code, _, err = run(capsys, "upper-sets", str(wide))
-    assert code == 2 and "max_elements" in err
+    assert code == 2 and err == (
+        "error: upper-set enumeration on 21 elements may list up to 2^21 sets, "
+        "above the limit of 20 elements\n"
+    )
 
 
-def test_upper_sets_of_a_tall_chain(capsys, tmp_path):
+def test_upper_sets_limit_holds_at_the_count_and_trips_one_below(capsys, diamond_file, monkeypatch):
+    monkeypatch.setattr(posets, "UPPER_MAX_ELEMENTS", 4)
+    code, out, _ = run(capsys, "upper-sets", diamond_file)
+    assert code == 0 and out == (GOLDEN / "upper_sets_diamond.txt").read_text()
+    monkeypatch.setattr(posets, "UPPER_MAX_ELEMENTS", 3)
+    code, out, err = run(capsys, "upper-sets", diamond_file)
+    assert code == 2 and out == "" and err == (
+        "error: upper-set enumeration on 4 elements may list up to 2^4 sets, "
+        "above the limit of 3 elements\n"
+    )
+
+
+def test_upper_sets_of_a_tall_chain(capsys, tmp_path, monkeypatch):
     tall = tmp_path / "tall.poset"
     names = [f"c{i}" for i in range(30)]
     tall.write_text(
         "elements: " + " ".join(names) + "\norder: "
         + "; ".join(f"{a} < {b}" for a, b in zip(names, names[1:])) + "\n"
     )
-    code, out, _ = run(capsys, "upper-sets", str(tall), "--max-elements", "30")
+    monkeypatch.setattr(posets, "UPPER_MAX_ELEMENTS", 30)
+    code, out, _ = run(capsys, "upper-sets", str(tall))
     assert code == 0 and len(out.splitlines()) == 31
 
 
@@ -158,14 +174,15 @@ def test_fin_cap(capsys, diamond_file, monkeypatch):
         ("val-mub", "{poset}", "a:1", "b:1", "--grid", "2", "--cap", "5"),
         ("val-maxbelow", "{poset}", "a:1", "--grid", "2", "--cap", "5"),
         ("val-grid", "{poset}", "--grid", "2", "--cap", "5"),
+        ("upper-sets", "{poset}", "--max-elements", "30"),
     ],
 )
 def test_cap_flags_are_usage_errors(capsys, diamond_file, argv):
-    # the caps are module constants; no command takes a --cap flag
+    # the limits are module constants; no command takes a flag that changes one
     with pytest.raises(SystemExit) as exc:
         main([a.format(poset=diamond_file) for a in argv])
     assert exc.value.code == 2
-    assert "unrecognized arguments: --cap" in capsys.readouterr().err
+    assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
 
 
 def test_enumerate_count(capsys):

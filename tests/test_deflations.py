@@ -12,7 +12,7 @@ from ordbench import (
     check_controlled,
     check_quasi_deflation,
     enumerate_posets,
-    eta_deflation,
+    eta_map,
     format_quasi_deflation,
     parse_poset,
     parse_quasi_deflation,
@@ -92,7 +92,7 @@ def test_constructor_rejects_what_the_checker_flags():
 
 
 def test_self_compose_fixes_unit():
-    e = eta_deflation(DIAMOND)
+    e = QuasiDeflation(DIAMOND, eta_map(DIAMOND))
     assert qd_self_compose(e).values == e.values
 
 
@@ -132,9 +132,10 @@ def test_self_compose_preserves_validity(seed):
 
 
 def test_product_of_units_is_unit():
-    chi = product_qd(eta_deflation(CHAIN2), eta_deflation(CHAIN2))
+    unit = QuasiDeflation(CHAIN2, eta_map(CHAIN2))
+    chi = product_qd(unit, unit)
     prod = CHAIN2.product(CHAIN2)
-    assert chi.values == eta_deflation(prod).values
+    assert chi.values == QuasiDeflation(prod, eta_map(prod)).values
 
 
 def test_product_of_constant_bottoms():
@@ -145,7 +146,7 @@ def test_product_of_constant_bottoms():
 
 def test_product_is_a_valid_deflation():
     phi = QuasiDeflation(DIAMOND, {"bot": ("bot",), "a": ("bot",), "b": ("b",), "top": ("b",)})
-    chi = product_qd(phi, eta_deflation(CHAIN2))
+    chi = product_qd(phi, QuasiDeflation(CHAIN2, eta_map(CHAIN2)))
     rep = check_quasi_deflation(chi.source, chi.as_dict())
     assert rep.valid
     assert chi(("a", "c1")) == (("bot", "c1"),)
@@ -154,7 +155,9 @@ def test_product_is_a_valid_deflation():
 def test_unit_products_recover_principal_filters():
     """Intersecting the product-unit images over all points gives back each up-set."""
     prod = DIAMOND.product(CHAIN2)
-    chi = product_qd(eta_deflation(DIAMOND), eta_deflation(CHAIN2))
+    chi = product_qd(
+        QuasiDeflation(DIAMOND, eta_map(DIAMOND)), QuasiDeflation(CHAIN2, eta_map(CHAIN2))
+    )
     for p in prod.elements:
         assert prod.up_closure(chi(p)) == prod.up_closure([p])
 
@@ -164,7 +167,7 @@ def test_unit_products_recover_principal_filters():
 
 def test_separator_returns_unit_for_one_pair():
     psi = qfs_separator(DIAMOND, [(("bot",), "a")])
-    assert psi.values == eta_deflation(DIAMOND).values
+    assert psi.values == QuasiDeflation(DIAMOND, eta_map(DIAMOND)).values
 
 
 def test_separator_handles_several_pairs():
@@ -181,7 +184,7 @@ def test_separator_rejects_pairs_outside_the_cone():
 
 def test_separator_search_mode_picks_first_fit():
     coarse = const_bottom(DIAMOND)
-    fine = eta_deflation(DIAMOND)
+    fine = QuasiDeflation(DIAMOND, eta_map(DIAMOND))
     psi = qfs_separator(DIAMOND, [(("a",), "a")], candidates=[coarse, fine])
     assert psi.values == fine.values
     psi2 = qfs_separator(DIAMOND, [(("bot",), "a")], candidates=[coarse, fine])
@@ -201,7 +204,7 @@ def ident(P):
 
 
 def test_unit_controlled_by_identity():
-    c = ControlledQuasiDeflation(ident(DIAMOND), eta_deflation(DIAMOND))
+    c = ControlledQuasiDeflation(ident(DIAMOND), QuasiDeflation(DIAMOND, eta_map(DIAMOND)))
     rep = check_controlled(c)
     assert rep.valid
 
@@ -226,7 +229,7 @@ def test_containment_violation_reported():
 def test_deflating_flag_checks_f_below_identity():
     f = MonotoneMap(DIAMOND, DIAMOND, {"bot": "bot", "a": "a", "b": "b", "top": "top"})
     up = MonotoneMap(DIAMOND, DIAMOND, {"bot": "bot", "a": "top", "b": "b", "top": "top"})
-    phi = eta_deflation(DIAMOND)
+    phi = QuasiDeflation(DIAMOND, eta_map(DIAMOND))
     ok = ControlledQuasiDeflation(f, phi)
     assert check_controlled(ok, require_deflating=True).valid
     bad = ControlledQuasiDeflation(up, QuasiDeflation(
@@ -238,7 +241,7 @@ def test_deflating_flag_checks_f_below_identity():
 
 
 def test_separating_set_of_unit_family():
-    c = ControlledQuasiDeflation(ident(DIAMOND), eta_deflation(DIAMOND))
+    c = ControlledQuasiDeflation(ident(DIAMOND), QuasiDeflation(DIAMOND, eta_map(DIAMOND)))
     assert separating_set_from_controlled(c) == ("bot", "a", "b", "top")
 
 
@@ -318,7 +321,7 @@ def test_deflation_file_round_trip():
 
 
 def test_controlled_file_round_trip():
-    c = ControlledQuasiDeflation(ident(DIAMOND), eta_deflation(DIAMOND))
+    c = ControlledQuasiDeflation(ident(DIAMOND), QuasiDeflation(DIAMOND, eta_map(DIAMOND)))
     text = format_quasi_deflation(c)
     assert "control:" in text
     back = parse_quasi_deflation(DIAMOND, text)

@@ -8,8 +8,9 @@ and ``#``, and two elements with one name; the map, finmap, antichain,
 quasi-deflation and admissible formats meet empty names, names with outer
 whitespace or a line break or holding ``#`` or ``->``, and for antichains
 ``,``, ``{`` or ``}``; the quasi-deflation format also meets names that
-begin with ``control:``. Each must refuse to write a name it cannot read
-back.
+begin with ``control:``. The valuation format meets empty names and names
+holding whitespace, and writes names holding ``#``, ``->`` and ``:``. Each
+must refuse to write a name it cannot read back.
 """
 
 from fractions import Fraction
@@ -24,7 +25,7 @@ from ordbench import (
     PosetError,
     QuasiDeflation,
     Valuation,
-    eta_deflation,
+    eta_map,
     format_admissible,
     format_antichain,
     format_finmap,
@@ -79,6 +80,20 @@ BAD_ANTICHAIN_NAME = st.builds(
     lambda a, c, b: a + c + b,
     st.text(alphabet=SAFE, max_size=2),
     st.sampled_from(",{}"),
+    st.text(alphabet=SAFE, max_size=2),
+)
+# names the valuation format must refuse: it splits its entries at whitespace
+BAD_VALUATION_NAME = st.just("") | st.builds(
+    lambda a, c, b: a + c + b,
+    st.text(alphabet=SAFE + "#->", max_size=2),
+    st.sampled_from([" ", "\t", "\n", "\u2028"]),
+    st.text(alphabet=SAFE + "#->", max_size=2),
+)
+# names a valuation entry carries, though no line format can
+SEPARATOR_NAME = st.builds(
+    lambda a, seps, b: a + "".join(seps) + b,
+    st.text(alphabet=SAFE, max_size=2),
+    st.permutations(["#", "->", ":"]),
     st.text(alphabet=SAFE, max_size=2),
 )
 # names the quasi-deflation format must refuse: they read back as control lines
@@ -214,7 +229,7 @@ def test_line_formats_refuse_names_they_cannot_read_back(data):
 def test_antichain_values_refuse_separators_in_names(data):
     bad = data.draw(BAD_ANTICHAIN_NAME)
     P = data.draw(with_name(data.draw(posets()), st.just(bad)))
-    unit = eta_deflation(P)  # every element is in its own value
+    unit = QuasiDeflation(P, eta_map(P))  # every element is in its own value
     for write, obj in (
         (format_antichain, (bad,)),
         (format_finmap, unit),
@@ -253,6 +268,40 @@ def test_valuation_and_admissible_round_trip(data):
     assert parse_admissible(T, format_admissible(f)).values == f.values
 
 
+def with_mass(data, name) -> tuple:
+    """A drawn poset with one more element drawn from ``name``, and a drawn
+    valuation on it with mass 1/2 on that element: ``(element, valuation)``."""
+    Q = data.draw(posets())
+    extra = data.draw(name)
+    nu = data.draw(valuations(Q))
+    P = data.draw(with_name(Q, st.just(extra)))
+    half = {x: w / 2 for x, w in zip(Q.elements, nu.weights)}
+    return extra, Valuation(P, {extra: Fraction(1, 2), **half})
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_valuation_format_refuses_names_it_cannot_read_back(data):
+    bad, nu = with_mass(data, BAD_VALUATION_NAME)
+    with pytest.raises(PosetError) as err:
+        format_valuation(nu)
+    assert str(err.value) == f"the valuation format cannot write the name {bad!r}"
+    # str and repr write any name
+    assert f"{bad}:1/2" in str(nu) and repr(nu) == f"Valuation({str(nu)!r})"
+    # an element without mass is not written, so its name is not refused
+    P = nu.poset
+    light = Valuation(P, {x: 2 * w for x, w in zip(P.elements, nu.weights) if x != bad})
+    assert parse_valuation(P, format_valuation(light)) == light
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_valuation_format_writes_names_with_separators(data):
+    # entries split at whitespace only, so "#", "->" and ":" are read back
+    _, nu = with_mass(data, SEPARATOR_NAME)
+    assert parse_valuation(nu.poset, format_valuation(nu)) == nu
+
+
 @pytest.mark.parametrize("kind", lazy.KINDS)
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_lazy_truncations_round_trip(kind, k):
@@ -262,5 +311,5 @@ def test_lazy_truncations_round_trip(kind, k):
     n = len(P)
     nu = Valuation(P, {x: Fraction(i + 1, n * (n + 1) // 2) for i, x in enumerate(P.elements)})
     assert parse_valuation(P, format_valuation(nu)).weights == nu.weights
-    unit = eta_deflation(P)
+    unit = QuasiDeflation(P, eta_map(P))
     assert parse_quasi_deflation(P, format_quasi_deflation(unit)) == unit

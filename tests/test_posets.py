@@ -22,6 +22,7 @@ from ordbench import (
     poset_to_dot,
     truncate,
 )
+from ordbench import posets
 from ordbench.cli import _relabel
 from ordbench.lazy import KINDS
 
@@ -110,17 +111,25 @@ def test_upper_sets_match_brute_force():
         )
 
 
-def test_upper_sets_guard():
+def test_upper_sets_guard(monkeypatch):
     big = Poset(range(21), [])
-    with pytest.raises(PosetError, match="max_elements"):
+    with pytest.raises(PosetError) as err:
         big.upper_sets()
-    assert len(big.upper_sets(max_elements=21)) == 2**21
+    assert str(err.value) == (
+        "upper-set enumeration on 21 elements may list up to 2^21 sets, "
+        "above the limit of 20 elements"
+    )
+    monkeypatch.setattr(posets, "UPPER_MAX_ELEMENTS", 21)
+    assert len(big.upper_sets()) == 2**21
 
 
 def _check_upper_masks(P):
     """``_upper_masks`` lists the brute-force upper sets in strictly
-    increasing mask order, from the empty set to the carrier."""
-    masks = P._upper_masks(max_elements=len(P))
+    increasing mask order, from the empty set to the carrier, with the
+    limit set to the size of ``P``."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(posets, "UPPER_MAX_ELEMENTS", len(P))
+        masks = P._upper_masks()
     brute = {sum(1 << P.index(x) for x in U) for U in brute_upper_sets(P)}
     assert set(masks) == brute
     assert all(a < b for a, b in zip(masks, masks[1:]))
@@ -155,9 +164,10 @@ def test_upper_masks_match_brute_force_on_random_posets(case):
     _check_upper_masks(Poset(els, [(i, j) for i, j in pairs if i < j]))
 
 
-def test_upper_sets_of_a_long_chain():
+def test_upper_sets_of_a_long_chain(monkeypatch):
     chain = Poset(range(60), [(i, i + 1) for i in range(59)])
-    ups = chain.upper_sets(max_elements=60)
+    monkeypatch.setattr(posets, "UPPER_MAX_ELEMENTS", 60)
+    ups = chain.upper_sets()
     assert len(ups) == 61
     assert ups[0] == frozenset() and ups[-1] == frozenset(range(60))
 

@@ -10,6 +10,7 @@ from ordbench import (
     MixingReport,
     MonotoneMap,
     Poset,
+    PosetError,
     Valuation,
     ValuationError,
     dirac,
@@ -34,7 +35,7 @@ from ordbench import (
     way_below,
     way_below_report,
 )
-from ordbench import valuations
+from ordbench import posets, valuations
 from ordbench.valuations import _compositions, _oracle_leq
 
 from oracles import (
@@ -498,6 +499,35 @@ def test_grid_cap_holds_at_the_count_and_trips_one_below(monkeypatch):
         with pytest.raises(ValuationError) as err:
             consumer()
         assert str(err.value) == "grid would hold 10 valuations, above the cap of 9"
+
+
+def test_upper_max_elements_holds_at_the_count_and_trips_one_below(monkeypatch):
+    # every upper-set consumer reads the one UPPER_MAX_ELEMENTS, and it is
+    # checked before the diamond's cached listing is returned
+    nu = parse_valuation(DIAMOND, "a:1/2 b:1/2")
+    lo = dirac(DIAMOND, "bot")
+    consumers = (
+        DIAMOND.upper_sets,
+        lambda: way_below_report(lo, nu),
+        lambda: mixing_oracle(lo, nu),
+        lambda: tightly_below(lo, nu),
+        lambda: stochastic_leq(lo, nu, mode="oracle"),
+        lambda: minimal_upper_bounds_grid(dirac(DIAMOND, "a"), dirac(DIAMOND, "b"), 2),
+        lambda: maximal_below_grid(nu, 2),
+        lambda: failed_deflation_a(nu, 2),
+    )
+    monkeypatch.setattr(posets, "UPPER_MAX_ELEMENTS", 4)
+    assert len(DIAMOND.upper_sets()) == 6
+    for consumer in consumers:
+        consumer()
+    monkeypatch.setattr(posets, "UPPER_MAX_ELEMENTS", 3)
+    for consumer in consumers:
+        with pytest.raises(PosetError) as err:
+            consumer()
+        assert str(err.value) == (
+            "upper-set enumeration on 4 elements may list up to 2^4 sets, "
+            "above the limit of 3 elements"
+        )
 
 
 def test_grid_poset_orders_by_stochastic_leq():
