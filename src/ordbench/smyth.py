@@ -277,7 +277,6 @@ class QuasiSectionReport:
     retraction_law: bool
     projection_law: bool
     canonical: Optional[bool]
-    canonical_table: Optional[dict]
     witness: Optional[str] = None
 
     @property
@@ -338,12 +337,9 @@ def check_quasi_retraction(r: MonotoneMap, qs: FinMap) -> QuasiSectionReport:
                 )
             break
     canonical = None
-    canon_table = None
     if not _unreached(Y, r.values):
-        canon = canonical_quasi_section(r)
-        canon_table = canon.as_dict()
-        canonical = canon.values == qs.values
-    return QuasiSectionReport(retraction, projection, canonical, canon_table, witness)
+        canonical = canonical_quasi_section(r).values == qs.values
+    return QuasiSectionReport(retraction, projection, canonical, witness)
 
 
 # -- stage chains -------------------------------------------------------------

@@ -91,10 +91,17 @@ class AdmissibleReport:
 
 
 def _as_value_tuple(T: Poset, values) -> Tuple[Fraction, ...]:
+    """The values of a map on ``T``, a dict keyed by nodes (missing ones get
+    0) or a sequence in element order, aligned with ``T.elements``."""
     if isinstance(values, AdmissibleMap):
+        if values.tree != T:
+            raise ValuationError("admissible maps live on different trees")
         return values.values
     if isinstance(values, dict):
-        return tuple(Fraction(values.get(e, 0)) for e in T.elements)
+        vals = [Fraction(0)] * len(T.elements)
+        for e, v in values.items():
+            vals[T.index(e)] = Fraction(v)
+        return tuple(vals)
     vals = tuple(Fraction(v) for v in values)
     if len(vals) != len(T.elements):
         raise ValuationError(f"expected {len(T.elements)} values, got {len(vals)}")

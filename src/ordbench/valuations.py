@@ -366,14 +366,40 @@ def stochastic_leq_report(nu: Valuation, mu: Valuation) -> StochasticOrderReport
 # -- strict approximation -----------------------------------------------------
 
 
+def _strict_gaps(nu: Valuation, mu: Valuation) -> Tuple[List[int], int, List[tuple], list]:
+    """The one strict-approximation scan: ``(masks, D, (a, b), kinds)``.
+
+    Checks that both valuations live on one pointed poset, lists its upper
+    sets ``masks`` and the integer mass rows ``a`` of ``nu`` and ``b`` of
+    ``mu`` over ``D`` (see :func:`_upper_masses`). ``kinds[u]`` labels the
+    proper upper set ``masks[u]`` by how it breaks nu << mu:
+    ``support_on_null`` (left mass where the right has none),
+    ``mass_exceeds`` (left mass above right) or ``equal_mass`` (masses equal
+    and positive, which strictness forbids); None when it does not.
+    """
+    P = _require_same_poset(nu, mu)
+    if not P.is_pointed:
+        raise ValuationError("strict approximation needs a pointed poset")
+    masks = P._upper_masks()
+    D, (a, b) = _upper_masses((nu, mu), masks)
+    kinds = [
+        "support_on_null" if x and not y
+        else "mass_exceeds" if x > y
+        else "equal_mass" if x == y > 0
+        else None
+        for x, y in zip(a[:-1], b[:-1])
+    ]
+    return masks, D, (a, b), kinds
+
+
 @dataclass(frozen=True)
 class WayBelowReport:
     """Strict-approximation decision with per-upper-set diagnostics.
 
-    ``violations`` lists every proper upper set breaking the criterion,
-    labeled ``mass_exceeds`` (left mass above right), ``equal_mass`` (masses
-    equal and positive, which strictness forbids), or ``support_on_null``
-    (left puts mass where the right has none).
+    ``violations`` lists every proper upper set breaking the criterion, in
+    upper-set order, as a dict of its ``kind`` (one of the labels of
+    :func:`_strict_gaps`), the ``upper`` set and the masses ``lhs`` of the
+    left and ``rhs`` of the right valuation.
     """
 
     result: bool
@@ -393,31 +419,14 @@ def way_below(nu: Valuation, mu: Valuation) -> bool:
 
 
 def way_below_report(nu: Valuation, mu: Valuation) -> WayBelowReport:
-    P = _require_same_poset(nu, mu)
-    if not P.is_pointed:
-        raise ValuationError("strict approximation needs a pointed poset")
-    masks = P._upper_masks()
-    D, (a, b) = _upper_masses((nu, mu), masks)
-    violations = []
-    for mask, x, y in zip(masks[:-1], a, b):
-        if y == 0 and x > 0:
-            kind = "support_on_null"
-        elif y > 0 and x > y:
-            kind = "mass_exceeds"
-        elif y > 0 and x == y:
-            kind = "equal_mass"
-        else:
-            continue
-        upper = frozenset(P.elements[i] for i in _bits(mask))
-        violations.append(
-            {
-                "kind": kind,
-                "upper": upper,
-                "lhs": Fraction(x, D),
-                "rhs": Fraction(y, D),
-            }
-        )
-    return WayBelowReport(not violations, tuple(violations))
+    masks, D, (a, b), kinds = _strict_gaps(nu, mu)
+    P = nu.poset
+    violations = tuple(
+        {"kind": kind, "upper": P._set_of(m), "lhs": Fraction(x, D), "rhs": Fraction(y, D)}
+        for kind, m, x, y in zip(kinds, masks, a, b)
+        if kind
+    )
+    return WayBelowReport(not violations, violations)
 
 
 @dataclass(frozen=True)
@@ -425,8 +434,10 @@ class MixingReport:
     """Outcome of :func:`mixing_oracle`.
 
     ``epsilon`` is 1/k for the first feasible k, or None when no mix works.
-    ``searched_up_to`` is the bound 2 * (#upper sets) * D, with D the common
-    denominator of both valuations; the closed-form k always falls within it.
+    ``searched_up_to`` is the bound 2 * #U * D, with #U the number of upper
+    sets and D the common denominator of both valuations. Nothing is
+    searched: k comes in closed form and always falls within this bound,
+    which is reported as a measure of the problem's size.
     """
 
     exists: bool
@@ -437,27 +448,21 @@ class MixingReport:
 def mixing_oracle(nu: Valuation, mu: Valuation) -> MixingReport:
     """Largest epsilon = 1/k with nu below (1-eps) mu + eps (bottom mass), if any.
 
-    On a proper upper set U the mix has mass (1 - 1/k) mu(U), so k works iff
-    k * (mu(U) - nu(U)) >= mu(U) on every such U. No k works if some U has
-    nu(U) > mu(U), or nu(U) = mu(U) > 0. Otherwise the first feasible k is
-    computed in closed form: max(1, max over mu(U) > 0 of
-    ceil(mu(U) / (mu(U) - nu(U)))). It is at most D, the common denominator
-    of the weights, by the gap argument: every strict mass gap is at least
-    1/D while the mix concedes at most eps, so k = D works whenever any k
-    does.
+    It refuses exactly where :func:`way_below` fails, on the same scan
+    (:func:`_strict_gaps`): on a proper upper set U the mix has mass
+    (1 - 1/k) mu(U), so k works iff k * (mu(U) - nu(U)) >= mu(U) on every
+    such U; no k works if some U has nu(U) > mu(U), or nu(U) = mu(U) > 0.
+    Otherwise the first feasible k is computed in closed form: max(1, max
+    over mu(U) > 0 of ceil(mu(U) / (mu(U) - nu(U)))). It is at most D, the
+    common denominator of the weights, by the gap argument: every strict
+    mass gap is at least 1/D while the mix concedes at most eps, so k = D
+    works whenever any k does.
     """
-    P = _require_same_poset(nu, mu)
-    if not P.is_pointed:
-        raise ValuationError("mixing oracle needs a pointed poset")
-    masks = P._upper_masks()
-    D, (a, b) = _upper_masses((nu, mu), masks)
+    masks, D, (a, b), kinds = _strict_gaps(nu, mu)
     bound = 2 * len(masks) * D
-    k = 1
-    for x, y in zip(a[:-1], b[:-1]):
-        if x > y or (x == y > 0):
-            return MixingReport(False, None, bound)
-        if y > 0:
-            k = max(k, -(-y // (y - x)))
+    if any(kinds):
+        return MixingReport(False, None, bound)
+    k = max((-(-y // (y - x)) for x, y in zip(a[:-1], b[:-1]) if y), default=1)
     return MixingReport(True, Fraction(1, k), bound)
 
 
@@ -720,7 +725,6 @@ class SetFunctionRounding:
 
     values: Dict[frozenset, Fraction]
     witness: Optional[Tuple[frozenset, frozenset]] = None
-    step: Fraction = Fraction(1)
 
 
 def failed_deflation_a(nu: Valuation, N: int) -> SetFunctionRounding:
@@ -746,9 +750,7 @@ def failed_deflation_a(nu: Valuation, N: int) -> SetFunctionRounding:
         None,
     )
     return SetFunctionRounding(
-        values={sets[m]: Fraction(k, N) for m, k in units.items()},
-        witness=witness,
-        step=Fraction(1, N),
+        values={sets[m]: Fraction(k, N) for m, k in units.items()}, witness=witness
     )
 
 

@@ -754,10 +754,29 @@ def test_c12_way_below_criterion_equals_mixing_oracle():
                 nu = Valuation(P, {e: F(vecs[i][k], D) for k, e in enumerate(P.elements)})
                 mu = Valuation(P, {e: F(vecs[j][k], D) for k, e in enumerate(P.elements)})
                 assert way_below(nu, mu) == bool(W[i, j])
+                # the kind of every nonempty proper upper set, from the numpy masses
+                kinds = {v["upper"]: v["kind"] for v in way_below_report(nu, mu).violations}
+                for u, mask in enumerate(uppers):
+                    x, y = masses[i, u], masses[j, u]
+                    if y == 0:
+                        want = "support_on_null" if x > 0 else None
+                    elif x >= y:
+                        want = "mass_exceeds" if x > y else "equal_mass"
+                    else:
+                        want = None
+                    upper = frozenset(e for k, e in enumerate(P.elements) if mask >> k & 1)
+                    assert kinds.pop(upper, None) == want
+                assert not kinds  # nothing on the empty set or the carrier
                 mix = mixing_oracle(nu, mu)
                 assert mix.exists == bool(X[i, j])
                 if mix.exists:
                     assert mix.epsilon > 0
+                    k = next(
+                        k
+                        for k in range(1, D + 1)
+                        if (masses[i] * k <= masses[j] * (k - 1)).all()
+                    )
+                    assert mix.epsilon == F(1, k)
                 lib_checks += 1
 
     assert pointed == 1183

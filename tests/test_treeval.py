@@ -199,6 +199,31 @@ def test_values_outside_unit_interval_rejected(diamond_paths):
     assert not check_admissible(Pi, values).valid
 
 
+def test_admissible_maps_on_another_tree_are_refused(diamond_paths):
+    Pi, _ = diamond_paths
+    chain = parse_poset("elements: r s\norder: r < s")
+    small = admissible(chain, {"r": F(1), "s": H})
+    big = admissible(Pi, {BOT: F(1), A: H, B: H, AT: H})
+    for T, f in ((Pi, small), (chain, big)):
+        for call in (check_admissible, admissible):
+            with pytest.raises(ValuationError) as err:
+                call(T, f)
+            assert str(err.value) == "admissible maps live on different trees"
+    # an equal tree built apart is the same tree
+    same, _ = path_space(DIAMOND)
+    assert same is not Pi
+    assert check_admissible(same, big).valid
+    assert admissible(same, big).values == big.values
+
+
+def test_admissible_dict_keys_must_be_nodes():
+    chain = parse_poset("elements: r s\norder: r < s")
+    for call in (check_admissible, admissible):
+        with pytest.raises(PosetError) as err:
+            call(chain, {"r": 1, "zzz": 5})
+        assert str(err.value) == "unknown element: 'zzz'"
+
+
 # -- binary least upper bounds ---------------------------------------------------------
 
 

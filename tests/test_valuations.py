@@ -282,10 +282,15 @@ def test_way_below_implies_order():
 
 
 def test_way_below_requires_pointed_poset():
-    P = parse_poset("elements: u v\norder:")
-    one = Valuation(P, {"u": F(1)})
-    with pytest.raises(ValuationError, match="pointed"):
-        way_below(one, one)
+    """Strict approximation and the mixing oracle share one refusal, made
+    before any upper set is listed: the 21-element antichain is refused for
+    having no bottom, not by the upper-set guard."""
+    for P in (parse_poset("elements: u v\norder:"), Poset(range(21), [])):
+        one = dirac(P, P.elements[0])
+        for call in (way_below, way_below_report, mixing_oracle):
+            with pytest.raises(ValuationError) as err:
+                call(one, one)
+            assert str(err.value) == "strict approximation needs a pointed poset"
 
 
 def test_way_below_matches_mixing_oracle():
