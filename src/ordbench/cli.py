@@ -130,18 +130,25 @@ def _cmd_upper_sets(args) -> int:
 
 
 def _relabel(P: Poset, rename) -> Poset:
-    return Poset._from_masks(tuple(rename(e) for e in P.elements), P._up, P._down)
+    """P with each element renamed; refuses two elements given one label, so
+    that no output line or DOT node stands for two elements."""
+    named = Poset._from_masks(tuple(map(rename, P.elements)), P._up, P._down)
+    if len(named._index) < len(named.elements):
+        # the index keeps the last position of a label, so its first one differs
+        clash = next(e for i, e in enumerate(named.elements) if named._index[e] != i)
+        raise PosetError(f"two elements share the label {clash!r}")
+    return named
 
 
 def _cmd_pathspace(args) -> int:
     P = _load_poset(args.poset)
     pi, r = path_space(P)
+    named = _relabel(pi, lambda p: "/".join(str(x) for x in p))
     if args.dot:
-        named = _relabel(pi, lambda p: "/".join(str(x) for x in p))
         sys.stdout.write(poset_to_dot(named, name="pathspace"))
     else:
-        for p in pi.elements:
-            print("/".join(str(x) for x in p) + f" -> {r(p)}")
+        for label, p in zip(named.elements, pi.elements):
+            print(f"{label} -> {r(p)}")
     return 0
 
 

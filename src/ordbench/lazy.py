@@ -79,11 +79,8 @@ class LazyPoset:
 
     __slots__ = ("kind",)
 
-    _TAGS = {
-        "n2": ("bot", "n", "omega"),
-        "t": ("bot", "n", "top"),
-        "nsum": ("bot", "n", "omegaside"),
-    }
+    # the elements above every node level, per kind
+    _CAPS = {"n2": (OMEGA,), "t": (TOP,), "nsum": (omega_side(0), omega_side(1))}
 
     def __init__(self, kind: str):
         if kind not in KINDS:
@@ -94,20 +91,15 @@ class LazyPoset:
         return f"LazyPoset({self.kind!r})"
 
     def validate(self, code: Code) -> Code:
-        ok = (
-            isinstance(code, tuple)
-            and code
-            and code[0] in self._TAGS[self.kind]
-            and (
-                (code[0] in ("bot", "top", "omega") and len(code) == 1)
-                or (code[0] == "omegaside" and len(code) == 2 and code[1] in (0, 1))
-                or (
-                    code[0] == "n"
-                    and len(code) == 3
-                    and code[1] in (0, 1)
-                    and isinstance(code[2], int)
-                    and code[2] >= 0
-                )
+        ok = isinstance(code, tuple) and (
+            code == BOT
+            or code in self._CAPS[self.kind]
+            or (
+                len(code) == 3
+                and code[0] == "n"
+                and code[1] in (0, 1)
+                and isinstance(code[2], int)
+                and code[2] >= 0
             )
         )
         if not ok:
@@ -248,6 +240,12 @@ class Truncation:
 def truncate(L: LazyPoset, k: int) -> Truncation:
     """Cut the poset at node level k (``t``: levels 0..k-1), keeping the caps.
 
+    The codes come layer by layer: bottom, the two nodes of each level from
+    0 up, then the kind's caps. In all three kinds every relation is a chain
+    of relations between adjacent layers, so ``L.leq`` is asked only from
+    each element to the next layer: at most twice per element, O(k) queries
+    in all. The closure derives the rest.
+
     ``n2`` and ``nsum`` truncations come with the level-clamping projection;
     ``t`` has no monotone projection fixing top (that is the point of the
     poset), so its truncation carries project=None and serves as a fixture
@@ -256,19 +254,13 @@ def truncate(L: LazyPoset, k: int) -> Truncation:
     if k < 1:
         raise PosetError("truncation depth must be at least 1")
     levels = range(k) if L.kind == "t" else range(k + 1)
-    codes: List[Code] = [BOT]
-    for m in levels:
-        codes.append(node(0, m))
-        codes.append(node(1, m))
-    if L.kind == "n2":
-        codes.append(OMEGA)
-    elif L.kind == "t":
-        codes.append(TOP)
-    else:
-        codes.append(omega_side(0))
-        codes.append(omega_side(1))
-    names = tuple(format_code(c) for c in codes)
-    succ = [[j for j, d in enumerate(codes) if d != c and L.leq(c, d)] for c in codes]
+    layers = [(BOT,), *((node(0, m), node(1, m)) for m in levels), L._CAPS[L.kind]]
+    succ: List[List[int]] = []
+    start = 0
+    for low, high in zip(layers, layers[1:] + [()]):
+        start += len(low)
+        succ += [[start + j for j, d in enumerate(high) if L.leq(c, d)] for c in low]
+    names = tuple(format_code(c) for layer in layers for c in layer)
     P = Poset._from_masks(names, *_closure(succ))
 
     def embed(name: str) -> Code:

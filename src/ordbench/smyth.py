@@ -205,8 +205,9 @@ def check_monad_laws(
     """Verify the three laws pointwise on every antichain of P.
 
     ``h`` maps P into antichains of some poset Y, and ``g`` maps Y into
-    antichains of some poset Z; both default to the unit on P. Returns the
-    first violation found, scanning law by law. More than ``FIN_CAP``
+    antichains of some poset Z; both default to the unit on P. The laws are
+    scanned in order and the first violation is returned: its law's flag is
+    false, and the laws after it stay true unchecked. More than ``FIN_CAP``
     antichains of P raise PosetError.
     """
     if h is None:
@@ -218,44 +219,21 @@ def check_monad_laws(
     if g.source != h.target:
         raise PosetError("g must have source equal to h's target poset")
     fin_p = fin_antichains(P)
-    eta_p = eta_map(P)
-    eta_dag = dagger(eta_p)
     h_dag = dagger(h)
     g_dag = dagger(g)
-
-    unit_identity = True
-    extension_identity = True
-    associativity = True
-    witness = None
-
-    for E in fin_p:
-        got = eta_dag(E)
-        if got != E:
-            unit_identity = False
-            witness = {"law": "unit_identity", "at": E, "lhs": got, "rhs": E}
-            break
-
-    if witness is None:
-        for x in P.elements:
-            lhs = h_dag(eta(P, x))
-            rhs = h(x)
+    composite = FinMap(P, g.target, lambda x: g_dag(h(x)), check=False)
+    laws = (
+        ("unit_identity", fin_p, dagger(eta_map(P)), lambda E: E),
+        ("extension_identity", P.elements, lambda x: h_dag(eta(P, x)), h),
+        ("associativity", fin_p, dagger(composite), lambda E: g_dag(h_dag(E))),
+    )
+    for law, domain, lhs_of, rhs_of in laws:
+        for at in domain:
+            lhs, rhs = lhs_of(at), rhs_of(at)
             if lhs != rhs:
-                extension_identity = False
-                witness = {"law": "extension_identity", "at": x, "lhs": lhs, "rhs": rhs}
-                break
-
-    if witness is None:
-        composite = FinMap(P, g.target, lambda x: g_dag(h(x)), check=False)
-        comp_dag = dagger(composite)
-        for E in fin_p:
-            lhs = comp_dag(E)
-            rhs = g_dag(h_dag(E))
-            if lhs != rhs:
-                associativity = False
-                witness = {"law": "associativity", "at": E, "lhs": lhs, "rhs": rhs}
-                break
-
-    return MonadLawsReport(unit_identity, extension_identity, associativity, witness)
+                witness = {"law": law, "at": at, "lhs": lhs, "rhs": rhs}
+                return MonadLawsReport(*(name != law for name, *_ in laws), witness)
+    return MonadLawsReport(True, True, True)
 
 
 # -- quasi-retractions --------------------------------------------------------
@@ -367,7 +345,7 @@ def koenig_chain(P: Poset, stages: List[Iterable], y) -> List:
     if not norm:
         raise StagePreconditionError("at least one stage is required", 0)
     for i, E in enumerate(norm):
-        if y not in P.up_closure(E):
+        if not P.smyth_leq(E, (y,)):
             raise StagePreconditionError(
                 f"stage {i}: {y!r} is not in the upward closure of {E!r}", i
             )

@@ -11,7 +11,7 @@ from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
 from math import ceil
 
-from ordbench import Poset
+from ordbench import BOT, OMEGA, TOP, Poset, format_code, node, omega_side
 
 # Labeled partial orders on n elements, n = 1..6. The first four values are
 # recomputed here by brute force; the last two pin the library's enumerator.
@@ -96,6 +96,20 @@ def transpose(up):
             if mask >> j & 1:
                 down[j] |= 1 << i
     return tuple(down)
+
+
+def all_pairs_truncation(L, k):
+    """The truncation of a lazy poset at depth k, asking ``L.leq`` on every
+    ordered pair of its codes (bottom, the nodes level by level, the caps).
+
+    Returns ``(elements, up, down)``: the element names and the order masks.
+    """
+    codes = [BOT]
+    for m in range(k if L.kind == "t" else k + 1):
+        codes += [node(0, m), node(1, m)]
+    codes += {"n2": [OMEGA], "t": [TOP], "nsum": [omega_side(0), omega_side(1)]}[L.kind]
+    up = tuple(sum(1 << j for j, d in enumerate(codes) if L.leq(c, d)) for c in codes)
+    return tuple(format_code(c) for c in codes), up, transpose(up)
 
 
 def brute_stochastic_leq(nu, mu):

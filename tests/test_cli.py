@@ -131,6 +131,26 @@ def test_pathspace_dot_matches_golden(capsys, diamond_file):
     assert out == (GOLDEN / "pathspace_diamond.dot").read_text()
 
 
+SLASHED = "elements: bot a b a/b\norder: bot < a; a < b; bot < a/b\n"
+
+
+@pytest.mark.parametrize("dot", [[], ["--dot"]], ids=["text", "dot"])
+def test_pathspace_refuses_two_paths_with_one_label(capsys, tmp_path, dot):
+    """The paths bot<a<b and bot<a/b both read "bot/a/b"."""
+    poset = tmp_path / "slashed.poset"
+    poset.write_text(SLASHED)
+    code, out, err = run(capsys, "pathspace", str(poset), *dot)
+    assert (code, out) == (2, "")
+    assert err == "error: two elements share the label 'bot/a/b'\n"
+
+
+def test_relabel_refuses_a_shared_label():
+    P = posets.parse_poset(DIAMOND)
+    assert cli._relabel(P, str.upper).elements == ("BOT", "A", "B", "TOP")
+    with pytest.raises(posets.PosetError, match="two elements share the label 'x'"):
+        cli._relabel(P, lambda e: "x" if e in ("a", "b") else e)
+
+
 def test_pathspace_walks_a_long_chain(capsys, tmp_path):
     n = 1200
     poset = tmp_path / "chain.poset"
@@ -222,6 +242,20 @@ def test_monad_laws_with_map_files(capsys, tmp_path, diamond_file):
     code, out, _ = run(capsys, "monad-laws", diamond_file, str(h))
     assert code == 0
     assert "associativity: true" in out
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_monad_laws_refuses_a_map_file_that_is_not_monotone(capsys, tmp_path, chain_file, fmt):
+    """The swap of the two-point chain breaks associativity as a library map;
+    as a map file it is refused before any law is checked."""
+    g = tmp_path / "g.finmap"
+    g.write_text("z0 -> {z1}\nz1 -> {z0}\n")
+    code, out, err = run(capsys, "monad-laws", chain_file, str(g), "--format", fmt)
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: not monotone into the antichain order: 'z0' <= 'z1' "
+        "but ('z1',) does not refine to ('z0',)\n"
+    )
 
 
 def test_monad_laws_json(capsys, diamond_file):

@@ -28,7 +28,7 @@ from ordbench import (
     truncate,
 )
 
-from oracles import monotone_maps
+from oracles import all_pairs_truncation, monotone_maps
 
 
 # -- codes ------------------------------------------------------------------
@@ -246,6 +246,28 @@ def test_chain_sum_truncation_carrier():
     assert len(t1.poset.elements) == 7
     assert t1.poset.leq("n:1:0", "omega1")
     assert not t1.poset.leq("n:1:0", "omega0")
+
+
+@pytest.mark.parametrize("kind", ["n2", "t", "nsum"])
+def test_truncation_matches_the_all_pairs_order(kind):
+    L = LazyPoset(kind)
+    for k in range(1, 61):
+        P = truncate(L, k).poset
+        assert (P.elements, P._up, P._down) == all_pairs_truncation(L, k)
+
+
+@pytest.mark.parametrize("kind", ["n2", "t", "nsum"])
+def test_truncation_asks_the_order_only_between_adjacent_layers(kind, monkeypatch):
+    calls = []
+    leq = LazyPoset.leq
+
+    def counted(self, x, y):
+        calls.append((x, y))
+        return leq(self, x, y)
+
+    monkeypatch.setattr(LazyPoset, "leq", counted)
+    P = truncate(LazyPoset(kind), 200).poset
+    assert 0 < len(calls) <= 2 * len(P.elements)
 
 
 def test_truncation_depth_must_be_positive():

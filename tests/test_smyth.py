@@ -213,8 +213,13 @@ def test_monad_laws_report_carries_witness_for_broken_map():
     g = FinMap(chain, chain, {"z0": ("z1",), "z1": ("z0",)}, check=False)
     rep = check_monad_laws(DIAMOND, h=h, g=g)
     assert not rep.ok
-    assert not rep.associativity
-    assert rep.witness["law"] == "associativity"
+    assert (rep.unit_identity, rep.extension_identity, rep.associativity) == (True, True, False)
+    assert rep.witness == {
+        "law": "associativity",
+        "at": ("a", "b"),
+        "lhs": ("z0",),
+        "rhs": ("z1",),
+    }
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -317,6 +322,7 @@ def test_chain_extraction_rejects_bad_membership():
     with pytest.raises(StagePreconditionError) as exc:
         koenig_chain(DIAMOND, [("a",)], "b")
     assert exc.value.index == 0
+    assert str(exc.value) == "stage 0: 'b' is not in the upward closure of ('a',)"
 
 
 @given(st.integers(0, 2**32 - 1))
