@@ -1,8 +1,11 @@
 """Command-line front end.
 
-Every subcommand is a thin wrapper over one library call plus formatting;
-nothing is computed here that a library user could not reproduce. Exit codes:
-0 for success (or a true answer), 1 for a false answer or a found
+Every subcommand but one is a thin wrapper over one library call plus
+formatting. ``demo-failed-deflations`` scans the grid with three: attempts a
+and c once per scanned valuation (the whole grid when none is given), attempt
+b once. Nothing is computed here that a library user could not reproduce.
+
+Exit codes: 0 for success (or a true answer), 1 for a false answer or a found
 counterexample witness, 2 for usage, file, or input format errors, 3 for an
 internal error (any other exception), reported as one ``internal error:
 <Type>: <message>`` line on stderr so that a crash never reads as "false".
@@ -237,23 +240,15 @@ def _cmd_val_waybelow(args) -> int:
     nu = parse_valuation(P, args.nu)
     mu = parse_valuation(P, args.mu)
     rep = way_below_report(nu, mu)
-    violations = [
-        {
-            "kind": v["kind"],
-            "upper": _json_value(P, v["upper"]),
-            "lhs": str(v["lhs"]),
-            "rhs": str(v["rhs"]),
-        }
-        for v in rep.violations
-    ]
     if args.format == "json":
+        violations = [{k: _json_value(P, w) for k, w in v.items()} for v in rep.violations]
         print(json.dumps({"result": rep.result, "violations": violations}, indent=2))
     else:
-        pairs = [("result", rep.result)]
-        for v in violations:
-            text = dict(v, upper="{" + ", ".join(v["upper"]) + "}")
-            pairs.append(("violation", " ".join(f"{k}={w}" for k, w in text.items())))
-        _emit("text", P, pairs)
+        violations = [
+            f"kind={v['kind']} upper={_fmt_upper(P, v['upper'])} lhs={v['lhs']} rhs={v['rhs']}"
+            for v in rep.violations
+        ]
+        _emit("text", P, [("result", rep.result)] + [("violation", v) for v in violations])
     return 0 if rep.result else 1
 
 
@@ -303,52 +298,31 @@ def _cmd_demo_failed_deflations(args) -> int:
     P = _load_poset(args.poset)
     N = args.grid
     targets = [parse_valuation(P, args.nu)] if args.nu else grid(P, N)
-    # every attempt runs before anything is printed, so a failing one prints nothing
-    lines = []
-    found = False
-
-    hit_a = next(
-        ((v, rep) for v in targets for rep in [failed_deflation_a(v, N)] if rep.witness is not None),
+    # every attempt runs, and every line is formatted, before anything is
+    # printed, so a failing one prints nothing
+    a = next(
+        ((v, *rep.witness) for v in targets for rep in [failed_deflation_a(v, N)] if rep.witness),
         None,
     )
-    if hit_a:
-        v, rep = hit_a
-        U, V = rep.witness
-        lines.append(
-            f"attempt a: modularity fails at nu={format_valuation(v)}: "
-            f"U={_fmt_upper(P, U)} V={_fmt_upper(P, V)}"
-        )
-        found = True
-    else:
-        lines.append("attempt a: no modularity witness")
-
-    rep_b = failed_deflation_b(targets[0], N)
-    if rep_b.witness is not None:
-        lo, hi = rep_b.witness
-        lines.append(
-            f"attempt b: monotonicity fails: {format_valuation(lo)} <= "
-            f"{format_valuation(hi)} but the rounded images are not ordered"
-        )
-        found = True
-    else:
-        lines.append("attempt b: no monotonicity witness")
-
-    hit_c = next(
-        ((v, rep) for v in targets for rep in [failed_deflation_c(v, N)] if not rep.unique),
+    b = failed_deflation_b(targets[0], N).witness
+    c = next(
+        ((v, rep.cardinality) for v in targets for rep in [failed_deflation_c(v, N)]
+         if not rep.unique),
         None,
     )
-    if hit_c:
-        v, rep = hit_c
-        lines.append(
-            f"attempt c: no largest grid valuation below nu={format_valuation(v)}: "
-            f"{rep.cardinality} maximal members"
-        )
-        found = True
-    else:
-        lines.append("attempt c: every valuation scanned has a unique largest approximant")
-
-    print("\n".join(lines))
-    return 1 if found else 0
+    print(
+        f"attempt a: modularity fails at nu={format_valuation(a[0])}: "
+        f"U={_fmt_upper(P, a[1])} V={_fmt_upper(P, a[2])}"
+        if a else "attempt a: no modularity witness",
+        f"attempt b: monotonicity fails: {format_valuation(b[0])} <= "
+        f"{format_valuation(b[1])} but the rounded images are not ordered"
+        if b else "attempt b: no monotonicity witness",
+        f"attempt c: no largest grid valuation below nu={format_valuation(c[0])}: "
+        f"{c[1]} maximal members"
+        if c else "attempt c: every valuation scanned has a unique largest approximant",
+        sep="\n",
+    )
+    return 1 if a or b or c else 0
 
 
 def _cmd_lazy(args) -> int:

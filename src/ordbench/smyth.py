@@ -209,6 +209,13 @@ def check_monad_laws(
     scanned in order and the first violation is returned: its law's flag is
     false, and the laws after it stay true unchecked. More than ``FIN_CAP``
     antichains of P raise PosetError.
+
+    The unit and extension laws hold for every :class:`FinMap` by
+    construction: its values are normalized, and :func:`fin_antichains`
+    yields canonical antichains, so those two scans check the normalization.
+    Only associativity can fail, and only for a map built with
+    ``check=False`` that is not monotone. Map files are read with the check
+    on, so ``ordbench monad-laws`` never exits 1 on them.
     """
     if h is None:
         h = eta_map(P)
@@ -293,31 +300,21 @@ def check_quasi_retraction(r: MonotoneMap, qs: FinMap) -> QuasiSectionReport:
     if qs.source != Y or qs.target != X:
         raise PosetError("qs must map the target of r into antichains of its source")
     act = smyth_map(r)
-    retraction = True
-    projection = True
-    witness = None
-    for y in Y.elements:
-        got = act(qs(y))
-        if got != (y,):
-            retraction = False
-            witness = (
-                f"retraction law fails at {y!r}: image antichain {got!r} "
-                f"is not {{{y!r}}}"
-            )
-            break
-    for x in X.elements:
-        if not X.smyth_leq(qs(r(x)), (x,)):
-            projection = False
-            if witness is None:
-                witness = (
-                    f"projection law fails at {x!r}: {x!r} is not above "
-                    f"{qs(r(x))!r}"
-                )
-            break
-    canonical = None
-    if not _unreached(Y, r.values):
-        canonical = canonical_quasi_section(r).values == qs.values
-    return QuasiSectionReport(retraction, projection, canonical, witness)
+    # each scan yields the message of its law's first violation, or None
+    retraction = next(
+        (f"retraction law fails at {y!r}: image antichain {got!r} is not {{{y!r}}}"
+         for y in Y.elements for got in [act(qs(y))] if got != (y,)),
+        None,
+    )
+    projection = next(
+        (f"projection law fails at {x!r}: {x!r} is not above {qs(r(x))!r}"
+         for x in X.elements if not X.smyth_leq(qs(r(x)), (x,))),
+        None,
+    )
+    canonical = None if _unreached(Y, r.values) else canonical_quasi_section(r).values == qs.values
+    return QuasiSectionReport(
+        retraction is None, projection is None, canonical, retraction or projection
+    )
 
 
 # -- stage chains -------------------------------------------------------------

@@ -91,21 +91,32 @@ class AdmissibleReport:
 
 
 def _as_value_tuple(T: Poset, values) -> Tuple[Fraction, ...]:
-    """The values of a map on ``T``, a dict keyed by nodes (missing ones get
-    0) or a sequence in element order, aligned with ``T.elements``."""
+    """The values of a map on ``T``, an :class:`AdmissibleMap` on ``T``, a
+    dict keyed by nodes (missing ones get 0) or a sequence in element order,
+    aligned with ``T.elements``; a map or sequence of the wrong length is
+    refused."""
     if isinstance(values, AdmissibleMap):
         if values.tree != T:
             raise ValuationError("admissible maps live on different trees")
-        return values.values
-    if isinstance(values, dict):
+        vals = values.values
+    elif isinstance(values, dict):
         vals = [Fraction(0)] * len(T.elements)
         for e, v in values.items():
             vals[T.index(e)] = Fraction(v)
         return tuple(vals)
-    vals = tuple(Fraction(v) for v in values)
+    else:
+        vals = tuple(Fraction(v) for v in values)
     if len(vals) != len(T.elements):
         raise ValuationError(f"expected {len(T.elements)} values, got {len(vals)}")
     return vals
+
+
+def _tree_values(T: Poset, values) -> Tuple[Fraction, ...]:
+    """:func:`_as_value_tuple` on a tree; any other poset is refused, so a map
+    built directly, not through :func:`admissible`, is held to its shape."""
+    if not T.is_tree():
+        raise PosetError("admissible maps live on trees")
+    return _as_value_tuple(T, values)
 
 
 def _child_sums(T: Poset, vals: Tuple[Fraction, ...]) -> List[Fraction]:
@@ -135,9 +146,7 @@ def check_admissible(T: Poset, values) -> AdmissibleReport:
     dominates the sum of its cover children's values. Values outside [0, 1]
     are also reported.
     """
-    if not T.is_tree():
-        raise PosetError("admissible maps live on trees")
-    vals = _as_value_tuple(T, values)
+    vals = _tree_values(T, values)
     bot = T.bottom()
     violations = []
     for e, v in zip(T.elements, vals):
@@ -170,10 +179,15 @@ def valuation_to_admissible(nu: Valuation) -> AdmissibleMap:
 
 
 def admissible_to_valuation(f: AdmissibleMap) -> Valuation:
-    """Atom weights from filter masses: node value minus children total."""
+    """Atom weights from filter masses: node value minus children total.
+
+    A map built directly rather than through :func:`admissible` is refused
+    when its poset is not a tree (PosetError) or its value count is wrong
+    (ValuationError).
+    """
     T = f.tree
-    sums = _child_sums(T, f.values)
-    weights = {e: v - s for e, v, s in zip(T.elements, f.values, sums) if v != s}
+    vals = _tree_values(T, f)
+    weights = {e: v - s for e, v, s in zip(T.elements, vals, _child_sums(T, vals)) if v != s}
     return Valuation(T, weights)
 
 
@@ -184,12 +198,13 @@ def admissible_lub(f1: AdmissibleMap, f2: AdmissibleMap) -> Optional[AdmissibleM
     over cover children, children first. If the root value stays at 1 the
     result is admissible and is the least upper bound; a root value above 1
     means the pair has no common upper bound at all, reported as None rather
-    than an exception so searches can treat it as an empty result.
+    than an exception so searches can treat it as an empty result. Maps on
+    different trees, on a non-tree or with the wrong value count are refused,
+    as in :func:`admissible_to_valuation`.
     """
-    if f1.tree != f2.tree:
-        raise ValuationError("admissible maps live on different trees")
     T = f1.tree
-    vals = _children_first(T, lambda i, s: max(f1.values[i], f2.values[i], s))
+    v1, v2 = _tree_values(T, f1), _as_value_tuple(T, f2)
+    vals = _children_first(T, lambda i, s: max(v1[i], v2[i], s))
     root = T.index(T.bottom())
     if vals[root] > 1:
         return None

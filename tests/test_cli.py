@@ -274,8 +274,17 @@ def test_quasi_retraction_identity(capsys, chain_file, tmp_path):
     m.write_text("z0 -> z0\nz1 -> z1\n")
     code, out, _ = run(capsys, "quasi-retraction", chain_file, chain_file, str(m))
     assert code == 0
-    assert "retraction_law: true" in out
-    assert "canonical: true" in out
+    assert out == (
+        "retraction_law: true\nprojection_law: true\ncanonical: true\nwitness: none\n"
+    )
+    code, out, _ = run(
+        capsys, "quasi-retraction", chain_file, chain_file, str(m), "--format", "json"
+    )
+    assert code == 0
+    assert out == (
+        '{\n  "retraction_law": true,\n  "projection_law": true,\n'
+        '  "canonical": true,\n  "witness": null\n}\n'
+    )
 
 
 def test_quasi_retraction_reports_failing_section(capsys, chain_file, tmp_path):
@@ -285,12 +294,20 @@ def test_quasi_retraction_reports_failing_section(capsys, chain_file, tmp_path):
     point.write_text("elements: z0\norder:\n")
     qs = tmp_path / "qs.finmap"
     qs.write_text("z0 -> {z1}\n")
-    code, out, _ = run(
-        capsys, "quasi-retraction", chain_file, str(point), str(m), str(qs)
-    )
+    argv = ["quasi-retraction", chain_file, str(point), str(m), str(qs)]
+    code, out, _ = run(capsys, *argv)
     assert code == 1
-    assert "projection_law: false" in out
-    assert "witness:" in out
+    assert out == (
+        "retraction_law: true\nprojection_law: false\ncanonical: false\n"
+        "witness: projection law fails at 'z0': 'z0' is not above ('z1',)\n"
+    )
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 1
+    assert out == (
+        '{\n  "retraction_law": true,\n  "projection_law": false,\n'
+        '  "canonical": false,\n'
+        '  "witness": "projection law fails at \'z0\': \'z0\' is not above (\'z1\',)"\n}\n'
+    )
 
 
 def test_koenig_prints_the_chain(capsys, diamond_file):
@@ -503,14 +520,33 @@ def test_demo_with_explicit_valuation(capsys, diamond_file):
         capsys, "demo-failed-deflations", diamond_file, "a:1/2 b:1/2", "--grid", "2"
     )
     assert code == 1
-    assert "attempt a: modularity fails" in out
+    assert out == (
+        "attempt a: modularity fails at nu=a:1/2 b:1/2: U={a, top} V={b, top}\n"
+        "attempt b: monotonicity fails: b:1 <= b:1/2 top:1/2 but the rounded images "
+        "are not ordered\n"
+        "attempt c: no largest grid valuation below nu=a:1/2 b:1/2: 2 maximal members\n"
+    )
 
 
 def test_demo_is_quiet_on_a_chain(capsys, chain_file):
     code, out, _ = run(capsys, "demo-failed-deflations", chain_file, "--grid", "2")
     assert code == 0
-    assert "no modularity witness" in out
-    assert "no monotonicity witness" in out
+    assert out == (
+        "attempt a: no modularity witness\n"
+        "attempt b: no monotonicity witness\n"
+        "attempt c: every valuation scanned has a unique largest approximant\n"
+    )
+
+
+def test_demo_scans_the_whole_grid_of_thirds(capsys, diamond_file):
+    code, out, _ = run(capsys, "demo-failed-deflations", diamond_file, "--grid", "3")
+    assert code == 1
+    assert out == (
+        "attempt a: modularity fails at nu=a:1/3 b:2/3: U={a, top} V={b, top}\n"
+        "attempt b: monotonicity fails: b:1 <= b:1/3 top:2/3 but the rounded images "
+        "are not ordered\n"
+        "attempt c: no largest grid valuation below nu=b:1/3 top:2/3: 2 maximal members\n"
+    )
 
 
 def test_a_failing_demo_prints_nothing(capsys, tmp_path):

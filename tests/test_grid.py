@@ -17,6 +17,7 @@ from ordbench import (
     Poset,
     Valuation,
     dirac,
+    enumerate_posets,
     failed_deflation_b,
     grid_poset,
     maximal_below_grid,
@@ -24,6 +25,7 @@ from ordbench import (
     parse_poset,
     stochastic_leq,
 )
+from ordbench.valuations import _grid_moves, _grid_points
 
 from oracles import (
     bottom_rounding,
@@ -109,6 +111,51 @@ def test_rounding_witness_on_a_large_grid():
     # 5,456 grid points; the dominance route takes about a second here
     out = failed_deflation_b(dirac(DIAMOND, "a"), 30)
     assert out.witness == dominance_rounding_witness(DIAMOND, 30)
+
+
+def _pointed_posets(n_max):
+    return [P for n in range(1, n_max + 1) for P in enumerate_posets(n) if P.is_pointed]
+
+
+def test_a_unit_move_breaks_the_bottom_rounding_exactly_by_the_move_rule():
+    # a move p -> q takes one unit from x to an upper cover y; the rounded
+    # images fall out of order iff x is not bottom, p[x] >= 2 and p[y] == 0
+    moves = broken = 0
+    for P in _pointed_posets(4):
+        n, bot, masks = len(P.elements), P.index(P.bottom()), P._upper_masks()
+        for N in range(1, 5):
+
+            def image_masses(p):
+                image = [max(c - 1, 0) for c in p]
+                image[bot] = N - (sum(image) - image[bot])
+                return [sum(image[i] for i in range(n) if m >> i & 1) for m in masks]
+
+            points = _grid_points(P, N)
+            for p, above in zip(points, _grid_moves(P, N, points)):
+                for q in map(points.__getitem__, above):
+                    x = next(i for i in range(n) if q[i] < p[i])
+                    y = next(i for i in range(n) if q[i] > p[i])
+                    kept = all(map(int.__le__, image_masses(p), image_masses(q)))
+                    rule = x != bot and p[x] >= 2 and p[y] == 0
+                    assert kept == (not rule), (P, N, p, q)
+                    moves += 1
+                    broken += rule
+    assert (moves, broken) == (8780, 1236)
+
+
+def test_the_rounding_has_a_witness_iff_the_move_rule_can_fire():
+    # the moves generate the grid order, so a witness exists iff some move
+    # breaks the rule: N >= 2 and a non-bottom element has an upper cover
+    cases = witnesses = 0
+    for P in _pointed_posets(5):
+        bot = P.index(P.bottom())
+        covered = any(c for i, c in enumerate(P._cover_masks()) if i != bot)
+        for N in range(1, 4):
+            found = failed_deflation_b(dirac(P, P.bottom()), N).witness is not None
+            assert found == (N >= 2 and covered), (P, N)
+            cases += 1
+            witnesses += found
+    assert (cases, witnesses) == (3549, 2336)
 
 
 def test_upper_bounds_and_approximants_take_memory_linear_in_the_grid():

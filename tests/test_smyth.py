@@ -232,6 +232,23 @@ def test_monad_laws_hold_on_random_instances(seed):
     assert check_monad_laws(P, h=h, g=g).ok
 
 
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_unit_and_extension_laws_hold_for_any_unchecked_table(seed):
+    # FinMap normalizes every value and fin_antichains yields canonical
+    # antichains, so only associativity can fail, and only off monotone maps
+    rng = random.Random(seed)
+    P, Y, Z = (random_poset(rng, rng.randint(1, 4)) for _ in range(3))
+
+    def table(X, T):
+        return {x: rng.sample(T.elements, rng.randint(1, len(T.elements))) for x in X.elements}
+
+    h = FinMap(P, Y, table(P, Y), check=False)
+    g = FinMap(Y, Z, table(Y, Z), check=False)
+    rep = check_monad_laws(P, h=h, g=g)
+    assert rep.unit_identity and rep.extension_identity
+
+
 # -- quasi-retraction ----------------------------------------------------------
 
 
@@ -262,6 +279,18 @@ def test_lopsided_section_fails_projection_law():
     assert not rep.projection_law
     assert "('bot', 'b', 'top')" in rep.witness
     assert rep.canonical is False
+
+
+def test_section_failing_both_laws_reports_the_retraction_witness():
+    """Swapping the two points breaks retraction at u and projection at p;
+    the witness is the retraction failure."""
+    X = Poset(("p", "q"), [])
+    Y = Poset(("u", "v"), [])
+    r = MonotoneMap(X, Y, {"p": "u", "q": "v"})
+    qs = FinMap(Y, X, {"u": ("q",), "v": ("p",)})
+    rep = check_quasi_retraction(r, qs)
+    assert (rep.retraction_law, rep.projection_law, rep.canonical) == (False, False, False)
+    assert rep.witness == "retraction law fails at 'u': image antichain ('v',) is not {'u'}"
 
 
 def test_canonical_section_of_path_space():

@@ -284,6 +284,27 @@ def test_lub_requires_matching_trees(diamond_paths):
         admissible_lub(f, g)
 
 
+def test_maps_built_directly_on_a_non_tree_are_refused():
+    f = AdmissibleMap(DIAMOND, (F(1), H, H, F(1, 4)))
+    for call in (lambda: admissible_lub(f, f), lambda: admissible_to_valuation(f)):
+        with pytest.raises(PosetError, match="^admissible maps live on trees$"):
+            call()
+
+
+def test_maps_built_directly_with_too_few_values_are_refused():
+    chain = parse_poset("elements: z0 z1\norder: z0 < z1")
+    short = AdmissibleMap(chain, (F(1),))
+    full = admissible(chain, {"z0": F(1)})
+    calls = (
+        lambda: admissible_lub(short, short),
+        lambda: admissible_lub(full, short),
+        lambda: admissible_to_valuation(short),
+    )
+    for call in calls:
+        with pytest.raises(ValuationError, match="^expected 2 values, got 1$"):
+            call()
+
+
 # -- covering Val1(Y) through the path space ---------------------------------------------
 
 
