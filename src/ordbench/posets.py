@@ -125,7 +125,7 @@ class Poset:
             relation, or a cycle (antisymmetry failure after closure).
     """
 
-    __slots__ = ("elements", "_index", "_up", "_down", "_uppers_cache")
+    __slots__ = ("elements", "_index", "_up", "_down", "_uppers_cache", "_covers_cache")
 
     def __init__(self, elements: Iterable, relations: Iterable[tuple] = ()):
         elements = tuple(elements)
@@ -148,7 +148,7 @@ class Poset:
         if masks is None:
             raise PosetError(_cycle_message(elements, succ))
         self._up, self._down = masks
-        self._uppers_cache = None
+        self._uppers_cache = self._covers_cache = None
 
     @classmethod
     def _from_masks(cls, elements: tuple, up: tuple, down: tuple) -> "Poset":
@@ -158,7 +158,7 @@ class Poset:
         self.elements = elements
         self._index = {e: i for i, e in enumerate(elements)}
         self._up, self._down = up, down
-        self._uppers_cache = None
+        self._uppers_cache = self._covers_cache = None
         return self
 
     # -- basic queries ----------------------------------------------------
@@ -238,6 +238,10 @@ class Poset:
     def _set_of(self, mask: int) -> frozenset:
         return frozenset(self.elements[i] for i in _bits(mask))
 
+    def _tuple_of(self, mask: int) -> tuple:
+        """The elements of ``mask``, in element order."""
+        return tuple(self.elements[i] for i in _bits(mask))
+
     def up_closure(self, S: Iterable) -> frozenset:
         """All elements above something in ``S`` (including ``S`` itself)."""
         return self._set_of(self._up_mask(S))
@@ -248,8 +252,9 @@ class Poset:
             mask |= self._down[self.index(x)]
         return self._set_of(mask)
 
-    def _cover_masks(self) -> list:
-        """For each element index, the mask of its upper covers.
+    def _cover_masks(self) -> tuple:
+        """For each element index, the mask of its upper covers, computed once
+        per poset (posets are immutable, so the tuple never goes stale).
 
         The covers of i are the minimal elements of its strict up-set. The
         walk takes the lowest remaining bit, steps down inside what remains
@@ -258,21 +263,23 @@ class Poset:
         the lowest bit is already minimal, so the walk costs one step per
         cover. This is the only code that derives the Hasse diagram.
         """
-        up, down = self._up, self._down
-        out = []
-        for i, row in enumerate(up):
-            rest = row & ~(1 << i)
-            covers = 0
-            while rest:
-                j = (rest & -rest).bit_length() - 1
-                below = down[j] & rest
-                while below != 1 << j:
-                    j = (below ^ 1 << j).bit_length() - 1
+        if self._covers_cache is None:
+            up, down = self._up, self._down
+            out = []
+            for i, row in enumerate(up):
+                rest = row & ~(1 << i)
+                covers = 0
+                while rest:
+                    j = (rest & -rest).bit_length() - 1
                     below = down[j] & rest
-                covers |= 1 << j
-                rest &= ~up[j]
-            out.append(covers)
-        return out
+                    while below != 1 << j:
+                        j = (below ^ 1 << j).bit_length() - 1
+                        below = down[j] & rest
+                    covers |= 1 << j
+                    rest &= ~up[j]
+                out.append(covers)
+            self._covers_cache = tuple(out)
+        return self._covers_cache
 
     def covers(self) -> tuple:
         """The transitive reduction, as (lower, upper) pairs.
@@ -324,11 +331,17 @@ class Poset:
         mask = self._mask_of(S)
         if not mask:
             raise PosetError("cannot normalize an empty set to an antichain")
-        keep = []
-        for i in _bits(mask):
-            if not (self._down[i] & ~(1 << i) & mask):
-                keep.append(i)
-        return tuple(self.elements[i] for i in keep)
+        return self._tuple_of(self._minimal(mask))
+
+    def _minimal(self, mask: int) -> int:
+        """The mask of the minimal members of ``mask``."""
+        down, out, rest = self._down, mask, mask
+        while rest:
+            low = rest & -rest
+            if down[low.bit_length() - 1] & mask != low:
+                out ^= low
+            rest ^= low
+        return out
 
     def smyth_leq(self, E: Iterable, F: Iterable) -> bool:
         """Upper-closure containment: every member of F is above some member of E."""

@@ -19,7 +19,7 @@ from typing import Callable, List, Optional, Tuple
 from .posets import (
     MonotoneMap, Poset, PosetError, _bits, _closure, _lines, _require_writable, _unreached,
 )
-from .valuations import Valuation, ValuationError, _fractions
+from .valuations import Valuation, ValuationError, _fractions, _scaled_weights
 
 PATH_CAP = 10_000
 
@@ -119,24 +119,45 @@ def _tree_values(T: Poset, values) -> Tuple[Fraction, ...]:
     return _as_value_tuple(T, values)
 
 
-def _child_sums(T: Poset, vals: Tuple[Fraction, ...]) -> List[Fraction]:
-    """For each node index, the sum of ``vals`` over its cover children."""
-    return [
-        sum((vals[c] for c in _bits(children)), Fraction(0))
-        for children in T._cover_masks()
-    ]
+def _child_sums(T: Poset, ints: List[int]) -> List[int]:
+    """For each node index, the sum of ``ints`` over its cover children."""
+    return [sum([ints[c] for c in _bits(children)]) for children in T._cover_masks()]
 
 
-def _children_first(T: Poset, node: Callable[[int, Fraction], Fraction]) -> Tuple[Fraction, ...]:
+def _children_first(T: Poset, node: Callable[[int, int], int]) -> List[int]:
     """One value per node of a tree, children before parents: ``node(i, s)``
     gives the value at index ``i`` from the sum ``s`` of its children's values.
+
+    The folds run in integers over one common denominator D (see
+    :func:`~ordbench.valuations._scaled_weights`); callers build one Fraction
+    per output value, over D.
     """
     children = T._cover_masks()
-    vals = [Fraction(0)] * len(children)
+    vals = [0] * len(children)
     # deeper nodes have strictly larger predecessor sets
-    for i in sorted(range(len(children)), key=lambda i: -T._down[i].bit_count()):
-        vals[i] = node(i, sum((vals[c] for c in _bits(children[i])), Fraction(0)))
-    return tuple(vals)
+    depth = [d.bit_count() for d in T._down]
+    for i in sorted(range(len(children)), key=depth.__getitem__, reverse=True):
+        s, kids = 0, children[i]
+        while kids:
+            low = kids & -kids
+            s += vals[low.bit_length() - 1]
+            kids ^= low
+        vals[i] = node(i, s)
+    return vals
+
+
+def _violations(T: Poset, vals: Tuple[Fraction, ...]) -> Tuple[str, ...]:
+    """The messages of :func:`check_admissible` for values already checked by
+    :func:`_tree_values`, in the order that function lists them."""
+    D, (ints,) = _scaled_weights((vals,))
+    root = T.index(T.bottom())
+    out = [f"value at {e!r} is {v}, outside [0, 1]"
+           for e, v, x in zip(T.elements, vals, ints) if not 0 <= x <= D]
+    if ints[root] != D:
+        out.append(f"value at bottom {T.elements[root]!r} is {vals[root]}, not 1")
+    out += [f"value at {e!r} is {v}, below its children's sum {Fraction(s, D)}"
+            for e, v, x, s in zip(T.elements, vals, ints, _child_sums(T, ints)) if x < s]
+    return tuple(out)
 
 
 def check_admissible(T: Poset, values) -> AdmissibleReport:
@@ -146,28 +167,18 @@ def check_admissible(T: Poset, values) -> AdmissibleReport:
     dominates the sum of its cover children's values. Values outside [0, 1]
     are also reported.
     """
-    vals = _tree_values(T, values)
-    bot = T.bottom()
-    violations = []
-    for e, v in zip(T.elements, vals):
-        if not 0 <= v <= 1:
-            violations.append(f"value at {e!r} is {v}, outside [0, 1]")
-    if vals[T.index(bot)] != 1:
-        violations.append(f"value at bottom {bot!r} is {vals[T.index(bot)]}, not 1")
-    for e, v, child_sum in zip(T.elements, vals, _child_sums(T, vals)):
-        if v < child_sum:
-            violations.append(
-                f"value at {e!r} is {v}, below its children's sum {child_sum}"
-            )
-    return AdmissibleReport(valid=not violations, violations=tuple(violations))
+    violations = _violations(T, _tree_values(T, values))
+    return AdmissibleReport(valid=not violations, violations=violations)
 
 
 def admissible(T: Poset, values) -> AdmissibleMap:
-    """Construct and validate an admissible map."""
-    report = check_admissible(T, values)
-    if not report.valid:
-        raise ValuationError("; ".join(report.violations))
-    return AdmissibleMap(T, _as_value_tuple(T, values))
+    """Construct and validate an admissible map; the values are converted
+    and checked once."""
+    vals = _tree_values(T, values)
+    violations = _violations(T, vals)
+    if violations:
+        raise ValuationError("; ".join(violations))
+    return AdmissibleMap(T, vals)
 
 
 def valuation_to_admissible(nu: Valuation) -> AdmissibleMap:
@@ -175,7 +186,9 @@ def valuation_to_admissible(nu: Valuation) -> AdmissibleMap:
     T = nu.poset
     if not T.is_tree():
         raise PosetError("admissible coordinates exist only on trees")
-    return AdmissibleMap(T, _children_first(T, lambda i, s: nu.weights[i] + s))
+    D, (w,) = _scaled_weights((nu.weights,))
+    vals = _children_first(T, lambda i, s: w[i] + s)
+    return AdmissibleMap(T, tuple(Fraction(v, D) for v in vals))
 
 
 def admissible_to_valuation(f: AdmissibleMap) -> Valuation:
@@ -186,9 +199,9 @@ def admissible_to_valuation(f: AdmissibleMap) -> Valuation:
     (ValuationError).
     """
     T = f.tree
-    vals = _tree_values(T, f)
-    weights = {e: v - s for e, v, s in zip(T.elements, vals, _child_sums(T, vals)) if v != s}
-    return Valuation(T, weights)
+    D, (xs,) = _scaled_weights((_tree_values(T, f),))
+    sums = _child_sums(T, xs)
+    return Valuation(T, {e: Fraction(v - s, D) for e, v, s in zip(T.elements, xs, sums) if v != s})
 
 
 def admissible_lub(f1: AdmissibleMap, f2: AdmissibleMap) -> Optional[AdmissibleMap]:
@@ -203,12 +216,11 @@ def admissible_lub(f1: AdmissibleMap, f2: AdmissibleMap) -> Optional[AdmissibleM
     as in :func:`admissible_to_valuation`.
     """
     T = f1.tree
-    v1, v2 = _tree_values(T, f1), _as_value_tuple(T, f2)
+    D, (v1, v2) = _scaled_weights((_tree_values(T, f1), _as_value_tuple(T, f2)))
     vals = _children_first(T, lambda i, s: max(v1[i], v2[i], s))
-    root = T.index(T.bottom())
-    if vals[root] > 1:
+    if vals[T.index(T.bottom())] > D:
         return None
-    return AdmissibleMap(T, vals)
+    return AdmissibleMap(T, tuple(Fraction(v, D) for v in vals))
 
 
 # -- serialization --------------------------------------------------------------

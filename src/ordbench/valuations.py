@@ -168,11 +168,12 @@ def _require_same_poset(nu: Valuation, mu: Valuation) -> Poset:
     return nu.poset
 
 
-def _scaled_weights(vals: Sequence[Valuation]) -> Tuple[int, List[List[int]]]:
-    """Every weight of ``vals`` as an integer over ``D``, the lcm of all their
-    denominators: returns ``(D, ints)`` with ``ints[v][i] == D * weight``."""
-    D = lcm(*(w.denominator for v in vals for w in v.weights))
-    return D, [[w.numerator * (D // w.denominator) for w in v.weights] for v in vals]
+def _scaled_weights(rows: Sequence[Sequence[Fraction]]) -> Tuple[int, List[List[int]]]:
+    """Every rational of ``rows`` (weights of valuations, or the values of
+    admissible maps) as an integer over ``D``, the lcm of all their
+    denominators: returns ``(D, ints)`` with ``ints[r][i] == D * rows[r][i]``."""
+    D = lcm(*(w.denominator for row in rows for w in row))
+    return D, [[w.numerator * (D // w.denominator) for w in row] for row in rows]
 
 
 def _upper_masses(
@@ -186,7 +187,7 @@ def _upper_masses(
     poset's upper-set listing, the carrier is last, so ``masks[:-1]`` are the
     proper upper sets.
     """
-    D, ints = _scaled_weights(vals)
+    D, ints = _scaled_weights([v.weights for v in vals])
     return D, _mass_rows(ints, masks)
 
 
@@ -247,7 +248,7 @@ def _transport_decide(nu: Valuation, mu: Valuation) -> StochasticOrderReport:
     by the input alone.
     """
     P = nu.poset
-    D, (a, b) = _scaled_weights((nu, mu))
+    D, (a, b) = _scaled_weights((nu.weights, mu.weights))
     left = [i for i, x in enumerate(a) if x]
     right = [j for j, y in enumerate(b) if y]
     L = len(left)
@@ -577,7 +578,7 @@ def _grid_masses(
 ) -> Tuple[List[tuple], List[tuple]]:
     """Integer upper-set masses of ``vals`` and of the grid points, all over
     one denominator: the lcm of N and of the denominators of ``vals``."""
-    D, ints = _scaled_weights(vals)
+    D, ints = _scaled_weights([v.weights for v in vals])
     L = lcm(N, D)
     ints = [[w * (L // D) for w in a] for a in ints]
     ints += [[k * (L // N) for k in p] for p in points]
@@ -802,7 +803,7 @@ def failed_deflation_b(nu: Valuation, N: int) -> WeightRounding:
         image[bot] = N - (sum(image) - image[bot])
         return tuple(image)
 
-    D, (ints,) = _scaled_weights((nu,))
+    D, (ints,) = _scaled_weights((nu.weights,))
     rounded = _grid_valuations(P, N, [to_bottom(ints, D)])[0]
     points = _grid_points(P, N)
     moves = _grid_moves(P, N, points)

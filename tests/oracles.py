@@ -385,3 +385,105 @@ def dominance_rounding_witness(P, N):
             if i != j and _dominated(a, b) and not _dominated(imgs[i], imgs[j]):
                 return vals[i], vals[j]
     return None
+
+
+# -- tree folds in Fractions and the element-tuple law scan ----------------------
+
+
+def _cover_children(T):
+    """For each node index of T, the indices of its cover children."""
+    kids = [[] for _ in T.elements]
+    for a, b in T.covers():
+        kids[T.index(a)].append(T.index(b))
+    return kids
+
+
+def fraction_child_sums(T, vals):
+    """For each node index, the Fraction sum of ``vals`` over its cover children."""
+    return [sum((vals[c] for c in kids), Fraction(0)) for kids in _cover_children(T)]
+
+
+def fraction_children_first(T, node):
+    """One Fraction per node of a tree, children before parents: ``node(i, s)``
+    gives the value at index ``i`` from the sum ``s`` of its children's values.
+    Nodes are visited deepest first, by the size of their down-closure."""
+    kids = _cover_children(T)
+    vals = [Fraction(0)] * len(kids)
+    depth = [len(T.down_closure([e])) for e in T.elements]
+    for i in sorted(range(len(kids)), key=lambda i: -depth[i]):
+        vals[i] = node(i, sum((vals[c] for c in kids[i]), Fraction(0)))
+    return tuple(vals)
+
+
+def reference_filter_masses(nu):
+    """The admissible values of a valuation on a tree, by the Fraction fold."""
+    return fraction_children_first(nu.poset, lambda i, s: nu.weights[i] + s)
+
+
+def reference_lub(T, v1, v2):
+    """The children-first lub of two value tuples on T, None when the root
+    value exceeds 1."""
+    vals = fraction_children_first(T, lambda i, s: max(v1[i], v2[i], s))
+    return None if vals[T.index(T.bottom())] > 1 else vals
+
+
+def reference_weights(T, vals):
+    """Atom weights from filter masses: each node's value less its children's sum."""
+    return {e: v - s for e, v, s in zip(T.elements, vals, fraction_child_sums(T, vals)) if v != s}
+
+
+def reference_violations(T, vals):
+    """The messages ``check_admissible`` gives for ``vals`` on the tree T, in order."""
+    bot = T.bottom()
+    root = vals[T.index(bot)]
+    out = [
+        f"value at {e!r} is {v}, outside [0, 1]"
+        for e, v in zip(T.elements, vals)
+        if not 0 <= v <= 1
+    ]
+    if root != 1:
+        out.append(f"value at bottom {bot!r} is {root}, not 1")
+    out += [
+        f"value at {e!r} is {v}, below its children's sum {s}"
+        for e, v, s in zip(T.elements, vals, fraction_child_sums(T, vals))
+        if v < s
+    ]
+    return tuple(out)
+
+
+def reference_monad_laws(P, h, g):
+    """The three extension laws scanned on element tuples, in the order of
+    ``check_monad_laws``: returns the three flags and the first violation's
+    witness dict (None when all hold). Antichains are listed by subset scan,
+    lexicographic in index order, and normalized by ``leq`` alone."""
+    Y, Z = h.target, g.target
+
+    def norm(Q, S):
+        return tuple(e for e in Q.elements if e in S and not any(d != e and Q.leq(d, e) for d in S))
+
+    def ext(Q, f, E):
+        return norm(Q, {y for x in E for y in f(x)})
+
+    els = P.elements
+    fin = [
+        tuple(els[i] for i in idx)
+        for idx in sorted(
+            idx
+            for r in range(1, len(els) + 1)
+            for idx in combinations(range(len(els)), r)
+            if not any(P.comparable(els[a], els[b]) for a, b in combinations(idx, 2))
+        )
+    ]
+    laws = (
+        ("unit_identity", fin, lambda E: norm(P, set(E)), lambda E: E),
+        ("extension_identity", els, lambda x: ext(Y, h, (x,)), h),
+        ("associativity", fin, lambda E: ext(Z, lambda x: ext(Z, g, h(x)), E),
+         lambda E: ext(Z, g, ext(Y, h, E))),
+    )
+    for law, domain, lhs_of, rhs_of in laws:
+        for at in domain:
+            lhs, rhs = lhs_of(at), rhs_of(at)
+            if lhs != rhs:
+                flags = tuple(name != law for name, *_ in laws)
+                return flags, {"law": law, "at": at, "lhs": lhs, "rhs": rhs}
+    return (True, True, True), None

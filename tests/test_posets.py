@@ -86,6 +86,22 @@ def test_covers_diamond(diamond):
     )
 
 
+def test_cover_masks_are_computed_once_per_poset(diamond):
+    import pathlib
+
+    assert diamond._covers_cache is None
+    first = diamond._cover_masks()
+    assert isinstance(first, tuple) and diamond._cover_masks() is first
+    assert diamond.covers() == (("bot", "a"), ("bot", "b"), ("a", "top"), ("b", "top"))
+    golden = pathlib.Path(__file__).parent / "golden" / "diamond_hasse.dot"
+    assert poset_to_dot(diamond) == golden.read_text()
+    # a poset built from another's masks derives its own diagram
+    named = _relabel(diamond, str.upper)
+    assert named._covers_cache is None
+    assert named._cover_masks() == first and named._cover_masks() is not first
+    assert named.covers() == (("BOT", "A"), ("BOT", "B"), ("A", "TOP"), ("B", "TOP"))
+
+
 def test_covers_skip_transitive_edges():
     P = Poset("abc", [("a", "b"), ("b", "c"), ("a", "c")])
     assert P.covers() == (("a", "b"), ("b", "c"))

@@ -31,7 +31,9 @@ from ordbench import (
 )
 from ordbench import smyth
 
-from oracles import random_finmap, random_monotone_map, random_poset, transpose
+from oracles import (
+    random_finmap, random_monotone_map, random_poset, reference_monad_laws, transpose,
+)
 
 DIAMOND = parse_poset("elements: bot a b top\norder: bot < a; bot < b; a < top; b < top")
 CHAIN3 = parse_poset("elements: x0 x1 x2\norder: x0 < x1; x1 < x2")
@@ -247,6 +249,25 @@ def test_unit_and_extension_laws_hold_for_any_unchecked_table(seed):
     g = FinMap(Y, Z, table(Y, Z), check=False)
     rep = check_monad_laws(P, h=h, g=g)
     assert rep.unit_identity and rep.extension_identity
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=80, deadline=None)
+def test_mask_law_scan_matches_the_element_tuple_scan(seed):
+    # about a quarter of these maps are not monotone and break associativity
+    rng = random.Random(seed)
+    P, Y, Z = (random_poset(rng, rng.randint(lo, 6)) for lo in (3, 3, 2))
+
+    def table(X, T):
+        return {x: rng.sample(T.elements, rng.randint(1, min(3, len(T)))) for x in X.elements}
+
+    h = FinMap(P, Y, table(P, Y), check=False)
+    g = FinMap(Y, Z, table(Y, Z), check=False)
+    for args in ((h, g), (h, eta_map(Y)), (eta_map(P), eta_map(P))):
+        rep = check_monad_laws(P, *args)
+        flags, witness = reference_monad_laws(P, *args)
+        assert (rep.unit_identity, rep.extension_identity, rep.associativity) == flags
+        assert rep.witness == witness
 
 
 # -- quasi-retraction ----------------------------------------------------------

@@ -30,8 +30,13 @@ from ordbench import (
 )
 
 from oracles import (
+    random_pointed_poset,
     random_poset,
     random_valuation,
+    reference_filter_masses,
+    reference_lub,
+    reference_violations,
+    reference_weights,
     rooted_trees,
     saturated_chain_count,
     tree_poset,
@@ -305,13 +310,56 @@ def test_maps_built_directly_with_too_few_values_are_refused():
             call()
 
 
+# -- the integer folds against the Fraction folds ---------------------------------------
+
+
+def outcome(call):
+    """The result of ``call``, or the type and text of the error it raised."""
+    try:
+        return call()
+    except (PosetError, ValuationError) as err:
+        return type(err), str(err)
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=80, deadline=None)
+def test_integer_folds_match_the_fraction_folds(seed):
+    rng = random.Random(seed)
+    T, _ = path_space(random_pointed_poset(rng, rng.randint(1, 7)))
+    d = rng.randint(1, 12)
+    nus = [random_valuation(rng, T, d) for _ in range(2)]
+    # Diracs at two nodes have no lub when the nodes are incomparable
+    nus += [dirac(T, rng.choice(T.elements)) for _ in range(2)]
+    fs = [valuation_to_admissible(nu) for nu in nus]
+    for nu, f in zip(nus, fs):
+        assert f.values == reference_filter_masses(nu)
+        assert admissible_to_valuation(f).weights == nu.weights
+    # values on the grid 1/d, some outside [0, 1], most not admissible
+    raw = tuple(F(rng.randint(-d, 2 * d), d) for _ in T.elements)
+    direct = AdmissibleMap(T, raw)
+    for f1, f2 in ((fs[0], fs[1]), (fs[2], fs[3]), (direct, fs[0]), (fs[1], direct)):
+        lub = admissible_lub(f1, f2)
+        want = reference_lub(T, f1.values, f2.values)
+        assert (None if lub is None else lub.values) == want
+    assert outcome(lambda: admissible_to_valuation(direct).weights) == outcome(
+        lambda: Valuation(T, reference_weights(T, raw)).weights
+    )
+    want = reference_violations(T, raw)
+    assert check_admissible(T, raw).violations == want
+    assert admissible(T, list(fs[0].values)).values == fs[0].values
+    if want:
+        with pytest.raises(ValuationError) as err:
+            admissible(T, raw)
+        assert str(err.value) == "; ".join(want)
+    else:
+        assert admissible(T, raw).values == raw
+
+
 # -- covering Val1(Y) through the path space ---------------------------------------------
 
 
 def test_every_grid_valuation_lifts_through_the_endpoint_map():
     rng = random.Random(43)
-    from oracles import random_pointed_poset
-
     for _ in range(20):
         Y = random_pointed_poset(rng, rng.randint(1, 4))
         Pi, r = path_space(Y)
