@@ -11,30 +11,31 @@ yields a finite separating set.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, Optional, Tuple
 
 from .posets import (
-    MonotoneMap, Poset, PosetError, _arrow, _failing_pairs, _lines, _require_writable,
+    MonotoneMap, Poset, PosetError, _arrow, _bits, _failing_pairs, _lines, _require_writable,
 )
-from .smyth import FinMap, dagger, eta_map, format_antichain, parse_antichain
+from .smyth import FinMap, _extend, eta_map, format_antichain, parse_antichain
 
 
 class QuasiDeflation(FinMap):
     """An antichain-valued endomap with every point above its own value.
 
-    Construction validates both laws (membership and monotonicity) unless
+    Construction validates both laws (monotonicity, then membership) unless
     ``check=False`` is passed; use :func:`check_quasi_deflation` to examine a
     candidate table without raising.
     """
 
     def __init__(self, poset: Poset, table, *, check: bool = True):
         super().__init__(poset, poset, table, check=check)
-        strays = self._strays() if check else ()
+
+    def _check(self) -> None:
+        super()._check()
+        strays = self._strays()
         if strays:
             x = strays[0]
-            raise PosetError(
-                f"not a quasi-deflation: {x!r} is not above its value {self(x)!r}"
-            )
+            raise PosetError(f"not a quasi-deflation: {x!r} is not above its value {self(x)!r}")
 
     @property
     def poset(self) -> Poset:
@@ -43,9 +44,7 @@ class QuasiDeflation(FinMap):
     def _strays(self) -> tuple:
         """The elements not above their own value, in element order."""
         P = self.source
-        return tuple(
-            x for x, E in zip(P.elements, self.values) if not P.smyth_leq(E, (x,))
-        )
+        return tuple(x for x, E, down in zip(P.elements, self._masks, P._down) if not E & down)
 
 
 @dataclass(frozen=True)
@@ -64,7 +63,7 @@ def check_quasi_deflation(P: Poset, table) -> QuasiDeflationReport:
     phi = QuasiDeflation(P, table, check=False)
     membership = phi._strays()
     strict_ups = [up & ~(1 << i) for i, up in enumerate(P._up)]
-    mono = tuple(_failing_pairs(P, P, phi.values, strict_ups))
+    mono = tuple(_failing_pairs(P, P, phi._masks, strict_ups))
     return QuasiDeflationReport(
         valid=not membership and not mono,
         membership_violations=membership,
@@ -80,19 +79,25 @@ def qd_self_compose(phi: QuasiDeflation) -> QuasiDeflation:
     so it can also be used to see what self-composition does to a broken
     candidate (run :func:`check_quasi_deflation` on the output if it matters).
     """
-    ext = dagger(phi)
-    return QuasiDeflation(phi.poset, lambda x: ext(phi(x)), check=False)
+    P, masks = phi.poset, phi._masks
+    return QuasiDeflation._from_masks(P, P, tuple(_extend(P, masks, E) for E in masks))
 
 
 def product_qd(phi: QuasiDeflation, psi: QuasiDeflation) -> QuasiDeflation:
-    """The componentwise product assignment on the product poset."""
+    """The componentwise product assignment on the product poset.
+
+    The value at (x, y) is every pair of a member of phi(x) and a member of
+    psi(y), an antichain of the product already. The result is validated.
+    """
     prod = phi.poset.product(psi.poset)
-
-    def table(pair):
-        x, y = pair
-        return [(m, k) for m in phi(x) for k in psi(y)]
-
-    return QuasiDeflation(prod, table)
+    shift = len(psi.poset)
+    # row-major: the pair of indices (a, b) is bit a * shift + b
+    masks = tuple(
+        sum(F << a * shift for a in _bits(E)) for E in phi._masks for F in psi._masks
+    )
+    chi = QuasiDeflation._from_masks(prod, prod, masks)
+    chi._check()
+    return chi
 
 
 def qfs_separator(
@@ -109,21 +114,26 @@ def qfs_separator(
     separates every pair is returned (useful for truncations of the lazily
     presented posets, whose interesting families are indexed).
     """
-    checked = []
+    checked = []  # (up-mask of E, x, the mask of the elements below x)
     for E, x in pairs:
-        E = P.antichain_normalize(E)
-        if x not in P.up_closure(E):
-            raise PosetError(f"pair ({E!r}, {x!r}) invalid: point not above the antichain")
-        checked.append((E, x))
+        E = P._minimal(P._mask_of(E))
+        below = P._down[P.index(x)]
+        if not E & below:
+            raise PosetError(
+                f"pair ({P._tuple_of(E)!r}, {x!r}) invalid: point not above the antichain"
+            )
+        checked.append((P._up_mask(E), x, below))
 
     def separates(psi: QuasiDeflation) -> bool:
+        # a candidate's values are read by name, as for any map handed in
         return all(
-            P.smyth_leq(E, psi(x)) and P.smyth_leq(psi(x), (x,))
-            for E, x in checked
+            not v & ~up and v & below
+            for up, x, below in checked
+            for v in [P._mask_of(psi(x))]
         )
 
     if candidates is None:
-        psi = QuasiDeflation(P, eta_map(P), check=False)
+        psi = QuasiDeflation._from_masks(P, P, eta_map(P)._masks)
         assert separates(psi)
         return psi
     for psi in candidates:
@@ -160,14 +170,11 @@ def check_controlled(
     f, phi = c.control, c.deflation
     if f.source != P or f.target != P:
         raise PosetError("control must be an endomap of the deflation's poset")
-    containment = tuple(
-        x
-        for x in P.elements
-        if not P.smyth_leq((f(x),), phi(x))
-    )
+    fup = [P._up[P.index(v)] for v in f.values]
+    containment = tuple(x for x, E, up in zip(P.elements, phi._masks, fup) if E & ~up)
     deflating: Tuple = ()
     if require_deflating:
-        deflating = tuple(x for x in P.elements if not P.leq(f(x), x))
+        deflating = tuple(x for i, (x, up) in enumerate(zip(P.elements, fup)) if not up >> i & 1)
     return ControlledReport(
         valid=not containment and not deflating,
         containment_violations=containment,
@@ -187,17 +194,15 @@ def separating_set_from_controlled(c: ControlledQuasiDeflation) -> Tuple:
     if not report.valid:
         raise PosetError(f"invalid controlled pair: {report}")
     P = c.deflation.poset
-    f = c.control
-    members = set()
-    for x in P.elements:
-        members.update(c.deflation(x))
-    M = tuple(sorted(members, key=P.index))
-    for x in P.elements:
-        if not any(P.leq(f(x), m) and P.leq(m, x) for m in M):
+    M = 0
+    for E in c.deflation._masks:
+        M |= E
+    for x, v, down in zip(P.elements, c.control.values, P._down):
+        if not M & P._up[P.index(v)] & down:
             raise PosetError(
                 f"separation postcondition failed at {x!r}; input pair is inconsistent"
             )
-    return M
+    return P._tuple_of(M)
 
 
 # -- serialization --------------------------------------------------------------

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 UPPER_MAX_ELEMENTS = 20
 
@@ -228,12 +228,12 @@ class Poset:
             mask |= 1 << self.index(x)
         return mask
 
-    def _up_mask(self, S: Iterable) -> int:
-        """The mask of the upward closure of ``S``."""
-        mask = 0
-        for x in S:
-            mask |= self._up[self.index(x)]
-        return mask
+    def _up_mask(self, mask: int) -> int:
+        """The mask of the upward closure of the members of ``mask``."""
+        up, out = self._up, 0
+        for i in _bits(mask):
+            out |= up[i]
+        return out
 
     def _set_of(self, mask: int) -> frozenset:
         return frozenset(self.elements[i] for i in _bits(mask))
@@ -244,7 +244,7 @@ class Poset:
 
     def up_closure(self, S: Iterable) -> frozenset:
         """All elements above something in ``S`` (including ``S`` itself)."""
-        return self._set_of(self._up_mask(S))
+        return self._set_of(self._up_mask(self._mask_of(S)))
 
     def down_closure(self, S: Iterable) -> frozenset:
         mask = 0
@@ -328,13 +328,13 @@ class Poset:
         Keeps the minimal elements of ``S``, sorted by element index. The
         empty set has no upward closure worth naming here and is rejected.
         """
-        mask = self._mask_of(S)
-        if not mask:
-            raise PosetError("cannot normalize an empty set to an antichain")
-        return self._tuple_of(self._minimal(mask))
+        return self._tuple_of(self._minimal(self._mask_of(S)))
 
     def _minimal(self, mask: int) -> int:
-        """The mask of the minimal members of ``mask``."""
+        """The mask of the minimal members of ``mask``: the canonical antichain
+        with the same upward closure. An empty ``mask`` is a PosetError."""
+        if not mask:
+            raise PosetError("cannot normalize an empty set to an antichain")
         down, out, rest = self._down, mask, mask
         while rest:
             low = rest & -rest
@@ -345,7 +345,7 @@ class Poset:
 
     def smyth_leq(self, E: Iterable, F: Iterable) -> bool:
         """Upper-closure containment: every member of F is above some member of E."""
-        return not (self._mask_of(F) & ~self._up_mask(E))
+        return not (self._mask_of(F) & ~self._up_mask(self._mask_of(E)))
 
     # -- constructions ------------------------------------------------------
 
@@ -379,44 +379,41 @@ class Poset:
 # -- monotone maps ---------------------------------------------------------
 
 
-def _values(source: Poset, mapping, fit: Callable, noun: str = "map") -> tuple:
-    """``fit`` of the value of ``mapping`` (a dict or a callable) at each
-    element of ``source``, in element order; a missing value is a PosetError."""
+def _values(source: Poset, mapping, noun: str = "map") -> Iterator:
+    """The value of ``mapping`` (a dict or a callable) at each element of
+    ``source``, in element order; a missing value is a PosetError."""
     get = mapping.__getitem__ if isinstance(mapping, dict) else mapping
-    out = []
     for e in source.elements:
         try:
             v = get(e)
         except KeyError:
             raise PosetError(f"{noun} is missing a value for {e!r}") from None
-        out.append(fit(v))
-    return tuple(out)
+        yield v
 
 
 def _failing_pairs(
-    source: Poset, target: Poset, values: Sequence, rows: Sequence[int]
+    source: Poset, target: Poset, marks: Sequence[int], rows: Sequence[int]
 ) -> Iterator[tuple]:
     """Every pair ``(x, y)`` with ``y`` in the mask ``rows[x]`` at which a map
     is not monotone, in index order of x, then of y.
 
-    ``values[i]`` holds the target elements that element ``i`` goes to: one
-    for a point map, an antichain for a map into the Smyth order. A pair
-    fails when some member of the value at ``y`` is above no member of the
-    value at ``x``. This is the only monotonicity check.
+    ``marks[i]`` is the mask of the target elements that element ``i`` goes
+    to: one for a point map, an antichain for a map into the Smyth order. A
+    pair fails when some member of the value at ``y`` is above no member of
+    the value at ``x``. This is the only monotonicity check.
     """
-    ups = [target._up_mask(v) for v in values]
-    marks = [target._mask_of(v) for v in values]
+    ups = [target._up_mask(m) for m in marks]
     for i, row in enumerate(rows):
         for j in _bits(row):
             if marks[j] & ~ups[i]:
                 yield source.elements[i], source.elements[j]
 
 
-def _first_failing_cover(source: Poset, target: Poset, values: Sequence) -> Optional[tuple]:
+def _first_failing_cover(source: Poset, target: Poset, marks: Sequence[int]) -> Optional[tuple]:
     """The first cover ``(x, y)`` of ``source`` at which a map is not monotone
     (see :func:`_failing_pairs`), or None. Both orders are transitive, so the
     covers decide monotonicity."""
-    return next(_failing_pairs(source, target, values, source._cover_masks()), None)
+    return next(_failing_pairs(source, target, marks, source._cover_masks()), None)
 
 
 def _unreached(target: Poset, values: Iterable) -> list:
@@ -439,9 +436,9 @@ class MonotoneMap:
     def __init__(self, source: Poset, target: Poset, mapping, *, check: bool = True):
         self.source = source
         self.target = target
-        self.values = _values(source, mapping, target._member)
+        self.values = tuple(map(target._member, _values(source, mapping)))
         if check:
-            bad = _first_failing_cover(source, target, [(v,) for v in self.values])
+            bad = _first_failing_cover(source, target, [1 << target.index(v) for v in self.values])
             if bad is not None:
                 x, y = bad
                 raise PosetError(
@@ -497,8 +494,8 @@ def map_predicates(source: Poset, target: Poset, mapping) -> MapReport:
 
     A missing value or a value outside ``target`` is still a PosetError.
     """
-    values = _values(source, mapping, target._member)
-    witness = _first_failing_cover(source, target, [(v,) for v in values])
+    values = tuple(map(target._member, _values(source, mapping)))
+    witness = _first_failing_cover(source, target, [1 << target.index(v) for v in values])
     missing = tuple(_unreached(target, values))
     return MapReport(
         monotone=witness is None,

@@ -8,12 +8,18 @@ antichains of an ordinary monotone map, the multiplication, law checking for
 all of these, quasi-retraction law checking with canonical sections, and the
 stage-chain extraction used when a point survives a descending sequence of
 antichain stages.
+
+Inside the module an antichain is the bitmask of its members over the
+poset's element order, always in canonical form (the minimal members, see
+:meth:`Poset._minimal`). Every decision is mask arithmetic; element tuples
+are read at the API edge and built only for results, values asked for and
+witnesses.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, List, Optional
+from typing import Callable, Iterable, List, Optional, Sequence
 
 from .posets import (
     MonotoneMap, Poset, PosetError, _arrow, _bits, _closure, _first_failing_cover, _lines,
@@ -26,39 +32,63 @@ FIN_CAP = 100_000
 class FinMap:
     """A monotone map from a poset into the antichains of a target poset.
 
-    Values are normalized to canonical antichains at construction.
-    Monotonicity means: x <= y implies the upward closure of the value at x
-    contains the closure of the value at y.
+    Each value is stored as one mask over the target's elements: the
+    canonical antichain (minimal members) of the value given, made at
+    construction. ``values``, calling the map, :meth:`as_dict`, ``repr`` and
+    the text formats build element tuples from the masks on demand; equality
+    and hashing compare the masks. Monotonicity means: x <= y implies the
+    upward closure of the value at x contains the closure of the value at y.
     """
 
-    __slots__ = ("source", "target", "values")
+    __slots__ = ("source", "target", "_masks")
 
     def __init__(self, source: Poset, target: Poset, table, *, check: bool = True):
-        self.source = source
-        self.target = target
-        self.values = _values(source, table, target.antichain_normalize, "antichain map")
+        self.source, self.target = source, target
+        masks = []
+        for x, v in zip(source.elements, _values(source, table, "antichain map")):
+            mask = target._mask_of(v)
+            if not mask:
+                raise PosetError(f"antichain map has an empty value for {x!r}")
+            masks.append(target._minimal(mask))
+        self._masks = tuple(masks)
         if check:
-            bad = _first_failing_cover(source, target, self.values)
-            if bad is not None:
-                x, y = bad
-                raise PosetError(
-                    f"not monotone into the antichain order: {x!r} <= {y!r} "
-                    f"but {self(x)!r} does not refine to {self(y)!r}"
-                )
+            self._check()
+
+    @classmethod
+    def _from_masks(cls, source: Poset, target: Poset, masks: tuple):
+        """Trusted constructor: ``masks`` holds one canonical antichain mask
+        of ``target`` per element of ``source``; nothing is checked."""
+        self = object.__new__(cls)
+        self.source, self.target, self._masks = source, target, masks
+        return self
+
+    def _check(self) -> None:
+        bad = _first_failing_cover(self.source, self.target, self._masks)
+        if bad is not None:
+            x, y = bad
+            raise PosetError(
+                f"not monotone into the antichain order: {x!r} <= {y!r} "
+                f"but {self(x)!r} does not refine to {self(y)!r}"
+            )
+
+    @property
+    def values(self) -> tuple:
+        """The value at each source element, as element tuples in source order."""
+        return tuple(map(self.target._tuple_of, self._masks))
 
     def __call__(self, x) -> tuple:
-        return self.values[self.source.index(x)]
+        return self.target._tuple_of(self._masks[self.source.index(x)])
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, FinMap)
             and self.source == other.source
             and self.target == other.target
-            and self.values == other.values
+            and self._masks == other._masks
         )
 
     def __hash__(self) -> int:
-        return hash((self.source, self.target, self.values))
+        return hash((self.source, self.target, self._masks))
 
     def __repr__(self) -> str:
         body = ", ".join(
@@ -71,6 +101,16 @@ class FinMap:
         return dict(zip(self.source.elements, self.values))
 
 
+def _extend(Q: Poset, values: Sequence[int], mask: int) -> int:
+    """Extend a map with value masks ``values`` (antichains of ``Q``) to the
+    antichain ``mask`` of its source: the minimal members of the OR of the
+    members' values. This is the one extension to antichains."""
+    union = 0
+    for i in _bits(mask):
+        union |= values[i]
+    return Q._minimal(union)
+
+
 def eta(P: Poset, x) -> tuple:
     """The unit: a point becomes the singleton antichain at that point."""
     P.index(x)
@@ -78,7 +118,7 @@ def eta(P: Poset, x) -> tuple:
 
 
 def eta_map(P: Poset) -> FinMap:
-    return FinMap(P, P, lambda x: (x,), check=False)
+    return FinMap._from_masks(P, P, tuple(1 << i for i in range(len(P))))
 
 
 def dagger(h: FinMap) -> Callable[[Iterable], tuple]:
@@ -88,21 +128,15 @@ def dagger(h: FinMap) -> Callable[[Iterable], tuple]:
     the members of E. Monotonicity of ``h`` makes restricting to the members
     (rather than the whole upward closure) sound.
     """
-    tgt = h.target
-
-    def extended(E: Iterable) -> tuple:
-        members: set = set()
-        for x in E:
-            members.update(h(x))
-        return tgt.antichain_normalize(members)
-
-    return extended
+    src, tgt, masks = h.source, h.target, h._masks
+    return lambda E: tgt._tuple_of(_extend(tgt, masks, src._mask_of(E)))
 
 
 def smyth_map(r: MonotoneMap) -> Callable[[Iterable], tuple]:
     """The antichain action of a monotone map: the extension (see
     :func:`dagger`) of the unit after ``r``, so image, then normalize."""
-    return dagger(FinMap(r.source, r.target, lambda x: (r(x),), check=False))
+    Y = r.target
+    return dagger(FinMap._from_masks(r.source, Y, tuple(1 << Y.index(v) for v in r.values)))
 
 
 def mu(P: Poset, Q2: Iterable[Iterable]) -> tuple:
@@ -111,25 +145,24 @@ def mu(P: Poset, Q2: Iterable[Iterable]) -> tuple:
     ``Q2`` must be an antichain in the refinement order itself (pairwise
     incomparable members); the result is the normalized union.
     """
-    members = [P.antichain_normalize(E) for E in Q2]
+    members = [P._minimal(P._mask_of(E)) for E in Q2]
     for i, A in enumerate(members):
         for B in members[i + 1:]:
-            if A != B and (P.smyth_leq(A, B) or P.smyth_leq(B, A)):
+            # one refines the other just when it holds the minimal members of both
+            if A != B and P._minimal(A | B) in (A, B):
                 raise PosetError(
                     f"mu expects pairwise incomparable antichains; "
-                    f"{A!r} and {B!r} are comparable"
+                    f"{P._tuple_of(A)!r} and {P._tuple_of(B)!r} are comparable"
                 )
-    flat: set = set()
-    for E in members:
-        flat.update(E)
-    return P.antichain_normalize(flat)
+    return P._tuple_of(_extend(P, members, (1 << len(members)) - 1))
 
 
-def fin_antichains(P: Poset) -> List[tuple]:
-    """All nonempty canonical antichains of P, in lexicographic index order.
+def _fin_masks(P: Poset) -> List[int]:
+    """The masks of all nonempty antichains of P, in lexicographic index order.
 
     Raises PosetError when more than ``FIN_CAP`` antichains would be
-    produced; the count grows exponentially on wide posets.
+    produced; the count grows exponentially on wide posets. This is the one
+    reader of ``FIN_CAP``.
     """
     cap = FIN_CAP
     up, down = P._up, P._down
@@ -149,8 +182,17 @@ def fin_antichains(P: Poset) -> List[tuple]:
         # the antichains without i come after every antichain that extends grown
         stack.append((chosen, free ^ low))
         stack.append((grown, free & ~(up[i] | down[i])))
-    # element tuples are built only once the cap has held
-    return [P._tuple_of(mask) for mask in found]
+    return found
+
+
+def fin_antichains(P: Poset) -> List[tuple]:
+    """All nonempty canonical antichains of P, in lexicographic index order.
+
+    Raises PosetError when more than ``FIN_CAP`` antichains would be
+    produced; the count grows exponentially on wide posets. Element tuples
+    are built only once the cap has held.
+    """
+    return [P._tuple_of(mask) for mask in _fin_masks(P)]
 
 
 def fin_poset(P: Poset) -> Poset:
@@ -163,14 +205,14 @@ def fin_poset(P: Poset) -> Poset:
     antichains compared. The antichains come from :func:`fin_antichains`,
     so more than ``FIN_CAP`` of them raise PosetError.
     """
-    chains = fin_antichains(P)
-    closure = [P._up_mask(E) for E in chains]
+    masks = _fin_masks(P)
+    closure = [P._up_mask(E) for E in masks]
     index = {up: i for i, up in enumerate(closure)}
     succ = [
-        [index[up ^ 1 << x] for x in _bits(P._mask_of(E)) if up ^ 1 << x]
-        for E, up in zip(chains, closure)
+        [index[up ^ 1 << x] for x in _bits(E) if up ^ 1 << x]
+        for E, up in zip(masks, closure)
     ]
-    return Poset._from_masks(tuple(chains), *_closure(succ))
+    return Poset._from_masks(tuple(map(P._tuple_of, masks)), *_closure(succ))
 
 
 # -- monad laws ---------------------------------------------------------------
@@ -209,10 +251,10 @@ def check_monad_laws(
     false, and the laws after it stay true unchecked. More than ``FIN_CAP``
     antichains of P raise PosetError.
 
-    The scans run on masks: the values of ``h`` and ``g`` become masks once,
-    the extension of a map to an antichain is the minimal members of the OR
-    of its members' value masks, each law compares two masks, and element
-    tuples are built only for the witness.
+    The scans run on the value masks of ``h`` and ``g`` and on the antichain
+    masks of P: the extension of a map to an antichain is :func:`_extend`,
+    each law compares two masks, and element tuples are built only for the
+    witness.
 
     The unit and extension laws hold for every :class:`FinMap` by
     construction: its values are normalized, and :func:`fin_antichains`
@@ -229,31 +271,22 @@ def check_monad_laws(
         raise PosetError("h must have source P")
     if g.source != h.target:
         raise PosetError("g must have source equal to h's target poset")
-    fin_p = fin_antichains(P)
-    fin = [P._mask_of(E) for E in fin_p]
+    fin = _fin_masks(P)
     Y, Z = h.target, g.target
-    hv = [Y._mask_of(v) for v in h.values]
-    gv = [Z._mask_of(v) for v in g.values]
-
-    def ext(Q: Poset, values: List[int], mask: int) -> int:
-        union = 0
-        while mask:
-            low = mask & -mask
-            union |= values[low.bit_length() - 1]
-            mask ^= low
-        return Q._minimal(union)
-
-    gh = [ext(Z, gv, m) for m in hv]  # the extension of g after h, pointwise
+    hv, gv = h._masks, g._masks
+    gh = [_extend(Z, gv, m) for m in hv]  # the extension of g after h, pointwise
     laws = (
-        ("unit_identity", P, fin_p, fin, P._minimal, lambda m: m),
-        ("extension_identity", Y, P.elements, hv, Y._minimal, lambda m: m),
-        ("associativity", Z, fin_p, fin,
-         lambda m: ext(Z, gh, m), lambda m: ext(Z, gv, ext(Y, hv, m))),
+        ("unit_identity", P, fin, P._minimal, lambda m: m),
+        ("extension_identity", Y, hv, Y._minimal, lambda m: m),
+        ("associativity", Z, fin,
+         lambda m: _extend(Z, gh, m), lambda m: _extend(Z, gv, _extend(Y, hv, m))),
     )
-    for law, Q, domain, masks, lhs_of, rhs_of in laws:
-        for at, m in zip(domain, masks):
+    for law, Q, masks, lhs_of, rhs_of in laws:
+        for k, m in enumerate(masks):
             lhs, rhs = lhs_of(m), rhs_of(m)
             if lhs != rhs:
+                # the extension law is checked at a point, the others at an antichain
+                at = P.elements[k] if law == "extension_identity" else P._tuple_of(m)
                 witness = {"law": law, "at": at, "lhs": Q._tuple_of(lhs), "rhs": Q._tuple_of(rhs)}
                 return MonadLawsReport(*(name != law for name, *_ in laws), witness)
     return MonadLawsReport(True, True, True)
@@ -289,7 +322,8 @@ def canonical_quasi_section(r: MonotoneMap) -> FinMap:
     """Minimal elements of the preimage of each principal filter.
 
     Defined whenever ``r`` is surjective; raises otherwise. The result is
-    monotone into the antichain order and satisfies both section laws.
+    monotone into the antichain order and satisfies both section laws: the
+    preimage of the filter of y holds the preimage of every filter above it.
     """
     X, Y = r.source, r.target
     missing = _unreached(Y, r.values)
@@ -297,11 +331,11 @@ def canonical_quasi_section(r: MonotoneMap) -> FinMap:
         raise PosetError(
             f"canonical section needs a surjective map; unreached: {missing!r}"
         )
-    table = {}
-    for y in Y.elements:
-        pre = [x for x in X.elements if Y.leq(y, r(x))]
-        table[y] = X.antichain_normalize(pre)
-    return FinMap(Y, X, table)
+    fibre = [0] * len(Y)
+    for i, v in enumerate(r.values):
+        fibre[Y.index(v)] |= 1 << i
+    # the preimage of a filter is the union of the fibres of its members
+    return FinMap._from_masks(Y, X, tuple(_extend(X, fibre, up) for up in Y._up))
 
 
 def check_quasi_retraction(r: MonotoneMap, qs: FinMap) -> QuasiSectionReport:
@@ -315,19 +349,20 @@ def check_quasi_retraction(r: MonotoneMap, qs: FinMap) -> QuasiSectionReport:
     X, Y = r.source, r.target
     if qs.source != Y or qs.target != X:
         raise PosetError("qs must map the target of r into antichains of its source")
-    act = smyth_map(r)
+    image = [Y.index(v) for v in r.values]
+    act, sec = [1 << j for j in image], qs._masks
     # each scan yields the message of its law's first violation, or None
     retraction = next(
-        (f"retraction law fails at {y!r}: image antichain {got!r} is not {{{y!r}}}"
-         for y in Y.elements for got in [act(qs(y))] if got != (y,)),
+        (f"retraction law fails at {y!r}: image antichain {Y._tuple_of(got)!r} is not {{{y!r}}}"
+         for j, y in enumerate(Y.elements) for got in [_extend(Y, act, sec[j])] if got != 1 << j),
         None,
     )
     projection = next(
-        (f"projection law fails at {x!r}: {x!r} is not above {qs(r(x))!r}"
-         for x in X.elements if not X.smyth_leq(qs(r(x)), (x,))),
+        (f"projection law fails at {x!r}: {x!r} is not above {X._tuple_of(sec[j])!r}"
+         for x, j, down in zip(X.elements, image, X._down) if not sec[j] & down),
         None,
     )
-    canonical = None if _unreached(Y, r.values) else canonical_quasi_section(r).values == qs.values
+    canonical = None if _unreached(Y, r.values) else canonical_quasi_section(r)._masks == sec
     return QuasiSectionReport(
         retraction is None, projection is None, canonical, retraction or projection
     )
@@ -351,43 +386,42 @@ def koenig_chain(P: Poset, stages: List[Iterable], y) -> List:
     a point ``y`` inside every closure, returns elements y_0 <= y_1 <= ...
     <= y_d with y_i drawn from stage i and y_d <= y. The search walks the
     candidate tree depth first in element order, so the answer is the
-    lexicographically least branch.
+    lexicographically least branch. Stages are kept as antichain masks, and
+    the search recurses once per stage.
     """
-    P.index(y)
-    norm = [P.antichain_normalize(E) for E in stages]
+    below = P._down[P.index(y)]
+    norm = [P._minimal(P._mask_of(E)) for E in stages]
     if not norm:
         raise StagePreconditionError("at least one stage is required", 0)
     for i, E in enumerate(norm):
-        if not P.smyth_leq(E, (y,)):
+        if not E & below:
             raise StagePreconditionError(
-                f"stage {i}: {y!r} is not in the upward closure of {E!r}", i
+                f"stage {i}: {y!r} is not in the upward closure of {P._tuple_of(E)!r}", i
             )
-    for i in range(len(norm) - 1):
-        if not P.smyth_leq(norm[i], norm[i + 1]):
+    ups = [P._up_mask(E) for E in norm]
+    for i in range(len(ups) - 1):
+        if ups[i + 1] & ~ups[i]:
             raise StagePreconditionError(
-                f"stage {i + 1}: upward closure is not contained in stage {i}'s",
-                i + 1,
+                f"stage {i + 1}: upward closure is not contained in stage {i}'s", i + 1
             )
-    d = len(norm)
-    chain: List = []
+    chain: List[int] = []
 
-    def rec(i: int, prev) -> bool:
-        if i == d:
+    def rec(i: int, above: int) -> bool:
+        # ``above``: the mask of the elements above the previous pick
+        if i == len(norm):
             return True
-        for c in norm[i]:
-            if P.leq(c, y) and (prev is None or P.leq(prev, c)):
-                chain.append(c)
-                if rec(i + 1, c):
-                    return True
-                chain.pop()
+        for c in _bits(norm[i] & below & above):
+            chain.append(c)
+            if rec(i + 1, P._up[c]):
+                return True
+            chain.pop()
         return False
 
-    found = rec(0, None)
-    if not found:
+    if not rec(0, below):
         # Unreachable when the preconditions hold: a chain can always be
         # grown backwards from a stage-d element below y.
-        raise StagePreconditionError("no chain exists; preconditions violated", d - 1)
-    return chain
+        raise StagePreconditionError("no chain exists; preconditions violated", len(norm) - 1)
+    return [P.elements[c] for c in chain]
 
 
 # -- serialization --------------------------------------------------------------

@@ -29,8 +29,10 @@ def path_space(Y: Poset) -> Tuple[Poset, MonotoneMap]:
 
     Paths are materialized as tuples of elements; the returned poset lists
     them in depth-first order (children visited in element order), so output
-    is deterministic. The endpoint map is verified monotone and surjective
-    and the result verified to be a tree before returning.
+    is deterministic. The endpoint map is monotone by construction (the
+    endpoint of a prefix lies below the endpoint of each extension), so it
+    is built unchecked; it is asserted surjective and the result asserted to
+    be a tree before returning.
 
     Raises PosetError when there are more than ``PATH_CAP`` paths; their number
     grows exponentially on products.
@@ -57,7 +59,7 @@ def path_space(Y: Poset) -> Tuple[Poset, MonotoneMap]:
         kids = reversed(list(_bits(children[end])))
         stack.extend((path + (Y.elements[c],), c, here) for c in kids)
     pi = Poset._from_masks(tuple(paths), *_closure(succ))
-    r = MonotoneMap(pi, Y, lambda p: p[-1])
+    r = MonotoneMap(pi, Y, lambda p: p[-1], check=False)
     assert pi.is_tree()
     assert not _unreached(Y, r.values)
     return pi, r

@@ -487,3 +487,143 @@ def reference_monad_laws(P, h, g):
                 flags = tuple(name != law for name, *_ in laws)
                 return flags, {"law": law, "at": at, "lhs": lhs, "rhs": rhs}
     return (True, True, True), None
+
+
+# -- the Smyth layer on element tuples ------------------------------------------
+#
+# Antichains are tuples in element order, normalized and compared by ``leq``
+# alone; each reference returns what the library function returns, or the
+# message of the PosetError it raises.
+
+
+def reference_normalize(Q, S):
+    """The minimal members of S, in element order."""
+    S = set(S)
+    return tuple(e for e in Q.elements if e in S and not any(d != e and Q.leq(d, e) for d in S))
+
+
+def _refines(Q, E, F):
+    """Every member of F is above some member of E."""
+    return all(any(Q.leq(e, f) for e in E) for f in F)
+
+
+def _brute_covers(Q):
+    return [
+        (x, y)
+        for x in Q.elements
+        for y in Q.elements
+        if x != y and Q.leq(x, y)
+        and not any(z not in (x, y) and Q.leq(x, z) and Q.leq(z, y) for z in Q.elements)
+    ]
+
+
+def reference_finmap_error(S, T, values, deflation=False):
+    """The message of the PosetError a checked FinMap (a QuasiDeflation with
+    ``deflation``) with these value tuples raises, or None."""
+    for x, y in _brute_covers(S):
+        if not _refines(T, values[x], values[y]):
+            return (
+                f"not monotone into the antichain order: {x!r} <= {y!r} "
+                f"but {values[x]!r} does not refine to {values[y]!r}"
+            )
+    for x in S.elements if deflation else ():
+        if not _refines(S, values[x], (x,)):
+            return f"not a quasi-deflation: {x!r} is not above its value {values[x]!r}"
+    return None
+
+
+def reference_quasi_deflation(P, table):
+    """``check_quasi_deflation`` as (valid, membership, monotonicity)."""
+    vals = {x: reference_normalize(P, table[x]) for x in P.elements}
+    member = tuple(x for x in P.elements if not _refines(P, vals[x], (x,)))
+    mono = tuple(
+        (x, y)
+        for x in P.elements
+        for y in P.elements
+        if x != y and P.leq(x, y) and not _refines(P, vals[x], vals[y])
+    )
+    return (not member and not mono, member, mono)
+
+
+def reference_self_compose(P, values):
+    """``qd_self_compose(phi).values`` from phi's values as a dict."""
+    return tuple(
+        reference_normalize(P, [z for y in values[x] for z in values[y]]) for x in P.elements
+    )
+
+
+def reference_product_qd(P, Q, phi, psi):
+    """``product_qd`` of the maps with value dicts ``phi`` and ``psi``: the
+    value tuples on the row-major product, or the construction's message."""
+
+    class Product:
+        elements = tuple((a, b) for a in P.elements for b in Q.elements)
+
+        @staticmethod
+        def leq(s, t):
+            return P.leq(s[0], t[0]) and Q.leq(s[1], t[1])
+
+    values = {
+        (a, b): reference_normalize(Product, [(m, k) for m in phi[a] for k in psi[b]])
+        for a, b in Product.elements
+    }
+    error = reference_finmap_error(Product, Product, values, deflation=True)
+    return error or tuple(values[s] for s in Product.elements)
+
+
+def reference_canonical_section(r):
+    """``canonical_quasi_section(r).values``, or its message."""
+    X, Y = r.source, r.target
+    missing = [y for y in Y.elements if y not in set(r.values)]
+    if missing:
+        return f"canonical section needs a surjective map; unreached: {missing!r}"
+    return tuple(
+        reference_normalize(X, [x for x in X.elements if Y.leq(y, r(x))]) for y in Y.elements
+    )
+
+
+def reference_quasi_retraction(r, qs):
+    """``check_quasi_retraction`` as (retraction, projection, canonical,
+    witness), with ``qs`` a dict of value tuples."""
+    X, Y = r.source, r.target
+    retraction = [
+        f"retraction law fails at {y!r}: image antichain {got!r} is not {{{y!r}}}"
+        for y in Y.elements
+        for got in [reference_normalize(Y, [r(x) for x in qs[y]])]
+        if got != (y,)
+    ]
+    projection = [
+        f"projection law fails at {x!r}: {x!r} is not above {qs[r(x)]!r}"
+        for x in X.elements
+        if not _refines(X, qs[r(x)], (x,))
+    ]
+    section = reference_canonical_section(r)
+    canonical = None if isinstance(section, str) else section == tuple(qs[y] for y in Y.elements)
+    witness = (retraction + projection + [None])[0]
+    return not retraction, not projection, canonical, witness
+
+
+def reference_koenig(P, stages, y):
+    """``koenig_chain`` by depth-first search over element tuples: the chain,
+    or (message, index) of the StagePreconditionError."""
+    norm = [reference_normalize(P, E) for E in stages]
+    if not norm:
+        return "at least one stage is required", 0
+    for i, E in enumerate(norm):
+        if not any(P.leq(e, y) for e in E):
+            return f"stage {i}: {y!r} is not in the upward closure of {E!r}", i
+    for i in range(len(norm) - 1):
+        if not _refines(P, norm[i], norm[i + 1]):
+            return f"stage {i + 1}: upward closure is not contained in stage {i}'s", i + 1
+
+    def search(chain):
+        if len(chain) == len(norm):
+            return chain
+        for c in norm[len(chain)]:
+            if P.leq(c, y) and (not chain or P.leq(chain[-1], c)):
+                found = search(chain + [c])
+                if found:
+                    return found
+        return None
+
+    return search([]) or ("no chain exists; preconditions violated", len(norm) - 1)

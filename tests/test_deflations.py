@@ -5,15 +5,21 @@ from hypothesis import given, settings, strategies as st
 
 from ordbench import (
     ControlledQuasiDeflation,
+    FinMap,
     MonotoneMap,
     Poset,
     PosetError,
     QuasiDeflation,
+    QuasiDeflationReport,
+    StagePreconditionError,
+    canonical_quasi_section,
     check_controlled,
     check_quasi_deflation,
+    check_quasi_retraction,
     enumerate_posets,
     eta_map,
     format_quasi_deflation,
+    koenig_chain,
     parse_poset,
     parse_quasi_deflation,
     product_qd,
@@ -22,7 +28,19 @@ from ordbench import (
     separating_set_from_controlled,
 )
 
-from oracles import random_pointed_poset, random_poset
+from oracles import (
+    random_monotone_map,
+    random_pointed_poset,
+    random_poset,
+    reference_canonical_section,
+    reference_finmap_error,
+    reference_koenig,
+    reference_normalize,
+    reference_product_qd,
+    reference_quasi_deflation,
+    reference_quasi_retraction,
+    reference_self_compose,
+)
 
 DIAMOND = parse_poset("elements: bot a b top\norder: bot < a; bot < b; a < top; b < top")
 CHAIN2 = parse_poset("elements: c0 c1\norder: c0 < c1")
@@ -182,6 +200,23 @@ def test_separator_rejects_pairs_outside_the_cone():
         qfs_separator(DIAMOND, [(("top",), "a")])
 
 
+def test_separator_rejects_an_unknown_point():
+    with pytest.raises(PosetError) as err:
+        qfs_separator(DIAMOND, [(("bot",), "zz")])
+    assert str(err.value) == "unknown element: 'zz'"
+
+
+def test_an_empty_value_is_refused_by_name():
+    table = {"bot": ["bot"], "a": ["a"], "b": [], "top": ["top"]}
+    for make in (lambda: FinMap(DIAMOND, DIAMOND, table), lambda: QuasiDeflation(DIAMOND, table)):
+        with pytest.raises(PosetError) as err:
+            make()
+        assert str(err.value) == "antichain map has an empty value for 'b'"
+    with pytest.raises(PosetError) as err:
+        DIAMOND.antichain_normalize([])
+    assert str(err.value) == "cannot normalize an empty set to an antichain"
+
+
 def test_separator_search_mode_picks_first_fit():
     coarse = const_bottom(DIAMOND)
     fine = QuasiDeflation(DIAMOND, eta_map(DIAMOND))
@@ -335,3 +370,57 @@ def test_deflation_parse_errors():
         parse_quasi_deflation(DIAMOND, "a -> {a}\na -> {a}")
     with pytest.raises(PosetError):
         parse_quasi_deflation(DIAMOND, "a -> {zed}")
+
+
+# -- the mask layer against element-tuple references ---------------------------------
+
+
+def _message(call, *args):
+    """The result of ``call``, or the message of the PosetError it raises."""
+    try:
+        return call(*args)
+    except PosetError as err:
+        return str(err)
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_mask_layer_matches_the_element_tuple_references(seed):
+    # unchecked random tables: about two thirds fail monotonicity or membership
+    rng = random.Random(seed)
+    P, Q, Y = (random_poset(rng, rng.randint(1, n)) for n in (7, 3, 4))
+
+    def table(S, T):
+        return {x: rng.sample(T.elements, rng.randint(1, min(3, len(T)))) for x in S.elements}
+
+    tab, small = table(P, P), table(Q, Q)
+    assert check_quasi_deflation(P, tab) == QuasiDeflationReport(*reference_quasi_deflation(P, tab))
+    phi, psi = QuasiDeflation(P, tab, check=False), QuasiDeflation(Q, small, check=False)
+    assert phi.values == tuple(reference_normalize(P, tab[x]) for x in P.elements)
+    error = reference_finmap_error(P, P, phi.as_dict(), deflation=True)
+    assert _message(QuasiDeflation, P, tab) == (error or phi)
+    assert qd_self_compose(phi).values == reference_self_compose(P, phi.as_dict())
+    want = reference_product_qd(P, Q, phi.as_dict(), psi.as_dict())
+    assert _message(lambda: product_qd(phi, psi).values) == want
+
+    r = MonotoneMap(P, Y, random_monotone_map(rng, P, Y))
+    qs = FinMap(Y, P, table(Y, P), check=False)
+    section = _message(lambda: canonical_quasi_section(r).values)
+    assert section == reference_canonical_section(r)
+    for s in [qs] + ([] if isinstance(section, str) else [canonical_quasi_section(r)]):
+        rep = check_quasi_retraction(r, s)
+        got = (rep.retraction_law, rep.projection_law, rep.canonical, rep.witness)
+        assert got == reference_quasi_retraction(r, s.as_dict())
+
+    y = rng.choice(P.elements)
+    stages = [rng.sample(P.elements, rng.randint(1, len(P))) for _ in range(rng.randint(1, 5))]
+    if rng.random() < 0.5:  # nest them, so that the search runs too
+        stages = [[z for z in P.elements if P.leq(z, y) and rng.random() < 0.5] or [y]]
+        for _ in range(rng.randint(0, 4)):
+            above = [w for w in P.elements if P.leq(w, y) and P.smyth_leq(stages[-1], [w])]
+            stages.append([w for w in above if rng.random() < 0.5] or [y])
+    try:
+        got = koenig_chain(P, stages, y)
+    except StagePreconditionError as err:
+        got = (str(err), err.index)
+    assert got == reference_koenig(P, stages, y)

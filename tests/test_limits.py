@@ -7,7 +7,7 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "ordbench"
 READERS = {
-    "FIN_CAP": "smyth.fin_antichains",
+    "FIN_CAP": "smyth._fin_masks",
     "GRID_CAP": "valuations._grid_points",
     "PATH_CAP": "treeval.path_space",
     "UPPER_MAX_ELEMENTS": "posets.Poset._upper_masks",

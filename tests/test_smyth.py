@@ -270,6 +270,37 @@ def test_mask_law_scan_matches_the_element_tuple_scan(seed):
         assert rep.witness == witness
 
 
+def test_mask_checks_make_no_index_calls_per_antichain(monkeypatch):
+    # a chain and an antichain of 7 elements: 7 against 127 antichains
+    from ordbench import QuasiDeflation, qd_self_compose
+
+    calls = []
+    index = Poset.index
+
+    def counted(self, x):
+        calls.append(x)
+        return index(self, x)
+
+    counts = []
+    for P in (Poset(range(7), [(i, i + 1) for i in range(6)]), Poset(range(7), [])):
+        h = FinMap(P, P, {x: (x,) for x in P.elements})
+        phi = QuasiDeflation(P, h)
+        r = MonotoneMap(P, P, lambda x: x)
+        qs = canonical_quasi_section(r)
+        monkeypatch.setattr(Poset, "index", counted)
+        row = []
+        for call, *args in ((check_monad_laws, P, h, h), (qd_self_compose, phi),
+                            (check_quasi_retraction, r, qs)):
+            calls.clear()
+            call(*args)
+            row.append(len(calls))
+        monkeypatch.setattr(Poset, "index", index)
+        counts.append(row)
+    # the retraction check reads the point map's values twice: once for the
+    # law scans and once for the canonical section
+    assert counts == [[0, 0, 14], [0, 0, 14]]
+
+
 # -- quasi-retraction ----------------------------------------------------------
 
 

@@ -20,6 +20,7 @@ from ordbench import (
     dirac,
     format_admissible,
     grid,
+    map_predicates,
     parse_admissible,
     parse_poset,
     path_space,
@@ -114,6 +115,16 @@ def test_path_count_equals_saturated_chain_count():
         Pi, r = path_space(Y)
         assert len(Pi.elements) == saturated_chain_count(Y)
         assert set(r.values) == set(Y.elements)
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_path_space_endpoint_map_is_monotone(seed):
+    # path_space builds its endpoint map unchecked; check it from the outside
+    rng = random.Random(seed)
+    Pi, r = path_space(random_pointed_poset(rng, rng.randint(1, 7)))
+    rep = map_predicates(Pi, r.target, r)
+    assert rep.monotone and rep.surjective
 
 
 def test_path_space_of_tree_is_isomorphic_to_it():
