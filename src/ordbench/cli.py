@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Every subcommand but one is a thin wrapper over one library call plus
-formatting. ``demo-failed-deflations`` scans the grid with three: attempts a
-and c once per scanned valuation (the whole grid when none is given), attempt
-b once. Nothing is computed here that a library user could not reproduce.
+formatting. ``demo-failed-deflations`` scans the grid with three: attempt a
+once per scanned valuation (the whole grid when none is given), attempt b
+once, and attempt c over all of them from one grid. Nothing is computed
+here that a library user could not reproduce.
 
 Exit codes: 0 for success (or a true answer), 1 for a false answer or a found
 counterexample witness, 2 for usage, file, or input format errors, 3 for an
@@ -46,7 +47,6 @@ from .valuations import (
     ValuationError,
     failed_deflation_a,
     failed_deflation_b,
-    failed_deflation_c,
     format_valuation,
     grid,
     grid_poset,
@@ -58,6 +58,7 @@ from .valuations import (
     stochastic_leq,
     stochastic_leq_report,
     way_below_report,
+    _maximal_below,
 )
 
 
@@ -306,8 +307,7 @@ def _cmd_demo_failed_deflations(args) -> int:
     )
     b = failed_deflation_b(targets[0], N).witness
     c = next(
-        ((v, rep.cardinality) for v in targets for rep in [failed_deflation_c(v, N)]
-         if not rep.unique),
+        ((v, len(m)) for v, m in zip(targets, _maximal_below(P, N, targets)) if len(m) != 1),
         None,
     )
     print(

@@ -19,7 +19,7 @@ from typing import Callable, List, Optional, Tuple
 from .posets import (
     MonotoneMap, Poset, PosetError, _bits, _closure, _lines, _require_writable, _unreached,
 )
-from .valuations import Valuation, ValuationError, _fractions, _scaled_weights
+from .valuations import Valuation, ValuationError, _checked_ints, _lcm, _ratios
 
 PATH_CAP = 10_000
 
@@ -113,12 +113,19 @@ def _as_value_tuple(T: Poset, values) -> Tuple[Fraction, ...]:
     return vals
 
 
-def _tree_values(T: Poset, values) -> Tuple[Fraction, ...]:
-    """:func:`_as_value_tuple` on a tree; any other poset is refused, so a map
-    built directly, not through :func:`admissible`, is held to its shape."""
+def _tree_ints(T: Poset, *maps) -> Tuple[list, int, List[List[int]]]:
+    """``(rows, D, ints)``: the values of ``maps`` on the tree ``T``, each
+    read by :func:`_as_value_tuple`, and the same values as integers over D,
+    the lcm of their denominators, with ``ints[r][i] == D * rows[r][i]``.
+
+    Any poset but a tree is refused, so a map built directly, not through
+    :func:`admissible`, is held to its shape.
+    """
     if not T.is_tree():
         raise PosetError("admissible maps live on trees")
-    return _as_value_tuple(T, values)
+    rows = [_as_value_tuple(T, f) for f in maps]
+    D = _lcm(v.denominator for row in rows for v in row)
+    return rows, D, [[v.numerator * (D // v.denominator) for v in row] for row in rows]
 
 
 def _child_sums(T: Poset, ints: List[int]) -> List[int]:
@@ -130,9 +137,9 @@ def _children_first(T: Poset, node: Callable[[int, int], int]) -> List[int]:
     """One value per node of a tree, children before parents: ``node(i, s)``
     gives the value at index ``i`` from the sum ``s`` of its children's values.
 
-    The folds run in integers over one common denominator D (see
-    :func:`~ordbench.valuations._scaled_weights`); callers build one Fraction
-    per output value, over D.
+    The folds run in integers over one common denominator D (a valuation's
+    own, or that of :func:`_tree_ints`); callers build one Fraction per
+    output value, over D.
     """
     children = T._cover_masks()
     vals = [0] * len(children)
@@ -148,10 +155,10 @@ def _children_first(T: Poset, node: Callable[[int, int], int]) -> List[int]:
     return vals
 
 
-def _violations(T: Poset, vals: Tuple[Fraction, ...]) -> Tuple[str, ...]:
-    """The messages of :func:`check_admissible` for values already checked by
-    :func:`_tree_values`, in the order that function lists them."""
-    D, (ints,) = _scaled_weights((vals,))
+def _violations(T: Poset, values) -> Tuple[Tuple[Fraction, ...], Tuple[str, ...]]:
+    """The values of :func:`_tree_ints` and the messages of
+    :func:`check_admissible` for them, in the order that function lists them."""
+    (vals,), D, (ints,) = _tree_ints(T, values)
     root = T.index(T.bottom())
     out = [f"value at {e!r} is {v}, outside [0, 1]"
            for e, v, x in zip(T.elements, vals, ints) if not 0 <= x <= D]
@@ -159,7 +166,7 @@ def _violations(T: Poset, vals: Tuple[Fraction, ...]) -> Tuple[str, ...]:
         out.append(f"value at bottom {T.elements[root]!r} is {vals[root]}, not 1")
     out += [f"value at {e!r} is {v}, below its children's sum {Fraction(s, D)}"
             for e, v, x, s in zip(T.elements, vals, ints, _child_sums(T, ints)) if x < s]
-    return tuple(out)
+    return vals, tuple(out)
 
 
 def check_admissible(T: Poset, values) -> AdmissibleReport:
@@ -169,15 +176,14 @@ def check_admissible(T: Poset, values) -> AdmissibleReport:
     dominates the sum of its cover children's values. Values outside [0, 1]
     are also reported.
     """
-    violations = _violations(T, _tree_values(T, values))
+    _, violations = _violations(T, values)
     return AdmissibleReport(valid=not violations, violations=violations)
 
 
 def admissible(T: Poset, values) -> AdmissibleMap:
     """Construct and validate an admissible map; the values are converted
     and checked once."""
-    vals = _tree_values(T, values)
-    violations = _violations(T, vals)
+    vals, violations = _violations(T, values)
     if violations:
         raise ValuationError("; ".join(violations))
     return AdmissibleMap(T, vals)
@@ -188,7 +194,7 @@ def valuation_to_admissible(nu: Valuation) -> AdmissibleMap:
     T = nu.poset
     if not T.is_tree():
         raise PosetError("admissible coordinates exist only on trees")
-    D, (w,) = _scaled_weights((nu.weights,))
+    D, w = nu._den, nu._nums
     vals = _children_first(T, lambda i, s: w[i] + s)
     return AdmissibleMap(T, tuple(Fraction(v, D) for v in vals))
 
@@ -201,9 +207,9 @@ def admissible_to_valuation(f: AdmissibleMap) -> Valuation:
     (ValuationError).
     """
     T = f.tree
-    D, (xs,) = _scaled_weights((_tree_values(T, f),))
-    sums = _child_sums(T, xs)
-    return Valuation(T, {e: Fraction(v - s, D) for e, v, s in zip(T.elements, xs, sums) if v != s})
+    _, D, (xs,) = _tree_ints(T, f)
+    atoms = [(i, (x - s, D)) for i, (x, s) in enumerate(zip(xs, _child_sums(T, xs)))]
+    return Valuation._of(T, *_checked_ints(T, atoms))
 
 
 def admissible_lub(f1: AdmissibleMap, f2: AdmissibleMap) -> Optional[AdmissibleMap]:
@@ -218,7 +224,7 @@ def admissible_lub(f1: AdmissibleMap, f2: AdmissibleMap) -> Optional[AdmissibleM
     as in :func:`admissible_to_valuation`.
     """
     T = f1.tree
-    D, (v1, v2) = _scaled_weights((_tree_values(T, f1), _as_value_tuple(T, f2)))
+    _, D, (v1, v2) = _tree_ints(T, f1, f2)
     vals = _children_first(T, lambda i, s: max(v1[i], v2[i], s))
     if vals[T.index(T.bottom())] > D:
         return None
@@ -243,4 +249,4 @@ def parse_admissible(T: Poset, text: str) -> AdmissibleMap:
     if not lines or lines[0][1] != ADMISSIBLE_HEADER:
         raise ValuationError(f"expected first line {ADMISSIBLE_HEADER!r}")
     entries = ((f"line {ln}: ", line) for ln, line in lines[1:])
-    return admissible(T, _fractions(T, entries, "line"))
+    return admissible(T, {e: Fraction(p, q) for e, (p, q) in _ratios(T, entries, "line").items()})

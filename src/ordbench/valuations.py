@@ -10,7 +10,10 @@ approximations over a grid, and three deliberately broken rounding schemes
 whose failures (non-modularity, non-monotonicity, non-uniqueness) are found
 automatically by witness search.
 
-No floating point is used anywhere; weights are `fractions.Fraction`.
+No floating point is used anywhere. A valuation holds integer numerators
+over one denominator, and every kernel works on those integers; a
+`fractions.Fraction` is built only for a public result (weights, masses,
+transport plans, reports).
 """
 
 from __future__ import annotations
@@ -18,9 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
-from math import comb, lcm
+from math import comb, gcd, lcm
 from operator import add, sub
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .posets import MonotoneMap, Poset, PosetError, _bits, _closure, _unreached
 
@@ -39,77 +42,115 @@ class Valuation:
     exactly one. Only the given entries of a dict are converted, and only
     nonzero weights are checked and summed; every other element shares one
     zero.
+
+    The weights are stored as integer numerators over one denominator D,
+    the lcm of the reduced denominators of the nonzero weights, so equal
+    valuations have equal numerators. ``weights``, a tuple of
+    ``Fraction(k, D)``, is built on first use.
     """
 
-    __slots__ = ("poset", "weights")
+    __slots__ = ("poset", "_den", "_nums", "_weights")
 
     def __init__(self, poset: Poset, weights):
-        self.poset = poset
-        n = len(poset.elements)
         if isinstance(weights, dict):
             given = sorted((poset.index(e), w) for e, w in weights.items())
-            vals = [Fraction(0)] * n
-            for i, w in given:
-                vals[i] = w if type(w) is Fraction else Fraction(w)
-            nonzero = [i for i, _ in given if vals[i]]
         else:
-            vals = [w if type(w) is Fraction else Fraction(w) for w in weights]
-            if len(vals) != n:
-                raise ValuationError(f"expected {n} weights, got {len(vals)}")
-            nonzero = [i for i, w in enumerate(vals) if w]
-        for i in nonzero:
-            if vals[i].numerator < 0:
-                raise ValuationError(f"negative weight at {poset.elements[i]!r}: {vals[i]}")
-        total = sum(vals[i] for i in nonzero)
-        if total != 1:
-            raise ValuationError(f"weights sum to {total}, not 1")
-        self.weights = tuple(vals)
+            given = list(enumerate(weights))
+        fracs = [(i, w if type(w) is Fraction else Fraction(w)) for i, w in given]
+        if not isinstance(weights, dict) and len(fracs) != len(poset.elements):
+            raise ValuationError(f"expected {len(poset.elements)} weights, got {len(fracs)}")
+        ratios = [(i, (f.numerator, f.denominator)) for i, f in fracs]
+        self.poset = poset
+        self._den, self._nums = _checked_ints(poset, ratios)
+        self._weights = None
 
     @classmethod
-    def _from_weights(cls, poset: Poset, weights) -> "Valuation":
-        """Trusted constructor for weights already checked: one nonnegative
-        ``Fraction`` per element, summing to one."""
+    def _of(cls, poset: Poset, D: int, nums) -> "Valuation":
+        """Trusted constructor for integer weights ``nums`` over ``D`` already
+        checked and in lowest terms: nonnegative, summing to D, and D the lcm
+        of the reduced denominators of the nonzero ones."""
         self = object.__new__(cls)
-        self.poset = poset
-        self.weights = tuple(weights)
+        self.poset, self._den, self._nums, self._weights = poset, D, tuple(nums), None
         return self
 
+    @property
+    def weights(self) -> Tuple[Fraction, ...]:
+        if self._weights is None:
+            self._weights = tuple(Fraction(k, self._den) for k in self._nums)
+        return self._weights
+
     def weight(self, x) -> Fraction:
-        return self.weights[self.poset.index(x)]
+        return Fraction(self._nums[self.poset.index(x)], self._den)
 
     @property
     def support(self) -> tuple:
-        return tuple(
-            e for e, w in zip(self.poset.elements, self.weights) if w
-        )
+        return tuple(e for e, k in zip(self.poset.elements, self._nums) if k)
 
     def _support_mask(self) -> int:
-        mask = 0
-        for i, w in enumerate(self.weights):
-            if w:
-                mask |= 1 << i
-        return mask
+        return sum([1 << i for i, k in enumerate(self._nums) if k])
 
     def mass(self, U: Iterable) -> Fraction:
         """Total weight of a set of elements (typically an upper set)."""
-        return sum((self.weights[self.poset.index(x)] for x in U), Fraction(0))
+        return Fraction(sum(self._nums[self.poset.index(x)] for x in U), self._den)
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Valuation)
-            and self.poset == other.poset
-            and self.weights == other.weights
-        )
+        if not isinstance(other, Valuation):
+            return False
+        return self._den == other._den and self._nums == other._nums and self.poset == other.poset
 
     def __hash__(self) -> int:
-        return hash((self.poset, self.weights))
+        return hash((self.poset, self._den, self._nums))
 
     def __str__(self) -> str:
         # the text of format_valuation, without its name check
-        return " ".join(f"{e}:{w}" for e, w in zip(self.poset.elements, self.weights) if w)
+        D, names = self._den, self.poset.elements
+        return " ".join(f"{e}:{_spelled(k, D)}" for e, k in zip(names, self._nums) if k)
 
     def __repr__(self) -> str:
         return f"Valuation({str(self)!r})"
+
+
+def _spelled(k: int, D: int) -> str:
+    """``str(Fraction(k, D))`` for k > 0, without building the Fraction."""
+    g = gcd(k, D)
+    return f"{k // g}" if g == D else f"{k // g}/{D // g}"
+
+
+def _lcm(denominators: Iterable[int], D: int = 1) -> int:
+    """The lcm of ``D`` and ``denominators``, folded one at a time."""
+    for q in denominators:
+        D = lcm(D, q)
+    return D
+
+
+def _checked_ints(P: Poset, ratios: Sequence[Tuple[int, Tuple[int, int]]]) -> tuple:
+    """``(D, nums)``: the weights of ``(i, (p, q))`` pairs, p/q (q > 0) the
+    weight of element ``i`` and zero that of every other, as integers over
+    D in lowest terms (see :func:`_lowest_terms`). Refuses a negative weight,
+    naming the first in element order, then a total other than one."""
+    D = _lcm(q for _, (p, q) in ratios if p)
+    nums = [0] * len(P.elements)
+    for i, (p, q) in ratios:
+        nums[i] = p * (D // q)
+    if min(nums, default=0) < 0:
+        e, k = next((e, k) for e, k in zip(P.elements, nums) if k < 0)
+        raise ValuationError(f"negative weight at {e!r}: {Fraction(k, D)}")
+    total = sum(nums)
+    if total != D:
+        raise ValuationError(f"weights sum to {Fraction(total, D)}, not 1")
+    return _lowest_terms(D, nums)
+
+
+def _lowest_terms(D: int, nums: Sequence[int]) -> Tuple[int, Tuple[int, ...]]:
+    """``D`` and the numerators ``nums`` over it, both divided by their gcd:
+    D is then the lcm of the reduced denominators of the nonzero weights,
+    so equal weights give equal integers."""
+    g = D
+    for k in nums:
+        if g == 1:
+            return D, tuple(nums)
+        g = gcd(g, k)
+    return D // g, tuple([k // g for k in nums])
 
 
 def dirac(P: Poset, x) -> Valuation:
@@ -117,8 +158,27 @@ def dirac(P: Poset, x) -> Valuation:
     return Valuation(P, {x: Fraction(1)})
 
 
-def _fractions(P: Poset, entries: Iterable[Tuple[str, str]], kind: str) -> dict:
-    """Read ``(where, entry)`` pairs of ``name:fraction`` entries into a dict.
+def _ratio(frac: str) -> Tuple[int, int]:
+    """A ``(p, q)``, q > 0, of a fraction text, read as ``Fraction`` reads it,
+    with its errors.
+
+    A plain ASCII ``p`` or ``p/q`` with q nonzero is read by ``int`` alone,
+    and left unreduced: :func:`_checked_ints` reduces the whole valuation.
+    ``Fraction`` reads the same digit strings with ``int``, p first, so a
+    number past ``sys.get_int_max_str_digits()`` gets the same error either
+    way. Every other spelling goes to ``Fraction``: signs, decimals,
+    exponents, underscores, non-ASCII digits, a zero denominator, garbage.
+    """
+    p, slash, q = frac.partition("/")
+    if frac.isascii() and p.isdigit() and (not slash or q.isdigit() and q.strip("0")):
+        return int(p), int(q or 1)
+    f = Fraction(frac)
+    return f.numerator, f.denominator
+
+
+def _ratios(P: Poset, entries: Iterable[Tuple[str, str]], kind: str) -> Dict[str, Tuple[int, int]]:
+    """Read ``(where, entry)`` pairs of ``name:fraction`` entries into a dict
+    from name to the ``(p, q)`` of :func:`_ratio`.
 
     Errors are prefixed by ``where`` and call the entry a ``kind``. Names
     split at the last colon, as a fraction never holds one.
@@ -134,7 +194,7 @@ def _fractions(P: Poset, entries: Iterable[Tuple[str, str]], kind: str) -> dict:
         if name in out:
             raise ValuationError(f"{where}repeated element {name!r}")
         try:
-            out[name] = Fraction(frac)
+            out[name] = _ratio(frac)
         except (ValueError, ZeroDivisionError) as exc:
             raise ValuationError(f"{where}bad fraction in {entry!r}: {exc}") from None
     return out
@@ -147,7 +207,8 @@ def parse_valuation(P: Poset, text: str) -> Valuation:
     and a total of exactly one.
     """
     entries = (("", token) for token in text.split())
-    return Valuation(P, _fractions(P, entries, "entry"))
+    ratios = [(P.index(name), r) for name, r in _ratios(P, entries, "entry").items()]
+    return Valuation._of(P, *_checked_ints(P, ratios))
 
 
 def format_valuation(v: Valuation) -> str:
@@ -168,12 +229,12 @@ def _require_same_poset(nu: Valuation, mu: Valuation) -> Poset:
     return nu.poset
 
 
-def _scaled_weights(rows: Sequence[Sequence[Fraction]]) -> Tuple[int, List[List[int]]]:
-    """Every rational of ``rows`` (weights of valuations, or the values of
-    admissible maps) as an integer over ``D``, the lcm of all their
-    denominators: returns ``(D, ints)`` with ``ints[r][i] == D * rows[r][i]``."""
-    D = lcm(*(w.denominator for row in rows for w in row))
-    return D, [[w.numerator * (D // w.denominator) for w in row] for row in rows]
+def _common(vals: Sequence[Valuation], D: int = 1) -> Tuple[int, List[Sequence[int]]]:
+    """``(L, ints)``: L the lcm of ``D`` and the denominators of ``vals``, and
+    ``ints[v][i] == L * vals[v].weights[i]``, with one multiply per entry of
+    a valuation held over a smaller denominator."""
+    D = _lcm([v._den for v in vals], D)
+    return D, [v._nums if v._den == D else [k * (D // v._den) for k in v._nums] for v in vals]
 
 
 def _upper_masses(
@@ -181,13 +242,13 @@ def _upper_masses(
 ) -> Tuple[int, List[tuple]]:
     """The one upper-set mass kernel: integer masses over a common denominator.
 
-    Scales every weight of ``vals`` to an integer over ``D``, the lcm of all
-    their denominators, once. Returns ``(D, rows)`` where ``rows[v][u]`` is
+    Brings the numerators of ``vals`` to one denominator ``D``, the lcm of
+    theirs (see :func:`_common`). Returns ``(D, rows)`` where ``rows[v][u]`` is
     ``D`` times the mass of ``vals[v]`` on ``masks[u]``. When ``masks`` is a
     poset's upper-set listing, the carrier is last, so ``masks[:-1]`` are the
     proper upper sets.
     """
-    D, ints = _scaled_weights([v.weights for v in vals])
+    D, ints = _common(vals)
     return D, _mass_rows(ints, masks)
 
 
@@ -235,20 +296,27 @@ class StochasticOrderReport:
     augmentations: int = 0
 
 
-def _transport_decide(nu: Valuation, mu: Valuation) -> StochasticOrderReport:
+def _transport_decide(nu: Valuation, mu: Valuation) -> tuple:
     """Strassen's transport problem as an integer max flow on the supports.
+
+    Returns ``(D, plan, cut, augmentations)``, D the lcm of the two
+    denominators. When nu <= mu, ``plan`` maps each index pair
+    (i, j) with positive flow to D times that flow, in element order of i,
+    then of j, and ``cut`` is 0; otherwise ``plan`` is None and ``cut`` is
+    the mask of the left support on the source side of the minimal minimum
+    cut.
 
     Nodes are the left support, the right support (same element order), the
     source and the sink, numbered in that order. Source edges carry the left
-    weights, sink edges the right weights, both scaled by D; a middle edge
-    joins i to every j above it in the right support, with capacity D, which
+    numerators, sink edges the right ones, both over D; a middle edge joins
+    i to every j above it in the right support, with capacity D, which
     never binds as the total flow is at most D. Residuals sit in flat lists:
     edge ``e`` and its reverse ``e ^ 1``. Every adjacency list is in node
     order, so the breadth-first searches, and with them the plan, are fixed
     by the input alone.
     """
     P = nu.poset
-    D, (a, b) = _scaled_weights((nu.weights, mu.weights))
+    D, (a, b) = _common((nu, mu))
     left = [i for i, x in enumerate(a) if x]
     right = [j for j, y in enumerate(b) if y]
     L = len(left)
@@ -306,21 +374,10 @@ def _transport_decide(nu: Valuation, mu: Valuation) -> StochasticOrderReport:
         total += bottleneck
         augmentations += 1
     if total == D:
-        elements = P.elements
-        plan = {
-            (elements[i], elements[j]): Fraction(res[2 * m + 1], D)
-            for m, (i, j) in enumerate(pairs)
-            if res[2 * m + 1]
-        }
-        return StochasticOrderReport(
-            True, transport=plan, augmentations=augmentations
-        )
-    seed = [P.elements[i] for k, i in enumerate(left) if via[k] != -1]
-    return StochasticOrderReport(
-        False,
-        violating_upper=frozenset(P.up_closure(seed)),
-        augmentations=augmentations,
-    )
+        plan = {pair: res[2 * m + 1] for m, pair in enumerate(pairs) if res[2 * m + 1]}
+        return D, plan, 0, augmentations
+    cut = sum([1 << i for k, i in enumerate(left) if via[k] != -1])
+    return D, None, cut, augmentations
 
 
 def _oracle_leq(nu: Valuation, mu: Valuation) -> bool:
@@ -334,21 +391,23 @@ def stochastic_leq(nu: Valuation, mu: Valuation, *, mode: str = "flow") -> bool:
     ``mode="flow"`` solves the exact transport problem (works at any poset
     size): by Strassen's theorem ``nu <= mu`` iff a coupling moves nu's mass
     only upward onto mu, i.e. iff a max flow carries all of nu's mass. The
-    flow is Edmonds-Karp in integers, with weights scaled by D, the lcm of
-    their denominators, on the support graph: nodes for supp(nu), supp(mu),
-    a source and a sink, and an edge from i to each j >= i in supp(mu). It
-    allocates nothing of size n x n and does no ``Fraction`` arithmetic in
-    its loop. ``mode="oracle"`` quantifies over all upper sets (needs the
-    upper-set enumeration to be feasible); ``mode="both"`` runs the two and
-    insists they agree. :func:`stochastic_leq_report` gives the certificate.
+    flow is Edmonds-Karp in integers, on the two valuations' numerators
+    brought to D, the lcm of their denominators, with one multiply per
+    entry, on the support graph: nodes for supp(nu), supp(mu), a source and
+    a sink, and an edge from i to each j >= i in supp(mu). It allocates
+    nothing of size n x n and builds no ``Fraction``. ``mode="oracle"``
+    quantifies over all upper sets (needs the upper-set enumeration to be
+    feasible); ``mode="both"`` runs the two and insists they agree.
+    :func:`stochastic_leq_report` gives the certificate, the plan turned
+    into Fractions.
     """
     _require_same_poset(nu, mu)
     if mode == "flow":
-        return _transport_decide(nu, mu).result
+        return _transport_decide(nu, mu)[1] is not None
     if mode == "oracle":
         return _oracle_leq(nu, mu)
     if mode == "both":
-        fast = _transport_decide(nu, mu).result
+        fast = _transport_decide(nu, mu)[1] is not None
         slow = _oracle_leq(nu, mu)
         if fast != slow:
             raise RuntimeError(
@@ -360,8 +419,12 @@ def stochastic_leq(nu: Valuation, mu: Valuation, *, mode: str = "flow") -> bool:
 
 def stochastic_leq_report(nu: Valuation, mu: Valuation) -> StochasticOrderReport:
     """Like :func:`stochastic_leq` but returns the certificate as well."""
-    _require_same_poset(nu, mu)
-    return _transport_decide(nu, mu)
+    P = _require_same_poset(nu, mu)
+    D, plan, cut, augmentations = _transport_decide(nu, mu)
+    if plan is None:
+        return StochasticOrderReport(False, None, P._set_of(P._up_mask(cut)), augmentations)
+    transport = {(P.elements[i], P.elements[j]): Fraction(k, D) for (i, j), k in plan.items()}
+    return StochasticOrderReport(True, transport, None, augmentations)
 
 
 # -- strict approximation -----------------------------------------------------
@@ -474,12 +537,11 @@ def pushforward(r: MonotoneMap, nu: Valuation) -> Valuation:
     """Transport weights along a monotone map: mass lands on the image point."""
     if nu.poset != r.source:
         raise ValuationError("valuation does not live on the map's source")
-    out: Dict = {}
-    for x, w in zip(r.source.elements, nu.weights):
-        if w:
-            y = r(x)
-            out[y] = out.get(y, Fraction(0)) + w
-    return Valuation(r.target, out)
+    Y = r.target
+    nums = [0] * len(Y.elements)
+    for y, k in zip(r.values, nu._nums):
+        nums[Y.index(y)] += k
+    return Valuation._of(Y, *_lowest_terms(nu._den, nums))
 
 
 def pushforward_preimage(r: MonotoneMap, nu: Valuation) -> Valuation:
@@ -495,17 +557,13 @@ def pushforward_preimage(r: MonotoneMap, nu: Valuation) -> Valuation:
     missing = _unreached(r.target, r.values)
     if missing:
         raise ValuationError(f"map is not surjective; unreached: {missing!r}")
-    section = {}
-    for x in X.elements:  # element order, so the first hit is least-index
-        y = r(x)
-        if y not in section:
-            section[y] = x
-    out: Dict = {}
-    for y, w in zip(r.target.elements, nu.weights):
-        if w:
-            x = section[y]
-            out[x] = out.get(x, Fraction(0)) + w
-    return Valuation(X, out)
+    # the index of each target's first preimage: later entries of a dict win
+    section = {y: i for i, y in reversed(list(enumerate(r.values)))}
+    nums = [0] * len(X.elements)
+    for y, k in zip(r.target.elements, nu._nums):
+        nums[section[y]] = k
+    # distinct target atoms land on distinct sources: the same weights, in lowest terms
+    return Valuation._of(X, nu._den, nums)
 
 
 # -- grids ---------------------------------------------------------------------
@@ -568,9 +626,8 @@ def _grid_moves(P: Poset, N: int, points: List[tuple]) -> List[List[int]]:
 
 
 def _grid_valuations(P: Poset, N: int, points: Iterable[tuple]) -> List[Valuation]:
-    """The valuations of grid points, sharing one row of ``Fraction(k, N)``."""
-    row = [Fraction(k, N) for k in range(N + 1)]
-    return [Valuation._from_weights(P, [row[k] for k in p]) for p in points]
+    """The valuations of grid points: their counts over N in lowest terms."""
+    return [Valuation._of(P, *_lowest_terms(N, p)) for p in points]
 
 
 def _grid_masses(
@@ -578,10 +635,8 @@ def _grid_masses(
 ) -> Tuple[List[tuple], List[tuple]]:
     """Integer upper-set masses of ``vals`` and of the grid points, all over
     one denominator: the lcm of N and of the denominators of ``vals``."""
-    D, ints = _scaled_weights([v.weights for v in vals])
-    L = lcm(N, D)
-    ints = [[w * (L // D) for w in a] for a in ints]
-    ints += [[k * (L // N) for k in p] for p in points]
+    D, ints = _common(vals, N)
+    ints += [[k * (D // N) for k in p] for p in points]
     rows = _mass_rows(ints, masks)
     return rows[: len(vals)], rows[len(vals) :]
 
@@ -669,20 +724,24 @@ def maximal_below_grid(nu: Valuation, N: int) -> List[Valuation]:
     sets. It is not closed downward, so maximality is a scan over its pairs:
     O(T^2 * #U) for T tight points. Held to ``GRID_CAP`` points.
     """
-    P = nu.poset
+    return next(_maximal_below(nu.poset, N, [nu]))
+
+
+def _maximal_below(P: Poset, N: int, targets: Sequence[Valuation]) -> Iterator[List[Valuation]]:
+    """For each valuation of ``targets`` on P in turn, lazily, the answer of
+    :func:`maximal_below_grid`. The grid points, their mass rows and
+    supports are built once for all the targets, so a scan over many
+    targets (the whole grid, in the demo's attempt c) costs O(M * #U) for
+    them, then per target the tight scan and the pair scan."""
     masks = P._upper_masks()
     points = _grid_points(P, N)
-    (nu_row,), rows = _grid_masses(N, points, (nu,), masks)
-    below = [
-        i
-        for i, p in enumerate(points)
-        if _tight(rows[i], nu_row, sum([1 << x for x, k in enumerate(p) if k]), masks)
-    ]
-    # distinct points have distinct mass rows
-    maximal = [
-        points[i] for i in below if not any(j != i and _dominated(rows[i], rows[j]) for j in below)
-    ]
-    return _grid_valuations(P, N, maximal)
+    tops, rows = _grid_masses(N, points, targets, masks)
+    supports = [sum([1 << x for x, k in enumerate(p) if k]) for p in points]
+    for top in tops:
+        below = [i for i, (row, s) in enumerate(zip(rows, supports)) if _tight(row, top, s, masks)]
+        # distinct points have distinct mass rows
+        yield _grid_valuations(P, N, [points[i] for i in below if not any(
+            j != i and _dominated(rows[i], rows[j]) for j in below)])
 
 
 # -- deliberately broken rounding schemes --------------------------------------
@@ -803,8 +862,7 @@ def failed_deflation_b(nu: Valuation, N: int) -> WeightRounding:
         image[bot] = N - (sum(image) - image[bot])
         return tuple(image)
 
-    D, (ints,) = _scaled_weights((nu.weights,))
-    rounded = _grid_valuations(P, N, [to_bottom(ints, D)])[0]
+    rounded = _grid_valuations(P, N, [to_bottom(nu._nums, nu._den)])[0]
     points = _grid_points(P, N)
     moves = _grid_moves(P, N, points)
     index = {p: i for i, p in enumerate(points)}
@@ -836,6 +894,4 @@ def failed_deflation_c(nu: Valuation, N: int) -> LargestBelowReport:
     """Count the maximal grid approximants; more than one breaks uniqueness."""
     _require_pointed(nu.poset)
     members = tuple(maximal_below_grid(nu, N))
-    return LargestBelowReport(
-        members=members, cardinality=len(members), unique=len(members) == 1
-    )
+    return LargestBelowReport(members, len(members), len(members) == 1)

@@ -9,7 +9,7 @@ fine; these only run at desk scale.
 
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
-from math import ceil
+from math import ceil, gcd
 
 from ordbench import BOT, OMEGA, TOP, Poset, format_code, node, omega_side
 
@@ -627,3 +627,211 @@ def reference_koenig(P, stages, y):
         return None
 
     return search([]) or ("no chain exists; preconditions violated", len(norm) - 1)
+
+
+# -- the Fraction route for valuations --------------------------------------------
+#
+# Weights as tuples of Fractions, read by ``Fraction(text)`` and checked, summed
+# and moved in Fraction arithmetic: the library keeps integer numerators over
+# one denominator, and these give what every public result must equal.
+
+
+# Fraction texts as ``a:<spelling> b:1/2`` reads them on the chain a < b: each
+# reads as 1/2 or is refused with a message starting as given. The negative
+# one passes the reader and is refused by the weight check.
+SPELLINGS = [
+    ("1/2", None),
+    ("2/4", None),
+    ("+1/2", None),
+    ("0.5", None),
+    ("5e-1", None),
+    ("1_0/20", None),
+    ("\u0663/6", None),
+    ("-1/2", "negative weight at 'a': -1/2"),
+    ("1/0", "bad fraction in 'a:1/0': Fraction(1, 0)"),
+    ("0/0", "bad fraction in 'a:0/0': Fraction(0, 0)"),
+    ("x", "bad fraction in 'a:x'"),
+    ("1/2/3", "bad fraction in 'a:1/2/3'"),
+    ("1" * 5000, "bad fraction in 'a:111"),
+    ("1/" + "1" * 5000, "bad fraction in 'a:1/111"),
+]
+
+
+def fraction_entries(P, entries, kind):
+    """``(where, entry)`` pairs of ``name:fraction`` entries read into a dict
+    of Fractions, every fraction by ``Fraction(text)``, with the library
+    parser's messages."""
+    from ordbench import ValuationError
+
+    out = {}
+    for where, entry in entries:
+        name, colon, frac = entry.rpartition(":")
+        name, frac = name.strip(), frac.strip()
+        if not colon or not name or not frac:
+            raise ValuationError(f"{where}malformed {kind} {entry!r}, expected elem:p/q")
+        if name not in P:
+            raise ValuationError(f"{where}unknown element {name!r}")
+        if name in out:
+            raise ValuationError(f"{where}repeated element {name!r}")
+        try:
+            out[name] = Fraction(frac)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ValuationError(f"{where}bad fraction in {entry!r}: {exc}") from None
+    return out
+
+
+def fraction_weights(P, weights):
+    """The weight tuple of a dict of Fractions, refused as the library's
+    constructor refuses it: the first negative weight in element order, then
+    a total other than one."""
+    from ordbench import ValuationError
+
+    vals = [Fraction(0)] * len(P.elements)
+    for e, w in weights.items():
+        vals[P.index(e)] = w
+    for e, w in zip(P.elements, vals):
+        if w < 0:
+            raise ValuationError(f"negative weight at {e!r}: {w}")
+    total = sum(vals, Fraction(0))
+    if total != 1:
+        raise ValuationError(f"weights sum to {total}, not 1")
+    return tuple(vals)
+
+
+def reference_parse_valuation(P, text):
+    """The weight tuple of a valuation text, by the Fraction route."""
+    return fraction_weights(P, fraction_entries(P, (("", t) for t in text.split()), "entry"))
+
+
+def reference_transport(P, a, b):
+    """Strassen's transport problem on the Fraction weight tuples ``a`` and
+    ``b``, as the library solves it: the same Edmonds-Karp flow, on the same
+    node and edge order, with capacities scaled by the lcm of every
+    denominator. Returns ``(plan, violating_upper)``: a dict of positive
+    Fraction flows keyed by element pairs and None when ``a`` sits below
+    ``b``, otherwise None and the up-closure of the left support on the
+    source side of the minimal minimum cut."""
+    D = 1
+    for w in a + b:
+        D = D * w.denominator // gcd(D, w.denominator)
+    a = [int(w * D) for w in a]
+    b = [int(w * D) for w in b]
+    n = len(P.elements)
+    left = [i for i in range(n) if a[i]]
+    right = [j for j in range(n) if b[j]]
+    L = len(left)
+    node = {j: L + k for k, j in enumerate(right)}
+    src, snk = L + len(right), L + len(right) + 1
+    adj = [[] for _ in range(snk + 1)]
+    head, res = [], []
+
+    def edge(u, v, c):
+        adj[u].append(len(head))
+        head.append(v)
+        res.append(c)
+        adj[v].append(len(head))
+        head.append(u)
+        res.append(0)
+
+    pairs = []
+    for k, i in enumerate(left):
+        for j in right:
+            if P.leq(P.elements[i], P.elements[j]):
+                edge(k, node[j], D)
+                pairs.append((i, j))
+    for k, i in enumerate(left):
+        edge(src, k, a[i])
+    for j in right:
+        edge(node[j], snk, b[j])
+    total = 0
+    while True:
+        via = [-1] * (snk + 1)
+        via[src] = -2
+        queue = [src]
+        for u in queue:
+            for e in adj[u]:
+                if via[head[e]] == -1 and res[e]:
+                    via[head[e]] = e
+                    queue.append(head[e])
+            if via[snk] != -1:
+                break
+        if via[snk] == -1:
+            break
+        path, v = [], snk
+        while v != src:
+            path.append(via[v])
+            v = head[via[v] ^ 1]
+        bottleneck = min(res[e] for e in path)
+        for e in path:
+            res[e] -= bottleneck
+            res[e ^ 1] += bottleneck
+        total += bottleneck
+    names = P.elements
+    if total == D:
+        plan = {
+            (names[i], names[j]): Fraction(res[2 * m + 1], D)
+            for m, (i, j) in enumerate(pairs)
+            if res[2 * m + 1]
+        }
+        return plan, None
+    return None, P.up_closure([names[i] for k, i in enumerate(left) if via[k] != -1])
+
+
+def fraction_mass(P, w, U):
+    return sum((w[P.index(x)] for x in U), Fraction(0))
+
+
+def reference_way_below(P, a, b):
+    """``(violations, mixing)`` for the Fraction weight tuples ``a`` and
+    ``b`` on a pointed poset: the ``way_below_report`` violations as dicts,
+    and the ``mixing_oracle`` triple (exists, epsilon, bound), from the
+    masses of every proper upper set in listing order."""
+    uppers = P.upper_sets()
+    violations = []
+    k = 1
+    for U in uppers[:-1]:
+        x, y = fraction_mass(P, a, U), fraction_mass(P, b, U)
+        kind = (
+            "support_on_null" if x and not y
+            else "mass_exceeds" if x > y
+            else "equal_mass" if x == y > 0
+            else None
+        )
+        if kind:
+            violations.append({"kind": kind, "upper": U, "lhs": x, "rhs": y})
+        elif y:
+            k = max(k, ceil(y / (y - x)))
+    D = 1
+    for w in a + b:
+        D = D * w.denominator // gcd(D, w.denominator)
+    bound = 2 * len(uppers) * D
+    mixing = (False, None, bound) if violations else (True, Fraction(1, k), bound)
+    return violations, mixing
+
+
+def reference_tightly_below(P, a, b):
+    """``a`` below ``b`` on every upper set, with a single support point of
+    ``a`` inside every proper upper set where its positive mass is ``b``'s."""
+    for U in P.upper_sets()[:-1]:
+        x, y = fraction_mass(P, a, U), fraction_mass(P, b, U)
+        if x > y or (x == y > 0 and sum(1 for e in U if a[P.index(e)]) != 1):
+            return False
+    return True
+
+
+def reference_pushforward(r, w):
+    """The Fraction weights of the image of ``w`` along the map ``r``."""
+    out = [Fraction(0)] * len(r.target.elements)
+    for x, m in zip(r.source.elements, w):
+        out[r.target.index(r(x))] += m
+    return tuple(out)
+
+
+def reference_preimage(r, w):
+    """Each target weight of ``w`` moved to the least-index source element
+    mapping onto its element."""
+    out = [Fraction(0)] * len(r.source.elements)
+    for y, m in zip(r.target.elements, w):
+        if m:
+            out[next(i for i, x in enumerate(r.source.elements) if r(x) == y)] += m
+    return tuple(out)

@@ -1,13 +1,17 @@
 import json
 import os
 import pathlib
+import random
 import subprocess
 import sys
 
 import pytest
 
-from ordbench import cli, posets, smyth
+from ordbench import cli, lazy as lz, posets, smyth
 from ordbench.cli import main
+from ordbench.valuations import format_valuation, grid
+
+from oracles import SPELLINGS, random_monotone_map, random_pointed_poset, random_poset
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -644,3 +648,95 @@ def test_installed_script_emits_identical_dot(tmp_path):
     )
     assert proc.returncode == 0
     assert proc.stdout == (GOLDEN / "diamond_hasse.dot").read_text()
+
+
+# -- the exit protocol on random inputs ------------------------------------------
+
+
+def sweep_argv(rng, files, P):
+    """One argument list per subcommand on the poset ``P`` in ``files["p"]``,
+    drawn from valid and invalid valuation texts, grid sizes, stages, maps
+    and files."""
+    names = list(P.elements)
+    rest = f" {names[1]}:1/2" if len(names) > 1 else ""
+    spelled = [f"{names[0]}:{s}{rest}" for s, _ in SPELLINGS]
+    wrong = ["zz:1", "", f"{names[0]}:1 {names[0]}:0", f"{names[-1]}:1/3"]
+
+    def val():
+        if rng.random() < 0.5:
+            return format_valuation(rng.choice(grid(P, 2)))
+        return rng.choice(spelled + wrong)
+
+    def grid_flag():
+        return ["--grid", str(rng.randint(-1, 3))]
+
+    def some(*flags):
+        return [f for f in flags if rng.random() < 0.5]
+
+    def element():
+        return rng.choice(names + ["zz"])
+
+    fmt = ["--format", rng.choice(("text", "json"))]
+    p, q, m, h = files["p"], files["q"], files["map"], files["finmap"]
+    stages = [",".join(rng.sample(names, rng.randint(1, len(names)))) for _ in range(2)]
+    kind, action = rng.choice(lz.KINDS), rng.choice(("leq", "family", "witness", "truncate"))
+    # numbers then elements, one more or fewer now and then
+    numbers = {"family": 2 if kind == "n2" else 1, "truncate": 1}.get(action, 0)
+    elements = {"leq": 2, "witness": 2, "family": 1}.get(action, 0) + rng.choice((-1, 0, 0, 0, 1))
+    codes = ["bot", "top", "omega", "omega1", "n:0:1", "n:1:2", "n:2:0", "x"]
+    lazy_args = [str(rng.randint(-1, 3)) for _ in range(numbers)]
+    lazy_args += [rng.choice(codes) for _ in range(max(elements, 0))]
+    return [
+        ["check-poset", p, *fmt],
+        ["hasse", p, *some("--dot")],
+        ["upper-sets", p],
+        ["pathspace", p, *some("--dot")],
+        ["fin", p, *some("--dot")],
+        ["monad-laws", p, *rng.choice([[], [h], [h, h], [files["missing"]]]), *fmt],
+        ["quasi-retraction", p, q, m, *rng.choice([[], [h]]), *fmt],
+        ["koenig", p, element(), *stages],
+        ["val-order", p, val(), val(), "--mode", rng.choice(("flow", "oracle", "both")), *fmt],
+        ["val-waybelow", p, val(), val(), *fmt],
+        ["val-mub", p, val(), val(), *grid_flag()],
+        ["val-maxbelow", p, val(), *grid_flag()],
+        ["val-grid", p, *grid_flag(), *some("--dot")],
+        ["val-push", p, q, m, val(), *some("--preimage")],
+        ["demo-failed-deflations", p, *rng.choice([[], [val()]]), *grid_flag()],
+        ["lazy", kind, action, *lazy_args, *some("--dot")],
+        ["enumerate-posets", str(rng.randint(-1, 3)), *some("--list")],
+    ]
+
+
+def test_every_subcommand_keeps_the_exit_protocol(capsys, tmp_path):
+    """Every exit is 0, 1 or 2, never 3, and an exit 2 prints nothing."""
+    rng = random.Random(17)
+    for trial in range(12):
+        orders = [random_pointed_poset(rng, rng.randint(1, 4)) if rng.random() < 0.7
+                  else random_poset(rng, rng.randint(1, 4)) for _ in range(2)]
+        P, Q = (posets.parse_poset(posets.format_poset(o)) for o in orders)
+        if rng.random() < 0.4:
+            Q = P
+            map_text = "".join(f"{x} -> {x}\n" for x in P.elements)
+        elif rng.random() < 0.5:
+            values = random_monotone_map(rng, P, Q)
+            map_text = "".join(f"{x} -> {y}\n" for x, y in values.items())
+        else:
+            map_text = "".join(f"{x} -> {rng.choice(Q.elements + ('zz',))}\n" for x in P.elements)
+        finmap_text = rng.choice(["garbage\n", "".join(
+            f"{x} -> {{{', '.join(rng.sample(P.elements, rng.randint(1, len(P))))}}}\n"
+            for x in P.elements
+        )])
+        files = {"missing": str(tmp_path / "missing.txt")}
+        for key, text in [("p", posets.format_poset(P)), ("q", posets.format_poset(Q)),
+                          ("map", map_text), ("finmap", finmap_text)]:
+            files[key] = str(tmp_path / f"{trial}-{key}.txt")
+            pathlib.Path(files[key]).write_text(text)
+        for argv in sweep_argv(rng, files, P):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse refuses its input
+                code = exc.code
+            out, err = capsys.readouterr()
+            assert code in (0, 1, 2), (argv, err)
+            if code == 2:
+                assert out == "", argv
