@@ -28,8 +28,10 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def _upper_walk(up: Sequence[int], down: Sequence[int], excluded: int = 0) -> list:
-    """The masks of every upper set disjoint from ``excluded``, increasing.
+def _upper_walk(up: Sequence[int], down: Sequence[int], excluded: int = 0) -> tuple:
+    """``(masks, added)``: the masks of every upper set disjoint from
+    ``excluded``, increasing, and for each the element whose inclusion
+    emitted it (None for the empty set).
 
     ``up[i]`` and ``down[i]`` are the masks of the elements above and below
     element ``i``; ``excluded`` must be down-closed. The walk decides the
@@ -40,19 +42,22 @@ def _upper_walk(up: Sequence[int], down: Sequence[int], excluded: int = 0) -> li
     every branch ends in an upper set (Birkhoff's bijection with antichains,
     walked as in Squire, "Enumerating the ideals of a poset", 1995). The two
     branches agree above ``i`` and differ at ``i``, so the masks come out in
-    increasing order, one branch point per upper set.
+    increasing order, one branch point per upper set. Nothing below ``i`` is
+    included when it is branched on, so ``added[u]`` is minimal in
+    ``masks[u]``: the mask without it is a smaller upper set, listed earlier.
     """
-    out = []
-    # (mask included so far, mask of the indices still free)
-    stack = [(0, ((1 << len(up)) - 1) & ~excluded)]
+    masks, added = [], []
+    # (mask included so far, mask of the indices still free, element added)
+    stack = [(0, ((1 << len(up)) - 1) & ~excluded, None)]
     while stack:
-        inc, free = stack.pop()
+        inc, free, x = stack.pop()
         while free:
             i = free.bit_length() - 1
-            stack.append((inc | up[i], free & ~up[i]))
+            stack.append((inc | up[i], free & ~up[i], i))
             free &= ~down[i]
-        out.append(inc)
-    return out
+        masks.append(inc)
+        added.append(x)
+    return masks, added
 
 
 def _closure(succ: Sequence[Sequence[int]]) -> Optional[Tuple[tuple, tuple]]:
@@ -294,10 +299,14 @@ class Poset:
             for j in _bits(covers)
         )
 
-    def _upper_masks(self) -> list:
-        """The masks of :meth:`upper_sets`, listed once per poset. This is the
-        one place ``UPPER_MAX_ELEMENTS`` is read: every upper-set consumer
-        obeys it, and it is checked before the cached listing is returned."""
+    def _upper_masks(self) -> tuple:
+        """The listing of :meth:`upper_sets`, made once per poset, as
+        ``(masks, parent, added)``: the masks in increasing order, and for
+        each upper set ``u`` after the empty one a minimal element
+        ``added[u]`` and the index ``parent[u]`` of ``masks[u] ^ 1 << added[u]``
+        (see :func:`_upper_walk`), so ``parent[u] < u``. This is the one place
+        ``UPPER_MAX_ELEMENTS`` is read: every upper-set consumer obeys it, and
+        it is checked before the cached listing is returned."""
         limit = UPPER_MAX_ELEMENTS
         n = len(self.elements)
         if n > limit:
@@ -306,19 +315,27 @@ class Poset:
                 f"above the limit of {limit} elements"
             )
         if self._uppers_cache is None:
-            self._uppers_cache = _upper_walk(self._up, self._down)
+            masks, added = _upper_walk(self._up, self._down)
+            index = {m: u for u, m in enumerate(masks)}
+            parent = [0] + [index[m ^ 1 << x] for m, x in zip(masks[1:], added[1:])]
+            self._uppers_cache = masks, parent, added
         return self._uppers_cache
 
     def upper_sets(self) -> list:
         """Every upward-closed subset, the empty set and the carrier included.
 
         Listed in increasing bitmask order over element indices, which is
-        deterministic for a fixed element order. The work is a few mask
-        operations per upper set listed, but an antichain of ``n`` elements
-        has ``2^n`` of them, so posets with more than ``UPPER_MAX_ELEMENTS``
-        elements are refused.
+        deterministic for a fixed element order. Each set is built from its
+        parent in the listing (see :meth:`_upper_masks`) by one union with
+        the added element, so the work is one union per upper set listed,
+        but an antichain of ``n`` elements has ``2^n`` of them, so posets
+        with more than ``UPPER_MAX_ELEMENTS`` elements are refused.
         """
-        return [self._set_of(m) for m in self._upper_masks()]
+        _, parent, added = self._upper_masks()
+        sets = [frozenset()]
+        for p, x in zip(parent[1:], map(self.elements.__getitem__, added[1:])):
+            sets.append(sets[p].union((x,)))
+        return sets
 
     # -- antichains and the Smyth preorder ---------------------------------
 
@@ -669,7 +686,7 @@ def enumerate_posets(n: int) -> Iterator[Poset]:
         zbit = 1 << k
         full = (1 << k) - 1
         # down-sets are the complements of the upper sets, in increasing order
-        for up_mask in reversed(_upper_walk(ups, downs)):
+        for up_mask in reversed(_upper_walk(ups, downs)[0]):
             D = full & ~up_mask
             allowed = full
             for i in _bits(D):
@@ -677,7 +694,7 @@ def enumerate_posets(n: int) -> Iterator[Poset]:
             allowed &= ~D
             below = [ups[i] | (zbit if (D >> i) & 1 else 0) for i in range(k)]
             # up-closed subsets of `allowed`, in decreasing order
-            for U in reversed(_upper_walk(ups, downs, full & ~allowed)):
+            for U in reversed(_upper_walk(ups, downs, full & ~allowed)[0]):
                 above = [downs[i] | (zbit if (U >> i) & 1 else 0) for i in range(k)]
                 yield below + [zbit | U], above + [zbit | D]
 

@@ -9,7 +9,7 @@ fine; these only run at desk scale.
 
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
-from math import ceil, gcd
+from math import ceil, gcd, lcm
 
 from ordbench import BOT, OMEGA, TOP, Poset, format_code, node, omega_side
 
@@ -312,9 +312,13 @@ def dominance_grid(P, N):
 
 
 def _dominance_rows(vals):
-    from ordbench.valuations import _upper_masses
-
-    return _upper_masses(vals, vals[0].poset._upper_masks())[1]
+    """Each valuation's mass on every brute-force upper set of their poset,
+    each set summed directly, in integers over the lcm of all denominators."""
+    P = vals[0].poset
+    uppers = [[P.index(x) for x in U] for U in brute_upper_sets(P)]
+    D = lcm(*(w.denominator for v in vals for w in v.weights))
+    ints = [[w.numerator * (D // w.denominator) for w in v.weights] for v in vals]
+    return [tuple(sum([row[i] for i in U]) for U in uppers) for row in ints]
 
 
 def _dominated(lo, hi):

@@ -122,7 +122,7 @@ def test_a_unit_move_breaks_the_bottom_rounding_exactly_by_the_move_rule():
     # images fall out of order iff x is not bottom, p[x] >= 2 and p[y] == 0
     moves = broken = 0
     for P in _pointed_posets(4):
-        n, bot, masks = len(P.elements), P.index(P.bottom()), P._upper_masks()
+        n, bot, masks = len(P.elements), P.index(P.bottom()), P._upper_masks()[0]
         for N in range(1, 5):
 
             def image_masses(p):

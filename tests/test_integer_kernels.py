@@ -1,7 +1,7 @@
 """The integer-kernel rule, read off the source with ``ast``: the valuation
 kernels work on integer numerators alone, so none of them reads ``Fraction``
-or a valuation's ``weights``, and Fractions are scaled to integers in one
-place at most."""
+or a valuation's ``weights``, Fractions are scaled to integers in one
+place at most, and the upper-set mass kernel does one add per upper set."""
 
 import ast
 from pathlib import Path
@@ -39,3 +39,15 @@ def test_fractions_are_scaled_in_one_place_at_most():
         and "_scaled_weights" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
     ]
     assert len(calls) <= 1
+
+
+def test_the_mass_kernel_steps_along_the_parent_table():
+    # one add per upper set: no bit scan to find an element, no dict of columns
+    kernel = functions("valuations")["_mass_rows"]
+    called = {
+        getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+        for node in ast.walk(kernel)
+        if isinstance(node, ast.Call)
+    }
+    assert called.isdisjoint({"_bits", "next", "dict"})
+    assert not any(isinstance(node, (ast.Dict, ast.DictComp)) for node in ast.walk(kernel))

@@ -25,6 +25,7 @@ from ordbench import (
 from ordbench import posets
 from ordbench.cli import _relabel
 from ordbench.lazy import KINDS
+from ordbench.valuations import _mass_rows
 
 from oracles import (
     LABELED_POSET_COUNTS,
@@ -142,24 +143,46 @@ def test_upper_sets_guard(monkeypatch):
 def _check_upper_masks(P):
     """``_upper_masks`` lists the brute-force upper sets in strictly
     increasing mask order, from the empty set to the carrier, with the
-    limit set to the size of ``P``."""
+    limit set to the size of ``P``. Each upper set after the empty one is
+    an earlier one, its parent, plus one of its minimal elements, and
+    ``upper_sets`` gives the same sets in the same order."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(posets, "UPPER_MAX_ELEMENTS", len(P))
-        masks = P._upper_masks()
-    brute = {sum(1 << P.index(x) for x in U) for U in brute_upper_sets(P)}
-    assert set(masks) == brute
-    assert all(a < b for a, b in zip(masks, masks[1:]))
+        listing = masks, parent, added = P._upper_masks()
+        sets = P.upper_sets()
+    assert masks == sorted({sum(1 << P.index(x) for x in U) for U in brute_upper_sets(P)})
     assert masks[0] == 0 and masks[-1] == (1 << len(P)) - 1
+    assert len(parent) == len(added) == len(masks) and added[0] is None
+    for u in range(1, len(masks)):
+        m, x = masks[u], added[u]
+        assert parent[u] < u
+        assert P._down[x] & m == 1 << x
+        assert masks[parent[u]] == m ^ 1 << x
+    assert sets == [P._set_of(m) for m in masks]
+    return listing
+
+
+def _check_mass_rows(P, listing, rng, counts):
+    """``_mass_rows`` gives, for each random integer row, its sum on every
+    upper set of ``listing``, each set summed directly."""
+    masks, n = listing[0], len(P)
+    for k in counts:
+        ints = [[rng.randrange(-5, 50) for _ in range(n)] for _ in range(k)]
+        want = [tuple(sum(w[i] for i in range(n) if m >> i & 1) for m in masks) for w in ints]
+        assert _mass_rows(ints, listing) == want
 
 
 def test_upper_masks_match_brute_force_up_to_5():
+    rng = random.Random(5)
     for n in range(1, 6):
         for P in enumerate_posets(n):
-            _check_upper_masks(P)
+            listing = _check_upper_masks(P)
+            _check_mass_rows(P, listing, rng, (0, 1, 2, 300) if n <= 3 else (0, 1, 2))
 
 
-@given(
-    st.integers(1, 12).flatmap(
+def random_posets(top):
+    """Draws ``(n, pairs, order, rng)`` for :func:`_random_poset`, n <= top."""
+    return st.integers(1, top).flatmap(
         lambda n: st.tuples(
             st.just(n),
             st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))),
@@ -167,9 +190,9 @@ def test_upper_masks_match_brute_force_up_to_5():
             st.randoms(use_true_random=False),
         )
     )
-)
-@settings(max_examples=60, deadline=None)
-def test_upper_masks_match_brute_force_on_random_posets(case):
+
+
+def _random_poset(case):
     n, pairs, order, rng = case
     els = list(range(n))
     if order == "shuffled":
@@ -177,7 +200,20 @@ def test_upper_masks_match_brute_force_on_random_posets(case):
     elif order == "reversed":
         els.reverse()
     # i < j in the drawn pairs keeps the relation acyclic, whatever the order
-    _check_upper_masks(Poset(els, [(i, j) for i, j in pairs if i < j]))
+    return Poset(els, [(i, j) for i, j in pairs if i < j])
+
+
+@given(random_posets(12))
+@settings(max_examples=60, deadline=None)
+def test_upper_masks_match_brute_force_on_random_posets(case):
+    _check_upper_masks(_random_poset(case))
+
+
+@given(random_posets(8))
+@settings(max_examples=60, deadline=None)
+def test_parent_table_and_mass_rows_on_random_posets(case):
+    P = _random_poset(case)
+    _check_mass_rows(P, _check_upper_masks(P), case[3], (0, 1, 2, 300))
 
 
 def test_upper_sets_of_a_long_chain(monkeypatch):

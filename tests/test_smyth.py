@@ -1,4 +1,5 @@
 import random
+import time
 import tracemalloc
 
 import pytest
@@ -32,7 +33,8 @@ from ordbench import (
 from ordbench import smyth
 
 from oracles import (
-    random_finmap, random_monotone_map, random_poset, reference_monad_laws, transpose,
+    random_finmap, random_monotone_map, random_poset, reference_koenig, reference_monad_laws,
+    transpose,
 )
 
 DIAMOND = parse_poset("elements: bot a b top\norder: bot < a; bot < b; a < top; b < top")
@@ -424,12 +426,39 @@ def test_chain_extraction_satisfies_postcondition(seed):
             [rng.choice([z for z in below if P.leq(z, w)]) for w in coarser]
         )
     chain = koenig_chain(P, stages, y)
+    assert chain == reference_koenig(P, stages, y)
     assert len(chain) == depth
     assert P.leq(chain[-1], y)
     for i in range(depth):
         assert chain[i] in P.antichain_normalize(stages[i])
         if i:
             assert P.leq(chain[i - 1], chain[i])
+
+
+def _late_dead_ends(d):
+    """Stages {q_i, r_i, p_i} for i < d, then {p_d}, all below y: q_i and r_i
+    sit below q_{i+1} and r_{i+1}, p_i below all of stage i + 1. Every q/r
+    branch dies at the last stage, and there are 2^d of them."""
+    els = [f"{x}{i}" for i in range(d) for x in "qrp"] + [f"p{d}", "y"]
+    rel = [(f"p{d}", "y")]
+    for i in range(d):
+        qr = "qr" if i + 1 < d else ""
+        rel += [(f"{x}{i}", f"{z}{i + 1}") for x in "qr" for z in qr]
+        rel += [(f"p{i}", f"{z}{i + 1}") for z in qr + "p"]
+        rel += [(f"{x}{i}", "y") for x in "qr"]
+    stages = [[f"{x}{i}" for x in "qrp"] for i in range(d)] + [[f"p{d}"]]
+    return Poset(els, rel), stages
+
+
+def test_chain_extraction_skips_known_dead_picks():
+    P, stages = _late_dead_ends(8)
+    want = [f"p{i}" for i in range(9)]
+    assert koenig_chain(P, stages, "y") == want == reference_koenig(P, stages, "y")
+    P, stages = _late_dead_ends(60)
+    start = time.perf_counter()
+    chain = koenig_chain(P, stages, "y")
+    assert time.perf_counter() - start < 0.1
+    assert chain == [f"p{i}" for i in range(61)]
 
 
 # -- text formats -----------------------------------------------------------------
