@@ -20,9 +20,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement
+from functools import reduce
+from itertools import combinations, combinations_with_replacement, compress, repeat
 from math import comb, gcd, lcm
-from operator import sub
+from operator import and_, le, or_, sub
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .posets import MonotoneMap, Poset, PosetError, _bits, _closure, _unreached
@@ -259,11 +260,12 @@ def _mass_rows(ints: Sequence[Sequence[int]], listing: tuple) -> List[tuple]:
     :meth:`~Poset._upper_masks`: the empty set comes first, and upper set
     ``u`` is upper set ``parent[u] < u`` plus the element ``added[u]``. So
     ``mass[u] = mass[parent[u]] + w[added[u]]`` in listing order: one add
-    per row and upper set, whatever the upper sets' sizes. The loop runs a
-    row at a time: on two rows over thousands of upper sets (the order and
-    strict-approximation queries) that is about 5x faster than one ``map``
-    over the rows per upper set, which is about 2x faster only on hundreds
-    of rows over a dozen upper sets (the grids).
+    per row and upper set, whatever the upper sets' sizes. A row only has
+    its entries added, so it may hold any integers that add as wanted: the
+    valuations' numerators (the order and strict-approximation queries), or
+    the grid's packed columns, one integer per element with a field per
+    grid point (see :func:`_grid_masses`), where each add sums every point
+    at once.
     """
     _, parent, added = listing
     rows = []
@@ -273,11 +275,6 @@ def _mass_rows(ints: Sequence[Sequence[int]], listing: tuple) -> List[tuple]:
             mass[u] = mass[parent[u]] + w[added[u]]
         rows.append(tuple(mass))
     return rows
-
-
-def _dominated(lo: tuple, hi: tuple) -> bool:
-    """Mass vector ``lo`` is at most ``hi`` on every upper set."""
-    return all(x <= y for x, y in zip(lo, hi))
 
 
 # -- the pointwise order ------------------------------------------------------
@@ -387,7 +384,7 @@ def _transport_decide(nu: Valuation, mu: Valuation) -> tuple:
 
 
 def _oracle_leq(nu: Valuation, mu: Valuation) -> bool:
-    return _dominated(*_upper_masses((nu, mu))[1])
+    return all(map(le, *_upper_masses((nu, mu))[1]))
 
 
 def stochastic_leq(nu: Valuation, mu: Valuation, *, mode: str = "flow") -> bool:
@@ -573,15 +570,20 @@ def pushforward_preimage(r: MonotoneMap, nu: Valuation) -> Valuation:
 # -- grids ---------------------------------------------------------------------
 
 
-def _compositions(total: int, parts: int):
+def _compositions(total: int, parts: int) -> List[tuple]:
     """Every ``parts``-tuple of naturals summing to ``total``, lexicographically.
 
     Stars and bars: the partial sums of the first ``parts - 1`` parts are a
     nondecreasing sequence in [0, total], and ``combinations_with_replacement``
-    lists those sequences in the lexicographic order the parts need.
+    lists those sequences in the lexicographic order the parts need. The
+    sequences are read column by column: with a column of ``total`` after
+    them, part k is cut column k minus cut column k - 1 (zero for k = 0),
+    and the points are the rows of the part columns. No recursion, and no
+    Python loop per point.
     """
-    for cuts in combinations_with_replacement(range(total + 1), parts - 1):
-        yield tuple(map(sub, (*cuts, total), (0, *cuts)))
+    count = comb(total + parts - 1, parts - 1)
+    cuts = [*zip(*combinations_with_replacement(range(total + 1), parts - 1)), (total,) * count]
+    return list(zip(*map(map, repeat(sub), cuts, [(0,) * count, *cuts])))
 
 
 def _require_denominator(N: int) -> None:
@@ -603,11 +605,12 @@ def _grid_points(P: Poset, N: int) -> List[tuple]:
         raise ValuationError(
             f"grid would hold {count} valuations, above the cap of {cap}"
         )
-    return list(_compositions(N, n))
+    return _compositions(N, n)
 
 
 def _grid_moves(P: Poset, N: int, points: List[tuple]) -> List[List[int]]:
-    """For each grid point, the indices of the points one unit move above it.
+    """For each of ``points``, grid points closed upward (the whole grid or
+    an upper set of it), the indices of those one unit move above it.
 
     A move takes one unit (1/N) from an element x that holds some to an
     upper cover y of x. The moves generate the grid order: a point p sits
@@ -634,17 +637,51 @@ def _grid_valuations(P: Poset, N: int, points: Iterable[tuple]) -> List[Valuatio
     return [Valuation._of(P, *_lowest_terms(N, p)) for p in points]
 
 
-def _grid_masses(P: Poset, N: int, vals: Sequence[Valuation]) -> Tuple[List[tuple], ...]:
-    """``(points, tops, rows)``: the grid points of ``P`` and ``N`` (see
-    :func:`_grid_points`), and the integer upper-set masses of ``vals`` and
-    of the points, all over one denominator: the lcm of N and of the
-    denominators of ``vals``. The upper-set limit is checked first."""
+def _grid_masses(P: Poset, N: int, vals: Sequence[Valuation]) -> tuple:
+    """``(points, tops, W, ones, X, S)``: the grid points of ``P`` and ``N``
+    (see :func:`_grid_points`), the integer upper-set mass rows ``tops`` of
+    ``vals``, and the masses and supports of every point, packed. All masses
+    are over one denominator D, the lcm of N and of the denominators of
+    ``vals``. The upper-set limit is checked first.
+
+    The points are held column by column: for each element, one integer
+    with a field of B = 8W bits per point, point i in bits B * i up to
+    B * i + B - 1. ``X[u]`` holds in field i D times the mass of point i on
+    the ``u``-th upper set, and ``S[u]`` the number of elements of that set
+    where point i is positive. Both come from one :func:`_mass_rows` pass
+    that takes the packed columns as one row each, so one add per upper set
+    sums the field of every point at once. No field carries into the next:
+    a mass is at most D, and a support count at most N <= D, as each
+    element of a support holds a unit at least.
+
+    W is the least with D + 1 < 2^(B - 1). With ``ones`` the integer
+    holding 1 in every field and G = ``ones << B - 1`` its guard bits,
+    ``((X[u] | G) - y * ones) & G`` has the guard bit of point i set iff
+    field i of ``X[u]`` is at least y, for 0 <= y <= D + 1. Proof: let
+    h = 2^(B - 1). A field value x is at most D < h, so its guard bit is
+    clear and ``| G`` makes the field x + h. Then (x + h) - y lies in
+    [h - y, 2h), a range inside (0, 2^B) since y < h: each field's
+    difference fits in its own B bits, so subtracting ``y * ones`` borrows
+    nothing across fields, and the top bit of the difference is set iff
+    x + h - y >= h, that is iff x >= y.
+    """
     listing = P._upper_masks()
     points = _grid_points(P, N)
     D, ints = _common(vals, N)
-    ints += [[k * (D // N) for k in p] for p in points]
-    rows = _mass_rows(ints, listing)
-    return points, rows[: len(vals)], rows[len(vals) :]
+    W = (D + 1).bit_length() // 8 + 1
+    V = (N.bit_length() + 7) // 8  # the bytes of a count, at most W
+
+    def packed(column) -> int:
+        raw = bytes(column) if V == 1 else b"".join(map(int.to_bytes, column, repeat(V), repeat("little")))
+        fields = bytearray(len(points) * W)
+        for j in range(V):
+            fields[j::W] = raw[j::V]
+        return int.from_bytes(fields, "little")
+
+    columns = list(zip(*points))
+    supports = [packed(map(bool, c)) for c in columns]
+    *tops, X, S = _mass_rows([*ints, [packed(c) * (D // N) for c in columns], supports], listing)
+    return points, tops, W, packed([1] * len(points)), X, S
 
 
 def grid(P: Poset, N: int) -> List[Valuation]:
@@ -677,17 +714,24 @@ def minimal_upper_bounds_grid(v1: Valuation, v2: Valuation, N: int) -> List[Valu
 
     Domination and minimality are both with respect to the upper-set-mass
     order; results come back in grid enumeration order. The upper bounds are
-    found on integer masses, O(M * #U) adds for #U upper sets. They form an
-    upper set of the grid, so a bound is minimal iff no other bound reaches
-    it in one unit move: O(M * (n + covers)) more, and no pairwise scan.
-    Held to ``GRID_CAP`` points.
+    found on the packed masses of :func:`_grid_masses`: one add per upper
+    set covers every point, then one guarded subtract per upper set, ANDed
+    into one mask, tests them all against the larger of the two input
+    masses. The bounds form an upper set of the grid, so a bound is minimal
+    iff no other bound reaches it in one unit move, and the moves of the
+    bounds alone land on bounds (see :func:`_grid_moves`): O(K * (n +
+    covers)) for K bounds, and no pairwise scan. Held to ``GRID_CAP``
+    points.
     """
     P = _require_same_poset(v1, v2)
-    points, (lo1, lo2), rows = _grid_masses(P, N, (v1, v2))
-    lo = tuple(map(max, lo1, lo2))
-    bound = [_dominated(lo, row) for row in rows]
-    beaten = {j for i, succ in enumerate(_grid_moves(P, N, points)) if bound[i] for j in succ}
-    return _grid_valuations(P, N, [p for i, p in enumerate(points) if bound[i] and i not in beaten])
+    points, (lo1, lo2), W, ones, X, _ = _grid_masses(P, N, (v1, v2))
+    guard = bound = ones << 8 * W - 1
+    for x, y in zip(X, map(max, lo1, lo2)):
+        bound &= (x | guard) - y * ones
+    # a guard bit is the top bit of its field's last byte
+    bounds = list(compress(points, bound.to_bytes(len(points) * W, "little")[W - 1 :: W]))
+    beaten = {j for succ in _grid_moves(P, N, bounds) for j in succ}
+    return _grid_valuations(P, N, [p for j, p in enumerate(bounds) if j not in beaten])
 
 
 def tightly_below(mu: Valuation, nu: Valuation) -> bool:
@@ -720,27 +764,60 @@ def maximal_below_grid(nu: Valuation, N: int) -> List[Valuation]:
 
     Always nonempty on a pointed poset, since the unit mass at bottom is
     tightly below everything. Results come back in grid enumeration order.
-    The tight set is found on integer masses, O(M * #U) adds for #U upper
-    sets. It is not closed downward, so maximality is a scan over its pairs:
-    O(T^2 * #U) for T tight points. Held to ``GRID_CAP`` points.
+    The tight set is found on the packed masses of :func:`_grid_masses`,
+    O(#U) big-integer operations for #U upper sets, and its maximal points
+    by a climb, O(#U) more per tight point visited, with no pairwise scan
+    (see :func:`_maximal_below`). Held to ``GRID_CAP`` points.
     """
     return next(_maximal_below(nu.poset, N, [nu]))
 
 
 def _maximal_below(P: Poset, N: int, targets: Sequence[Valuation]) -> Iterator[List[Valuation]]:
     """For each valuation of ``targets`` on P in turn, lazily, the answer of
-    :func:`maximal_below_grid`. The grid points, their mass rows and
-    supports are built once for all the targets, so a scan over many
-    targets (the whole grid, in the demo's attempt c) costs O(M * #U) for
-    them, then per target the tight scan and the pair scan."""
-    points, tops, rows = _grid_masses(P, N, targets)
-    masks = P._upper_masks()[0]
-    supports = [sum([1 << x for x, k in enumerate(p) if k]) for p in points]
+    :func:`maximal_below_grid`. The grid points and their packed masses and
+    supports are built once for all the targets (see :func:`_grid_masses`),
+    so a scan over many targets (the whole grid, in the demo's attempt c)
+    costs one :func:`_mass_rows` pass, then per target O(#U) big-integer
+    operations for the tight set and O(#U) more per tight point visited.
+
+    The rule of :func:`_tight`, on every point at once: a point fails a
+    proper upper set where the target holds y if its mass x there exceeds
+    y, or if x == y > 0 and its support meets the set in two or more
+    elements (one at least, as x > 0).
+
+    The maximal points come from a climb over the tight points ``left``:
+    from the first point left, step to the first other point left at least
+    as heavy on every upper set (one AND of guard tests per upper set)
+    until there is none, keep the point reached, and drop from ``left``
+    every point at most as heavy as it, itself included. Distinct points
+    have distinct mass rows, so each step climbs strictly, and the point
+    reached is maximal among the points left. A tight point above a point
+    left is left too: a dropped point lies below a kept one, and so would
+    every point below it. So each point kept is maximal among all the tight
+    points. Every point dropped lies below a kept one, so every maximal
+    point is kept; and the points a climb visits are dropped after it, so
+    each tight point is visited once at most.
+    """
+    points, tops, W, ones, X, S = _grid_masses(P, N, targets)
+    B = 8 * W
+    guard, low = ones << B - 1, (1 << B - 1) - 1
+    # the empty set and the carrier hold the same masses for every point
+    XG = [x | guard for x in X[1:-1]]
+    crowded = [(s | guard) - 2 * ones & guard for s in S[1:-1]]
     for top in tops:
-        below = [i for i, (row, s) in enumerate(zip(rows, supports)) if _tight(row, top, s, masks)]
-        # distinct points have distinct mass rows
-        yield _grid_valuations(P, N, [points[i] for i in below if not any(
-            j != i and _dominated(rows[i], rows[j]) for j in below)])
+        left, maximal = guard, []
+        for xg, many, y in zip(XG, crowded, top[1:-1]):
+            left &= ~(xg - (y + 1) * ones | (xg - y * ones & many if y else 0))
+        while left:
+            heavier = left & -left
+            while heavier:  # climb from the first point left to a maximal one
+                i = (heavier & -heavier).bit_length() - 1
+                row = [xg >> i - B + 1 & low for xg in XG]
+                heavier = reduce(and_, [xg - y * ones for xg, y in zip(XG, row)], left ^ 1 << i)
+            maximal.append(points[i // B])
+            # keep the points left that are heavier than i somewhere
+            left &= reduce(or_, [xg - (y + 1) * ones for xg, y in zip(XG, row)], 0)
+        yield _grid_valuations(P, N, sorted(maximal))
 
 
 # -- deliberately broken rounding schemes --------------------------------------
@@ -845,11 +922,23 @@ def failed_deflation_b(nu: Valuation, N: int) -> WeightRounding:
     monotone; the witness search runs over ordered grid pairs in enumeration
     order and reports the first order-violating image pair. The input and
     every grid point are rounded by :func:`_units_below`; on the grid a
-    count c off bottom becomes max(c - 1, 0). For each point i in turn, the
-    points above i and above its image are walked along the unit moves (see
-    :func:`_grid_moves`), and the least j above i whose image is not above
-    i's image closes the search: O(M) per point, O(M^2) when there is no
-    witness, in O(M * covers) memory. Held to ``GRID_CAP`` points.
+    count c off bottom becomes max(c - 1, 0).
+
+    Whether a witness exists is decided first, by the move rule: a unit
+    move from p to q, one unit from x to an upper cover y (see
+    :func:`_grid_moves`), breaks the rounded order iff x is not bottom,
+    p[x] >= 2 and p[y] = 0. Then the image loses a unit on x, y's image
+    stays 0 and the unit goes to bottom; in every other case the image
+    moves a unit from x to y, or y gains one from bottom, or the image
+    stays. The moves generate the grid order and the image order is
+    transitive, so a witness exists iff some move breaks: iff N >= 2 and
+    some non-bottom element has an upper cover (2 units on it, the rest on
+    bottom). Without one the answer costs the listing of the points, O(M *
+    n). With one, for each point i in turn, the points above i and above
+    its image are walked along the unit moves, and the least j above i
+    whose image is not above i's image closes the search: O(M) per point
+    until the first witness, in O(M * covers) memory. Held to ``GRID_CAP``
+    points.
     """
     P = nu.poset
     _require_pointed(P)
@@ -863,6 +952,8 @@ def failed_deflation_b(nu: Valuation, N: int) -> WeightRounding:
 
     rounded = _grid_valuations(P, N, [to_bottom(nu._nums, nu._den)])[0]
     points = _grid_points(P, N)
+    if N < 2 or not any(c for x, c in enumerate(P._cover_masks()) if x != bot):
+        return WeightRounding(rounded=rounded, witness=None)
     moves = _grid_moves(P, N, points)
     index = {p: i for i, p in enumerate(points)}
     images = [index[to_bottom(p, N)] for p in points]

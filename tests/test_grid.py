@@ -7,7 +7,9 @@ upper set. Both must agree exactly: masks, lists in grid order, and the
 first witness.
 """
 
+import itertools
 import random
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -19,13 +21,14 @@ from ordbench import (
     dirac,
     enumerate_posets,
     failed_deflation_b,
+    grid,
     grid_poset,
     maximal_below_grid,
     minimal_upper_bounds_grid,
     parse_poset,
     stochastic_leq,
 )
-from ordbench.valuations import _grid_moves, _grid_points
+from ordbench.valuations import _compositions, _grid_moves, _grid_points, _maximal_below
 
 from oracles import (
     bottom_rounding,
@@ -145,7 +148,9 @@ def test_a_unit_move_breaks_the_bottom_rounding_exactly_by_the_move_rule():
 
 def test_the_rounding_has_a_witness_iff_the_move_rule_can_fire():
     # the moves generate the grid order, so a witness exists iff some move
-    # breaks the rule: N >= 2 and a non-bottom element has an upper cover
+    # breaks the rule: N >= 2 and a non-bottom element has an upper cover;
+    # the library decides by that rule, so up to 4 elements the pairwise
+    # dominance route decides too
     cases = witnesses = 0
     for P in _pointed_posets(5):
         bot = P.index(P.bottom())
@@ -153,9 +158,65 @@ def test_the_rounding_has_a_witness_iff_the_move_rule_can_fire():
         for N in range(1, 4):
             found = failed_deflation_b(dirac(P, P.bottom()), N).witness is not None
             assert found == (N >= 2 and covered), (P, N)
+            if len(P.elements) <= 4:
+                assert found == (dominance_rounding_witness(P, N) is not None), (P, N)
             cases += 1
             witnesses += found
     assert (cases, witnesses) == (3549, 2336)
+
+
+def test_the_rounding_without_a_witness_walks_no_moves():
+    # on the 2-chain only bottom has an upper cover: 3,001 grid points, and
+    # no walk; walking from every point took seconds
+    P = _chain(2)
+    nu = Valuation(P, [Fraction(1, 3), Fraction(2, 3)])
+    start = time.perf_counter()
+    out = failed_deflation_b(nu, 3000)
+    assert time.perf_counter() - start < 0.5
+    assert out.witness is None
+    assert out.rounded == bottom_rounding(nu, 3000)
+
+
+def test_compositions_match_a_filtered_product():
+    for n in range(1, 6):
+        for N in range(6):
+            want = sorted(t for t in itertools.product(range(N + 1), repeat=n) if sum(t) == N)
+            assert _compositions(N, n) == want, (n, N)
+
+
+# D + 1 on either side of a byte or word boundary, D the common denominator
+# of the grid and the inputs: the packed fields widen there
+FIELD_DENOMINATORS = (126, 127, 128, 255, 256, 65535, 65536, 2**64 - 1, 2**64)
+
+
+def _over(P, q, rng):
+    """A valuation on P whose weights have lcm denominator exactly q (on
+    one element, the unit mass)."""
+    i, j = rng.sample(range(len(P.elements)), 2) if len(P.elements) > 1 else (0, 0)
+    nums = [0] * len(P.elements)
+    nums[i] += 1
+    nums[j] += q - 1
+    return Valuation(P, [Fraction(k, q) for k in nums])
+
+
+def test_packed_grid_fields_at_every_width():
+    rng = random.Random(19)
+    posets = (
+        Poset(["x"], []),  # n = 1
+        _chain(3),
+        DIAMOND,
+        Poset(["a", "b", "c"], [("a", "c"), ("b", "c")]),  # two minimal elements: not pointed
+    )
+    for P in posets:
+        for q in FIELD_DENOMINATORS:
+            for N in (1, 2, 3):
+                v1, v2 = _over(P, q, rng), _over(P, q, rng)
+                assert minimal_upper_bounds_grid(v1, v2, N) == dominance_minimal_upper_bounds(v1, v2, N)
+                assert maximal_below_grid(v1, N) == dominance_maximal_below(v1, N)
+                targets = grid(P, N) + [v1, v2]
+                assert list(_maximal_below(P, N, targets)) == [
+                    dominance_maximal_below(t, N) for t in targets
+                ], (P, q, N)
 
 
 def test_upper_bounds_and_approximants_take_memory_linear_in_the_grid():
