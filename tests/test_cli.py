@@ -630,6 +630,19 @@ def test_lazy_rejects_malformed_codes(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("lazy", "n2", "family", "1", "n:0:0"), "error: lazy n2 family takes indices I J and an element"),
+        (("lazy", "t", "truncate"), "error: lazy truncate takes a depth"),
+        (("lazy", "t", "family", "x", "n:0:0"), "error: expected a natural number, got 'x'"),
+    ],
+)
+def test_lazy_refusals_keep_their_messages(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err.strip()) == (2, "", message)
+
+
 # -- console entry point -------------------------------------------------------------------
 
 

@@ -424,3 +424,28 @@ def test_mask_layer_matches_the_element_tuple_references(seed):
     except StagePreconditionError as err:
         got = (str(err), err.index)
     assert got == reference_koenig(P, stages, y)
+
+
+# -- refusals -------------------------------------------------------------------
+
+
+def _controlled(control, table):
+    return ControlledQuasiDeflation(control, QuasiDeflation(CHAIN2, table, check=False))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: check_controlled(_controlled(
+            MonotoneMap(CHAIN2, DIAMOND, {"c0": "bot", "c1": "top"}),
+            {"c0": ("c0",), "c1": ("c1",)})),
+         "control must be an endomap of the deflation's poset"),
+        (lambda: separating_set_from_controlled(_controlled(
+            MonotoneMap(CHAIN2, CHAIN2, lambda x: x), {"c0": ("c1",), "c1": ("c1",)})),
+         "separation postcondition failed at 'c0'; input pair is inconsistent"),
+    ],
+)
+def test_refusals_keep_their_messages(call, message):
+    with pytest.raises(PosetError) as err:
+        call()
+    assert type(err.value) is PosetError and str(err.value) == message

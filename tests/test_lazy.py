@@ -352,3 +352,21 @@ def test_rigidity_holds_for_every_monotone_endomap_at_depth_two():
             keeps = g("n:0:0") != "bot" and g("n:1:0") != "bot"
             if below and keeps:
                 assert g == f
+
+
+T3 = truncate(T, 3).poset
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: n2_family(-1, 0), "family indices must be naturals"),
+        (lambda: t_family(-1), "family index must be a natural"),
+        (lambda: hat_f_rigidity_check(MonotoneMap(T3, T3, lambda x: x), (0, 1)),
+         "g must be an endo-map of the matching truncation of T"),
+    ],
+)
+def test_refusals_keep_their_messages(call, message):
+    with pytest.raises(PosetError) as err:
+        call()
+    assert type(err.value) is PosetError and str(err.value) == message

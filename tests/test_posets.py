@@ -563,3 +563,17 @@ def test_upper_sets_are_upward_closed(rels):
     for U in P.upper_sets():
         for x in U:
             assert all(y in U for y in P.elements if P.leq(x, y))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: MonotoneMap(Poset(["x"], []), Poset(["x"], []), {"x": "x"}).compose(
+            MonotoneMap(Poset(["w"], []), Poset(["y"], []), {"w": "y"})),
+         "composition mismatch: inner target differs from outer source"),
+    ],
+)
+def test_refusals_keep_their_messages(call, message):
+    with pytest.raises(PosetError) as err:
+        call()
+    assert type(err.value) is PosetError and str(err.value) == message

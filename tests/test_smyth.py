@@ -240,7 +240,7 @@ def test_monad_laws_hold_on_random_instances(seed):
 @settings(max_examples=40, deadline=None)
 def test_unit_and_extension_laws_hold_for_any_unchecked_table(seed):
     # FinMap normalizes every value and fin_antichains yields canonical
-    # antichains, so only associativity can fail, and only off monotone maps
+    # antichains, so only associativity can fail, and only off a non-monotone g
     rng = random.Random(seed)
     P, Y, Z = (random_poset(rng, rng.randint(1, 4)) for _ in range(3))
 
@@ -256,7 +256,8 @@ def test_unit_and_extension_laws_hold_for_any_unchecked_table(seed):
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=80, deadline=None)
 def test_mask_law_scan_matches_the_element_tuple_scan(seed):
-    # about a quarter of these maps are not monotone and break associativity
+    # about a quarter of these maps are not monotone and break associativity;
+    # the checked g is monotone, so its report is decided without a scan
     rng = random.Random(seed)
     P, Y, Z = (random_poset(rng, rng.randint(lo, 6)) for lo in (3, 3, 2))
 
@@ -265,11 +266,31 @@ def test_mask_law_scan_matches_the_element_tuple_scan(seed):
 
     h = FinMap(P, Y, table(P, Y), check=False)
     g = FinMap(Y, Z, table(Y, Z), check=False)
-    for args in ((h, g), (h, eta_map(Y)), (eta_map(P), eta_map(P))):
+    g_checked = FinMap(Y, Z, random_finmap(rng, Y, Z))
+    for args in ((h, g), (h, g_checked), (h, eta_map(Y)), (eta_map(P), eta_map(P))):
         rep = check_monad_laws(P, *args)
         flags, witness = reference_monad_laws(P, *args)
         assert (rep.unit_identity, rep.extension_identity, rep.associativity) == flags
         assert rep.witness == witness
+
+
+def test_monotone_outer_map_decides_the_laws_without_extending(monkeypatch):
+    # 4,095 antichains on the 12-element antichain; a monotone g satisfies
+    # every law, so no antichain is extended
+    P = Poset(range(12), [])
+    rng = random.Random(12)
+    h = FinMap(P, DIAMOND, random_finmap(rng, P, DIAMOND))
+    g = FinMap(DIAMOND, CHAIN3, random_finmap(rng, DIAMOND, CHAIN3))
+    calls = []
+    extend = smyth._extend
+
+    def counted(*args):
+        calls.append(args)
+        return extend(*args)
+
+    monkeypatch.setattr(smyth, "_extend", counted)
+    assert check_monad_laws(P, h=h, g=g) == smyth.MonadLawsReport(True, True, True)
+    assert calls == []
 
 
 def test_mask_checks_make_no_index_calls_per_antichain(monkeypatch):
@@ -301,6 +322,34 @@ def test_mask_checks_make_no_index_calls_per_antichain(monkeypatch):
     # the retraction check reads the point map's values twice: once for the
     # law scans and once for the canonical section
     assert counts == [[0, 0, 14], [0, 0, 14]]
+
+
+# -- refusals -------------------------------------------------------------------
+
+ANTICHAIN2 = Poset(["p", "q"], [])
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: mu(DIAMOND, [("a",), ("top",)]), PosetError,
+         "mu expects pairwise incomparable antichains; ('a',) and ('top',) are comparable"),
+        (lambda: check_monad_laws(DIAMOND, h=eta_map(CHAIN3)), PosetError, "h must have source P"),
+        (lambda: check_monad_laws(DIAMOND, g=eta_map(CHAIN3)), PosetError,
+         "g must have source equal to h's target poset"),
+        (lambda: check_quasi_retraction(MonotoneMap(DIAMOND, DIAMOND, lambda x: x),
+                                        eta_map(ANTICHAIN2)),
+         PosetError, "qs must map the target of r into antichains of its source"),
+        (lambda: koenig_chain(DIAMOND, [], "top"), StagePreconditionError,
+         "at least one stage is required"),
+    ],
+)
+def test_refusals_keep_their_messages(call, error, message):
+    with pytest.raises(error) as err:
+        call()
+    assert type(err.value) is error and str(err.value) == message
+    if error is StagePreconditionError:
+        assert err.value.index == 0
 
 
 # -- quasi-retraction ----------------------------------------------------------

@@ -712,3 +712,33 @@ def test_valuation_parser_checks_total_mass():
 def test_valuation_format_omits_zero_weights():
     text = format_valuation(val(a=F(1), b=F(0)))
     assert "b" not in text
+
+
+# -- refusals -------------------------------------------------------------------
+
+ANTICHAIN2 = Poset(["p", "q"], [])
+ONTO_CHAIN = MonotoneMap(DIAMOND, parse_poset("elements: z0 z1\norder: z0 < z1"),
+                         {"bot": "z0", "a": "z0", "b": "z1", "top": "z1"})
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: Valuation(DIAMOND, [1]), "expected 4 weights, got 1"),
+        (lambda: parse_valuation(DIAMOND, "a:"), "malformed entry 'a:', expected elem:p/q"),
+        (lambda: stochastic_leq(dirac(DIAMOND, "a"), dirac(DIAMOND, "a"), mode="x"),
+         "unknown mode 'x'"),
+        (lambda: pushforward(ONTO_CHAIN, dirac(ONTO_CHAIN.target, "z0")),
+         "valuation does not live on the map's source"),
+        (lambda: pushforward_preimage(ONTO_CHAIN, dirac(DIAMOND, "a")),
+         "valuation does not live on the map's target"),
+        (lambda: grid(Poset([], []), 1), "grid needs a nonempty poset"),
+        (lambda: round_down_strict(1, 0), "step must be positive"),
+        *((lambda f=f: f(dirac(ANTICHAIN2, "p"), 2), "this construction needs a pointed poset")
+          for f in (failed_deflation_a, failed_deflation_b, failed_deflation_c)),
+    ],
+)
+def test_refusals_keep_their_messages(call, message):
+    with pytest.raises(ValuationError) as err:
+        call()
+    assert type(err.value) is ValuationError and str(err.value) == message
