@@ -9,7 +9,9 @@ here that a library user could not reproduce.
 Exit codes: 0 for success (or a true answer), 1 for a false answer or a found
 counterexample witness, 2 for usage, file, or input format errors, 3 for an
 internal error (any other exception), reported as one ``internal error:
-<Type>: <message>`` line on stderr so that a crash never reads as "false".
+<Type>: <message>`` line on stderr so that a crash never reads as "false",
+and 141 with nothing on stderr when the reader closes stdout early (the
+status a shell gives a writer killed by SIGPIPE, as in ``| head -1``).
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from fractions import Fraction
 from typing import List, Optional
@@ -519,7 +522,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     # looked up at call time, so a handler replaced after start-up still runs
     handler = globals()["_cmd_" + args.command.replace("-", "_")]
     try:
-        return handler(args)
+        code = handler(args)
+        sys.stdout.flush()  # inside the guard, so a pipe closed late is caught too
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout: send the rest to devnull, so the flush at
+        # exit does not fail again, and exit as a writer killed by SIGPIPE
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (PosetError, ValuationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -14,12 +14,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Callable, List, Optional, Tuple
 
 from .posets import (
     MonotoneMap, Poset, PosetError, _bits, _closure, _lines, _require_writable, _unreached,
 )
-from .valuations import Valuation, ValuationError, _checked_ints, _lcm, _ratios
+from .valuations import Valuation, ValuationError, _checked_ints, _ratios
 
 PATH_CAP = 10_000
 
@@ -124,7 +125,7 @@ def _tree_ints(T: Poset, *maps) -> Tuple[list, int, List[List[int]]]:
     if not T.is_tree():
         raise PosetError("admissible maps live on trees")
     rows = [_as_value_tuple(T, f) for f in maps]
-    D = _lcm(v.denominator for row in rows for v in row)
+    D = lcm(*[v.denominator for row in rows for v in row])
     return rows, D, [[v.numerator * (D // v.denominator) for v in row] for row in rows]
 
 

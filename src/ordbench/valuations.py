@@ -117,19 +117,12 @@ def _spelled(k: int, D: int) -> str:
     return f"{k // g}" if g == D else f"{k // g}/{D // g}"
 
 
-def _lcm(denominators: Iterable[int], D: int = 1) -> int:
-    """The lcm of ``D`` and ``denominators``, folded one at a time."""
-    for q in denominators:
-        D = lcm(D, q)
-    return D
-
-
 def _checked_ints(P: Poset, ratios: Sequence[Tuple[int, Tuple[int, int]]]) -> tuple:
     """``(D, nums)``: the weights of ``(i, (p, q))`` pairs, p/q (q > 0) the
     weight of element ``i`` and zero that of every other, as integers over
     D in lowest terms (see :func:`_lowest_terms`). Refuses a negative weight,
     naming the first in element order, then a total other than one."""
-    D = _lcm(q for _, (p, q) in ratios if p)
+    D = lcm(*[q for _, (p, q) in ratios if p])
     nums = [0] * len(P.elements)
     for i, (p, q) in ratios:
         nums[i] = p * (D // q)
@@ -146,11 +139,9 @@ def _lowest_terms(D: int, nums: Sequence[int]) -> Tuple[int, Tuple[int, ...]]:
     """``D`` and the numerators ``nums`` over it, both divided by their gcd:
     D is then the lcm of the reduced denominators of the nonzero weights,
     so equal weights give equal integers."""
-    g = D
-    for k in nums:
-        if g == 1:
-            return D, tuple(nums)
-        g = gcd(g, k)
+    g = gcd(D, *nums)
+    if g == 1:
+        return D, tuple(nums)
     return D // g, tuple([k // g for k in nums])
 
 
@@ -234,7 +225,7 @@ def _common(vals: Sequence[Valuation], D: int = 1) -> Tuple[int, List[Sequence[i
     """``(L, ints)``: L the lcm of ``D`` and the denominators of ``vals``, and
     ``ints[v][i] == L * vals[v].weights[i]``, with one multiply per entry of
     a valuation held over a smaller denominator."""
-    D = _lcm([v._den for v in vals], D)
+    D = lcm(D, *[v._den for v in vals])
     return D, [v._nums if v._den == D else [k * (D // v._den) for k in v._nums] for v in vals]
 
 
@@ -309,14 +300,28 @@ def _transport_decide(nu: Valuation, mu: Valuation) -> tuple:
     the mask of the left support on the source side of the minimal minimum
     cut.
 
-    Nodes are the left support, the right support (same element order), the
-    source and the sink, numbered in that order. Source edges carry the left
-    numerators, sink edges the right ones, both over D; a middle edge joins
-    i to every j above it in the right support, with capacity D, which
-    never binds as the total flow is at most D. Residuals sit in flat lists:
-    edge ``e`` and its reverse ``e ^ 1``. Every adjacency list is in node
-    order, so the breadth-first searches, and with them the plan, are fixed
-    by the input alone.
+    The graph is bipartite: left node k is the k-th element of nu's
+    support and right node L + k the k-th of mu's, L the size of nu's
+    support, both in element order, and each left is joined to each right
+    above it. ``free`` holds what each left still sends and each right
+    still takes, over D; ``flow`` holds one integer per joined pair, keyed
+    in node order; ``adj`` lists each node's neighbours in node order.
+    Each search is the breadth-first search Edmonds-Karp makes in the
+    residual graph with a source before the lefts and a sink after the
+    rights, but without either: it starts from every left that still
+    sends, in order; a left reaches every right above it; a right reaches
+    the lefts that send it flow, then ends the search if it still takes
+    mass, as its sink edge comes last.
+
+    The pair edges need no capacity. Give each one capacity D, as the
+    residual graph does: while a search runs the total flow is below D
+    (else no left still sends and the search is empty), and no pair
+    carries more than the total, so every pair edge is open forward when
+    a left is searched. And its residual never sets a bottleneck: that is
+    at most what the path's first left still sends, at most D minus the
+    total flow, at most D minus the pair's flow. So the paths, bottlenecks,
+    plan, cut and ``augmentations`` (the number of paths) are those of the
+    residual-graph flow, which ``tests/oracles.py`` keeps as the reference.
     """
     P = nu.poset
     D, (a, b) = _common((nu, mu))
@@ -324,63 +329,55 @@ def _transport_decide(nu: Valuation, mu: Valuation) -> tuple:
     right = [j for j, y in enumerate(b) if y]
     L = len(left)
     node = {j: L + k for k, j in enumerate(right)}
-    src = L + len(right)
-    snk = src + 1
-    adj: List[List[int]] = [[] for _ in range(snk + 1)]
-    head: List[int] = []
-    res: List[int] = []
-
-    def edge(u: int, v: int, c: int) -> None:
-        adj[u].append(len(head))
-        head.append(v)
-        res.append(c)
-        adj[v].append(len(head))
-        head.append(u)
-        res.append(0)
-
-    pairs = []
+    free = [a[i] for i in left] + [b[j] for j in right]
     right_mask = mu._support_mask()
-    for k, i in enumerate(left):
-        for j in _bits(P._up[i] & right_mask):
-            edge(k, node[j], D)
-            pairs.append((i, j))
-    for k, i in enumerate(left):
-        edge(src, k, a[i])
-    for j in right:
-        edge(node[j], snk, b[j])
+    adj = [[node[j] for j in _bits(P._up[i] & right_mask)] for i in left] + [[] for _ in right]
+    flow = {(k, r): 0 for k in range(L) for r in adj[k]}
+    for k, r in flow:
+        adj[r].append(k)
 
-    total = augmentations = 0
+    augmentations = 0
     while True:
-        via = [-1] * (snk + 1)  # the edge each reached node was reached by
-        via[src] = -2
-        queue = [src]
+        # the lefts that still send are reached from the source, the other
+        # nodes from the node in ``via``, -1 while unreached
+        queue = [k for k in range(L) if free[k]]
+        via = [-1] * len(free)
         for u in queue:
-            for e in adj[u]:
-                v = head[e]
-                if via[v] == -1 and res[e]:
-                    via[v] = e
-                    queue.append(v)
-            if via[snk] != -1:  # sink edges come last, so u is done anyway
+            if u < L:
+                for r in adj[u]:
+                    if via[r] == -1:
+                        via[r] = u
+                        queue.append(r)
+                continue
+            for k in adj[u]:
+                if via[k] == -1 and not free[k] and flow[k, u]:
+                    via[k] = u
+                    queue.append(k)
+            if free[u]:
                 break
-        if via[snk] == -1:
+        else:  # no augmenting path: the flow is maximum
             break
-        path = []
-        v = snk
-        while v != src:
-            e = via[v]
-            path.append(e)
-            v = head[e ^ 1]
-        bottleneck = min([res[e] for e in path])
-        for e in path:
-            res[e] -= bottleneck
-            res[e ^ 1] += bottleneck
-        total += bottleneck
+        # the path, walked back from u: right r was reached from left via[r],
+        # and a left k from right via[k], or from the source if that is -1
+        bottleneck, r = free[u], u
+        while r >= 0:
+            k, r = via[r], via[via[r]]
+            bottleneck = min(bottleneck, flow[k, r] if r >= 0 else free[k])
+        free[u] -= bottleneck
+        free[k] -= bottleneck
+        r = u
+        while r >= 0:
+            k = via[r]
+            flow[k, r] += bottleneck
+            r = via[k]
+            if r >= 0:
+                flow[k, r] -= bottleneck
         augmentations += 1
-    if total == D:
-        plan = {pair: res[2 * m + 1] for m, pair in enumerate(pairs) if res[2 * m + 1]}
-        return D, plan, 0, augmentations
-    cut = sum([1 << i for k, i in enumerate(left) if via[k] != -1])
-    return D, None, cut, augmentations
+    if any(free[:L]):
+        cut = sum([1 << i for k, i in enumerate(left) if free[k] or via[k] != -1])
+        return D, None, cut, augmentations
+    plan = {(left[k], right[r - L]): f for (k, r), f in flow.items() if f}
+    return D, plan, 0, augmentations
 
 
 def _oracle_leq(nu: Valuation, mu: Valuation) -> bool:
@@ -395,9 +392,9 @@ def stochastic_leq(nu: Valuation, mu: Valuation, *, mode: str = "flow") -> bool:
     only upward onto mu, i.e. iff a max flow carries all of nu's mass. The
     flow is Edmonds-Karp in integers, on the two valuations' numerators
     brought to D, the lcm of their denominators, with one multiply per
-    entry, on the support graph: nodes for supp(nu), supp(mu), a source and
-    a sink, and an edge from i to each j >= i in supp(mu). It allocates
-    nothing of size n x n and builds no ``Fraction``. ``mode="oracle"``
+    entry, on the bipartite support graph: supp(nu) on the left, supp(mu)
+    on the right, and an edge from i to each j >= i. It allocates nothing
+    of size n x n and builds no ``Fraction``. ``mode="oracle"``
     quantifies over all upper sets (needs the upper-set enumeration to be
     feasible); ``mode="both"`` runs the two and insists they agree.
     :func:`stochastic_leq_report` gives the certificate, the plan turned

@@ -709,12 +709,14 @@ def reference_parse_valuation(P, text):
 
 def reference_transport(P, a, b):
     """Strassen's transport problem on the Fraction weight tuples ``a`` and
-    ``b``, as the library solves it: the same Edmonds-Karp flow, on the same
-    node and edge order, with capacities scaled by the lcm of every
-    denominator. Returns ``(plan, violating_upper)``: a dict of positive
-    Fraction flows keyed by element pairs and None when ``a`` sits below
-    ``b``, otherwise None and the up-closure of the left support on the
-    source side of the minimal minimum cut."""
+    ``b``, by Edmonds-Karp on the generic residual graph: a source, a sink,
+    paired reverse edges and capacity D on every pair edge, D the lcm of
+    every denominator. The library's bipartite search reproduces this
+    graph's breadth-first searches, so its paths, plan and cut are these.
+    Returns ``(plan, violating_upper)``: a dict of positive Fraction flows
+    keyed by element pairs and None when ``a`` sits below ``b``, otherwise
+    None and the up-closure of the left support on the source side of the
+    minimal minimum cut."""
     D = 1
     for w in a + b:
         D = D * w.denominator // gcd(D, w.denominator)

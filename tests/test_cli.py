@@ -646,21 +646,61 @@ def test_lazy_refusals_keep_their_messages(capsys, argv, message):
 # -- console entry point -------------------------------------------------------------------
 
 
-def test_installed_script_emits_identical_dot(tmp_path):
-    poset = tmp_path / "d.poset"
-    poset.write_text(DIAMOND)
+def child_env() -> dict:
     # the child does not inherit pytest's sys.path, so give it the src dir
     src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def test_installed_script_emits_identical_dot(tmp_path):
+    poset = tmp_path / "d.poset"
+    poset.write_text(DIAMOND)
     proc = subprocess.run(
         [sys.executable, "-m", "ordbench.cli", "hasse", str(poset), "--dot"],
         capture_output=True,
         text=True,
-        env=env,
+        env=child_env(),
     )
     assert proc.returncode == 0
     assert proc.stdout == (GOLDEN / "diamond_hasse.dot").read_text()
+
+
+def test_a_reader_that_closes_stdout_gets_141_and_no_error(tmp_path):
+    # 65,536 upper sets: far more than a pipe holds, so the writer is still
+    # writing when the reader goes, as with `ordbench upper-sets ... | head -1`
+    poset = tmp_path / "wide.poset"
+    poset.write_text("elements: " + " ".join(f"e{k}" for k in range(16)) + "\n")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "ordbench.cli", "upper-sets", str(poset)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=child_env(),
+    )
+    assert proc.stdout.readline() == b"{}\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), err) == (141, b"")
+
+    # a pipe closed before the start: the short output waits in the buffer
+    # (buffered, whatever the environment says), so the broken pipe shows
+    # only when it is flushed
+    small = tmp_path / "d.poset"
+    small.write_text(DIAMOND)
+    env = child_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    proc = subprocess.run(
+        [sys.executable, "-m", "ordbench.cli", "upper-sets", str(small)],
+        stdout=write_end,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (141, b"")
 
 
 # -- the exit protocol on random inputs ------------------------------------------

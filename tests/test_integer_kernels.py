@@ -1,7 +1,8 @@
 """The integer-kernel rule, read off the source with ``ast``: the valuation
 kernels work on integer numerators alone, so none of them reads ``Fraction``
-or a valuation's ``weights``, Fractions are scaled to integers in one
-place at most, and the upper-set mass kernel does one add per upper set."""
+or a valuation's ``weights``, a Fraction is taken apart into integers in
+four known functions only, and the upper-set mass kernel does one add per
+upper set."""
 
 import ast
 from pathlib import Path
@@ -30,15 +31,34 @@ def test_no_kernel_reads_fractions_or_weights():
         assert reads == [], name
 
 
-def test_fractions_are_scaled_in_one_place_at_most():
-    calls = [
-        node
-        for path in sorted(SRC.glob("*.py"))
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-        if isinstance(node, ast.Call)
-        and "_scaled_weights" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
-    ]
-    assert len(calls) <= 1
+def readers(attrs: set) -> set:
+    """The qualified names (module first) of the functions and classes in
+    ``src/ordbench/`` whose own code reads an attribute named in ``attrs``."""
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, scope + [child.name])
+                continue
+            if isinstance(child, ast.Attribute) and child.attr in attrs:
+                found.add(".".join(scope))
+            visit(child, scope)
+
+    for path in sorted(SRC.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), [path.stem])
+    return found
+
+
+def test_fractions_are_taken_apart_in_four_places():
+    # a numerator or denominator is read off a Fraction only where one comes
+    # in from outside; every kernel works on integers from there on
+    assert readers({"numerator", "denominator"}) == {
+        "valuations.Valuation.__init__",
+        "valuations._ratio",
+        "valuations.round_down_strict",
+        "treeval._tree_ints",
+    }
 
 
 def test_the_mass_kernel_steps_along_the_parent_table():

@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from ordbench import (
     MixingReport,
+    Poset,
     PosetError,
     Valuation,
     ValuationError,
@@ -114,11 +115,21 @@ def spell(rng, P, weights):
     return " ".join(entries)
 
 
+def assert_reference_flow(P, a, b, rep):
+    """``rep`` has the plan, in the same key order, and the cut of
+    ``reference_transport`` on the weight tuples ``a`` and ``b``."""
+    plan, upper = reference_transport(P, a, b)
+    assert list((rep.transport or {}).items()) == list((plan or {}).items())
+    assert (rep.result, rep.violating_upper) == (plan is not None, upper)
+
+
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=60, deadline=None)
 def test_integer_valuations_match_the_fraction_route(seed):
     rng = random.Random(seed)
-    n = rng.randint(1, 7)
+    # some large posets, so the plans below cover long augmenting paths
+    # that cancel flow; the checks that list every upper set stay small
+    n = rng.randint(1, 7) if rng.random() < 0.8 else rng.randint(8, 40)
     P = random_pointed_poset(rng, n) if rng.random() < 0.7 else random_poset(rng, n)
     P = parse_poset("elements: " + " ".join(map(str, P.elements)) + "\norder: "
                     + "; ".join(f"{a} < {b}" for a, b in P.covers()))
@@ -134,11 +145,9 @@ def test_integer_valuations_match_the_fraction_route(seed):
     assert nu == again == built and hash(nu) == hash(again) == hash(built)
     assert (nu == mu) == (a == b)
 
-    rep = stochastic_leq_report(nu, mu)
-    plan, upper = reference_transport(P, a, b)
-    assert (rep.result, rep.transport, rep.violating_upper) == (plan is not None, plan, upper)
+    assert_reference_flow(P, a, b, stochastic_leq_report(nu, mu))
 
-    if P.is_pointed:
+    if P.is_pointed and n <= 7:
         violations, mixing = reference_way_below(P, a, b)
         assert list(way_below_report(nu, mu).violations) == violations
         assert mixing_oracle(nu, mu) == MixingReport(*mixing)
@@ -162,7 +171,7 @@ def test_integer_valuations_match_the_fraction_route(seed):
         assert [v.weights for v in points] == [v.weights for v in reference]
         assert points == reference and list(map(hash, points)) == list(map(hash, reference))
 
-    if P.is_pointed:
+    if P.is_pointed and n <= 7:
         T, _ = path_space(P)
         w = random_weights(rng, T)
         tv = Valuation(T, w)
@@ -171,6 +180,26 @@ def test_integer_valuations_match_the_fraction_route(seed):
         back = admissible_to_valuation(f)
         assert back == tv and hash(back) == hash(tv)
         assert back.weights == tuple(reference_weights(T, f.values).get(e, 0) for e in T.elements)
+
+
+def test_plans_match_the_residual_graph_flow_on_sparse_posets():
+    # Sparse orders on up to 40 elements, named in shuffled order, give long
+    # augmenting paths with several backward steps.
+    rng = random.Random(21)
+    for _ in range(300):
+        n = rng.randint(2, 40)
+        order = rng.sample(range(n), n)
+        p = rng.choice((0.05, 0.1, 0.2))
+        rels = [(x, y) for k, x in enumerate(order) for y in order[k + 1:] if rng.random() < p]
+        P = Poset(tuple(rng.sample(range(n), n)), rels)
+        a = random_weights(rng, P)
+        b = random_weights(rng, P)
+        if rng.random() < 0.5:  # move each weight up, so that a sits below b
+            b = [Fraction(0)] * n
+            for x, w in zip(P.elements, a):
+                b[P.index(rng.choice([y for y in P.elements if P.leq(x, y)]))] += w
+        rep = stochastic_leq_report(Valuation(P, a), Valuation(P, b))
+        assert_reference_flow(P, a, tuple(b), rep)
 
 
 def test_the_shared_scan_matches_attempt_c_per_target():

@@ -220,6 +220,12 @@ def test_augmentations_count_the_augmenting_paths():
     assert rep.result and rep.augmentations == 3
     assert stochastic_leq_report(val(top=1), val(top=1)).augmentations == 1
     assert stochastic_leq_report(val(top=1), val(bot=1)).augmentations == 0
+    # The second path x2 -> y1 -> x1 -> y2 cancels the first path's x1 -> y1.
+    Z = parse_poset("elements: x1 x2 y1 y2\norder: x1 < y1; x1 < y2; x2 < y1")
+    nu, mu = parse_valuation(Z, "x1:1/2 x2:1/2"), parse_valuation(Z, "y1:1/2 y2:1/2")
+    rep = stochastic_leq_report(nu, mu)
+    assert list(rep.transport.items()) == [(("x1", "y2"), H), (("x2", "y1"), H)]
+    assert rep.augmentations == 2
 
 
 def test_flow_decides_both_directions_on_a_thousand_elements():
