@@ -327,14 +327,16 @@ class Poset:
         Listed in increasing bitmask order over element indices, which is
         deterministic for a fixed element order. Each set is built from its
         parent in the listing (see :meth:`_upper_masks`) by one union with
-        the added element, so the work is one union per upper set listed,
-        but an antichain of ``n`` elements has ``2^n`` of them, so posets
-        with more than ``UPPER_MAX_ELEMENTS`` elements are refused.
+        the singleton of the added element, made once per element, so the
+        work is one union per upper set listed, but an antichain of ``n``
+        elements has ``2^n`` of them, so posets with more than
+        ``UPPER_MAX_ELEMENTS`` elements are refused.
         """
         _, parent, added = self._upper_masks()
+        single = [frozenset((x,)) for x in self.elements]
         sets = [frozenset()]
-        for p, x in zip(parent[1:], map(self.elements.__getitem__, added[1:])):
-            sets.append(sets[p].union((x,)))
+        for p, x in zip(parent[1:], added[1:]):
+            sets.append(sets[p] | single[x])
         return sets
 
     # -- antichains and the Smyth preorder ---------------------------------

@@ -20,11 +20,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import cache, reduce
 from itertools import combinations, combinations_with_replacement, compress, repeat
 from math import comb, gcd, lcm
-from operator import and_, le, or_, sub
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from operator import add, and_, le, or_, sub
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .posets import MonotoneMap, Poset, PosetError, _bits, _closure, _unreached
 
@@ -268,6 +268,49 @@ def _mass_rows(ints: Sequence[Sequence[int]], listing: tuple) -> List[tuple]:
     return rows
 
 
+# P|S is listed afresh on every query, while P's own listing is made once
+# and shared by every query on P: the subposet route pays only when its
+# listing is this many times shorter (with a factor of 1 the tall posets,
+# whose subposets are barely shorter, got slower queries)
+TRACE_FACTOR = 8
+
+
+def _trace_masses(nu: Valuation, mu: Valuation) -> tuple:
+    """``(D, (a, b), masks, proper)``: the mass rows of ``nu`` and ``mu``
+    over D (as in :func:`_upper_masses`) on the traces U ∩ S of the upper
+    sets U of P, S = supp nu ∪ supp mu, with the traces as P-masks
+    ``masks``; the first ``proper`` of them stand for proper upper sets.
+
+    Both masses on U depend only on its trace, and the traces are the upper
+    sets of the subposet P|S: a set T up-closed in S is the trace of ↑T.
+    Every trace but S itself is that of a proper upper set (↑T misses S ∖ T),
+    and S is that of P ∖ {m} for each minimal element m of P outside S, and
+    of no other proper one (a proper upper set misses a minimal element).
+    P|S has at most 2^|S| upper sets, listed by :meth:`~Poset._upper_masks`
+    on :meth:`~Poset._from_masks` over the indices of S, with a third row,
+    the bit of each index of S, that adds up to each trace's P-mask. The
+    route is taken when ``TRACE_FACTOR * 2^|S|`` is below the number #U of
+    upper sets of P; otherwise the traces are the upper sets of P's own
+    listing, and all but the carrier are proper. P's listing is made first
+    either way, so ``UPPER_MAX_ELEMENTS`` refuses the same inputs.
+    """
+    P = nu.poset
+    listing = P._upper_masks()
+    D, ints = _common((nu, mu))
+    idx = list(compress(range(len(P.elements)), map(or_, *ints)))
+    if TRACE_FACTOR << len(idx) >= len(listing[0]):
+        return D, _mass_rows(ints, listing), listing[0], len(listing[0]) - 1
+    # element k of P|S is element idx[k] of P, with its masks over the k
+    up, down = (
+        tuple([sum([1 << k for k, j in enumerate(idx) if r[i] >> j & 1]) for i in idx])
+        for r in (P._up, P._down)
+    )
+    rows = [*([w[i] for i in idx] for w in ints), [1 << i for i in idx]]
+    *rows, masks = _mass_rows(rows, Poset._from_masks(tuple(idx), up, down)._upper_masks())
+    outside = any(P._down[i] == 1 << i for i in _bits(listing[0][-1] ^ masks[-1]))
+    return D, rows, masks, len(masks) - (not outside)
+
+
 # -- the pointwise order ------------------------------------------------------
 
 
@@ -381,7 +424,7 @@ def _transport_decide(nu: Valuation, mu: Valuation) -> tuple:
 
 
 def _oracle_leq(nu: Valuation, mu: Valuation) -> bool:
-    return all(map(le, *_upper_masses((nu, mu))[1]))
+    return all(map(le, *_trace_masses(nu, mu)[1]))
 
 
 def stochastic_leq(nu: Valuation, mu: Valuation, *, mode: str = "flow") -> bool:
@@ -396,7 +439,11 @@ def stochastic_leq(nu: Valuation, mu: Valuation, *, mode: str = "flow") -> bool:
     on the right, and an edge from i to each j >= i. It allocates nothing
     of size n x n and builds no ``Fraction``. ``mode="oracle"``
     quantifies over all upper sets (needs the upper-set enumeration to be
-    feasible); ``mode="both"`` runs the two and insists they agree.
+    feasible), each through its trace on the union S of the two supports,
+    which holds both masses: over the upper sets of the subposet P|S when P
+    has more than ``TRACE_FACTOR * 2^|S|`` upper sets, and over P's own
+    otherwise (see :func:`_trace_masses`); ``mode="both"`` runs the two and
+    insists they agree.
     :func:`stochastic_leq_report` gives the certificate, the plan turned
     into Fractions.
     """
@@ -432,10 +479,15 @@ def stochastic_leq_report(nu: Valuation, mu: Valuation) -> StochasticOrderReport
 def _strict_gaps(nu: Valuation, mu: Valuation) -> Tuple[List[int], int, List[tuple], list]:
     """The one strict-approximation scan: ``(masks, D, (a, b), kinds)``.
 
-    Checks that both valuations live on one pointed poset, lists its upper
-    sets ``masks`` and the integer mass rows ``a`` of ``nu`` and ``b`` of
-    ``mu`` over ``D`` (see :func:`_upper_masses`). ``kinds[u]`` labels the
-    proper upper set ``masks[u]`` by how it breaks nu << mu:
+    Checks that both valuations live on one pointed poset, and takes the
+    traces ``masks`` of its upper sets on S = supp nu ∪ supp mu with the
+    integer mass rows ``a`` of ``nu`` and ``b`` of ``mu`` over ``D`` (see
+    :func:`_trace_masses`): the masses of an upper set are those of its
+    trace, so the scan runs over the upper sets of the subposet P|S when
+    P has more than ``TRACE_FACTOR * 2^|S|`` upper sets, and over P's own
+    otherwise. On a pointed poset S itself stands for a proper upper set,
+    P ∖ {bottom}, exactly when bottom is outside S. ``kinds[u]`` labels
+    the trace ``masks[u]`` of a proper upper set by how it breaks nu << mu:
     ``support_on_null`` (left mass where the right has none),
     ``mass_exceeds`` (left mass above right) or ``equal_mass`` (masses equal
     and positive, which strictness forbids); None when it does not.
@@ -443,15 +495,15 @@ def _strict_gaps(nu: Valuation, mu: Valuation) -> Tuple[List[int], int, List[tup
     P = _require_same_poset(nu, mu)
     if not P.is_pointed:
         raise ValuationError("strict approximation needs a pointed poset")
-    D, (a, b) = _upper_masses((nu, mu))
+    D, (a, b), masks, proper = _trace_masses(nu, mu)
     kinds = [
         "support_on_null" if x and not y
         else "mass_exceeds" if x > y
         else "equal_mass" if x == y > 0
         else None
-        for x, y in zip(a[:-1], b[:-1])
+        for x, y in zip(a[:proper], b[:proper])
     ]
-    return P._upper_masks()[0], D, (a, b), kinds
+    return masks, D, (a, b), kinds
 
 
 @dataclass(frozen=True)
@@ -475,20 +527,34 @@ def way_below(nu: Valuation, mu: Valuation) -> bool:
     Requires a pointed poset. Equivalent to the existence of a rational
     epsilon in (0, 1] with nu below the epsilon-mix of mu with the unit mass
     at bottom (see :func:`mixing_oracle`); derived necessity: the mixes form
-    a directed family with supremum mu.
+    a directed family with supremum mu. Both masses on an upper set depend
+    only on its trace on the two supports, so the criterion is decided on
+    the traces (see :func:`_strict_gaps`).
     """
     return way_below_report(nu, mu).result
 
 
 def way_below_report(nu: Valuation, mu: Valuation) -> WayBelowReport:
+    """:func:`way_below` with every violating proper upper set of P listed.
+
+    The scan of :func:`_strict_gaps` labels traces; a failing report then
+    walks P's own listing once and keeps each proper upper set whose trace
+    on the supports, ``m & S``, was labelled, so the violations come in P's
+    listing order whichever listing the scan ran over.
+    """
     masks, D, (a, b), kinds = _strict_gaps(nu, mu)
-    P = nu.poset
-    violations = tuple(
-        {"kind": kind, "upper": P._set_of(m), "lhs": Fraction(x, D), "rhs": Fraction(y, D)}
-        for kind, m, x, y in zip(kinds, masks, a, b)
-        if kind
-    )
-    return WayBelowReport(not violations, violations)
+    found = {m: (kind, x, y) for kind, m, x, y in zip(kinds, masks, a, b) if kind}
+    if not found:
+        return WayBelowReport(True)
+    P, S = nu.poset, masks[-1]
+    uppers = P._upper_masks()[0][:-1]
+    violations = []
+    for m in compress(uppers, map(found.__contains__, map(S.__and__, uppers))):
+        kind, x, y = found[m & S]
+        violations.append(
+            {"kind": kind, "upper": P._set_of(m), "lhs": Fraction(x, D), "rhs": Fraction(y, D)}
+        )
+    return WayBelowReport(False, tuple(violations))
 
 
 @dataclass(frozen=True)
@@ -497,9 +563,9 @@ class MixingReport:
 
     ``epsilon`` is 1/k for the first feasible k, or None when no mix works.
     ``searched_up_to`` is the bound 2 * #U * D, with #U the number of upper
-    sets and D the common denominator of both valuations. Nothing is
-    searched: k comes in closed form and always falls within this bound,
-    which is reported as a measure of the problem's size.
+    sets of the poset and D the common denominator of both valuations.
+    Nothing is searched: k comes in closed form and always falls within
+    this bound, which is reported as a measure of the problem's size.
     """
 
     exists: bool
@@ -518,13 +584,17 @@ def mixing_oracle(nu: Valuation, mu: Valuation) -> MixingReport:
     over mu(U) > 0 of ceil(mu(U) / (mu(U) - nu(U)))). It is at most D, the
     common denominator of the weights, by the gap argument: every strict
     mass gap is at least 1/D while the mix concedes at most eps, so k = D
-    works whenever any k does.
+    works whenever any k does. Both the refusal and k depend on the masses
+    alone, so they are read off the traces of the upper sets on the two
+    supports, which :func:`_strict_gaps` lists on the subposet they span
+    when that is much shorter than P's own listing.
     """
-    masks, D, (a, b), kinds = _strict_gaps(nu, mu)
-    bound = 2 * len(masks) * D
+    _, D, (a, b), kinds = _strict_gaps(nu, mu)
+    bound = 2 * len(nu.poset._upper_masks()[0]) * D
     if any(kinds):
         return MixingReport(False, None, bound)
-    k = max((-(-y // (y - x)) for x, y in zip(a[:-1], b[:-1]) if y), default=1)
+    # kinds has one entry per trace of a proper upper set, and so stops the zip
+    k = max((-(-y // (y - x)) for x, y, _ in zip(a, b, kinds) if y), default=1)
     return MixingReport(True, Fraction(1, k), bound)
 
 
@@ -742,17 +812,25 @@ def tightly_below(mu: Valuation, nu: Valuation) -> bool:
     maximum of its grid lower set, and the multi-witness behavior the demos
     document (four distinct maximal approximants on the diamond) could never
     appear.
+
+    Both conditions read only the masses of the two valuations and the lower
+    support, so they are decided on the traces of the upper sets on the
+    union S of the two supports (see :func:`_trace_masses`): on the upper
+    sets of the subposet P|S when P has more than ``TRACE_FACTOR * 2^|S|``
+    upper sets, with S itself counted when a minimal element of P lies
+    outside it, and on P's own upper sets otherwise.
     """
-    P = _require_same_poset(mu, nu)
-    _, (a, b) = _upper_masses((mu, nu))
-    return _tight(a, b, mu._support_mask(), P._upper_masks()[0])
+    _require_same_poset(mu, nu)
+    _, (a, b), masks, proper = _trace_masses(mu, nu)
+    return _tight(a[:proper], b, mu._support_mask(), masks)
 
 
 def _tight(a: tuple, b: tuple, supp: int, masks: List[int]) -> bool:
-    """:func:`tightly_below` on kernel rows; ``supp`` is the lower support."""
+    """:func:`tightly_below` on kernel rows; ``supp`` is the lower support,
+    and ``a`` holds the rows of the proper upper sets alone."""
     return all(
         x < y or (x == y and (x == 0 or bin(supp & m).count("1") == 1))
-        for m, x, y in zip(masks[:-1], a, b)
+        for m, x, y in zip(masks, a, b)
     )
 
 
@@ -900,12 +978,12 @@ class WeightRounding:
     witness: Optional[Tuple[Valuation, Valuation]] = None
 
 
-def _reach(succ: List[List[int]], i: int) -> set:
+def _reach(succ: Callable[[int], List[int]], i: int) -> set:
     """The indices reachable from ``i`` along ``succ``, ``i`` included."""
     seen = {i}
     stack = [i]
     while stack:
-        for j in succ[stack.pop()]:
+        for j in succ(stack.pop()):
             if j not in seen:
                 seen.add(j)
                 stack.append(j)
@@ -934,7 +1012,9 @@ def failed_deflation_b(nu: Valuation, N: int) -> WeightRounding:
     n). With one, for each point i in turn, the points above i and above
     its image are walked along the unit moves, and the least j above i
     whose image is not above i's image closes the search: O(M) per point
-    until the first witness, in O(M * covers) memory. Held to ``GRID_CAP``
+    until the first witness, in O(M * covers) memory. A point's image and
+    unit moves are made when the search first reaches it, and kept, so the
+    points it never reaches cost only their listing. Held to ``GRID_CAP``
     points.
     """
     P = nu.poset
@@ -951,13 +1031,17 @@ def failed_deflation_b(nu: Valuation, N: int) -> WeightRounding:
     points = _grid_points(P, N)
     if N < 2 or not any(c for x, c in enumerate(P._cover_masks()) if x != bot):
         return WeightRounding(rounded=rounded, witness=None)
-    moves = _grid_moves(P, N, points)
     index = {p: i for i, p in enumerate(points)}
-    images = [index[to_bottom(p, N)] for p in points]
+    # a unit move from x to an upper cover y (see _grid_moves) adds e_y - e_x
+    e = [tuple([int(x == y) for x in range(len(P.elements))]) for y in range(len(P.elements))]
+    covers = enumerate(P._cover_masks())
+    steps = [(x, tuple(map(sub, e[y], e[x]))) for x, ys in covers for y in _bits(ys)]
+    moves = cache(lambda i: [index[tuple(map(add, points[i], s))] for x, s in steps if points[i][x]])
+    image = cache(lambda i: index[to_bottom(points[i], N)])
     witness = None
     for i in range(len(points)):
-        above = _reach(moves, images[i])
-        failed = [j for j in _reach(moves, i) if images[j] not in above]
+        above = _reach(moves, image(i))
+        failed = [j for j in _reach(moves, i) if image(j) not in above]
         if failed:
             witness = tuple(_grid_valuations(P, N, (points[i], points[min(failed)])))
             break

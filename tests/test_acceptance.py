@@ -544,14 +544,15 @@ def _grid_coords(leq, N):
     return atoms @ leq.T
 
 
-def _pairwise_lub_coords(A, i, children, order):
-    """Least map above rows i and j (for every j) that dominates child sums."""
-    L = np.zeros_like(A)
+def _pairwise_lub_coords(A, children, order):
+    """``L[i, j]``: the least map above rows i and j that dominates child
+    sums, for every i and j at once."""
+    L = np.zeros((A.shape[0],) + A.shape, dtype=A.dtype)
     for t in order:
-        best = np.maximum(A[:, t], A[i, t])
+        best = np.maximum(A[:, None, t], A[None, :, t])
         if children[t]:
-            best = np.maximum(best, L[:, children[t]].sum(axis=1))
-        L[:, t] = best
+            best = np.maximum(best, L[:, :, children[t]].sum(axis=2))
+        L[:, :, t] = best
     return L
 
 
@@ -580,8 +581,9 @@ def test_c09_binary_lubs_are_least_grid_upper_bounds():
             # G[k, j]: A[k] >= A[j]; A[k] >= max(A[j], A[i]) iff G[k, j] and G[k, i]
             G = (A[:, None, :] >= A[None, :, :]).all(axis=2)
             fs = perm = None
+            lubs = _pairwise_lub_coords(A, children, order)
             for i in range(M):
-                L = _pairwise_lub_coords(A, i, children, order)
+                L = lubs[i]
                 bounded = L[:, root] <= N
                 dom = G & G[:, i][:, None]
                 assert (dom.any(axis=0) == bounded).all()
