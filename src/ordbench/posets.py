@@ -156,14 +156,15 @@ class Poset:
         self._uppers_cache = self._covers_cache = None
 
     @classmethod
-    def _from_masks(cls, elements: tuple, up: tuple, down: tuple) -> "Poset":
+    def _from_masks(cls, elements: tuple, up: tuple, down: tuple, covers=None) -> "Poset":
         """Trusted constructor for already-closed, already-checked mask tuples;
-        ``down`` must be the transpose of ``up``."""
+        ``down`` must be the transpose of ``up``. ``covers``, when given, must
+        be the masks :meth:`_cover_masks` would derive, and is cached as is."""
         self = object.__new__(cls)
         self.elements = elements
         self._index = {e: i for i, e in enumerate(elements)}
         self._up, self._down = up, down
-        self._uppers_cache = self._covers_cache = None
+        self._uppers_cache, self._covers_cache = None, covers
         return self
 
     # -- basic queries ----------------------------------------------------
@@ -266,7 +267,9 @@ class Poset:
         until it reaches a minimal element, keeps that as a cover and drops
         everything above it. When element order extends the partial order
         the lowest bit is already minimal, so the walk costs one step per
-        cover. This is the only code that derives the Hasse diagram.
+        cover. This is the only code that derives the Hasse diagram; code
+        that makes a poset whose diagram it already knows passes it to
+        :meth:`_from_masks`.
         """
         if self._covers_cache is None:
             up, down = self._up, self._down
@@ -391,7 +394,7 @@ class Poset:
         """
         if not self.is_pointed:
             raise PosetError("is_tree needs a pointed poset")
-        covers = sum(mask.bit_count() for mask in self._cover_masks())
+        covers = sum(map(int.bit_count, self._cover_masks()))
         return covers == len(self.elements) - 1
 
 

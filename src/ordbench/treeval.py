@@ -20,7 +20,7 @@ from typing import Callable, List, Optional, Tuple
 from .posets import (
     MonotoneMap, Poset, PosetError, _bits, _closure, _lines, _require_writable, _unreached,
 )
-from .valuations import Valuation, ValuationError, _checked_ints, _ratios
+from .valuations import Valuation, ValuationError, _checked_ints, _fractions, _ratios
 
 PATH_CAP = 10_000
 
@@ -30,10 +30,14 @@ def path_space(Y: Poset) -> Tuple[Poset, MonotoneMap]:
 
     Paths are materialized as tuples of elements; the returned poset lists
     them in depth-first order (children visited in element order), so output
-    is deterministic. The endpoint map is monotone by construction (the
-    endpoint of a prefix lies below the endpoint of each extension), so it
-    is built unchecked; it is asserted surjective and the result asserted to
-    be a tree before returning.
+    is deterministic. Each element's upper covers are listed once, and a
+    path's one-step extensions are exactly its covers in the tree, so the
+    tree is handed its cover masks and never walks its own diagram. The
+    order itself is still built by :func:`~ordbench.posets._closure`. The
+    endpoint map is monotone by construction (the endpoint of a prefix lies
+    below the endpoint of each extension), so it is built unchecked; it is
+    asserted surjective and the result asserted to be a tree before
+    returning.
 
     Raises PosetError when there are more than ``PATH_CAP`` paths; their number
     grows exponentially on products.
@@ -41,9 +45,12 @@ def path_space(Y: Poset) -> Tuple[Poset, MonotoneMap]:
     bot = Y.bottom()
     if bot is None:
         raise PosetError("path space needs a pointed poset")
-    children = Y._cover_masks()
+    # each element's upper covers, reversed so that they pop in element order
+    # and the paths stay in preorder
+    ups = [[(Y.elements[c], c) for c in _bits(mask)][::-1] for mask in Y._cover_masks()]
     paths: List[tuple] = []
     succ: List[List[int]] = []  # the index of each path's one-step extensions
+    covers: List[int] = []  # the same indices as masks: the tree's upper covers
     stack = [((bot,), Y.index(bot), -1)]
     while stack:
         path, end, above = stack.pop()
@@ -54,12 +61,12 @@ def path_space(Y: Poset) -> Tuple[Poset, MonotoneMap]:
             )
         if here:
             succ[above].append(here)
+            covers[above] |= 1 << here
         paths.append(path)
         succ.append([])
-        # reversed, so children pop in element order and paths stay in preorder
-        kids = reversed(list(_bits(children[end])))
-        stack.extend((path + (Y.elements[c],), c, here) for c in kids)
-    pi = Poset._from_masks(tuple(paths), *_closure(succ))
+        covers.append(0)
+        stack += [(path + (e,), c, here) for e, c in ups[end]]
+    pi = Poset._from_masks(tuple(paths), *_closure(succ), tuple(covers))
     r = MonotoneMap(pi, Y, lambda p: p[-1], check=False)
     assert pi.is_tree()
     assert not _unreached(Y, r.values)
@@ -139,14 +146,14 @@ def _children_first(T: Poset, node: Callable[[int, int], int]) -> List[int]:
     gives the value at index ``i`` from the sum ``s`` of its children's values.
 
     The folds run in integers over one common denominator D (a valuation's
-    own, or that of :func:`_tree_ints`); callers build one Fraction per
-    output value, over D.
+    own, or that of :func:`_tree_ints`); callers build the output Fractions
+    over D with :func:`~ordbench.valuations._fractions`, one per distinct value.
     """
     children = T._cover_masks()
     vals = [0] * len(children)
-    # deeper nodes have strictly larger predecessor sets
-    depth = [d.bit_count() for d in T._down]
-    for i in sorted(range(len(children)), key=depth.__getitem__, reverse=True):
+    # x < y gives down[x] a proper subset of down[y], so down[x] < down[y] as
+    # integers: the largest masks come first, children before their parents
+    for i in sorted(range(len(children)), key=T._down.__getitem__, reverse=True):
         s, kids = 0, children[i]
         while kids:
             low = kids & -kids
@@ -197,7 +204,7 @@ def valuation_to_admissible(nu: Valuation) -> AdmissibleMap:
         raise PosetError("admissible coordinates exist only on trees")
     D, w = nu._den, nu._nums
     vals = _children_first(T, lambda i, s: w[i] + s)
-    return AdmissibleMap(T, tuple(Fraction(v, D) for v in vals))
+    return AdmissibleMap(T, _fractions(vals, D))
 
 
 def admissible_to_valuation(f: AdmissibleMap) -> Valuation:
@@ -229,7 +236,7 @@ def admissible_lub(f1: AdmissibleMap, f2: AdmissibleMap) -> Optional[AdmissibleM
     vals = _children_first(T, lambda i, s: max(v1[i], v2[i], s))
     if vals[T.index(T.bottom())] > D:
         return None
-    return AdmissibleMap(T, tuple(Fraction(v, D) for v in vals))
+    return AdmissibleMap(T, _fractions(vals, D))
 
 
 # -- serialization --------------------------------------------------------------

@@ -47,7 +47,8 @@ class Valuation:
     The weights are stored as integer numerators over one denominator D,
     the lcm of the reduced denominators of the nonzero weights, so equal
     valuations have equal numerators. ``weights``, a tuple of
-    ``Fraction(k, D)``, is built on first use.
+    ``Fraction(k, D)``, is built on first use, one Fraction per distinct
+    numerator (see :func:`_fractions`).
     """
 
     __slots__ = ("poset", "_den", "_nums", "_weights")
@@ -77,7 +78,7 @@ class Valuation:
     @property
     def weights(self) -> Tuple[Fraction, ...]:
         if self._weights is None:
-            self._weights = tuple(Fraction(k, self._den) for k in self._nums)
+            self._weights = _fractions(self._nums, self._den)
         return self._weights
 
     def weight(self, x) -> Fraction:
@@ -109,6 +110,14 @@ class Valuation:
 
     def __repr__(self) -> str:
         return f"Valuation({str(self)!r})"
+
+
+def _fractions(nums: Sequence[int], D: int) -> Tuple[Fraction, ...]:
+    """``tuple(Fraction(k, D) for k in nums)`` with one Fraction per distinct
+    k: Fractions are immutable, so equal values can share one object, and a
+    tuple of them compares and prints the same."""
+    made = {k: Fraction(k, D) for k in set(nums)}
+    return tuple(map(made.__getitem__, nums))
 
 
 def _spelled(k: int, D: int) -> str:

@@ -582,15 +582,22 @@ def test_c09_binary_lubs_are_least_grid_upper_bounds():
             G = (A[:, None, :] >= A[None, :, :]).all(axis=2)
             fs = perm = None
             lubs = _pairwise_lub_coords(A, children, order)
+            bounded = lubs[:, :, root] <= N  # [i, j]
+            # some A[k] dominates rows i and j iff (G^T G)[i, j] > 0
+            Gi = G.astype(np.int64)
+            assert ((Gi.T @ Gi > 0) == bounded).all()
+            # for each bounded pair (i, j), every A[k] that dominates rows i and
+            # j dominates their lub L, whose coordinates lie in 0..N. Sets of
+            # points k are packed bits: ge[t, v] holds the k with A[k, t] >= v,
+            # so the k above L are the AND over t of ge[t, L[t]]
+            ge = np.packbits(A.T[:, None, :] >= np.arange(N + 1)[None, :, None], axis=2)
+            ups = np.packbits(G.T, axis=1)  # ups[i]: the k with A[k] >= A[i]
+            ii, jj = np.nonzero(bounded)
+            above = np.bitwise_and.reduce(ge[np.arange(A.shape[1]), lubs[ii, jj]], axis=1)
+            least_ok = ~(ups[ii] & ups[jj]) | above
+            assert (least_ok == 255).all()
+            pair_count += M * M
             for i in range(M):
-                L = lubs[i]
-                bounded = L[:, root] <= N
-                dom = G & G[:, i][:, None]
-                assert (dom.any(axis=0) == bounded).all()
-                least_ok = ~dom[:, bounded] | (A[:, None, :] >= L[bounded][None, :, :]).all(axis=2)
-                assert least_ok.all()
-                pair_count += M
-
                 if rng.random() < 2.0 / M:
                     if fs is None:
                         fs = [valuation_to_admissible(v) for v in grid(Tp, N)]
@@ -601,9 +608,9 @@ def test_c09_binary_lubs_are_least_grid_upper_bounds():
                         perm = [rows[tuple(int(c) for c in row)] for row in A]
                     j = rng.randrange(M)
                     got = admissible_lub(fs[perm[i]], fs[perm[j]])
-                    if bounded[j]:
+                    if bounded[i, j]:
                         assert got is not None
-                        assert [int(got(t) * N) for t in Tp.elements] == list(L[j])
+                        assert [int(got(t) * N) for t in Tp.elements] == list(lubs[i, j])
                     else:
                         assert got is None
                     lib_checked += 1

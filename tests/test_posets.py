@@ -96,11 +96,15 @@ def test_cover_masks_are_computed_once_per_poset(diamond):
     assert diamond.covers() == (("bot", "a"), ("bot", "b"), ("a", "top"), ("b", "top"))
     golden = pathlib.Path(__file__).parent / "golden" / "diamond_hasse.dot"
     assert poset_to_dot(diamond) == golden.read_text()
-    # a poset built from another's masks derives its own diagram
+    # a poset built from another's masks alone derives its own diagram
+    rebuilt = Poset._from_masks(diamond.elements, diamond._up, diamond._down)
+    assert rebuilt._covers_cache is None
+    assert rebuilt._cover_masks() == first and rebuilt._cover_masks() is not first
+    # a renamed copy keeps the indices, so it keeps the diagram already derived
     named = _relabel(diamond, str.upper)
-    assert named._covers_cache is None
-    assert named._cover_masks() == first and named._cover_masks() is not first
+    assert named._cover_masks() is first
     assert named.covers() == (("BOT", "A"), ("BOT", "B"), ("A", "TOP"), ("B", "TOP"))
+    assert _relabel(Poset("ab", [("a", "b")]), str.upper)._covers_cache is None
 
 
 def test_covers_skip_transitive_edges():

@@ -9,6 +9,7 @@ from ordbench import treeval
 from ordbench import (
     PATH_CAP,
     AdmissibleMap,
+    AdmissibleReport,
     Poset,
     PosetError,
     Valuation,
@@ -136,6 +137,47 @@ def test_path_space_of_tree_is_isomorphic_to_it():
         for p in Pi.elements:
             for q in Pi.elements:
                 assert Pi.leq(p, q) == T.leq(f[p], f[q])
+
+
+def shuffled(rng, P):
+    """P with its elements listed in a random order."""
+    elements = list(P.elements)
+    rng.shuffle(elements)
+    return Poset(elements, P.covers())
+
+
+def cover_chains(Y):
+    """Every cover chain from the bottom of Y, by direct recursion."""
+    kids = {e: [b for a, b in Y.covers() if a == e] for e in Y.elements}
+
+    def walk(path):
+        yield path
+        for c in kids[path[-1]]:
+            yield from walk(path + (c,))
+
+    return list(walk((Y.bottom(),)))
+
+
+def test_path_space_matches_the_prefix_order_built_afresh():
+    # path_space hands the tree the cover masks it built; Poset closes the
+    # prefix pairs itself and walks its own covers
+    rng = random.Random(23)
+    Ys = [shuffled(rng, random_pointed_poset(rng, rng.randint(1, 8))) for _ in range(150)]
+    Ys += [tree_poset(shape) for n in range(1, 6) for shape in rooted_trees(n)]
+    Ys.append(_chain(7).product(_chain(7)))
+    for Y in Ys:
+        Pi, r = path_space(Y)
+        # preorder with children in element order is the lexicographic order
+        # of the chains read as element indices
+        want = sorted(cover_chains(Y), key=lambda p: [Y.index(x) for x in p])
+        assert Pi.elements == tuple(want)
+        slow = Poset(want, [(p[:-1], p) for p in want if len(p) > 1])
+        assert slow._covers_cache is None
+        assert (Pi._up, Pi._down) == (slow._up, slow._down)
+        assert Pi._cover_masks() == slow._cover_masks()
+        assert r.source is Pi and r.target is Y
+        assert r.values == tuple(p[-1] for p in want)
+    assert len(Pi) == comb(14, 7) - 1
 
 
 # -- valuation/admissible correspondence ----------------------------------------------
@@ -332,11 +374,8 @@ def outcome(call):
         return type(err), str(err)
 
 
-@given(st.integers(0, 2**32 - 1))
-@settings(max_examples=80, deadline=None)
-def test_integer_folds_match_the_fraction_folds(seed):
-    rng = random.Random(seed)
-    T, _ = path_space(random_pointed_poset(rng, rng.randint(1, 7)))
+def assert_folds_match(rng, T):
+    """Run the folds on random maps on the tree T against the Fraction folds."""
     d = rng.randint(1, 12)
     nus = [random_valuation(rng, T, d) for _ in range(2)]
     # Diracs at two nodes have no lub when the nodes are incomparable
@@ -345,6 +384,7 @@ def test_integer_folds_match_the_fraction_folds(seed):
     for nu, f in zip(nus, fs):
         assert f.values == reference_filter_masses(nu)
         assert admissible_to_valuation(f).weights == nu.weights
+        assert check_admissible(T, f).valid
     # values on the grid 1/d, some outside [0, 1], most not admissible
     raw = tuple(F(rng.randint(-d, 2 * d), d) for _ in T.elements)
     direct = AdmissibleMap(T, raw)
@@ -364,6 +404,64 @@ def test_integer_folds_match_the_fraction_folds(seed):
         assert str(err.value) == "; ".join(want)
     else:
         assert admissible(T, raw).values == raw
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=80, deadline=None)
+def test_integer_folds_match_the_fraction_folds(seed):
+    rng = random.Random(seed)
+    T, _ = path_space(random_pointed_poset(rng, rng.randint(1, 7)))
+    assert_folds_match(rng, T)
+
+
+def test_folds_match_the_fraction_folds_on_trees_out_of_preorder():
+    # path_space and tree_poset list nodes depth-first; the folds must not
+    # depend on that
+    rng = random.Random(31)
+    for n in range(1, 7):
+        for shape in rooted_trees(n):
+            assert_folds_match(rng, shuffled(rng, tree_poset(shape)))
+
+
+def test_folds_build_one_fraction_per_distinct_value(monkeypatch):
+    from ordbench import valuations
+
+    T, _ = path_space(_chain(6).product(_chain(7)))
+    assert len(T) == comb(13, 6) - 1
+    rng = random.Random(37)
+
+    def half_at_root(nu):
+        # the lub of two maps is at most their sum below the root, so two
+        # valuations with half their mass at the root have one
+        w = {e: x / 2 for e, x in zip(T.elements, nu.weights)}
+        w[T.bottom()] += H
+        return Valuation(T, w)
+
+    fs = [valuation_to_admissible(half_at_root(random_valuation(rng, T, 6))) for _ in range(2)]
+    made = []
+
+    def counted(*args):
+        made.append(args)
+        return Fraction(*args)
+
+    monkeypatch.setattr(treeval, "Fraction", counted)
+    monkeypatch.setattr(valuations, "Fraction", counted)
+
+    def built(call):
+        """The result of ``call`` and how many Fractions the library made for it."""
+        made.clear()
+        return call(), len(made)
+
+    for f in fs:
+        nu, made_nu = built(lambda: admissible_to_valuation(f))
+        assert made_nu == 0
+        g, made_g = built(lambda: valuation_to_admissible(nu))
+        assert g.values == f.values and made_g <= len(set(g.values)) <= 13
+        weights, made_w = built(lambda: nu.weights)
+        assert made_w <= len(set(weights)) <= 13
+        assert built(lambda: check_admissible(T, f)) == (AdmissibleReport(True), 0)
+    lub, made_lub = built(lambda: admissible_lub(*fs))
+    assert lub is not None and made_lub <= len(set(lub.values)) <= 13
 
 
 # -- covering Val1(Y) through the path space ---------------------------------------------
