@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import cache, reduce
 from itertools import combinations, combinations_with_replacement, compress, repeat
 from math import comb, gcd, lcm
-from operator import add, and_, le, or_, sub
+from operator import and_, le, mul, or_, sub
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .posets import MonotoneMap, Poset, PosetError, _bits, _closure, _unreached
@@ -238,23 +238,9 @@ def _common(vals: Sequence[Valuation], D: int = 1) -> Tuple[int, List[Sequence[i
     return D, [v._nums if v._den == D else [k * (D // v._den) for k in v._nums] for v in vals]
 
 
-def _upper_masses(vals: Sequence[Valuation]) -> Tuple[int, List[tuple]]:
-    """The one upper-set mass kernel: integer masses over a common denominator.
-
-    Brings the numerators of ``vals``, valuations on one poset, to one
-    denominator ``D``, the lcm of theirs (see :func:`_common`). Returns
-    ``(D, rows)`` where ``rows[v][u]`` is ``D`` times the mass of ``vals[v]``
-    on the ``u``-th upper set of the poset's listing (see
-    :meth:`~Poset._upper_masks`). The carrier is last, so ``rows[v][:-1]``
-    are the masses of the proper upper sets.
-    """
-    D, ints = _common(vals)
-    return D, _mass_rows(ints, vals[0].poset._upper_masks())
-
-
 def _mass_rows(ints: Sequence[Sequence[int]], listing: tuple) -> List[tuple]:
-    """``rows[v][u]``: the sum of the integer weights ``ints[v]`` on the
-    ``u``-th upper set of ``listing``.
+    """The one upper-set mass kernel. ``rows[v][u]``: the sum of the integer
+    weights ``ints[v]`` on the ``u``-th upper set of ``listing``.
 
     ``listing`` is ``(masks, parent, added)`` from
     :meth:`~Poset._upper_masks`: the empty set comes first, and upper set
@@ -262,10 +248,10 @@ def _mass_rows(ints: Sequence[Sequence[int]], listing: tuple) -> List[tuple]:
     ``mass[u] = mass[parent[u]] + w[added[u]]`` in listing order: one add
     per row and upper set, whatever the upper sets' sizes. A row only has
     its entries added, so it may hold any integers that add as wanted: the
-    valuations' numerators (the order and strict-approximation queries), or
-    the grid's packed columns, one integer per element with a field per
-    grid point (see :func:`_grid_masses`), where each add sums every point
-    at once.
+    valuations' numerators over one denominator (see :func:`_common`), for
+    the order, strict-approximation and rounding queries, or the grid's
+    packed columns, one integer per element with a field per grid point
+    (see :func:`_grid_masses`), where each add sums every point at once.
     """
     _, parent, added = listing
     rows = []
@@ -286,9 +272,10 @@ TRACE_FACTOR = 8
 
 def _trace_masses(nu: Valuation, mu: Valuation) -> tuple:
     """``(D, (a, b), masks, proper)``: the mass rows of ``nu`` and ``mu``
-    over D (as in :func:`_upper_masses`) on the traces U ∩ S of the upper
-    sets U of P, S = supp nu ∪ supp mu, with the traces as P-masks
-    ``masks``; the first ``proper`` of them stand for proper upper sets.
+    over D, the lcm of their denominators (see :func:`_common` and
+    :func:`_mass_rows`), on the traces U ∩ S of the upper sets U of P,
+    S = supp nu ∪ supp mu, with the traces as P-masks ``masks``; the
+    first ``proper`` of them stand for proper upper sets.
 
     Both masses on U depend only on its trace, and the traces are the upper
     sets of the subposet P|S: a set T up-closed in S is the trace of ↑T.
@@ -684,9 +671,14 @@ def _grid_points(P: Poset, N: int) -> List[tuple]:
     return _compositions(N, n)
 
 
-def _grid_moves(P: Poset, N: int, points: List[tuple]) -> List[List[int]]:
-    """For each of ``points``, grid points closed upward (the whole grid or
-    an upper set of it), the indices of those one unit move above it.
+def _grid_moves(P: Poset, N: int, points: List[tuple]) -> tuple:
+    """``(find, moves)`` on ``points``, grid points closed upward (the whole
+    grid or an upper set of it): ``find(p)`` is the index of the grid point
+    p among them, and ``moves(i)`` the indices of the points one unit move
+    above point i, made when asked for. This is the one place grid points
+    are keyed and moved. A caller that asks for a point's moves more than
+    once keeps them itself: making a ``functools.cache`` takes microseconds,
+    which shows on small grids.
 
     A move takes one unit (1/N) from an element x that holds some to an
     upper cover y of x. The moves generate the grid order: a point p sits
@@ -695,17 +687,26 @@ def _grid_moves(P: Poset, N: int, points: List[tuple]) -> List[List[int]]:
     route x -> z with x < z can be cut to x -> y with x covered by y <= z,
     and the point after that move still lies below q. Each point is keyed
     by its counts read as digits in base N + 1, so a move adds
-    (N+1)^y - (N+1)^x to the key. O(M * (n + covers)) for M points.
+    (N+1)^y - (N+1)^x to the key. O(M * n) for the keys of M points, then
+    O(covers) per point moved.
     """
     digit = [(N + 1) ** x for x in range(len(P.elements))]
-    keys = [sum([k * d for k, d in zip(p, digit)]) for p in points]
-    index = {key: i for i, key in enumerate(keys)}
     steps = [
         (x, digit[y] - digit[x])
         for x, covers in enumerate(P._cover_masks())
         for y in _bits(covers)
     ]
-    return [[index[key + step] for x, step in steps if p[x]] for p, key in zip(points, keys)]
+    keys = [sum(map(mul, p, digit)) for p in points]
+    index = dict(zip(keys, range(len(keys))))
+
+    def find(p: Sequence[int]) -> int:
+        return index[sum(map(mul, p, digit))]
+
+    def moves(i: int) -> List[int]:
+        p, key = points[i], keys[i]
+        return [index[key + step] for x, step in steps if p[x]]
+
+    return find, moves
 
 
 def _grid_valuations(P: Poset, N: int, points: Iterable[tuple]) -> List[Valuation]:
@@ -781,7 +782,8 @@ def grid_poset(P: Poset, N: int) -> Poset:
     Held to ``GRID_CAP`` points.
     """
     points = _grid_points(P, N)
-    masks = _closure(_grid_moves(P, N, points))
+    _, moves = _grid_moves(P, N, points)
+    masks = _closure(list(map(moves, range(len(points)))))
     return Poset._from_masks(tuple(_grid_valuations(P, N, points)), *masks)
 
 
@@ -806,7 +808,8 @@ def minimal_upper_bounds_grid(v1: Valuation, v2: Valuation, N: int) -> List[Valu
         bound &= (x | guard) - y * ones
     # a guard bit is the top bit of its field's last byte
     bounds = list(compress(points, bound.to_bytes(len(points) * W, "little")[W - 1 :: W]))
-    beaten = {j for succ in _grid_moves(P, N, bounds) for j in succ}
+    _, moves = _grid_moves(P, N, bounds)
+    beaten = {j for i in range(len(bounds)) for j in moves(i)}
     return _grid_valuations(P, N, [p for j, p in enumerate(bounds) if j not in beaten])
 
 
@@ -957,9 +960,9 @@ def failed_deflation_a(nu: Valuation, N: int) -> SetFunctionRounding:
     P = nu.poset
     _require_pointed(P)
     _require_denominator(N)
-    D, (row,) = _upper_masses((nu,))
     masks = P._upper_masks()[0]
-    units = dict(zip(masks, _units_below(row, D, N)))
+    (row,) = _mass_rows([nu._nums], P._upper_masks())
+    units = dict(zip(masks, _units_below(row, nu._den, N)))
     sets = dict(zip(masks, P.upper_sets()))
     witness = next(
         (
@@ -1023,8 +1026,8 @@ def failed_deflation_b(nu: Valuation, N: int) -> WeightRounding:
     whose image is not above i's image closes the search: O(M) per point
     until the first witness, in O(M * covers) memory. A point's image and
     unit moves are made when the search first reaches it, and kept, so the
-    points it never reaches cost only their listing. Held to ``GRID_CAP``
-    points.
+    points it never reaches cost only their listing and their keys (see
+    :func:`_grid_moves`). Held to ``GRID_CAP`` points.
     """
     P = nu.poset
     _require_pointed(P)
@@ -1040,13 +1043,9 @@ def failed_deflation_b(nu: Valuation, N: int) -> WeightRounding:
     points = _grid_points(P, N)
     if N < 2 or not any(c for x, c in enumerate(P._cover_masks()) if x != bot):
         return WeightRounding(rounded=rounded, witness=None)
-    index = {p: i for i, p in enumerate(points)}
-    # a unit move from x to an upper cover y (see _grid_moves) adds e_y - e_x
-    e = [tuple([int(x == y) for x in range(len(P.elements))]) for y in range(len(P.elements))]
-    covers = enumerate(P._cover_masks())
-    steps = [(x, tuple(map(sub, e[y], e[x]))) for x, ys in covers for y in _bits(ys)]
-    moves = cache(lambda i: [index[tuple(map(add, points[i], s))] for x, s in steps if points[i][x]])
-    image = cache(lambda i: index[to_bottom(points[i], N)])
+    find, moves = _grid_moves(P, N, points)
+    moves = cache(moves)
+    image = cache(lambda i: find(to_bottom(points[i], N)))
     witness = None
     for i in range(len(points)):
         above = _reach(moves, image(i))

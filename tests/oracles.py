@@ -98,18 +98,50 @@ def transpose(up):
     return tuple(down)
 
 
+LAZY_CAPS = {"n2": [OMEGA], "t": [TOP], "nsum": [omega_side(0), omega_side(1)]}
+
+
+def lazy_codes(kind, levels):
+    """The codes of a lazy poset below node level ``levels``: bottom, the two
+    nodes of each level from 0 up, then the kind's caps."""
+    codes = [BOT]
+    for m in range(levels):
+        codes += [node(0, m), node(1, m)]
+    return codes + LAZY_CAPS[kind]
+
+
 def all_pairs_truncation(L, k):
     """The truncation of a lazy poset at depth k, asking ``L.leq`` on every
     ordered pair of its codes (bottom, the nodes level by level, the caps).
 
     Returns ``(elements, up, down)``: the element names and the order masks.
     """
-    codes = [BOT]
-    for m in range(k if L.kind == "t" else k + 1):
-        codes += [node(0, m), node(1, m)]
-    codes += {"n2": [OMEGA], "t": [TOP], "nsum": [omega_side(0), omega_side(1)]}[L.kind]
+    codes = lazy_codes(L.kind, k if L.kind == "t" else k + 1)
     up = tuple(sum(1 << j for j, d in enumerate(codes) if L.leq(c, d)) for c in codes)
     return tuple(format_code(c) for c in codes), up, transpose(up)
+
+
+def reference_lazy_leq(kind, k):
+    """The order of a lazy poset on its codes up to node level k, as a
+    function ``leq(x, y)``, without asking the library's order.
+
+    The covering relations are those the ``lazy`` docstring describes:
+    bottom below both level-0 nodes; a node below the next node of its
+    branch (``n2``, ``nsum``) or below both nodes of the next level
+    (``t``); the level-k nodes below the caps, in ``nsum`` each below the
+    cap of its own branch. :func:`reference_closure` closes them: every
+    relation between codes up to level k is a chain of those covers.
+    """
+    codes = lazy_codes(kind, k + 1)
+    caps = LAZY_CAPS[kind]
+    covers = [(BOT, node(j, 0)) for j in (0, 1)]
+    for j in (0, 1):
+        above = (0, 1) if kind == "t" else (j,)
+        covers += [(node(j, m), node(i, m + 1)) for m in range(k) for i in above]
+        covers += [(node(j, k), c) for c in (caps[j:j + 1] if kind == "nsum" else caps)]
+    up, _ = reference_closure(codes, covers)
+    index = {c: i for i, c in enumerate(codes)}
+    return lambda x, y: bool(up[index[x]] >> index[y] & 1)
 
 
 def brute_stochastic_leq(nu, mu):

@@ -626,6 +626,9 @@ def test_val_order_reads_names_with_colons_from_a_truncation(capsys, tmp_path):
 def test_lazy_rejects_malformed_codes(capsys):
     code, _, err = run(capsys, "lazy", "n2", "leq", "n:0:x", "omega")
     assert code == 2
+    # int() reads the level 1_0 as 10, but no code is spelled that way
+    code, out, err = run(capsys, "lazy", "n2", "leq", "n:0:1_0", "n:0:10")
+    assert (code, out) == (2, "") and err.startswith("error: malformed element 'n:0:1_0'")
     code, _, err = run(capsys, "lazy", "t", "family", "2")
     assert code == 2
 
@@ -652,6 +655,41 @@ def child_env() -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return env
+
+
+# the CLI commands behind the golden files: (file, argv, exit code), with
+# {d} for the diamond's poset file
+GOLDENS = (
+    ("diamond_hasse.dot", ["hasse", "{d}", "--dot"], 0),
+    ("upper_sets_diamond.txt", ["upper-sets", "{d}"], 0),
+    ("pathspace_diamond.dot", ["pathspace", "{d}", "--dot"], 0),
+    ("fin_diamond.txt", ["fin", "{d}"], 0),
+    ("val_maxbelow_thirds.txt", ["val-maxbelow", "{d}", "a:1/3 b:1/3 top:1/3", "--grid", "3"], 0),
+    ("val_grid_diracs.dot", ["val-grid", "{d}", "--grid", "1", "--dot"], 0),
+    ("demo_failed_deflations.txt", ["demo-failed-deflations", "{d}", "--grid", "2"], 1),
+    ("t_trunc_depth1.dot", ["lazy", "t", "truncate", "1", "--dot"], 0),
+)
+
+
+@pytest.mark.parametrize("seed", ["1", "987654"])
+def test_goldens_replay_byte_for_byte_under_a_fixed_hash_seed(tmp_path, seed):
+    # the eight commands run side by side, each in its own interpreter
+    poset = tmp_path / "diamond.poset"
+    poset.write_text(DIAMOND)
+    env = dict(child_env(), PYTHONHASHSEED=seed)
+    procs = [
+        subprocess.Popen(
+            [sys.executable, "-m", "ordbench.cli", *(str(poset) if a == "{d}" else a for a in argv)],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        for _, argv, _ in GOLDENS
+    ]
+    for (name, _, code), proc in zip(GOLDENS, procs):
+        out, err = proc.communicate(timeout=60)
+        assert (proc.returncode, err) == (code, b""), name
+        assert out == (GOLDEN / name).read_bytes(), name
 
 
 def test_installed_script_emits_identical_dot(tmp_path):

@@ -9,7 +9,7 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "ordbench"
 KERNELS = (
-    "_transport_decide", "_upper_masses", "_mass_rows", "_trace_masses",
+    "_transport_decide", "_mass_rows", "_trace_masses",
     "_strict_gaps", "_grid_masses", "_tight", "_grid_moves",
 )
 

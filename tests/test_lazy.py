@@ -28,7 +28,9 @@ from ordbench import (
     truncate,
 )
 
-from oracles import all_pairs_truncation, monotone_maps
+from ordbench.lazy import KINDS
+
+from oracles import LAZY_CAPS, all_pairs_truncation, lazy_codes, monotone_maps, reference_lazy_leq
 
 
 # -- codes ------------------------------------------------------------------
@@ -51,12 +53,75 @@ def test_malformed_codes_rejected():
         N2.validate(("n", 0, -1))
 
 
+NODE_SPELLING = "expected bot, top, omega, omega0, omega1, or n:J:LEVEL"
+
+
+@pytest.mark.parametrize(
+    "text", ["n:0:1_0", "n:+0:1", "n: 0:1", "n:0:01", "n:00:1", "n:0:-0", "n:1:\u0661"]
+)
+def test_parse_code_reads_only_what_format_code_writes(text):
+    # int() reads each of these numbers, but format_code never writes them
+    with pytest.raises(PosetError) as err:
+        parse_code(text)
+    assert str(err.value) == f"malformed element {text!r}: {NODE_SPELLING}"
+
+
+def test_parse_code_keeps_its_messages():
+    for text, message in [
+        ("n:0:x", "malformed element 'n:0:x'"),
+        ("n:2:1", f"malformed element 'n:2:1': {NODE_SPELLING}"),
+        ("n:0:-1", f"malformed element 'n:0:-1': {NODE_SPELLING}"),
+    ]:
+        with pytest.raises(PosetError) as err:
+            parse_code(text)
+        assert str(err.value) == message
+
+
+def test_node_codes_round_trip_through_their_spelling():
+    for level in range(1001):
+        for j in (0, 1):
+            text = f"n:{j}:{level}"
+            assert format_code(parse_code(text)) == text
+            assert parse_code(format_code(node(j, level))) == node(j, level)
+
+
 def test_unknown_kind_rejected():
     with pytest.raises(PosetError, match="kind"):
         LazyPoset("plotkin")
 
 
 # -- order rules ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_leq_matches_the_closure_of_the_covers(kind):
+    # every ordered pair of codes up to level 6
+    L, ref = LazyPoset(kind), reference_lazy_leq(kind, 6)
+    codes = lazy_codes(kind, 7)
+    got = [[L.leq(x, y) for y in codes] for x in codes]
+    assert got == [[ref(x, y) for y in codes] for x in codes]
+    assert sum(map(sum, got)) == {"n2": 87, "t": 129, "nsum": 89}[kind]
+
+
+MALFORMED = [
+    ("n", 2, 0), ("n", 0, -1), ("n", 0, 1.5), ("n", 0, "1"), ("n", [], 0), ("n", 0, []),
+    ("n", 0), ("n", 0, 1, 2), ("bot", []), ("bot", 0), ("omega", []), ("omegaside", 2),
+    (), ["n", 0, 1], ["bot"], "bot", "n:0:1", None, 0,
+]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_malformed_codes_get_the_invalid_element_message(kind):
+    # the caps of the other kinds are no elements of this one; a code with
+    # an unhashable part gets the same PosetError as any other
+    L = LazyPoset(kind)
+    foreign = [c for k in KINDS if k != kind for c in LAZY_CAPS[k] if c not in LAZY_CAPS[kind]]
+    for code in MALFORMED + foreign:
+        message = f"invalid element {code!r} for kind {kind!r}"
+        for call in (lambda: L.validate(code), lambda: L.leq(code, BOT), lambda: L.leq(BOT, code)):
+            with pytest.raises(PosetError) as err:
+                call()
+            assert type(err.value) is PosetError and str(err.value) == message
 
 
 def test_two_ladders_under_omega():
