@@ -155,8 +155,8 @@ def _cmd_pathspace(args) -> int:
     if args.dot:
         sys.stdout.write(poset_to_dot(named, name="pathspace"))
     else:
-        for label, p in zip(named.elements, pi.elements):
-            print(f"{label} -> {r(p)}")
+        for label, end in zip(named.elements, r.values):
+            print(f"{label} -> {end}")
     return 0
 
 

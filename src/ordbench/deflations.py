@@ -170,7 +170,7 @@ def check_controlled(
     f, phi = c.control, c.deflation
     if f.source != P or f.target != P:
         raise PosetError("control must be an endomap of the deflation's poset")
-    fup = [P._up[P.index(v)] for v in f.values]
+    fup = [P._up[j] for j in f._idx]
     containment = tuple(x for x, E, up in zip(P.elements, phi._masks, fup) if E & ~up)
     deflating: Tuple = ()
     if require_deflating:
@@ -197,8 +197,8 @@ def separating_set_from_controlled(c: ControlledQuasiDeflation) -> Tuple:
     M = 0
     for E in c.deflation._masks:
         M |= E
-    for x, v, down in zip(P.elements, c.control.values, P._down):
-        if not M & P._up[P.index(v)] & down:
+    for x, j, down in zip(P.elements, c.control._idx, P._down):
+        if not M & P._up[j] & down:
             raise PosetError(
                 f"separation postcondition failed at {x!r}; input pair is inconsistent"
             )

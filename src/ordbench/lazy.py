@@ -103,15 +103,21 @@ class LazyPoset:
         return f"LazyPoset({self.kind!r})"
 
     def _rank(self, code: Code) -> tuple:
-        """The rank of ``code``; PosetError if it is no element of this kind."""
+        """The rank of ``code``; PosetError if it is no element of this kind.
+
+        A node's level and branch, and the branch of ``omega0`` and
+        ``omega1``, must be an ``int`` itself, not a bool or a float equal to
+        one, so that :func:`format_code` writes what :func:`parse_code`
+        reads back.
+        """
         if isinstance(code, tuple) and len(code) == 3 and code[0] == "n" and code[1] in (0, 1):
-            if isinstance(code[2], int) and code[2] >= 0:
-                # bit j for branch j, for any number j that equals 0 or 1
+            if type(code[1]) is type(code[2]) is int and code[2] >= 0:
                 return 2 if code[1] else 1, (1, code[2])
-        try:
-            return self._ranks[code]
-        except (KeyError, TypeError):  # TypeError: the code, or a part of it, is unhashable
-            raise PosetError(f"invalid element {code!r} for kind {self.kind!r}") from None
+        # at most three codes; == does not raise on an unhashable code, as a lookup would
+        for key, rank in self._ranks.items():
+            if code == key and type(code[-1]) is type(key[-1]):
+                return rank
+        raise PosetError(f"invalid element {code!r} for kind {self.kind!r}")
 
     def validate(self, code: Code) -> Code:
         self._rank(code)
@@ -274,20 +280,18 @@ def hat_f(bits) -> MonotoneMap:
     """The involution of T_k swapping branches at each level where bits is 1.
 
     ``bits`` is a 0/1 sequence whose length fixes the truncation depth;
-    bottom and top stay put and node (j, n) goes to (j XOR bits[n], n).
+    bottom and top stay put and node (j, n) goes to (j XOR bits[n], n). The
+    map is built from indices: :func:`truncate` lists bottom, then nodes
+    (0, m) and (1, m) at indices 2m + 1 and 2m + 2, then top. It swaps
+    nodes within a level only, and the order of ``t`` compares nodes by
+    level, so it is monotone.
     """
     bits = tuple(bits)
     if not bits or any(b not in (0, 1) for b in bits):
         raise PosetError("bits must be a nonempty 0/1 sequence")
     Tk = truncate(T, len(bits)).poset
-
-    def swap(name: str):
-        code = parse_code(name)
-        if code[0] != "n":
-            return name
-        return format_code(node(code[1] ^ bits[code[2]], code[2]))
-
-    return MonotoneMap(Tk, Tk, swap)
+    nodes = [2 * m + 1 + (j ^ b) for m, b in enumerate(bits) for j in (0, 1)]
+    return MonotoneMap._of(Tk, Tk, (0, *nodes, len(nodes) + 1))
 
 
 def hat_f_rigidity_check(g: MonotoneMap, bits) -> bool:
@@ -301,8 +305,8 @@ def hat_f_rigidity_check(g: MonotoneMap, bits) -> bool:
     if g.source != Tk or g.target != Tk:
         raise PosetError("g must be an endo-map of the matching truncation of T")
     premise = (
-        all(Tk.leq(g(e), fhat(e)) for e in Tk.elements)
+        all(Tk._up[a] >> b & 1 for a, b in zip(g._idx, fhat._idx))
         and g("n:0:0") != "bot"
         and g("n:1:0") != "bot"
     )
-    return (not premise) or g.values == fhat.values
+    return (not premise) or g._idx == fhat._idx

@@ -438,35 +438,56 @@ def _first_failing_cover(source: Poset, target: Poset, marks: Sequence[int]) -> 
     return next(_failing_pairs(source, target, marks, source._cover_masks()), None)
 
 
-def _unreached(target: Poset, values: Iterable) -> list:
-    """The elements of ``target`` outside ``values``, in element order: empty
-    just when a map with these values is onto ``target``."""
-    hit = set(values)
-    return [e for e in target.elements if e not in hit]
+def _unreached(target: Poset, idx: Iterable[int]) -> list:
+    """The elements of ``target`` at no index in ``idx``, in element order:
+    empty just when a map with these target indices is onto ``target``."""
+    hit = set(idx)
+    return [e for j, e in enumerate(target.elements) if j not in hit]
+
+
+def _resolve(source: Poset, target: Poset, mapping) -> tuple:
+    """``(values, idx)``: the value of ``mapping`` at each element of
+    ``source``, as returned, and its index in ``target``. Each value is
+    resolved as it is read, so a value outside ``target`` is named before a
+    later missing one."""
+    pairs = [(v, target.index(v)) for v in _values(source, mapping)]
+    return tuple(v for v, _ in pairs), tuple(j for _, j in pairs)
 
 
 class MonotoneMap:
     """A monotone function between two finite posets.
 
-    The mapping may be given as a dict or a callable; it is evaluated on
-    every source element at construction time. With ``check=True`` (the
-    default) monotonicity is verified and a violating cover is reported.
+    A map holds ``_idx``, the index in ``target`` of its value at each
+    source element, in source element order; every check and law reads
+    those, and equality and hashing compare them. The public constructor
+    takes a dict or a callable, evaluates it once on every source element,
+    keeps the values as returned in ``values``, and rejects a map that is
+    not monotone, naming a violating cover. :meth:`_of` builds a map from
+    target indices and builds ``values`` from them.
     """
 
-    __slots__ = ("source", "target", "values")
+    __slots__ = ("source", "target", "values", "_idx")
 
-    def __init__(self, source: Poset, target: Poset, mapping, *, check: bool = True):
+    def __init__(self, source: Poset, target: Poset, mapping):
         self.source = source
         self.target = target
-        self.values = tuple(map(target._member, _values(source, mapping)))
-        if check:
-            bad = _first_failing_cover(source, target, [1 << target.index(v) for v in self.values])
-            if bad is not None:
-                x, y = bad
-                raise PosetError(
-                    f"not monotone: {x!r} <= {y!r} but "
-                    f"{self(x)!r} !<= {self(y)!r}"
-                )
+        self.values, self._idx = _resolve(source, target, mapping)
+        bad = _first_failing_cover(source, target, [1 << j for j in self._idx])
+        if bad is not None:
+            x, y = bad
+            raise PosetError(
+                f"not monotone: {x!r} <= {y!r} but "
+                f"{self(x)!r} !<= {self(y)!r}"
+            )
+
+    @classmethod
+    def _of(cls, source: Poset, target: Poset, idx: tuple) -> "MonotoneMap":
+        """Trusted constructor: ``idx`` holds the index in ``target`` of the
+        value at each element of ``source``; monotonicity is not checked."""
+        self = object.__new__(cls)
+        self.source, self.target, self._idx = source, target, idx
+        self.values = tuple(map(target.elements.__getitem__, idx))
+        return self
 
     def __call__(self, x):
         return self.values[self.source.index(x)]
@@ -476,11 +497,11 @@ class MonotoneMap:
             isinstance(other, MonotoneMap)
             and self.source == other.source
             and self.target == other.target
-            and self.values == other.values
+            and self._idx == other._idx
         )
 
     def __hash__(self) -> int:
-        return hash((self.source, self.target, self.values))
+        return hash((self.source, self.target, self._idx))
 
     def __repr__(self) -> str:
         pairs = ", ".join(f"{e!r}->{v!r}" for e, v in zip(self.source.elements, self.values))
@@ -490,9 +511,7 @@ class MonotoneMap:
         """self after inner."""
         if inner.target != self.source:
             raise PosetError("composition mismatch: inner target differs from outer source")
-        return MonotoneMap(
-            inner.source, self.target, lambda x: self(inner(x)), check=False
-        )
+        return MonotoneMap._of(inner.source, self.target, tuple(self._idx[j] for j in inner._idx))
 
 
 @dataclass(frozen=True)
@@ -516,9 +535,9 @@ def map_predicates(source: Poset, target: Poset, mapping) -> MapReport:
 
     A missing value or a value outside ``target`` is still a PosetError.
     """
-    values = tuple(map(target._member, _values(source, mapping)))
-    witness = _first_failing_cover(source, target, [1 << target.index(v) for v in values])
-    missing = tuple(_unreached(target, values))
+    _, idx = _resolve(source, target, mapping)
+    witness = _first_failing_cover(source, target, [1 << j for j in idx])
+    missing = tuple(_unreached(target, idx))
     return MapReport(
         monotone=witness is None,
         surjective=not missing,

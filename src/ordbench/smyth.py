@@ -135,8 +135,7 @@ def dagger(h: FinMap) -> Callable[[Iterable], tuple]:
 def smyth_map(r: MonotoneMap) -> Callable[[Iterable], tuple]:
     """The antichain action of a monotone map: the extension (see
     :func:`dagger`) of the unit after ``r``, so image, then normalize."""
-    Y = r.target
-    return dagger(FinMap._from_masks(r.source, Y, tuple(1 << Y.index(v) for v in r.values)))
+    return dagger(FinMap._from_masks(r.source, r.target, tuple(1 << j for j in r._idx)))
 
 
 def mu(P: Poset, Q2: Iterable[Iterable]) -> tuple:
@@ -330,14 +329,14 @@ def canonical_quasi_section(r: MonotoneMap) -> FinMap:
     preimage of the filter of y holds the preimage of every filter above it.
     """
     X, Y = r.source, r.target
-    missing = _unreached(Y, r.values)
+    missing = _unreached(Y, r._idx)
     if missing:
         raise PosetError(
             f"canonical section needs a surjective map; unreached: {missing!r}"
         )
     fibre = [0] * len(Y)
-    for i, v in enumerate(r.values):
-        fibre[Y.index(v)] |= 1 << i
+    for i, j in enumerate(r._idx):
+        fibre[j] |= 1 << i
     # the preimage of a filter is the union of the fibres of its members
     return FinMap._from_masks(Y, X, tuple(_extend(X, fibre, up) for up in Y._up))
 
@@ -353,8 +352,7 @@ def check_quasi_retraction(r: MonotoneMap, qs: FinMap) -> QuasiSectionReport:
     X, Y = r.source, r.target
     if qs.source != Y or qs.target != X:
         raise PosetError("qs must map the target of r into antichains of its source")
-    image = [Y.index(v) for v in r.values]
-    act, sec = [1 << j for j in image], qs._masks
+    act, sec = [1 << j for j in r._idx], qs._masks
     # each scan yields the message of its law's first violation, or None
     retraction = next(
         (f"retraction law fails at {y!r}: image antichain {Y._tuple_of(got)!r} is not {{{y!r}}}"
@@ -363,10 +361,10 @@ def check_quasi_retraction(r: MonotoneMap, qs: FinMap) -> QuasiSectionReport:
     )
     projection = next(
         (f"projection law fails at {x!r}: {x!r} is not above {X._tuple_of(sec[j])!r}"
-         for x, j, down in zip(X.elements, image, X._down) if not sec[j] & down),
+         for x, j, down in zip(X.elements, r._idx, X._down) if not sec[j] & down),
         None,
     )
-    canonical = None if _unreached(Y, r.values) else canonical_quasi_section(r)._masks == sec
+    canonical = None if _unreached(Y, r._idx) else canonical_quasi_section(r)._masks == sec
     return QuasiSectionReport(
         retraction is None, projection is None, canonical, retraction or projection
     )

@@ -35,9 +35,9 @@ def path_space(Y: Poset) -> Tuple[Poset, MonotoneMap]:
     tree is handed its cover masks and never walks its own diagram. The
     order itself is still built by :func:`~ordbench.posets._closure`. The
     endpoint map is monotone by construction (the endpoint of a prefix lies
-    below the endpoint of each extension), so it is built unchecked; it is
-    asserted surjective and the result asserted to be a tree before
-    returning.
+    below the endpoint of each extension), so it is built unchecked from the
+    end index each path was walked with; it is asserted surjective and the
+    result asserted to be a tree before returning.
 
     Raises PosetError when there are more than ``PATH_CAP`` paths; their number
     grows exponentially on products.
@@ -51,6 +51,7 @@ def path_space(Y: Poset) -> Tuple[Poset, MonotoneMap]:
     paths: List[tuple] = []
     succ: List[List[int]] = []  # the index of each path's one-step extensions
     covers: List[int] = []  # the same indices as masks: the tree's upper covers
+    ends: List[int] = []  # the index in Y of each path's endpoint
     stack = [((bot,), Y.index(bot), -1)]
     while stack:
         path, end, above = stack.pop()
@@ -63,13 +64,14 @@ def path_space(Y: Poset) -> Tuple[Poset, MonotoneMap]:
             succ[above].append(here)
             covers[above] |= 1 << here
         paths.append(path)
+        ends.append(end)
         succ.append([])
         covers.append(0)
         stack += [(path + (e,), c, here) for e, c in ups[end]]
     pi = Poset._from_masks(tuple(paths), *_closure(succ), tuple(covers))
-    r = MonotoneMap(pi, Y, lambda p: p[-1], check=False)
+    r = MonotoneMap._of(pi, Y, tuple(ends))
     assert pi.is_tree()
-    assert not _unreached(Y, r.values)
+    assert not _unreached(Y, r._idx)
     return pi, r
 
 

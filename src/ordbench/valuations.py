@@ -601,11 +601,10 @@ def pushforward(r: MonotoneMap, nu: Valuation) -> Valuation:
     """Transport weights along a monotone map: mass lands on the image point."""
     if nu.poset != r.source:
         raise ValuationError("valuation does not live on the map's source")
-    Y = r.target
-    nums = [0] * len(Y.elements)
-    for y, k in zip(r.values, nu._nums):
-        nums[Y.index(y)] += k
-    return Valuation._of(Y, *_lowest_terms(nu._den, nums))
+    nums = [0] * len(r.target)
+    for j, k in zip(r._idx, nu._nums):
+        nums[j] += k
+    return Valuation._of(r.target, *_lowest_terms(nu._den, nums))
 
 
 def pushforward_preimage(r: MonotoneMap, nu: Valuation) -> Valuation:
@@ -617,17 +616,16 @@ def pushforward_preimage(r: MonotoneMap, nu: Valuation) -> Valuation:
     """
     if nu.poset != r.target:
         raise ValuationError("valuation does not live on the map's target")
-    X = r.source
-    missing = _unreached(r.target, r.values)
+    missing = _unreached(r.target, r._idx)
     if missing:
         raise ValuationError(f"map is not surjective; unreached: {missing!r}")
     # the index of each target's first preimage: later entries of a dict win
-    section = {y: i for i, y in reversed(list(enumerate(r.values)))}
-    nums = [0] * len(X.elements)
-    for y, k in zip(r.target.elements, nu._nums):
-        nums[section[y]] = k
+    section = {j: i for i, j in reversed(list(enumerate(r._idx)))}
+    nums = [0] * len(r.source)
+    for j, k in enumerate(nu._nums):
+        nums[section[j]] = k
     # distinct target atoms land on distinct sources: the same weights, in lowest terms
-    return Valuation._of(X, nu._den, nums)
+    return Valuation._of(r.source, nu._den, nums)
 
 
 # -- grids ---------------------------------------------------------------------

@@ -124,6 +124,28 @@ def test_malformed_codes_get_the_invalid_element_message(kind):
             assert type(err.value) is PosetError and str(err.value) == message
 
 
+# parts that equal an int without being one: format_code would write them as
+# n:True:1, n:1.0:3 or omegaTrue, which parse_code refuses
+NEAR_INTS = [
+    ("n", True, 1), ("n", 1.0, 3), ("n", 0, True), ("n", False, 0), ("n", 0, 2.0),
+    ("omegaside", True), ("omegaside", 0.0),
+]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_codes_with_bool_or_float_parts_are_refused(kind):
+    L = LazyPoset(kind)
+    for code in NEAR_INTS:
+        with pytest.raises(PosetError) as err:
+            L.validate(code)
+        assert str(err.value) == f"invalid element {code!r} for kind {kind!r}"
+        with pytest.raises(PosetError):
+            L.leq(code, code)
+    # every code the kind accepts reads back from its spelling
+    for code in lazy_codes(kind, 4):
+        assert parse_code(format_code(L.validate(code))) == code
+
+
 def test_two_ladders_under_omega():
     assert N2.leq(node(0, 3), OMEGA)
     assert N2.leq(node(0, 1), node(0, 4))
