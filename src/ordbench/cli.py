@@ -178,19 +178,8 @@ def _cmd_monad_laws(args) -> int:
     g_source = h.target if h is not None else P
     g = parse_finmap(g_source, g_source, _read(args.g)) if args.g else None
     rep = check_monad_laws(P, h, g)
-    witness = None
-    if rep.witness is not None:
-        witness = " ".join(f"{k}={v}" for k, v in rep.witness.items())
-    _emit(
-        args.format,
-        P,
-        [
-            ("unit_identity", rep.unit_identity),
-            ("extension_identity", rep.extension_identity),
-            ("associativity", rep.associativity),
-            ("witness", witness),
-        ],
-    )
+    witness = rep.witness and " ".join(f"{k}={v}" for k, v in rep.witness.items())
+    _emit(args.format, P, {**vars(rep), "witness": witness}.items())
     return 0 if rep.ok else 1
 
 
@@ -200,16 +189,7 @@ def _cmd_quasi_retraction(args) -> int:
     r = parse_map(X, Y, _read(args.map))
     qs = parse_finmap(Y, X, _read(args.qs)) if args.qs else canonical_quasi_section(r)
     rep = check_quasi_retraction(r, qs)
-    _emit(
-        args.format,
-        X,
-        [
-            ("retraction_law", rep.retraction_law),
-            ("projection_law", rep.projection_law),
-            ("canonical", rep.canonical),
-            ("witness", rep.witness),
-        ],
-    )
+    _emit(args.format, X, vars(rep).items())  # the report's fields are the output keys
     return 0 if rep.ok else 1
 
 

@@ -388,14 +388,30 @@ def koenig_chain(P: Poset, stages: List[Iterable], y) -> List:
     a point ``y`` inside every closure, returns elements y_0 <= y_1 <= ...
     <= y_d with y_i drawn from stage i and y_d <= y. The search walks the
     candidate tree depth first in element order, so the answer is the
-    lexicographically least branch. Stages are kept as antichain masks, and
-    the search recurses once per stage. Whether a pick at stage i extends to
-    a full chain depends only on the pick, so a pick that does not is
-    dropped from its stage and never tried again: O(d * w) picks for d
-    stages of width at most w.
+    lexicographically least branch.
+
+    Each distinct stage, keyed by the tuple of its members, is normalised to
+    its antichain mask and upward-closure mask once; a repeated stage reuses
+    the pair, and the nesting check reads the shared closures. The search
+    still recurses once per stage. Whether a pick at stage i extends to a
+    full chain depends only on the pick, so a pick that does not is dropped
+    from its stage (per stage index, not from the shared pair) and never
+    tried again: O(d * w) picks for d stages of width at most w.
     """
-    below = P._down[P.index(y)]
-    norm = [P._minimal(P._mask_of(E)) for E in stages]
+    up, below = P._up, P._down[P.index(y)]
+    table: dict = {}  # stage tuple -> (antichain mask, upward-closure mask)
+    norm, ups = [], []
+    for E in stages:
+        E = tuple(E)
+        try:
+            pair = table.get(E)
+        except TypeError:  # an unhashable member: _mask_of names the first bad one
+            pair = None
+        if pair is None:
+            mask = P._minimal(P._mask_of(E))
+            pair = table[E] = (mask, P._up_mask(mask))
+        norm.append(pair[0])
+        ups.append(pair[1])
     if not norm:
         raise StagePreconditionError("at least one stage is required", 0)
     for i, E in enumerate(norm):
@@ -403,7 +419,6 @@ def koenig_chain(P: Poset, stages: List[Iterable], y) -> List:
             raise StagePreconditionError(
                 f"stage {i}: {y!r} is not in the upward closure of {P._tuple_of(E)!r}", i
             )
-    ups = [P._up_mask(E) for E in norm]
     for i in range(len(ups) - 1):
         if ups[i + 1] & ~ups[i]:
             raise StagePreconditionError(
@@ -415,12 +430,16 @@ def koenig_chain(P: Poset, stages: List[Iterable], y) -> List:
         # ``above``: the mask of the elements above the previous pick
         if i == len(norm):
             return True
-        for c in _bits(norm[i] & below & above):
+        rest = norm[i] & below & above
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            c = low.bit_length() - 1
             chain.append(c)
-            if rec(i + 1, P._up[c]):
+            if rec(i + 1, up[c]):
                 return True
             chain.pop()
-            norm[i] ^= 1 << c  # c extends to no chain: drop it from its stage
+            norm[i] ^= low  # c extends to no chain: drop it from its stage
         return False
 
     if not rec(0, below):

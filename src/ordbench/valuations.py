@@ -137,11 +137,20 @@ def _checked_ints(P: Poset, ratios: Sequence[Tuple[int, Tuple[int, int]]]) -> tu
         nums[i] = p * (D // q)
     if min(nums, default=0) < 0:
         e, k = next((e, k) for e, k in zip(P.elements, nums) if k < 0)
-        raise ValuationError(f"negative weight at {e!r}: {Fraction(k, D)}")
+        raise ValuationError(f"negative weight at {e!r}: {_weight_text(k, D)}")
     total = sum(nums)
     if total != D:
-        raise ValuationError(f"weights sum to {Fraction(total, D)}, not 1")
+        raise ValuationError(f"weights sum to {_weight_text(total, D)}, not 1")
     return _lowest_terms(D, nums)
+
+
+def _weight_text(k: int, D: int) -> str:
+    """The weight k/D as ``Fraction`` writes it, or words that say it cannot
+    be written: a part with more digits than ``sys.get_int_max_str_digits()``."""
+    try:
+        return str(Fraction(k, D))
+    except ValueError:
+        return "a fraction too long to write"
 
 
 def _lowest_terms(D: int, nums: Sequence[int]) -> Tuple[int, Tuple[int, ...]]:

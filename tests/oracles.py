@@ -88,6 +88,19 @@ def reference_closure(elements, relations):
     return tuple(up), transpose(up)
 
 
+def reference_cycle_message(elements, succ):
+    """The library's cycle message from its successor lists (``succ[i]``:
+    the indices j != i with i <= j, repeats allowed), by a Warshall closure
+    over bit rows: the first index in element order that reaches another
+    index reaching it back, and the first such other index."""
+    up = [1 << i | sum(1 << j for j in set(row)) for i, row in enumerate(succ)]
+    for k in range(len(up)):
+        up = [row | up[k] if row >> k & 1 else row for row in up]
+    i, j = next((i, j) for i, r in enumerate(up) for j in range(len(up))
+                if j != i and r >> j & 1 and up[j] >> i & 1)
+    return f"cycle detected: {elements[i]!r} <= {elements[j]!r} <= {elements[i]!r}"
+
+
 def transpose(up):
     """The down masks of an order given by its up masks, one bit at a time."""
     down = [0] * len(up)
@@ -637,6 +650,16 @@ def reference_quasi_retraction(r, qs):
     canonical = None if isinstance(section, str) else section == tuple(qs[y] for y in Y.elements)
     witness = (retraction + projection + [None])[0]
     return not retraction, not projection, canonical, witness
+
+
+def repeated_stages(rng, stages, most=3):
+    """``stages`` with each stage repeated 1 to ``most`` times in a row, each
+    copy the first copy's tuple object, an equal new tuple, a list or a set."""
+    out = []
+    for S in stages:
+        t = tuple(S)
+        out += [rng.choice((t, tuple(list(t)), list(t), set(t))) for _ in range(rng.randint(1, most))]
+    return out
 
 
 def reference_koenig(P, stages, y):

@@ -11,7 +11,9 @@ from ordbench import cli, lazy as lz, posets, smyth
 from ordbench.cli import main
 from ordbench.valuations import format_valuation, grid
 
-from oracles import SPELLINGS, random_monotone_map, random_pointed_poset, random_poset
+from oracles import (
+    SPELLINGS, random_monotone_map, random_pointed_poset, random_poset, reference_koenig,
+)
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -320,6 +322,16 @@ def test_koenig_prints_the_chain(capsys, diamond_file):
     assert out.strip() == "bot a top"
 
 
+def test_koenig_reads_repeated_stages_by_value(capsys, diamond_file):
+    stages = ["bot", "bot", *["a,b"] * 40, "b,a", "top", "top"]
+    code, out, _ = run(capsys, "koenig", diamond_file, "top", *stages)
+    P = posets.parse_poset(DIAMOND)
+    want = reference_koenig(P, [smyth.parse_antichain(P, s) for s in stages], "top")
+    assert code == 0
+    assert out == " ".join(want) + "\n"
+    assert want == ["bot", "bot", *["a"] * 41, "top", "top"]
+
+
 def test_koenig_rejects_broken_stages(capsys, diamond_file):
     code, _, err = run(capsys, "koenig", diamond_file, "top", "a", "b")
     assert code == 2
@@ -327,6 +339,15 @@ def test_koenig_rejects_broken_stages(capsys, diamond_file):
 
 
 # -- valuation commands --------------------------------------------------------------
+
+
+@pytest.mark.parametrize("text, message", [
+    ("bot:1e-100000 a:1", "weights sum to a fraction too long to write, not 1"),
+    ("bot:-1e-100000 a:1", "negative weight at 'bot': a fraction too long to write"),
+])
+def test_weights_too_long_to_write_exit_2(capsys, diamond_file, text, message):
+    code, out, err = run(capsys, "val-order", diamond_file, text, "top:1")
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_val_order_true_with_transport(capsys, diamond_file):
@@ -770,6 +791,7 @@ def sweep_argv(rng, files, P):
     fmt = ["--format", rng.choice(("text", "json"))]
     p, q, m, h = files["p"], files["q"], files["map"], files["finmap"]
     stages = [",".join(rng.sample(names, rng.randint(1, len(names)))) for _ in range(2)]
+    stages = [s for s in stages for _ in range(rng.randint(1, 3))]
     kind, action = rng.choice(lz.KINDS), rng.choice(("leq", "family", "witness", "truncate"))
     # numbers then elements, one more or fewer now and then
     numbers = {"family": 2 if kind == "n2" else 1, "truncate": 1}.get(action, 0)

@@ -40,6 +40,7 @@ from oracles import (
     reference_quasi_deflation,
     reference_quasi_retraction,
     reference_self_compose,
+    repeated_stages,
 )
 
 DIAMOND = parse_poset("elements: bot a b top\norder: bot < a; bot < b; a < top; b < top")
@@ -419,6 +420,8 @@ def test_mask_layer_matches_the_element_tuple_references(seed):
         for _ in range(rng.randint(0, 4)):
             above = [w for w in P.elements if P.leq(w, y) and P.smyth_leq(stages[-1], [w])]
             stages.append([w for w in above if rng.random() < 0.5] or [y])
+    if rng.random() < 0.5:
+        stages = repeated_stages(rng, stages)
     try:
         got = koenig_chain(P, stages, y)
     except StagePreconditionError as err:

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -33,6 +34,7 @@ from oracles import (
     brute_relations,
     brute_upper_sets,
     reference_closure,
+    reference_cycle_message,
     transpose,
 )
 
@@ -473,6 +475,38 @@ def labeled_relations(draw):
 def test_closure_matches_reference_on_random_relations(case):
     elements, relations = case
     assert _masks_or_message(elements, relations) == reference_closure(elements, relations)
+
+
+def test_cycle_message_matches_the_warshall_reference():
+    """Seeded cyclic relations with n <= 12: several cycles, self-loops and
+    repeated pairs, elements in shuffled order."""
+    rng = random.Random(26)
+    for _ in range(1500):
+        n = rng.randint(2, 12)
+        pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 2 * n))]
+        for k in [rng.randint(2, n)] + [rng.randint(1, n) for _ in range(rng.randint(0, 2))]:
+            cycle = rng.sample(range(n), k)
+            pairs += zip(cycle, cycle[1:] + cycle[:1])
+        pairs += rng.choices(pairs, k=rng.randint(0, 4))
+        rng.shuffle(pairs)
+        elements = rng.sample([f"v{i}" for i in range(n)], n)
+        relations = [(f"v{a}", f"v{b}") for a, b in pairs]
+        succ = [[] for _ in elements]
+        for x, y in relations:
+            if x != y:
+                succ[elements.index(x)].append(elements.index(y))
+        message = _masks_or_message(elements, relations)
+        assert message == reference_cycle_message(elements, succ)
+        assert message == reference_closure(elements, relations)
+
+
+def test_a_long_cycle_is_refused_in_linear_time():
+    n = 20_000
+    relations = [(i, i + 1) for i in range(n - 1)] + [(n - 1, 0)]
+    start = time.perf_counter()
+    message = _masks_or_message(range(n), relations)
+    assert time.perf_counter() - start < 1
+    assert message == "cycle detected: 0 <= 1 <= 0"
 
 
 def test_every_constructor_stores_the_transpose_as_down_masks():

@@ -34,7 +34,7 @@ from ordbench import smyth
 
 from oracles import (
     random_finmap, random_monotone_map, random_poset, reference_koenig, reference_monad_laws,
-    transpose,
+    repeated_stages, transpose,
 )
 
 DIAMOND = parse_poset("elements: bot a b top\norder: bot < a; bot < b; a < top; b < top")
@@ -507,6 +507,38 @@ def test_chain_extraction_skips_known_dead_picks():
     chain = koenig_chain(P, stages, "y")
     assert time.perf_counter() - start < 0.1
     assert chain == [f"p{i}" for i in range(61)]
+
+
+def test_chain_extraction_through_runs_of_equal_stages():
+    # every q/r pick dies at the last stage, whatever the runs before it
+    rng = random.Random(26)
+    for d in range(1, 7):
+        P, stages = _late_dead_ends(d)
+        for _ in range(6):
+            spelled = repeated_stages(rng, stages, most=4)
+            want = [next(x for x in P.elements if x in S and x[0] == "p") for S in spelled]
+            assert koenig_chain(P, spelled, "y") == want == reference_koenig(P, spelled, "y")
+
+
+def test_chain_extraction_through_one_stage_repeated_800_times():
+    P = Poset(["bot", "s0", "s1", "s2", "y"],
+              [("bot", "s0"), ("bot", "s1"), ("bot", "s2"), ("s1", "y"), ("s2", "y")])
+    E = ("s0", "s1", "s2")
+    chain = koenig_chain(P, [E] * 800, "y")
+    assert chain == ["s1"] * 800 == reference_koenig(P, [E] * 800, "y")
+
+
+@pytest.mark.parametrize("stages, message", [
+    ([("a",), ()], "cannot normalize an empty set to an antichain"),
+    ([("a",), ("a",), ("zz",)], "unknown element: 'zz'"),
+    ([("top",), ("a",), ["a", "zz"]], "unknown element: 'zz'"),
+    ([("a",), ["zz", ["a"]]], "unknown element: 'zz'"),  # before the unhashable member
+])
+def test_stage_errors_come_before_membership_and_nesting(stages, message):
+    # 'b' is above no stage-0 member, and some stages do not nest, but a bad stage comes first
+    with pytest.raises(PosetError) as err:
+        koenig_chain(DIAMOND, stages, "b")
+    assert type(err.value) is PosetError and str(err.value) == message
 
 
 # -- text formats -----------------------------------------------------------------

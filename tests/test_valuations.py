@@ -74,6 +74,19 @@ def test_dict_errors_name_the_first_bad_entry_in_element_order():
         Valuation(DIAMOND, {"top": "y", "a": "x"})
 
 
+@pytest.mark.parametrize("text, message", [
+    ("bot:1e-100000 a:1", "weights sum to a fraction too long to write, not 1"),
+    ("bot:-1e-100000 a:1", "negative weight at 'bot': a fraction too long to write"),
+    ("bot:1e-4000 a:1", f"weights sum to {F(10**4000 + 1, 10**4000)}, not 1"),
+    ("bot:-1e-4000 a:1", f"negative weight at 'bot': {F(-1, 10**4000)}"),
+])
+def test_weight_refusals_write_the_number_when_they_can(text, message):
+    # past the interpreter's digit limit the number is named, not written
+    with pytest.raises(ValuationError) as err:
+        parse_valuation(DIAMOND, text)
+    assert type(err.value) is ValuationError and str(err.value) == message
+
+
 def test_dirac_masses():
     d = dirac(DIAMOND, "bot")
     assert d.weight("bot") == 1
