@@ -8,19 +8,31 @@ one rational per node, 1 at the root, each node dominating the sum over its
 cover children. Binary least upper bounds of admissible maps are computed
 directly, children before parents, and their nonexistence is detected at the
 root.
+
+Admissible maps hold their masses as integers over one denominator, as
+valuations do. One children-first fold gives the filter masses of a
+valuation, the least upper bound of two maps and the child sums that
+:func:`admissible_to_valuation` and :func:`check_admissible` read, and it
+visits only the down-closure of the nodes where an input is nonzero: every
+other node has an all-zero subtree and gets 0, so a small support costs
+little on a large tree.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from itertools import compress
 from math import lcm
-from typing import Callable, List, Optional, Tuple
+from operator import or_
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from .posets import (
     MonotoneMap, Poset, PosetError, _bits, _closure, _lines, _require_writable, _unreached,
 )
-from .valuations import Valuation, ValuationError, _checked_ints, _fractions, _ratios
+from .valuations import Valuation, ValuationError, _checked_ints, _common, _fractions
+from .valuations import _lowest_terms, _ratios, _weight_text
 
 PATH_CAP = 10_000
 
@@ -75,24 +87,70 @@ def path_space(Y: Poset) -> Tuple[Poset, MonotoneMap]:
     return pi, r
 
 
-@dataclass(frozen=True)
 class AdmissibleMap:
     """Filter-mass coordinates of a valuation on a tree.
 
     ``values`` is aligned with the tree's element order. Use
     :func:`check_admissible` to examine a candidate without raising.
+
+    A map the library builds holds integer numerators over one denominator D
+    in lowest terms, as :class:`~ordbench.valuations.Valuation` does, and
+    builds ``values``, a tuple of ``Fraction(k, D)``, on first use. A map
+    built as ``AdmissibleMap(tree, values)`` keeps the given values, as a
+    tuple, and reads them on first integer use as a plain sequence is read
+    (see :meth:`_read`). Equality and the hash compare the tree and those
+    integers, so equal values give equal maps however they were built. Maps
+    are immutable: ``tree`` and ``values`` are read-only.
     """
 
-    tree: Poset
-    values: Tuple[Fraction, ...]
+    __slots__ = ("_tree", "_den", "_nums", "_values")
+    tree = property(lambda self: self._tree)
+
+    def __init__(self, tree: Poset, values):
+        self._tree, self._nums, self._values = tree, None, tuple(values)
+
+    @classmethod
+    def _of(cls, tree: Poset, D: int, nums) -> "AdmissibleMap":
+        """Trusted constructor for integer values ``nums`` over ``D`` in
+        lowest terms: no factor divides D and every numerator."""
+        self = object.__new__(cls)
+        self._tree, self._den, self._nums, self._values = tree, D, tuple(nums), None
+        return self
+
+    @property
+    def values(self) -> tuple:
+        if self._values is None:
+            self._values = _fractions(self._nums, self._den)
+        return self._values
+
+    def _read(self) -> Tuple[int, Tuple[int, ...]]:
+        """``(D, nums)``, also kept as ``_den`` and ``_nums``: the values as
+        integers over D, the lcm of their reduced denominators, so in lowest
+        terms. Given values are read here, once, each by ``Fraction``."""
+        if self._nums is None:
+            fracs = [Fraction(v) for v in self._values]
+            D = self._den = lcm(*[f.denominator for f in fracs])
+            self._nums = tuple([f.numerator * (D // f.denominator) for f in fracs])
+        return self._den, self._nums
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, AdmissibleMap):
+            return False
+        return self._read() == other._read() and self._tree == other._tree
+
+    def __hash__(self) -> int:
+        return hash((self._tree, self._read()))
+
+    def __repr__(self) -> str:
+        return f"AdmissibleMap(tree={self._tree!r}, values={self.values!r})"
 
     def __call__(self, t) -> Fraction:
-        return self.values[self.tree.index(t)]
+        return self.values[self._tree.index(t)]
 
     def __str__(self) -> str:
         # the text of format_admissible, without its name check
         lines = [ADMISSIBLE_HEADER]
-        lines += [f"{e}:{v}" for e, v in zip(self.tree.elements, self.values) if v]
+        lines += [f"{e}:{v}" for e, v in zip(self._tree.elements, self.values) if v]
         return "\n".join(lines) + "\n"
 
 
@@ -102,81 +160,88 @@ class AdmissibleReport:
     violations: Tuple[str, ...] = ()
 
 
-def _as_value_tuple(T: Poset, values) -> Tuple[Fraction, ...]:
-    """The values of a map on ``T``, an :class:`AdmissibleMap` on ``T``, a
-    dict keyed by nodes (missing ones get 0) or a sequence in element order,
-    aligned with ``T.elements``; a map or sequence of the wrong length is
-    refused."""
-    if isinstance(values, AdmissibleMap):
-        if values.tree != T:
-            raise ValuationError("admissible maps live on different trees")
-        vals = values.values
-    elif isinstance(values, dict):
-        vals = [Fraction(0)] * len(T.elements)
+def _as_map(T: Poset, values) -> AdmissibleMap:
+    """A map on ``T`` with its integers read (see :meth:`AdmissibleMap._read`),
+    from an :class:`AdmissibleMap` on ``T``, a dict keyed by nodes (missing
+    ones get 0) or a sequence in element order, read as a map built from it.
+    A map or sequence of the wrong length is refused."""
+    if isinstance(values, dict):
+        vals = [0] * len(T.elements)
         for e, v in values.items():
             vals[T.index(e)] = Fraction(v)
-        return tuple(vals)
-    else:
-        vals = tuple(Fraction(v) for v in values)
-    if len(vals) != len(T.elements):
-        raise ValuationError(f"expected {len(T.elements)} values, got {len(vals)}")
-    return vals
+        values = vals
+    if not isinstance(values, AdmissibleMap):
+        values = AdmissibleMap(T, values)
+    elif values.tree != T:
+        raise ValuationError("admissible maps live on different trees")
+    if len(values._read()[1]) != len(T.elements):
+        raise ValuationError(f"expected {len(T.elements)} values, got {len(values._nums)}")
+    return values
 
 
-def _tree_ints(T: Poset, *maps) -> Tuple[list, int, List[List[int]]]:
-    """``(rows, D, ints)``: the values of ``maps`` on the tree ``T``, each
-    read by :func:`_as_value_tuple`, and the same values as integers over D,
-    the lcm of their denominators, with ``ints[r][i] == D * rows[r][i]``.
+def _tree_ints(T: Poset, *maps) -> Tuple[int, List[Sequence[int]]]:
+    """``(D, ints)``: the values of ``maps`` on the tree ``T``, each read by
+    :func:`_as_map`, as integers over D, the lcm of their denominators (see
+    :func:`~ordbench.valuations._common`): the integers of a map held over
+    D are used as they are.
 
     Any poset but a tree is refused, so a map built directly, not through
     :func:`admissible`, is held to its shape.
     """
     if not T.is_tree():
         raise PosetError("admissible maps live on trees")
-    rows = [_as_value_tuple(T, f) for f in maps]
-    D = lcm(*[v.denominator for row in rows for v in row])
-    return rows, D, [[v.numerator * (D // v.denominator) for v in row] for row in rows]
+    return _common([_as_map(T, f) for f in maps])
 
 
-def _child_sums(T: Poset, ints: List[int]) -> List[int]:
-    """For each node index, the sum of ``ints`` over its cover children."""
-    return [sum([ints[c] for c in _bits(children)]) for children in T._cover_masks()]
+def _children_first(T: Poset, node: Callable[[int, int], int], *rows: Sequence[int]) -> tuple:
+    """``(vals, sums)``: one value per node of a tree, children before
+    parents, where ``node(i, s)`` gives the value ``vals[i]`` at index ``i``
+    from the sum ``sums[i] = s`` of its children's values. With ``node(i, s)
+    = x[i]`` the sums are those of ``x`` over each node's children.
 
-
-def _children_first(T: Poset, node: Callable[[int, int], int]) -> List[int]:
-    """One value per node of a tree, children before parents: ``node(i, s)``
-    gives the value at index ``i`` from the sum ``s`` of its children's values.
-
-    The folds run in integers over one common denominator D (a valuation's
-    own, or that of :func:`_tree_ints`); callers build the output Fractions
-    over D with :func:`~ordbench.valuations._fractions`, one per distinct value.
+    Only the nodes of Z, the down-closure of the nodes where some row of
+    ``rows`` is nonzero, are visited; every other node gets 0. A node outside
+    Z has only zeros in its subtree, so a fold over every node that gives 0
+    from all-zero inputs gives the same values and sums: ``w + s``,
+    ``max(a, b, s)`` and ``x[i]`` all do. The folds run in integers over one common denominator D (a
+    valuation's own, or that of :func:`_tree_ints`); callers build the output
+    Fractions over D with :func:`~ordbench.valuations._fractions`, one per
+    distinct value, when ``values`` is first read.
     """
-    children = T._cover_masks()
-    vals = [0] * len(children)
+    children, down = T._cover_masks(), T._down
+    Z = reduce(or_, [d for row in rows for d in compress(down, row)], 0)
+    # the nodes of Z, read off its binary digits in one pass (stepping
+    # through a mask bit by bit takes a pass over the mask per bit)
+    digits = f"{Z:b}".encode().replace(b"0", b"\0")[::-1]
+    vals, sums = [0] * len(children), [0] * len(children)
     # x < y gives down[x] a proper subset of down[y], so down[x] < down[y] as
-    # integers: the largest masks come first, children before their parents
-    for i in sorted(range(len(children)), key=T._down.__getitem__, reverse=True):
+    # integers: the largest masks come first, children before their parents;
+    # a child outside Z holds 0
+    for i in sorted(compress(range(len(digits)), digits), key=down.__getitem__, reverse=True):
         s, kids = 0, children[i]
         while kids:
-            low = kids & -kids
-            s += vals[low.bit_length() - 1]
-            kids ^= low
-        vals[i] = node(i, s)
-    return vals
+            c = kids.bit_length() - 1
+            s += vals[c]
+            kids ^= 1 << c
+        sums[i], vals[i] = s, node(i, s)
+    return vals, sums
 
 
-def _violations(T: Poset, values) -> Tuple[Tuple[Fraction, ...], Tuple[str, ...]]:
-    """The values of :func:`_tree_ints` and the messages of
-    :func:`check_admissible` for them, in the order that function lists them."""
-    (vals,), D, (ints,) = _tree_ints(T, values)
+def _violations(T: Poset, values) -> Tuple[int, Tuple[int, ...], Tuple[str, ...]]:
+    """The ``(D, ints)`` of :func:`_tree_ints` for ``values`` and the messages
+    of :func:`check_admissible` for them, in the order that function lists
+    them. Each number is written by :func:`~ordbench.valuations._weight_text`,
+    so one too long to write is named as such."""
+    D, (ints,) = _tree_ints(T, values)
     root = T.index(T.bottom())
-    out = [f"value at {e!r} is {v}, outside [0, 1]"
-           for e, v, x in zip(T.elements, vals, ints) if not 0 <= x <= D]
+    out = [f"value at {e!r} is {_weight_text(x, D)}, outside [0, 1]"
+           for e, x in zip(T.elements, ints) if not 0 <= x <= D]
     if ints[root] != D:
-        out.append(f"value at bottom {T.elements[root]!r} is {vals[root]}, not 1")
-    out += [f"value at {e!r} is {v}, below its children's sum {Fraction(s, D)}"
-            for e, v, x, s in zip(T.elements, vals, ints, _child_sums(T, ints)) if x < s]
-    return vals, tuple(out)
+        out.append(f"value at bottom {T.elements[root]!r} is {_weight_text(ints[root], D)}, not 1")
+    sums = _children_first(T, lambda i, s: ints[i], ints)[1]
+    out += [f"value at {e!r} is {_weight_text(x, D)}, below its children's sum {_weight_text(s, D)}"
+            for e, x, s in zip(T.elements, ints, sums) if x < s]
+    return D, ints, tuple(out)
 
 
 def check_admissible(T: Poset, values) -> AdmissibleReport:
@@ -186,27 +251,30 @@ def check_admissible(T: Poset, values) -> AdmissibleReport:
     dominates the sum of its cover children's values. Values outside [0, 1]
     are also reported.
     """
-    _, violations = _violations(T, values)
+    violations = _violations(T, values)[2]
     return AdmissibleReport(valid=not violations, violations=violations)
 
 
 def admissible(T: Poset, values) -> AdmissibleMap:
     """Construct and validate an admissible map; the values are converted
     and checked once."""
-    vals, violations = _violations(T, values)
+    D, ints, violations = _violations(T, values)
     if violations:
         raise ValuationError("; ".join(violations))
-    return AdmissibleMap(T, vals)
+    return AdmissibleMap._of(T, D, ints)
 
 
 def valuation_to_admissible(nu: Valuation) -> AdmissibleMap:
-    """Filter masses of a valuation on a tree; bijective with its inverse."""
+    """Filter masses of a valuation on a tree; bijective with its inverse.
+
+    They are held over the valuation's own denominator, which is already in
+    lowest terms for them: a factor common to D and every filter mass would
+    divide every weight."""
     T = nu.poset
     if not T.is_tree():
         raise PosetError("admissible coordinates exist only on trees")
-    D, w = nu._den, nu._nums
-    vals = _children_first(T, lambda i, s: w[i] + s)
-    return AdmissibleMap(T, _fractions(vals, D))
+    w = nu._nums
+    return AdmissibleMap._of(T, nu._den, _children_first(T, lambda i, s: w[i] + s, w)[0])
 
 
 def admissible_to_valuation(f: AdmissibleMap) -> Valuation:
@@ -217,8 +285,9 @@ def admissible_to_valuation(f: AdmissibleMap) -> Valuation:
     (ValuationError).
     """
     T = f.tree
-    _, D, (xs,) = _tree_ints(T, f)
-    atoms = [(i, (x - s, D)) for i, (x, s) in enumerate(zip(xs, _child_sums(T, xs)))]
+    D, (xs,) = _tree_ints(T, f)
+    sums = _children_first(T, lambda i, s: xs[i], xs)[1]
+    atoms = [(i, (x - s, D)) for i, (x, s) in enumerate(zip(xs, sums)) if x != s]
     return Valuation._of(T, *_checked_ints(T, atoms))
 
 
@@ -234,11 +303,11 @@ def admissible_lub(f1: AdmissibleMap, f2: AdmissibleMap) -> Optional[AdmissibleM
     as in :func:`admissible_to_valuation`.
     """
     T = f1.tree
-    _, D, (v1, v2) = _tree_ints(T, f1, f2)
-    vals = _children_first(T, lambda i, s: max(v1[i], v2[i], s))
+    D, (v1, v2) = _tree_ints(T, f1, f2)
+    vals = _children_first(T, lambda i, s: max(v1[i], v2[i], s), v1, v2)[0]
     if vals[T.index(T.bottom())] > D:
         return None
-    return AdmissibleMap(T, _fractions(vals, D))
+    return AdmissibleMap._of(T, *_lowest_terms(D, vals))
 
 
 # -- serialization --------------------------------------------------------------
@@ -259,4 +328,10 @@ def parse_admissible(T: Poset, text: str) -> AdmissibleMap:
     if not lines or lines[0][1] != ADMISSIBLE_HEADER:
         raise ValuationError(f"expected first line {ADMISSIBLE_HEADER!r}")
     entries = ((f"line {ln}: ", line) for ln, line in lines[1:])
-    return admissible(T, {e: Fraction(p, q) for e, (p, q) in _ratios(T, entries, "line").items()})
+    ratios = _ratios(T, entries, "line")
+    D = lcm(*[q for _, q in ratios.values()])
+    nums = [0] * len(T.elements)
+    for e, (p, q) in ratios.items():
+        nums[T.index(e)] = p * (D // q)
+    # checked as a map held in integers, so no Fraction is built on the way in
+    return admissible(T, AdmissibleMap._of(T, *_lowest_terms(D, nums)))

@@ -242,7 +242,8 @@ def _require_same_poset(nu: Valuation, mu: Valuation) -> Poset:
 def _common(vals: Sequence[Valuation], D: int = 1) -> Tuple[int, List[Sequence[int]]]:
     """``(L, ints)``: L the lcm of ``D`` and the denominators of ``vals``, and
     ``ints[v][i] == L * vals[v].weights[i]``, with one multiply per entry of
-    a valuation held over a smaller denominator."""
+    a valuation held over a smaller denominator. Admissible maps, which hold
+    their values as ``_den`` and ``_nums`` too, are read the same way."""
     D = lcm(D, *[v._den for v in vals])
     return D, [v._nums if v._den == D else [k * (D // v._den) for k in v._nums] for v in vals]
 

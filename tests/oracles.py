@@ -664,7 +664,8 @@ def repeated_stages(rng, stages, most=3):
 
 def reference_koenig(P, stages, y):
     """``koenig_chain`` by depth-first search over element tuples: the chain,
-    or (message, index) of the StagePreconditionError."""
+    or (message, index) of the StagePreconditionError. The search walks with
+    an explicit stack, so any number of stages is answered."""
     norm = [reference_normalize(P, E) for E in stages]
     if not norm:
         return "at least one stage is required", 0
@@ -675,17 +676,25 @@ def reference_koenig(P, stages, y):
         if not _refines(P, norm[i], norm[i + 1]):
             return f"stage {i + 1}: upward closure is not contained in stage {i}'s", i + 1
 
-    def search(chain):
-        if len(chain) == len(norm):
-            return chain
-        for c in norm[len(chain)]:
-            if P.leq(c, y) and (not chain or P.leq(chain[-1], c)):
-                found = search(chain + [c])
-                if found:
-                    return found
-        return None
-
-    return search([]) or ("no chain exists; preconditions violated", len(norm) - 1)
+    # depth-first in element order, with one chain and, per stage reached,
+    # the position in its stage of the next pick to try: O(d) space
+    chain, tried = [], [0]
+    while len(chain) < len(norm):
+        stage, k = norm[len(chain)], tried[-1]
+        while k < len(stage) and not (
+            P.leq(stage[k], y) and (not chain or P.leq(chain[-1], stage[k]))
+        ):
+            k += 1
+        if k < len(stage):
+            tried[-1] = k + 1
+            chain.append(stage[k])
+            tried.append(0)
+            continue
+        tried.pop()
+        if not chain:
+            return "no chain exists; preconditions violated", len(norm) - 1
+        chain.pop()
+    return chain
 
 
 # -- the Fraction route for valuations --------------------------------------------

@@ -57,7 +57,7 @@ def test_fractions_are_taken_apart_in_four_places():
         "valuations.Valuation.__init__",
         "valuations._ratio",
         "valuations.round_down_strict",
-        "treeval._tree_ints",
+        "treeval.AdmissibleMap._read",
     }
 
 

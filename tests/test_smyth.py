@@ -528,6 +528,14 @@ def test_chain_extraction_through_one_stage_repeated_800_times():
     assert chain == ["s1"] * 800 == reference_koenig(P, [E] * 800, "y")
 
 
+def test_the_reference_chain_search_answers_1200_stages():
+    # past the default recursion limit: the least element of E below y, repeated
+    P = Poset(["bot", "s0", "s1", "s2", "y"],
+              [("bot", "s0"), ("bot", "s1"), ("bot", "s2"), ("s1", "y"), ("s2", "y")])
+    E = ("s0", "s1", "s2")
+    assert reference_koenig(P, [E] * 1200, "y") == ["s1"] * 1200
+
+
 @pytest.mark.parametrize("stages, message", [
     ([("a",), ()], "cannot normalize an empty set to an antichain"),
     ([("a",), ("a",), ("zz",)], "unknown element: 'zz'"),

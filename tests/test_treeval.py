@@ -404,6 +404,20 @@ def assert_folds_match(rng, T):
         assert str(err.value) == "; ".join(want)
     else:
         assert admissible(T, raw).values == raw
+    # valuations on 1-3 points, whose support's down-closure is most often
+    # a proper part of the tree
+    sparse = []
+    for _ in range(2):
+        picks = rng.sample(T.elements, rng.randint(1, min(3, len(T))))
+        ks = [rng.randint(1, d) for _ in picks]
+        sparse.append(Valuation(T, {e: F(k, sum(ks)) for e, k in zip(picks, ks)}))
+    gs = [valuation_to_admissible(nu) for nu in sparse]
+    for nu, g in zip(sparse, gs):
+        assert g.values == reference_filter_masses(nu)
+        assert admissible_to_valuation(g) == nu
+    for g1, g2 in ((gs[0], gs[1]), (gs[0], fs[0]), (direct, gs[1])):
+        lub = admissible_lub(g1, g2)
+        assert (None if lub is None else lub.values) == reference_lub(T, g1.values, g2.values)
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -462,6 +476,103 @@ def test_folds_build_one_fraction_per_distinct_value(monkeypatch):
         assert built(lambda: check_admissible(T, f)) == (AdmissibleReport(True), 0)
     lub, made_lub = built(lambda: admissible_lub(*fs))
     assert lub is not None and made_lub <= len(set(lub.values)) <= 13
+
+
+def test_folds_visit_only_the_down_closure_of_the_support(monkeypatch):
+    # white box: the fold calls its node function once per node of Z, the
+    # down-closure of the nodes where an input is nonzero, and on no other
+    from ordbench.posets import _bits
+
+    T, _ = path_space(_chain(6).product(_chain(7)))
+    assert len(T) == 1715
+    visited = []
+    fold = treeval._children_first
+
+    def counted(T, node, *rows):
+        def counting(i, s):
+            visited.append(i)
+            return node(i, s)
+
+        return fold(T, counting, *rows)
+
+    monkeypatch.setattr(treeval, "_children_first", counted)
+    nodes = [T.elements[-1], T.elements[len(T) // 2]]
+    fs = []
+    for x in nodes:
+        visited.clear()
+        fs.append(valuation_to_admissible(dirac(T, x)))
+        assert sorted(visited) == list(_bits(T._down[T.index(x)]))
+        assert fs[-1].values == reference_filter_masses(dirac(T, x))
+    Z = T._down[T.index(nodes[0])] | T._down[T.index(nodes[1])]
+    visited.clear()
+    lub = admissible_lub(*fs)
+    assert len(visited) == Z.bit_count() and set(visited) == set(_bits(Z))
+    assert (None if lub is None else lub.values) == reference_lub(T, fs[0].values, fs[1].values)
+
+
+def test_maps_built_by_the_library_or_directly_are_one_value():
+    T = parse_poset("elements: r a b c\norder: r < a; r < b; a < c")
+    Q = F(1, 4)
+    built = [
+        valuation_to_admissible(Valuation(T, {"a": H, "c": Q, "b": Q})),
+        admissible(T, {"r": 1, "a": H, "b": H, "c": Q}),
+        admissible_lub(admissible(T, {"r": 1, "a": H, "c": Q}), admissible(T, {"r": 1, "b": H})),
+        # over the common D = 4, every mass of this lub is even
+        admissible_lub(admissible(T, {"r": 1, "a": Q}), admissible(T, {"r": 1, "a": H, "b": H})),
+        parse_admissible(T, "kind: admissible\nr:2/2\na:6/8\nb:1/4\nc:1/4\n"),
+    ]
+    assert built[0] == built[4] and built[0] != built[1]
+    assert built[2].values == (1, H, H, Q) and built[3].values == (1, H, H, 0)
+    for f in built:
+        g = AdmissibleMap(T, f.values)
+        assert f == g and hash(f) == hash(g)
+        assert repr(f) == repr(g) == f"AdmissibleMap(tree={T!r}, values={f.values!r})"
+        assert str(f) == str(g) == format_admissible(f)
+        assert parse_admissible(T, format_admissible(g)) == f
+        assert format_admissible(parse_admissible(T, format_admissible(f))) == format_admissible(g)
+        assert AdmissibleMap(T, list(f.values)) == f != AdmissibleMap(T, f.values[::-1])
+        for attr in ("tree", "values", "anything"):
+            with pytest.raises(AttributeError):
+                setattr(f, attr, f.values)
+            with pytest.raises(AttributeError):
+                setattr(g, attr, f.values)
+    assert len({built[0], built[4], AdmissibleMap(T, built[0].values)}) == 1
+
+
+def test_admissibility_refusals_name_numbers_too_long_to_write():
+    T = parse_poset("elements: r a b\norder: r < a; r < b")
+    big = F(1, 10**5000)  # its denominator has more digits than str() writes
+    cases = [
+        ({"r": 1, "a": -big}, [
+            "value at 'a' is a fraction too long to write, outside [0, 1]",
+            "value at 'a' is a fraction too long to write, below its children's sum 0",
+        ]),
+        ({"r": 1, "a": H + big, "b": H},
+         ["value at 'r' is 1, below its children's sum a fraction too long to write"]),
+        ({"r": 1 - big}, ["value at bottom 'r' is a fraction too long to write, not 1"]),
+    ]
+    for values, want in cases:
+        assert check_admissible(T, values) == AdmissibleReport(False, tuple(want))
+        with pytest.raises(ValuationError) as err:
+            admissible(T, values)
+        assert str(err.value) == "; ".join(want)
+
+
+def test_maps_built_directly_read_their_values_as_a_sequence_is_read():
+    T = parse_poset("elements: r a b\norder: r < a; r < b")
+    for seq in ((1, 0.5, 0.5), ("1", "1/2", "1/2"), [F(1), H, H], (1, 0.75, 0.5), (1, "-1/4", 0)):
+        f = AdmissibleMap(T, seq)
+        assert f.values == tuple(seq)
+        assert check_admissible(T, f) == check_admissible(T, seq)
+        assert outcome(lambda: admissible(T, f)) == outcome(lambda: admissible(T, seq))
+        assert outcome(lambda: admissible_to_valuation(f)) == outcome(
+            lambda: admissible_to_valuation(AdmissibleMap(T, tuple(map(F, seq))))
+        )
+        lub = admissible_lub(f, f)
+        assert (None if lub is None else lub.values) == reference_lub(T, *[tuple(map(F, seq))] * 2)
+        assert f == AdmissibleMap(T, tuple(map(F, seq)))
+        assert hash(f) == hash(AdmissibleMap(T, tuple(map(F, seq))))
+    assert admissible_to_valuation(AdmissibleMap(T, (1, 0.5, 0.5))) == Valuation(T, {"a": H, "b": H})
 
 
 # -- covering Val1(Y) through the path space ---------------------------------------------
