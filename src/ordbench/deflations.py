@@ -242,7 +242,7 @@ def format_quasi_deflation(obj) -> str:
         phi, control = obj.deflation, obj.control
     else:
         phi, control = obj, None
-    _require_writable(phi.poset.elements, "quasi-deflation")
+    _require_writable(phi.poset.elements, "quasi-deflation", P=phi.poset)
     for x in phi.poset.elements:
         if str(x).startswith("control:"):
             raise PosetError(f"the quasi-deflation format cannot write the name {str(x)!r}")

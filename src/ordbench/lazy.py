@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple, Union
 
-from .posets import MonotoneMap, Poset, PosetError, _closure
+from .posets import MonotoneMap, Poset, PosetError
 
 Code = Tuple
 BOT: Code = ("bot",)
@@ -241,7 +241,11 @@ def truncate(L: LazyPoset, k: int) -> Truncation:
     0 up, then the kind's caps. In all three kinds every relation is a chain
     of relations between adjacent layers, so ``L.leq`` is asked only from
     each element to the next layer: at most twice per element, O(k) queries
-    in all. The closure derives the rest.
+    in all. The closure derives the rest. Those relations are exactly the
+    covers, so they are handed over as the diagram (see
+    :meth:`~ordbench.posets.Poset._from_covers`): each climbs exactly one
+    layer, so a chain of them between adjacent layers is one relation, and
+    nothing lies strictly between its ends.
 
     ``n2`` and ``nsum`` truncations come with the level-clamping projection;
     ``t`` has no monotone projection fixing top (that is the point of the
@@ -258,7 +262,7 @@ def truncate(L: LazyPoset, k: int) -> Truncation:
         start += len(low)
         succ += [[start + j for j, d in enumerate(high) if L.leq(c, d)] for c in low]
     names = tuple(format_code(c) for layer in layers for c in layer)
-    P = Poset._from_masks(names, *_closure(succ))
+    P = Poset._from_covers(names, succ)
 
     def embed(name: str) -> Code:
         P.index(name)

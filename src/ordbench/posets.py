@@ -151,13 +151,17 @@ class Poset:
 
     Construction costs O(n + relations) mask ORs (see :func:`_closure`):
     the order is stored as the up-set and down-set mask of each element.
+    The relations are kept as successor lists until the covers are first
+    asked for, and the covers are derived from them (see
+    :meth:`_cover_masks`).
 
     Raises:
         PosetError: duplicate identifiers, unknown identifiers in a
             relation, or a cycle (antisymmetry failure after closure).
     """
 
-    __slots__ = ("elements", "_index", "_up", "_down", "_uppers_cache", "_covers_cache")
+    __slots__ = ("elements", "_index", "_up", "_down", "_succ",
+                 "_uppers_cache", "_covers_cache", "_tree_cache")
 
     def __init__(self, elements: Iterable, relations: Iterable[tuple] = ()):
         elements = tuple(elements)
@@ -179,20 +183,34 @@ class Poset:
         masks = _closure(succ)
         if masks is None:
             raise PosetError(_cycle_message(elements, succ))
-        self._up, self._down = masks
-        self._uppers_cache = self._covers_cache = None
+        self._up, self._down, self._succ = *masks, succ
+        self._uppers_cache = self._covers_cache = self._tree_cache = None
 
     @classmethod
     def _from_masks(cls, elements: tuple, up: tuple, down: tuple, covers=None) -> "Poset":
         """Trusted constructor for already-closed, already-checked mask tuples;
         ``down`` must be the transpose of ``up``. ``covers``, when given, must
-        be the masks :meth:`_cover_masks` would derive, and is cached as is."""
+        be the masks :meth:`_cover_masks` would derive, and is cached as is;
+        without it, :meth:`_cover_masks` reads the strict up-sets as the
+        relation the order was closed from."""
         self = object.__new__(cls)
         self.elements = elements
         self._index = {e: i for i, e in enumerate(elements)}
-        self._up, self._down = up, down
-        self._uppers_cache, self._covers_cache = None, covers
+        self._up, self._down, self._covers_cache = up, down, covers
+        self._succ = self._uppers_cache = self._tree_cache = None
         return self
+
+    @classmethod
+    def _from_covers(cls, elements: tuple, succ: Sequence[Sequence[int]]) -> "Poset":
+        """Trusted constructor for an order given by its covering relation:
+        ``succ[i]`` lists the upper covers of element ``i`` (repeats
+        allowed), and the relation has no cycle. The order is its closure,
+        and the covers are cached as given, each row ORed into a mask."""
+        covers = [0] * len(succ)
+        for i, row in enumerate(succ):
+            for j in row:
+                covers[i] |= 1 << j
+        return cls._from_masks(elements, *_closure(succ), tuple(covers))
 
     # -- basic queries ----------------------------------------------------
 
@@ -289,31 +307,29 @@ class Poset:
         """For each element index, the mask of its upper covers, computed once
         per poset (posets are immutable, so the tuple never goes stale).
 
-        The covers of i are the minimal elements of its strict up-set. The
-        walk takes the lowest remaining bit, steps down inside what remains
-        until it reaches a minimal element, keeps that as a cover and drops
-        everything above it. When element order extends the partial order
-        the lowest bit is already minimal, so the walk costs one step per
-        cover. This is the only code that derives the Hasse diagram; code
-        that makes a poset whose diagram it already knows passes it to
-        :meth:`_from_masks`.
+        The covers of i are the minimal elements of its strict up-set. Let
+        ``succ`` be a relation the order was closed from: its closure is
+        the order, and it has no self-loops. Every element strictly above i
+        is at or above a successor of i, and it is minimal in the strict
+        up-set just when it lies strictly above none of them. So the covers
+        of i are its successors less everything strictly above one of them
+        (Aho, Garey & Ullman, "The transitive reduction of a binary
+        relation", 1972): one OR per relation. A poset built from its
+        relations keeps them for this, and drops them once the covers are
+        made; one built from masks alone reads its strict up-sets as the
+        relation, and one built by :meth:`_from_covers` never comes here.
         """
         if self._covers_cache is None:
-            up, down = self._up, self._down
+            up = self._up
+            succ = self._succ or [_bits(row ^ 1 << i) for i, row in enumerate(up)]
             out = []
-            for i, row in enumerate(up):
-                rest = row & ~(1 << i)
-                covers = 0
-                while rest:
-                    j = (rest & -rest).bit_length() - 1
-                    below = down[j] & rest
-                    while below != 1 << j:
-                        j = (below ^ 1 << j).bit_length() - 1
-                        below = down[j] & rest
-                    covers |= 1 << j
-                    rest &= ~up[j]
-                out.append(covers)
-            self._covers_cache = tuple(out)
+            for row in succ:
+                near = far = 0
+                for j in row:
+                    near |= 1 << j
+                    far |= up[j] ^ 1 << j
+                out.append(near & ~far)
+            self._covers_cache, self._succ = tuple(out), None
         return self._covers_cache
 
     def covers(self) -> tuple:
@@ -399,17 +415,19 @@ class Poset:
     # -- constructions ------------------------------------------------------
 
     def product(self, other: "Poset") -> "Poset":
-        """Componentwise order on pairs, carrier in row-major order."""
+        """Componentwise order on pairs, carrier in row-major order. Its
+        covers come from the factors' covers and are handed over as its
+        diagram (see :meth:`_from_covers`)."""
         elements = tuple(itertools.product(self.elements, other.elements))
         m = len(other.elements)
         mine, theirs = self._cover_masks(), other._cover_masks()
-        # (i, j) is covered by (a, j) for a covering i and by (i, b) for b covering j
+        # the covers of (i, j): (a, j) for a covering i and (i, b) for b covering j
         succ = [
             [a * m + j for a in _bits(mine[i])] + [i * m + b for b in _bits(theirs[j])]
             for i in range(len(mine))
             for j in range(m)
         ]
-        return Poset._from_masks(elements, *_closure(succ))
+        return Poset._from_covers(elements, succ)
 
     def is_tree(self) -> bool:
         """True when the strict predecessors of every element form a chain.
@@ -417,12 +435,13 @@ class Poset:
         Requires a least element; raises PosetError otherwise. Every element
         above bottom has a lower cover, and it has exactly one just when its
         strict predecessors form a chain, so a tree is a pointed poset with
-        exactly n - 1 covers.
+        exactly n - 1 covers. The answer is kept once known.
         """
-        if not self.is_pointed:
-            raise PosetError("is_tree needs a pointed poset")
-        covers = sum(map(int.bit_count, self._cover_masks()))
-        return covers == len(self.elements) - 1
+        if self._tree_cache is None:
+            if not self.is_pointed:
+                raise PosetError("is_tree needs a pointed poset")
+            self._tree_cache = sum(map(int.bit_count, self._cover_masks())) == len(self.elements) - 1
+        return self._tree_cache
 
 
 # -- monotone maps ---------------------------------------------------------
@@ -670,19 +689,27 @@ def parse_map(source: Poset, target: Poset, text: str) -> MonotoneMap:
     return MonotoneMap(source, target, table)
 
 
-def _require_writable(names: Iterable, fmt: str, splits: Tuple[str, ...] = ()) -> None:
+def _require_writable(
+    names: Iterable, fmt: str, splits: Tuple[str, ...] = (), P: Optional[Poset] = None
+) -> None:
     """Refuse a name that a line format would not read back.
 
     Every line format strips its names, reads each line alone, ends it at
     ``#`` and splits a map line at its first ``->``; ``splits`` adds what
     else the format splits at. So a name must be nonempty, hold none of
-    these and no line break, and have no outer whitespace.
+    these and no line break, and have no outer whitespace. When ``P`` is
+    given, ``names`` are elements of P, and the parsers look each written
+    name up in P, so it must name that same element: an element that is not
+    a string, such as ``1`` or ``('bot',)``, is refused, as its written name
+    names no element of P, or another one.
     """
-    for name in map(str, names):
+    for e in names:
+        name = str(e)
         if (
             name.splitlines() != [name]
             or name != name.strip()
             or any(s in name for s in ("#", "->", *splits))
+            or P is not None and P._index.get(name) != P._index[e]
         ):
             raise PosetError(f"the {fmt} format cannot write the name {name!r}")
 
@@ -690,7 +717,8 @@ def _require_writable(names: Iterable, fmt: str, splits: Tuple[str, ...] = ()) -
 def format_map(f: MonotoneMap) -> str:
     """Inverse of :func:`parse_map`; refuses names it cannot read back
     (see :func:`_require_writable`)."""
-    _require_writable((*f.source.elements, *f.values), "map")
+    _require_writable(f.source.elements, "map", P=f.source)
+    _require_writable(f.values, "map", P=f.target)
     lines = [f"{x} -> {y}" for x, y in zip(f.source.elements, f.values)]
     return "\n".join(lines) + "\n"
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, List, Optional, Sequence
 
 from .posets import (
-    MonotoneMap, Poset, PosetError, _arrow, _bits, _closure, _first_failing_cover, _lines,
+    MonotoneMap, Poset, PosetError, _arrow, _bits, _first_failing_cover, _lines,
     _require_writable, _unreached, _values,
 )
 
@@ -201,8 +201,10 @@ def fin_poset(P: Poset) -> Poset:
     every nonempty upper set is the closure of one antichain. So the upper
     covers of E are the antichains whose closure is E's less one member of
     E, when that is nonempty; their closure is the order, with no pair of
-    antichains compared. The antichains come from :func:`fin_antichains`,
-    so more than ``FIN_CAP`` of them raise PosetError.
+    antichains compared, and they are handed over as the diagram (see
+    :meth:`~ordbench.posets.Poset._from_covers`). The antichains come from
+    :func:`fin_antichains`, so more than ``FIN_CAP`` of them raise
+    PosetError.
     """
     masks = _fin_masks(P)
     closure = [P._up_mask(E) for E in masks]
@@ -211,7 +213,7 @@ def fin_poset(P: Poset) -> Poset:
         [index[up ^ 1 << x] for x in _bits(E) if up ^ 1 << x]
         for E, up in zip(masks, closure)
     ]
-    return Poset._from_masks(tuple(map(P._tuple_of, masks)), *_closure(succ))
+    return Poset._from_covers(tuple(map(P._tuple_of, masks)), succ)
 
 
 # -- monad laws ---------------------------------------------------------------
@@ -486,10 +488,12 @@ def parse_finmap(source: Poset, target: Poset, text: str) -> FinMap:
 
 def format_finmap(h: FinMap) -> str:
     """Inverse of :func:`parse_finmap`, values in canonical form; refuses
-    names it cannot read back."""
-    _require_writable(h.source.elements, "finmap")
+    names it cannot read back. A value's name is checked as an antichain
+    member first, then looked up in the target."""
+    _require_writable(h.source.elements, "finmap", P=h.source)
     lines = [
         f"{x} -> {format_antichain(E)}"
         for x, E in zip(h.source.elements, h.values)
     ]
+    _require_writable((x for E in h.values for x in E), "finmap", P=h.target)
     return "\n".join(lines) + "\n"

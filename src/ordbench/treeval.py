@@ -29,7 +29,7 @@ from operator import or_
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from .posets import (
-    MonotoneMap, Poset, PosetError, _bits, _closure, _lines, _require_writable, _unreached,
+    MonotoneMap, Poset, PosetError, _bits, _lines, _require_writable, _unreached,
 )
 from .valuations import Valuation, ValuationError, _checked_ints, _common, _fractions
 from .valuations import _lowest_terms, _ratios, _weight_text
@@ -43,11 +43,12 @@ def path_space(Y: Poset) -> Tuple[Poset, MonotoneMap]:
     Paths are materialized as tuples of elements; the returned poset lists
     them in depth-first order (children visited in element order), so output
     is deterministic. Each element's upper covers are listed once, and a
-    path's one-step extensions are exactly its covers in the tree, so the
-    tree is handed its cover masks and never walks its own diagram. The
-    order itself is still built by :func:`~ordbench.posets._closure`. The
-    endpoint map is monotone by construction (the endpoint of a prefix lies
-    below the endpoint of each extension), so it is built unchecked from the
+    path's one-step extensions are exactly its covers in the tree. The
+    tree is built from those lists alone by
+    :meth:`~ordbench.posets.Poset._from_covers`, which closes them into the
+    order and keeps them as the tree's diagram. The endpoint map is
+    monotone by construction (the endpoint of a prefix lies below the
+    endpoint of each extension), so it is built unchecked from the
     end index each path was walked with; it is asserted surjective and the
     result asserted to be a tree before returning.
 
@@ -62,7 +63,6 @@ def path_space(Y: Poset) -> Tuple[Poset, MonotoneMap]:
     ups = [[(Y.elements[c], c) for c in _bits(mask)][::-1] for mask in Y._cover_masks()]
     paths: List[tuple] = []
     succ: List[List[int]] = []  # the index of each path's one-step extensions
-    covers: List[int] = []  # the same indices as masks: the tree's upper covers
     ends: List[int] = []  # the index in Y of each path's endpoint
     stack = [((bot,), Y.index(bot), -1)]
     while stack:
@@ -74,13 +74,11 @@ def path_space(Y: Poset) -> Tuple[Poset, MonotoneMap]:
             )
         if here:
             succ[above].append(here)
-            covers[above] |= 1 << here
         paths.append(path)
         ends.append(end)
         succ.append([])
-        covers.append(0)
         stack += [(path + (e,), c, here) for e, c in ups[end]]
-    pi = Poset._from_masks(tuple(paths), *_closure(succ), tuple(covers))
+    pi = Poset._from_covers(tuple(paths), succ)
     r = MonotoneMap._of(pi, Y, tuple(ends))
     assert pi.is_tree()
     assert not _unreached(Y, r._idx)
@@ -318,7 +316,7 @@ ADMISSIBLE_HEADER = "kind: admissible"
 def format_admissible(f: AdmissibleMap) -> str:
     """Inverse of :func:`parse_admissible`; refuses names it cannot read back
     (see :func:`~ordbench.posets._require_writable`)."""
-    _require_writable(f.tree.elements, "admissible")
+    _require_writable(f.tree.elements, "admissible", P=f.tree)
     return str(f)
 
 

@@ -26,7 +26,7 @@ from math import comb, gcd, lcm
 from operator import and_, le, mul, or_, sub
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from .posets import MonotoneMap, Poset, PosetError, _bits, _closure, _unreached
+from .posets import MonotoneMap, Poset, PosetError, _bits, _unreached
 
 GRID_CAP = 100_000
 
@@ -121,7 +121,7 @@ def _fractions(nums: Sequence[int], D: int) -> Tuple[Fraction, ...]:
 
 
 def _spelled(k: int, D: int) -> str:
-    """``str(Fraction(k, D))`` for k > 0, without building the Fraction."""
+    """``str(Fraction(k, D))`` for any k and D > 0, without building the Fraction."""
     g = gcd(k, D)
     return f"{k // g}" if g == D else f"{k // g}/{D // g}"
 
@@ -148,7 +148,7 @@ def _weight_text(k: int, D: int) -> str:
     """The weight k/D as ``Fraction`` writes it, or words that say it cannot
     be written: a part with more digits than ``sys.get_int_max_str_digits()``."""
     try:
-        return str(Fraction(k, D))
+        return _spelled(k, D)
     except ValueError:
         return "a fraction too long to write"
 
@@ -225,11 +225,14 @@ def format_valuation(v: Valuation) -> str:
     """Inverse of :func:`parse_valuation`: nonzero entries in element order.
 
     Raises PosetError on a name it writes that the parser, which splits at
-    whitespace, cannot read back: an empty one, or one holding whitespace.
+    whitespace and looks names up in the poset, cannot read back: an empty
+    one, one holding whitespace, or one that is not the name of that same
+    element (see :func:`~ordbench.posets._require_writable`).
     """
     for e in v.support:
-        if str(e).split() != [str(e)]:
-            raise PosetError(f"the valuation format cannot write the name {str(e)!r}")
+        name = str(e)
+        if name.split() != [name] or v.poset._index.get(name) != v.poset._index[e]:
+            raise PosetError(f"the valuation format cannot write the name {name!r}")
     return str(v)
 
 
@@ -788,11 +791,22 @@ def grid_poset(P: Poset, N: int) -> Poset:
     :func:`_grid_moves`), so no two points are compared: O(M * (n + covers))
     to list the points and moves, then O(M + moves) ORs of M-bit masks.
     Held to ``GRID_CAP`` points.
+
+    The unit moves are exactly the covers of the grid order, so they are
+    handed over as its diagram (:meth:`~ordbench.posets.Poset._from_covers`).
+    Proof: let y cover x in P and q = p + e_y - e_x. A chain of moves from p
+    to q moves one unit along one cover of P per move, so the moves, read as
+    edges of P's diagram, carry a net flow of one unit from x to y. Covers
+    only go up, so the diagram has no cycle and no part of the chain can
+    cancel: the moves form a single up-path x -> y along covers. As y covers
+    x, that path is the one step x -> y, so the chain is one move and no
+    grid point lies strictly between p and q. Distinct covers give distinct
+    moves, so no move is listed twice.
     """
     points = _grid_points(P, N)
     _, moves = _grid_moves(P, N, points)
-    masks = _closure(list(map(moves, range(len(points)))))
-    return Poset._from_masks(tuple(_grid_valuations(P, N, points)), *masks)
+    succ = list(map(moves, range(len(points))))
+    return Poset._from_covers(tuple(_grid_valuations(P, N, points)), succ)
 
 
 def minimal_upper_bounds_grid(v1: Valuation, v2: Valuation, N: int) -> List[Valuation]:

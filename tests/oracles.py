@@ -556,20 +556,24 @@ def _refines(Q, E, F):
     return all(any(Q.leq(e, f) for e in E) for f in F)
 
 
-def _brute_covers(Q):
+def brute_covers(Q):
+    """The pairs x < y of Q with nothing strictly between, in element order
+    of x, then of y, each decided by ``leq`` alone."""
+    els = Q.elements
+    span = range(len(els))
+    lt = [[i != j and Q.leq(x, y) for j, y in enumerate(els)] for i, x in enumerate(els)]
     return [
-        (x, y)
-        for x in Q.elements
-        for y in Q.elements
-        if x != y and Q.leq(x, y)
-        and not any(z not in (x, y) and Q.leq(x, z) and Q.leq(z, y) for z in Q.elements)
+        (els[i], els[j])
+        for i in span
+        for j in span
+        if lt[i][j] and not any(lt[i][k] and lt[k][j] for k in span)
     ]
 
 
 def reference_finmap_error(S, T, values, deflation=False):
     """The message of the PosetError a checked FinMap (a QuasiDeflation with
     ``deflation``) with these value tuples raises, or None."""
-    for x, y in _brute_covers(S):
+    for x, y in brute_covers(S):
         if not _refines(T, values[x], values[y]):
             return (
                 f"not monotone into the antichain order: {x!r} <= {y!r} "

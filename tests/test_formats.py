@@ -10,7 +10,9 @@ whitespace or a line break or holding ``#`` or ``->``, and for antichains
 ``,``, ``{`` or ``}``; the quasi-deflation format also meets names that
 begin with ``control:``. The valuation format meets empty names and names
 holding whitespace, and writes names holding ``#``, ``->`` and ``:``. Each
-must refuse to write a name it cannot read back.
+must refuse to write a name it cannot read back, and so must the map,
+finmap, quasi-deflation, admissible and valuation writers on an element
+that is no string and whose written name names no element, or another one.
 """
 
 from fractions import Fraction
@@ -20,11 +22,13 @@ from hypothesis import given, settings, strategies as st
 
 from ordbench import (
     ControlledQuasiDeflation,
+    FinMap,
     MonotoneMap,
     Poset,
     PosetError,
     QuasiDeflation,
     Valuation,
+    dirac,
     eta_map,
     format_admissible,
     format_antichain,
@@ -39,9 +43,11 @@ from ordbench import (
     parse_poset,
     parse_quasi_deflation,
     parse_valuation,
+    path_space,
     valuation_to_admissible,
 )
 from ordbench import lazy
+from ordbench.cli import _relabel
 
 SAFE = "abxyz019_.:"
 NAMES = st.lists(
@@ -266,6 +272,66 @@ def test_valuation_and_admissible_round_trip(data):
     T = data.draw(posets(tree=True))
     f = valuation_to_admissible(data.draw(valuations(T)))
     assert parse_admissible(T, format_admissible(f)).values == f.values
+
+
+DIAMOND = parse_poset("elements: bot a b top\norder: bot < a; bot < b; a < top; b < top\n")
+
+
+def writers(P: Poset, x) -> list:
+    """Each writer that looks names up in P, with an object on P for it to
+    write, as ``(format, writer, object)``; the valuation is the unit mass
+    at ``x``."""
+    unit = QuasiDeflation(P, eta_map(P))
+    return [
+        ("map", format_map, MonotoneMap(P, P, {e: e for e in P.elements})),
+        ("finmap", format_finmap, eta_map(P)),
+        ("quasi-deflation", format_quasi_deflation, unit),
+        ("admissible", format_admissible, valuation_to_admissible(dirac(P, P.bottom()))),
+        ("valuation", format_valuation, dirac(P, x)),
+    ]
+
+
+def test_writers_refuse_elements_whose_names_read_back_as_no_element():
+    Pi, r = path_space(DIAMOND)
+    with pytest.raises(PosetError) as err:
+        format_map(r)
+    assert str(err.value) == "the map format cannot write the name \"('bot',)\""
+    chain = Poset([1, 2], [(1, 2)])
+    for P, bad in ((Pi, "('bot',)"), (chain, "1")):
+        for fmt, write, obj in writers(P, P.elements[0]):
+            with pytest.raises(PosetError) as err:
+                write(obj)
+            assert str(err.value) == f"the {fmt} format cannot write the name {bad!r}"
+    # a value is looked up in the target: a string-named source does not help
+    one = Poset(["a"])
+    for write, obj in (
+        (format_map, MonotoneMap(one, chain, {"a": 2})),
+        (format_finmap, FinMap(one, chain, {"a": [2]})),
+    ):
+        with pytest.raises(PosetError, match="cannot write the name '2'"):
+            write(obj)
+    # a value's name is still checked as an antichain member first
+    with pytest.raises(PosetError) as err:
+        format_finmap(FinMap(one, Poset(["x#"]), {"a": ["x#"]}))
+    assert str(err.value) == "the antichain format cannot write the name 'x#'"
+    # the name "1" is the string's, so the integer 1 cannot be written as it
+    mixed = Poset(["1", 1], [])
+    assert parse_valuation(mixed, format_valuation(dirac(mixed, "1"))) == dirac(mixed, "1")
+    with pytest.raises(PosetError) as err:
+        format_valuation(dirac(mixed, 1))
+    assert str(err.value) == "the valuation format cannot write the name '1'"
+
+
+def test_writers_read_back_on_string_named_posets():
+    Pi, _ = path_space(DIAMOND)
+    # the path space renamed, and a chain that names its elements "1" and "2"
+    for P in (_relabel(Pi, "/".join), Poset(["1", "2"], [("1", "2")])):
+        f, h, phi, g, nu = (obj for _, _, obj in writers(P, P.elements[-1]))
+        assert parse_map(P, P, format_map(f)) == f
+        assert parse_finmap(P, P, format_finmap(h)) == h
+        assert parse_quasi_deflation(P, format_quasi_deflation(phi)) == phi
+        assert parse_admissible(P, format_admissible(g)).values == g.values
+        assert parse_valuation(P, format_valuation(nu)) == nu
 
 
 def with_mass(data, name) -> tuple:

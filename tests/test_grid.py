@@ -32,6 +32,7 @@ from ordbench.valuations import _compositions, _grid_moves, _grid_points, _maxim
 
 from oracles import (
     bottom_rounding,
+    brute_covers,
     brute_posets,
     dominance_grid_order,
     dominance_maximal_below,
@@ -73,6 +74,21 @@ def test_kernel_matches_dominance_on_every_small_poset():
                 for N in (1, 2, 3):
                     # denominators 5 and 7 never divide N
                     _agree(P, N, _valuation(rng, P, 5), _valuation(rng, P, 7))
+
+
+def test_unit_moves_are_the_covers_of_the_dominance_order():
+    # grid_poset hands its unit moves over as its diagram: they must be the
+    # covers of the order that pairwise dominance gives
+    for n in range(1, 5):
+        for P in brute_posets(n):
+            for N in (1, 2, 3) if n < 4 else (1, 2):
+                points = _grid_points(P, N)
+                _, moves = _grid_moves(P, N, points)
+                slow = Poset._from_masks(tuple(range(len(points))), *dominance_grid_order(P, N))
+                want = [(i, j) for i in range(len(points)) for j in sorted(moves(i))]
+                assert brute_covers(slow) == want
+                G = grid_poset(P, N)
+                assert G.covers() == tuple((G.elements[i], G.elements[j]) for i, j in want)
 
 
 @st.composite

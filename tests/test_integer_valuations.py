@@ -36,7 +36,7 @@ from ordbench import (
 )
 from ordbench.cli import main
 from ordbench.posets import MonotoneMap
-from ordbench.valuations import _maximal_below
+from ordbench.valuations import _maximal_below, _spelled, _weight_text
 
 from oracles import (
     SPELLINGS,
@@ -91,6 +91,14 @@ def test_an_over_long_numerator_is_a_usage_error(capsys, tmp_path):
     captured = capsys.readouterr()
     assert (code, captured.out) == (2, "")
     assert captured.err.startswith("error: bad fraction in 'a:111")
+
+
+@pytest.mark.parametrize("D", [1, 2, 6, 12, 35, 10**30])
+def test_weights_are_spelled_as_fraction_writes_them(D):
+    # negative numerators appear in error messages, zero and positive ones in output
+    for k in (-3 * D - 1, -2 * D, -D, -7, -1, 0, 1, 3, D - 1, D, 4 * D, 4 * D + 5, 10**25):
+        assert _spelled(k, D) == _weight_text(k, D) == str(Fraction(k, D))
+    assert _weight_text(10**5000, D) == _weight_text(-(10**5000), D) == "a fraction too long to write"
 
 
 def random_weights(rng, P):

@@ -1,6 +1,7 @@
 """The limits rule, read off the source with ``ast``: every enumeration limit
 is a module constant read in exactly one function, at call time, and no
-function takes a parameter that changes a limit."""
+function takes a parameter that changes a limit. Read the same way: every
+order is closed by one kernel, which only the poset constructors call."""
 
 import ast
 from pathlib import Path
@@ -16,16 +17,18 @@ FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
 
 
 class Scopes(ast.NodeVisitor):
-    """Each limit read, under the innermost function (or class, or module)
-    whose body holds it; every function with its parameters."""
+    """Each read of one of ``names`` (the limits, unless given), under the
+    innermost function (or class, or module) whose body holds it; every
+    function with its parameters."""
 
-    def __init__(self, module: str):
+    def __init__(self, module: str, names=READERS):
         self.path = [module]
+        self.names = names
         self.reads = []  # (limit, scope)
         self.params = []  # (scope, parameter names)
 
     def read(self, name: str) -> None:
-        if name in READERS:
+        if name in self.names:
             self.reads.append((name, ".".join(self.path)))
 
     def visit_Name(self, node):
@@ -63,10 +66,10 @@ class Scopes(ast.NodeVisitor):
         self.path.pop()
 
 
-def scan() -> Scopes:
+def scan(names=READERS) -> Scopes:
     found = Scopes("")
     for path in sorted(SRC.glob("*.py")):
-        scopes = Scopes(path.stem)
+        scopes = Scopes(path.stem, names)
         scopes.visit(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
         found.reads += scopes.reads
         found.params += scopes.params
@@ -77,6 +80,25 @@ def test_each_limit_is_read_in_exactly_one_function():
     reads = scan().reads
     for limit, reader in READERS.items():
         assert {scope for name, scope in reads if name == limit} == {reader}, limit
+
+
+def test_the_closure_kernel_is_named_in_posets_alone():
+    """``posets._closure`` closes every order. Its only callers are the two
+    constructors that close a relation, ``Poset.__init__`` and
+    ``Poset._from_covers``; every other builder hands its covers to the
+    second, and no other module imports or names the kernel."""
+    named, calls = set(), 0
+    fields = ("id", "attr", "name", "asname", "arg")  # every place an identifier is written
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if "_closure" in {getattr(node, field, None) for field in fields}:
+                named.add(path.stem)
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_closure":
+                calls += 1
+    assert named == {"posets"}
+    reads = sorted(scope for _, scope in scan({"_closure"}).reads)
+    assert reads == ["posets.Poset.__init__", "posets.Poset._from_covers"]
+    assert calls == len(reads)
 
 
 def test_no_function_takes_a_limit_parameter():

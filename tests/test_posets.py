@@ -30,6 +30,7 @@ from ordbench.valuations import _mass_rows
 
 from oracles import (
     LABELED_POSET_COUNTS,
+    brute_covers,
     brute_posets,
     brute_relations,
     brute_upper_sets,
@@ -107,6 +108,16 @@ def test_cover_masks_are_computed_once_per_poset(diamond):
     assert named._cover_masks() is first
     assert named.covers() == (("BOT", "A"), ("BOT", "B"), ("A", "TOP"), ("B", "TOP"))
     assert _relabel(Poset("ab", [("a", "b")]), str.upper)._covers_cache is None
+    # a renamed copy of a poset that has not derived its diagram yet derives
+    # the same diagram from its own masks
+    user = Poset("abc", [("a", "b"), ("b", "c"), ("a", "c"), ("a", "b")])
+    copy = _relabel(user, str.upper)
+    assert copy._covers_cache is None
+    assert copy.covers() == (("A", "B"), ("B", "C"))
+    assert user.covers() == (("a", "b"), ("b", "c"))
+    # a covering relation listed with repeats gives the same diagram
+    twice = Poset._from_covers(diamond.elements, [[1, 2, 1], [3, 3], [3], []])
+    assert twice == diamond and twice._cover_masks() == first
 
 
 def test_covers_skip_transitive_edges():
@@ -270,9 +281,15 @@ def test_product_is_the_componentwise_order():
 def test_is_tree(diamond):
     assert not diamond.is_tree()
     chain = Poset("abc", [("a", "b"), ("b", "c")])
+    assert chain._tree_cache is None
     assert chain.is_tree()
-    with pytest.raises(PosetError):
-        Poset("ab", []).is_tree()
+    # the answer is kept: posets are immutable
+    assert chain._tree_cache is True and chain.is_tree() and diamond._tree_cache is False
+    free = Poset("ab", [])
+    for _ in range(2):
+        with pytest.raises(PosetError):
+            free.is_tree()
+    assert free._tree_cache is None
 
 
 def test_covers_and_is_tree_match_brute_force():
@@ -295,6 +312,45 @@ def test_covers_and_is_tree_match_brute_force():
                     if (a, y) in lt and (b, y) in lt
                 )
                 assert P.is_tree() == chains
+
+
+def test_covers_match_brute_force_however_the_order_is_built():
+    """On every poset with at most 5 elements: built by ``Poset`` from a
+    random relation that generates it, with transitive, repeated and
+    reflexive pairs and the elements shuffled, and built from its masks
+    alone, its covers are the pairs x < y with nothing strictly between."""
+    rng = random.Random(28)
+    for n in range(1, 6):
+        for P in enumerate_posets(n):
+            els = P.elements
+            order = [(x, y) for x in els for y in els if x != y and P.leq(x, y)]
+            relation = [*P.covers(), *(p for p in order if rng.random() < 0.3)]
+            relation += rng.choices(relation, k=2) if relation else []
+            relation.append((els[0], els[0]))
+            rng.shuffle(relation)
+            elements = list(els)
+            rng.shuffle(elements)
+            built = Poset(elements, relation)
+            masks_only = Poset._from_masks(built.elements, built._up, built._down)
+            want = tuple(brute_covers(built))
+            assert built._covers_cache is None and masks_only._covers_cache is None
+            assert built.covers() == masks_only.covers() == want
+            assert set(want) == set(P.covers())
+
+
+def test_builders_hand_over_exactly_the_covers():
+    """Each builder that closes a covering relation hands it over as the
+    diagram, and it is the brute-force one of the order it closed."""
+    small = [P for n in range(1, 4) for P in enumerate_posets(n)]
+    upto4 = [P for n in range(1, 5) for P in enumerate_posets(n)]
+    built = [P.product(Q) for P in small for Q in small]
+    built += [fin_poset(P) for P in upto4]
+    built += [path_space(P)[0] for n in range(1, 6) for P in enumerate_posets(n) if P.is_pointed]
+    built += [grid_poset(P, N) for P in upto4 for N in ((1, 2, 3) if len(P) < 4 else (1, 2))]
+    built += [truncate(LazyPoset(kind), k).poset for kind in KINDS for k in range(1, 8)]
+    for B in built:
+        assert B._covers_cache is not None
+        assert B.covers() == tuple(brute_covers(B))
 
 
 # -- monotone maps ----------------------------------------------------------

@@ -159,8 +159,8 @@ def cover_chains(Y):
 
 
 def test_path_space_matches_the_prefix_order_built_afresh():
-    # path_space hands the tree the cover masks it built; Poset closes the
-    # prefix pairs itself and walks its own covers
+    # path_space hands the tree its one-step extensions as its covers; Poset
+    # closes the prefix pairs itself and derives its own covers from them
     rng = random.Random(23)
     Ys = [shuffled(rng, random_pointed_poset(rng, rng.randint(1, 8))) for _ in range(150)]
     Ys += [tree_poset(shape) for n in range(1, 6) for shape in rooted_trees(n)]
