@@ -164,11 +164,11 @@ def _cmd_fin(args) -> int:
     P = _load_poset(args.poset)
     if args.dot:
         F = fin_poset(P)
-        named = _relabel(F, format_antichain)
+        named = _relabel(F, lambda E: format_antichain(E, P))
         sys.stdout.write(poset_to_dot(named, name="fin"))
     else:
         for E in fin_antichains(P):
-            print(format_antichain(E))
+            print(format_antichain(E, P))
     return 0
 
 

@@ -247,7 +247,7 @@ def format_quasi_deflation(obj) -> str:
         if str(x).startswith("control:"):
             raise PosetError(f"the quasi-deflation format cannot write the name {str(x)!r}")
     lines = [
-        f"{x} -> {format_antichain(E)}"
+        f"{x} -> {format_antichain(E, phi.poset)}"
         for x, E in zip(phi.poset.elements, phi.values)
     ]
     if control is not None:

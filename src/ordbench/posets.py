@@ -61,30 +61,52 @@ def _upper_walk(up: Sequence[int], down: Sequence[int], excluded: int = 0) -> tu
     return masks, added
 
 
+def _first_repeat(names: Iterable):
+    """The first name in ``names`` equal to an earlier one; there is one."""
+    seen = set()
+    return next(x for x in names if x in seen or seen.add(x))
+
+
+def _points_forward(succ: Sequence[Sequence[int]]) -> bool:
+    """True when every j in ``succ[i]`` is above i: element order is then a
+    topological order of the relation. One comparison per relation."""
+    for i, row in enumerate(succ):
+        for j in row:
+            if j < i:
+                return False
+    return True
+
+
 def _closure(succ: Sequence[Sequence[int]]) -> Optional[Tuple[tuple, tuple]]:
     """The reflexive transitive closure of a relation given by successor lists.
 
     ``succ[i]`` lists indices j with i <= j (no self-loops; repeats allowed).
-    Kahn's algorithm (Kahn, "Topological sorting of large networks", 1962)
-    orders the indices so that every relation points forward. Then
-    ``up[i]`` is i's bit OR-ed with ``up`` of its successors, taken in
-    reverse order, and ``down[j]`` is j's bit OR-ed with ``down`` of its
-    predecessors, pushed forward in order: one mask OR per element and per
-    relation. Returns ``(up, down)``, or None when the relation has a cycle.
+    The passes below need an order of the indices in which every relation
+    points forward. Element order is one when every relation already points
+    forward (see :func:`_points_forward`), as when each ``x < y`` declares x
+    before y; otherwise Kahn's algorithm (Kahn, "Topological sorting of
+    large networks", 1962) finds one. Then ``up[i]`` is i's bit OR-ed with
+    ``up`` of its successors, taken in reverse order, and ``down[j]`` is j's
+    bit OR-ed with ``down`` of its predecessors, pushed forward in order: one
+    mask OR per element and per relation. Returns ``(up, down)``, or None
+    when the relation has a cycle.
     """
     n = len(succ)
-    indegree = [0] * n
-    for row in succ:
-        for j in row:
-            indegree[j] += 1
-    order = [i for i in range(n) if not indegree[i]]
-    for i in order:  # grows while it is walked
-        for j in succ[i]:
-            indegree[j] -= 1
-            if not indegree[j]:
-                order.append(j)
-    if len(order) < n:
-        return None
+    if _points_forward(succ):
+        order = range(n)
+    else:
+        indegree = [0] * n
+        for row in succ:
+            for j in row:
+                indegree[j] += 1
+        order = [i for i in range(n) if not indegree[i]]
+        for i in order:  # grows while it is walked
+            for j in succ[i]:
+                indegree[j] -= 1
+                if not indegree[j]:
+                    order.append(j)
+        if len(order) < n:
+            return None
     up = [1 << i for i in range(n)]
     for i in reversed(order):
         mask = up[i]
@@ -149,7 +171,10 @@ class Poset:
             between distinct elements is rejected. Self-loops and repeated
             pairs are allowed.
 
-    Construction costs O(n + relations) mask ORs (see :func:`_closure`):
+    Construction costs one dict lookup per name, each pair resolved as it
+    is read (:func:`parse_poset` resolves in bulk), and
+    O(n + relations) mask ORs (see :func:`_closure`), with no topological
+    sort when every relation ``(x, y)`` lists x before y in ``elements``:
     the order is stored as the up-set and down-set mask of each element.
     The relations are kept as successor lists until the covers are first
     asked for, and the covers are derived from them (see
@@ -165,26 +190,36 @@ class Poset:
 
     def __init__(self, elements: Iterable, relations: Iterable[tuple] = ()):
         elements = tuple(elements)
-        self._index = index = {}
-        for i, e in enumerate(elements):
-            if index.setdefault(e, i) != i:
-                raise PosetError(f"duplicate element: {e!r}")
-        self.elements = elements
-        succ: List[List[int]] = [[] for _ in elements]
+        index = dict(zip(elements, range(len(elements))))
+        if len(index) < len(elements):
+            raise PosetError(f"duplicate element: {_first_repeat(elements)!r}")
+        low, high = [], []
         for x, y in relations:
-            ix = index.get(x)
-            iy = index.get(y)
-            if ix is None:
-                raise PosetError(f"relation mentions undeclared element: {x!r}")
-            if iy is None:
-                raise PosetError(f"relation mentions undeclared element: {y!r}")
-            if ix != iy:
-                succ[ix].append(iy)
+            i, j = index.get(x), index.get(y)
+            if i is None or j is None:
+                name = x if i is None else y
+                raise PosetError(f"relation mentions undeclared element: {name!r}")
+            low.append(i)
+            high.append(j)
+        self._relate(elements, index, low, high)
+
+    def _relate(self, elements: tuple, index: dict, low: Sequence, high: Sequence) -> "Poset":
+        """Make this the order on ``elements`` generated by ``low[k] <=
+        high[k]`` (indices into ``elements``), and return it: the body of
+        :meth:`__init__` and of :func:`parse_poset`, which resolve the names.
+        ``index`` maps each element to its position and is kept as the
+        poset's own."""
+        succ: List[List[int]] = [[] for _ in elements]
+        for i, j in zip(low, high):
+            if i != j:
+                succ[i].append(j)
         masks = _closure(succ)
         if masks is None:
             raise PosetError(_cycle_message(elements, succ))
+        self.elements, self._index = elements, index
         self._up, self._down, self._succ = *masks, succ
         self._uppers_cache = self._covers_cache = self._tree_cache = None
+        return self
 
     @classmethod
     def _from_masks(cls, elements: tuple, up: tuple, down: tuple, covers=None) -> "Poset":
@@ -633,29 +668,56 @@ def parse_poset(text: str) -> Poset:
 
     Blank lines are ignored. Anything else is an error, as are duplicate
     declarations, relations over unknown identifiers, and cycles.
+
+    A regular text is read without a Python call per name: each
+    ``elements:`` line is indexed by one dict, and each ``order:`` line is
+    split into tokens once, ``<`` and ``;`` standing alone, and its names
+    are taken from the stride ``x < y ; x < y ...``. A line off that stride
+    (an empty entry, a name holding whitespace, a malformed entry) is read
+    entry by entry, which also words its errors. The names then resolve
+    through the parser's own index, one ``map`` per side, and that index is
+    kept as the poset's (see :meth:`Poset._relate`).
     """
     elements: list = []
-    seen = set()
-    relations: list = []
+    index: dict = {}
+    lower: list = []
+    upper: list = []
     for ln, line in _lines(text):
         if line.startswith("elements:"):
-            for tok in line[len("elements:"):].split():
-                if tok in seen:
-                    raise PosetError(f"line {ln}: duplicate element: {tok!r}")
-                seen.add(tok)
-                elements.append(tok)
+            names = line[len("elements:"):].split()
+            index.update(zip(names, range(len(elements), len(elements) + len(names))))
+            elements += names
+            if len(index) < len(elements):  # earlier lines held none, so it is here
+                raise PosetError(f"line {ln}: duplicate element: {_first_repeat(elements)!r}")
         elif line.startswith("order:"):
-            for entry in line[len("order:"):].split(";"):
+            body = line[len("order:"):]
+            toks = body.replace("<", " < ").replace(";", " ; ").split()
+            k = len(toks) + 1 >> 2  # the number of entries, if on the stride
+            if (
+                len(toks) == 4 * k - 1
+                and body.count("<") == toks[1::4].count("<") == k
+                and body.count(";") == toks[3::4].count(";") == k - 1
+            ):
+                lower += toks[::4]
+                upper += toks[2::4]
+                continue
+            for entry in body.split(";"):
                 entry = entry.strip()
                 if not entry:
                     continue
                 parts = entry.split("<")
                 if len(parts) != 2 or not parts[0].strip() or not parts[1].strip():
                     raise PosetError(f"line {ln}: malformed relation: {entry!r}")
-                relations.append((parts[0].strip(), parts[1].strip()))
+                lower.append(parts[0].strip())
+                upper.append(parts[1].strip())
         else:
             raise PosetError(f"line {ln}: unrecognized line: {line!r}")
-    return Poset(elements, relations)
+    low, high = list(map(index.get, lower)), list(map(index.get, upper))
+    if None in low or None in high:  # the first unknown name, in relation order
+        name = next(x if i is None else y for i, j, x, y in zip(low, high, lower, upper)
+                    if i is None or j is None)
+        raise PosetError(f"relation mentions undeclared element: {name!r}")
+    return Poset.__new__(Poset)._relate(tuple(elements), index, low, high)
 
 
 def format_poset(P: Poset) -> str:
@@ -689,19 +751,17 @@ def parse_map(source: Poset, target: Poset, text: str) -> MonotoneMap:
     return MonotoneMap(source, target, table)
 
 
-def _require_writable(
-    names: Iterable, fmt: str, splits: Tuple[str, ...] = (), P: Optional[Poset] = None
-) -> None:
+def _require_writable(names: Iterable, fmt: str, P: Poset, splits: Tuple[str, ...] = ()) -> None:
     """Refuse a name that a line format would not read back.
 
     Every line format strips its names, reads each line alone, ends it at
     ``#`` and splits a map line at its first ``->``; ``splits`` adds what
     else the format splits at. So a name must be nonempty, hold none of
-    these and no line break, and have no outer whitespace. When ``P`` is
-    given, ``names`` are elements of P, and the parsers look each written
-    name up in P, so it must name that same element: an element that is not
-    a string, such as ``1`` or ``('bot',)``, is refused, as its written name
-    names no element of P, or another one.
+    these and no line break, and have no outer whitespace. ``names`` must be
+    elements of ``P`` (else ``unknown element``), and the parsers look each
+    written name up in P, so it must name that same element: an element
+    that is not a string, such as ``1`` or ``('bot',)``, is refused, as its
+    written name names no element of P, or another one.
     """
     for e in names:
         name = str(e)
@@ -709,7 +769,7 @@ def _require_writable(
             name.splitlines() != [name]
             or name != name.strip()
             or any(s in name for s in ("#", "->", *splits))
-            or P is not None and P._index.get(name) != P._index[e]
+            or P._index.get(name) != P.index(e)
         ):
             raise PosetError(f"the {fmt} format cannot write the name {name!r}")
 

@@ -469,10 +469,11 @@ def parse_antichain(P: Poset, text: str) -> tuple:
     return P.antichain_normalize(names)
 
 
-def format_antichain(E) -> str:
-    """Inverse of :func:`parse_antichain`; refuses names it cannot read
-    back, which here also means names holding ``,``, ``{`` or ``}``."""
-    _require_writable(E, "antichain", (",", "{", "}"))
+def format_antichain(E, P: Poset) -> str:
+    """Inverse of :func:`parse_antichain` on ``P``, the poset ``E`` lives
+    in; refuses names it cannot read back (see :func:`_require_writable`),
+    which here also means names holding ``,``, ``{`` or ``}``."""
+    _require_writable(E, "antichain", P, (",", "{", "}"))
     return "{" + ", ".join(str(x) for x in E) + "}"
 
 
@@ -488,12 +489,11 @@ def parse_finmap(source: Poset, target: Poset, text: str) -> FinMap:
 
 def format_finmap(h: FinMap) -> str:
     """Inverse of :func:`parse_finmap`, values in canonical form; refuses
-    names it cannot read back. A value's name is checked as an antichain
-    member first, then looked up in the target."""
+    names it cannot read back. A value's names are checked as antichain
+    members of the target (see :func:`format_antichain`)."""
     _require_writable(h.source.elements, "finmap", P=h.source)
     lines = [
-        f"{x} -> {format_antichain(E)}"
+        f"{x} -> {format_antichain(E, h.target)}"
         for x, E in zip(h.source.elements, h.values)
     ]
-    _require_writable((x for E in h.values for x in E), "finmap", P=h.target)
     return "\n".join(lines) + "\n"

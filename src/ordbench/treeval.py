@@ -329,7 +329,7 @@ def parse_admissible(T: Poset, text: str) -> AdmissibleMap:
     ratios = _ratios(T, entries, "line")
     D = lcm(*[q for _, q in ratios.values()])
     nums = [0] * len(T.elements)
-    for e, (p, q) in ratios.items():
-        nums[T.index(e)] = p * (D // q)
+    for i, (p, q) in ratios.items():
+        nums[i] = p * (D // q)
     # checked as a map held in integers, so no Fraction is built on the way in
     return admissible(T, AdmissibleMap._of(T, *_lowest_terms(D, nums)))

@@ -24,7 +24,7 @@ from functools import cache, reduce
 from itertools import combinations, combinations_with_replacement, compress, repeat
 from math import comb, gcd, lcm
 from operator import and_, le, mul, or_, sub
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Collection, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .posets import MonotoneMap, Poset, PosetError, _bits, _unreached
 
@@ -126,7 +126,7 @@ def _spelled(k: int, D: int) -> str:
     return f"{k // g}" if g == D else f"{k // g}/{D // g}"
 
 
-def _checked_ints(P: Poset, ratios: Sequence[Tuple[int, Tuple[int, int]]]) -> tuple:
+def _checked_ints(P: Poset, ratios: Collection[Tuple[int, Tuple[int, int]]]) -> tuple:
     """``(D, nums)``: the weights of ``(i, (p, q))`` pairs, p/q (q > 0) the
     weight of element ``i`` and zero that of every other, as integers over
     D in lowest terms (see :func:`_lowest_terms`). Refuses a negative weight,
@@ -186,25 +186,28 @@ def _ratio(frac: str) -> Tuple[int, int]:
     return f.numerator, f.denominator
 
 
-def _ratios(P: Poset, entries: Iterable[Tuple[str, str]], kind: str) -> Dict[str, Tuple[int, int]]:
+def _ratios(P: Poset, entries: Iterable[Tuple[str, str]], kind: str) -> Dict[int, Tuple[int, int]]:
     """Read ``(where, entry)`` pairs of ``name:fraction`` entries into a dict
-    from name to the ``(p, q)`` of :func:`_ratio`.
+    from the element's index in P to the ``(p, q)`` of :func:`_ratio`, in
+    entry order. Each name is looked up once.
 
     Errors are prefixed by ``where`` and call the entry a ``kind``. Names
     split at the last colon, as a fraction never holds one.
     """
     out: dict = {}
+    index = P._index
     for where, entry in entries:
         name, colon, frac = entry.rpartition(":")
         name, frac = name.strip(), frac.strip()
         if not colon or not name or not frac:
             raise ValuationError(f"{where}malformed {kind} {entry!r}, expected elem:p/q")
-        if name not in P:
+        i = index.get(name)
+        if i is None:
             raise ValuationError(f"{where}unknown element {name!r}")
-        if name in out:
+        if i in out:
             raise ValuationError(f"{where}repeated element {name!r}")
         try:
-            out[name] = _ratio(frac)
+            out[i] = _ratio(frac)
         except (ValueError, ZeroDivisionError) as exc:
             raise ValuationError(f"{where}bad fraction in {entry!r}: {exc}") from None
     return out
@@ -217,8 +220,7 @@ def parse_valuation(P: Poset, text: str) -> Valuation:
     and a total of exactly one.
     """
     entries = (("", token) for token in text.split())
-    ratios = [(P.index(name), r) for name, r in _ratios(P, entries, "entry").items()]
-    return Valuation._of(P, *_checked_ints(P, ratios))
+    return Valuation._of(P, *_checked_ints(P, _ratios(P, entries, "entry").items()))
 
 
 def format_valuation(v: Valuation) -> str:

@@ -11,7 +11,7 @@ from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
 from math import ceil, gcd, lcm
 
-from ordbench import BOT, OMEGA, TOP, Poset, format_code, node, omega_side
+from ordbench import BOT, OMEGA, TOP, Poset, PosetError, format_code, node, omega_side
 
 # Labeled partial orders on n elements, n = 1..6. The first four values are
 # recomputed here by brute force; the last two pin the library's enumerator.
@@ -99,6 +99,43 @@ def reference_cycle_message(elements, succ):
     i, j = next((i, j) for i, r in enumerate(up) for j in range(len(up))
                 if j != i and r >> j & 1 and up[j] >> i & 1)
     return f"cycle detected: {elements[i]!r} <= {elements[j]!r} <= {elements[i]!r}"
+
+
+def reference_parse_poset(text):
+    """The poset reader as it was before it tokenised order lines in bulk:
+    each ``order:`` entry split at ``<`` and stripped on its own, every name
+    checked against the declared ones, and the order closed by
+    ``reference_closure``. Gives a Poset with the elements, masks and covers
+    ``parse_poset`` gives, or raises the PosetError it raises."""
+    elements, seen, relations = [], set(), []
+    for ln, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if line.startswith("elements:"):
+            for tok in line[len("elements:"):].split():
+                if tok in seen:
+                    raise PosetError(f"line {ln}: duplicate element: {tok!r}")
+                seen.add(tok)
+                elements.append(tok)
+        elif line.startswith("order:"):
+            for entry in line[len("order:"):].split(";"):
+                entry = entry.strip()
+                if not entry:
+                    continue
+                parts = entry.split("<")
+                if len(parts) != 2 or not parts[0].strip() or not parts[1].strip():
+                    raise PosetError(f"line {ln}: malformed relation: {entry!r}")
+                relations.append((parts[0].strip(), parts[1].strip()))
+        else:
+            raise PosetError(f"line {ln}: unrecognized line: {line!r}")
+    for name in (name for pair in relations for name in pair):
+        if name not in seen:
+            raise PosetError(f"relation mentions undeclared element: {name!r}")
+    masks = reference_closure(elements, relations)
+    if isinstance(masks, str):
+        raise PosetError(masks)
+    return Poset._from_masks(tuple(elements), *masks)
 
 
 def transpose(up):

@@ -38,6 +38,7 @@ from ordbench import (
     format_quasi_deflation,
     format_valuation,
     parse_admissible,
+    parse_antichain,
     parse_finmap,
     parse_map,
     parse_poset,
@@ -222,7 +223,7 @@ def test_line_formats_refuse_names_they_cannot_read_back(data):
         ("finmap", format_finmap, phi),
         ("quasi-deflation", format_quasi_deflation, phi),
         ("quasi-deflation", format_quasi_deflation, both),
-        ("antichain", format_antichain, (bad,)),
+        ("antichain", lambda E: format_antichain(E, P), (bad,)),
         ("admissible", format_admissible, valuation_to_admissible(data.draw(valuations(T)))),
     ):
         with pytest.raises(PosetError) as err:
@@ -237,7 +238,7 @@ def test_antichain_values_refuse_separators_in_names(data):
     P = data.draw(with_name(data.draw(posets()), st.just(bad)))
     unit = QuasiDeflation(P, eta_map(P))  # every element is in its own value
     for write, obj in (
-        (format_antichain, (bad,)),
+        (lambda E: format_antichain(E, P), (bad,)),
         (format_finmap, unit),
         (format_quasi_deflation, unit),
     ):
@@ -320,6 +321,27 @@ def test_writers_refuse_elements_whose_names_read_back_as_no_element():
     with pytest.raises(PosetError) as err:
         format_valuation(dirac(mixed, 1))
     assert str(err.value) == "the valuation format cannot write the name '1'"
+
+
+def test_antichains_are_written_only_in_names_that_read_back():
+    """The reader looks each name up in the poset, so a member must be
+    written in a name that names it there: members that are not strings are
+    refused."""
+    ints = Poset([1, 2], [])
+    with pytest.raises(PosetError) as err:
+        format_antichain((1, 2), ints)
+    assert str(err.value) == "the antichain format cannot write the name '1'"
+    named = Poset(["1", "2"], [])
+    assert format_antichain(("1", "2"), named) == "{1, 2}"
+    assert parse_antichain(named, format_antichain(("1", "2"), named)) == ("1", "2")
+    mixed = Poset(["1", 1], [])
+    assert parse_antichain(mixed, format_antichain(("1",), mixed)) == ("1",)
+    with pytest.raises(PosetError) as err:
+        format_antichain((1,), mixed)
+    assert str(err.value) == "the antichain format cannot write the name '1'"
+    with pytest.raises(PosetError) as err:
+        format_antichain(("zz",), named)
+    assert str(err.value) == "unknown element: 'zz'"
 
 
 def test_writers_read_back_on_string_named_posets():

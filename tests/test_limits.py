@@ -84,21 +84,26 @@ def test_each_limit_is_read_in_exactly_one_function():
 
 def test_the_closure_kernel_is_named_in_posets_alone():
     """``posets._closure`` closes every order. Its only callers are the two
-    constructors that close a relation, ``Poset.__init__`` and
-    ``Poset._from_covers``; every other builder hands its covers to the
-    second, and no other module imports or names the kernel."""
-    named, calls = set(), 0
+    constructors that close a relation: ``Poset._relate``, the body that
+    ``Poset.__init__`` and ``parse_poset`` share and that only they call,
+    and ``Poset._from_covers``; every other builder hands its covers to the
+    second, and no other module imports or names the kernel or ``_relate``."""
     fields = ("id", "attr", "name", "asname", "arg")  # every place an identifier is written
-    for path in sorted(SRC.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
-            if "_closure" in {getattr(node, field, None) for field in fields}:
-                named.add(path.stem)
-            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_closure":
-                calls += 1
-    assert named == {"posets"}
-    reads = sorted(scope for _, scope in scan({"_closure"}).reads)
-    assert reads == ["posets.Poset.__init__", "posets.Poset._from_covers"]
-    assert calls == len(reads)
+    for kernel, callers in (
+        ("_closure", ["posets.Poset._from_covers", "posets.Poset._relate"]),
+        ("_relate", ["posets.Poset.__init__", "posets.parse_poset"]),
+    ):
+        named, calls = set(), 0
+        for path in sorted(SRC.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+                if kernel in {getattr(node, field, None) for field in fields}:
+                    named.add(path.stem)
+                if isinstance(node, ast.Call) and kernel in {getattr(node.func, f, None) for f in ("id", "attr")}:
+                    calls += 1
+        assert named == {"posets"}, kernel
+        reads = sorted(scope for _, scope in scan({kernel}).reads)
+        assert reads == callers
+        assert calls == len(reads), kernel
 
 
 def test_no_function_takes_a_limit_parameter():

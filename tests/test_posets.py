@@ -36,6 +36,7 @@ from oracles import (
     brute_upper_sets,
     reference_closure,
     reference_cycle_message,
+    reference_parse_poset,
     transpose,
 )
 
@@ -59,11 +60,28 @@ def test_transitive_closure_is_taken():
 def test_duplicate_elements_rejected():
     with pytest.raises(PosetError, match="duplicate"):
         Poset(["x", "x"], [])
+    # the first element that repeats an earlier one is named, as it is met
+    for elements, name in (("abcba", "'b'"), ((1, 2.0, True, 2), "True")):
+        with pytest.raises(PosetError) as err:
+            Poset(elements, [])
+        assert str(err.value) == f"duplicate element: {name}"
 
 
 def test_unknown_relation_endpoint_rejected():
     with pytest.raises(PosetError, match="undeclared"):
         Poset(["x"], [("x", "y")])
+    # the first unknown name in relation order, the lower one of a pair first
+    for relations, name in (([("x", "y"), ("z", "x")], "'y'"), ([("u", "v")], "'u'")):
+        with pytest.raises(PosetError) as err:
+            Poset(["x"], relations)
+        assert str(err.value) == f"relation mentions undeclared element: {name}"
+    # each pair resolves as it is read, so an unknown name is named before a
+    # later entry that is not a pair is reached
+    with pytest.raises(PosetError) as err:
+        Poset(["x"], [("x", "y"), (1, 2, 3)])
+    assert str(err.value) == "relation mentions undeclared element: 'y'"
+    with pytest.raises(ValueError):
+        Poset(["x"], [("x", "x"), (1, 2, 3)])
 
 
 def test_cycles_rejected():
@@ -338,17 +356,25 @@ def test_covers_match_brute_force_however_the_order_is_built():
             assert set(want) == set(P.covers())
 
 
+def _builder_outputs() -> dict:
+    """The outputs of each builder that closes a covering relation, by
+    builder: products of posets with n <= 3, ``fin_poset`` and grids of
+    n <= 4, path spaces of pointed n <= 5 and truncations of k <= 7."""
+    small = [P for n in range(1, 4) for P in enumerate_posets(n)]
+    upto4 = [P for n in range(1, 5) for P in enumerate_posets(n)]
+    return {
+        "product": [P.product(Q) for P in small for Q in small],
+        "fin": [fin_poset(P) for P in upto4],
+        "path": [path_space(P)[0] for n in range(1, 6) for P in enumerate_posets(n) if P.is_pointed],
+        "grid": [grid_poset(P, N) for P in upto4 for N in ((1, 2, 3) if len(P) < 4 else (1, 2))],
+        "truncate": [truncate(LazyPoset(kind), k).poset for kind in KINDS for k in range(1, 8)],
+    }
+
+
 def test_builders_hand_over_exactly_the_covers():
     """Each builder that closes a covering relation hands it over as the
     diagram, and it is the brute-force one of the order it closed."""
-    small = [P for n in range(1, 4) for P in enumerate_posets(n)]
-    upto4 = [P for n in range(1, 5) for P in enumerate_posets(n)]
-    built = [P.product(Q) for P in small for Q in small]
-    built += [fin_poset(P) for P in upto4]
-    built += [path_space(P)[0] for n in range(1, 6) for P in enumerate_posets(n) if P.is_pointed]
-    built += [grid_poset(P, N) for P in upto4 for N in ((1, 2, 3) if len(P) < 4 else (1, 2))]
-    built += [truncate(LazyPoset(kind), k).poset for kind in KINDS for k in range(1, 8)]
-    for B in built:
+    for B in (B for built in _builder_outputs().values() for B in built):
         assert B._covers_cache is not None
         assert B.covers() == tuple(brute_covers(B))
 
@@ -457,6 +483,112 @@ def test_parse_errors(text):
         parse_poset(text)
 
 
+# Spaces the reader must treat as one: str.split() and str.strip() split at
+# each, and none of them ends a line.
+SPACES = ["", " ", " ", "  ", "\t", "\u00a0", "\u2003", "\u3000", "\x1f"]
+NAMES = ["a", "b", "c", "x1", "ß", "é", "n\u200bm", "d_e", "0", "ab", "Ω"]
+
+
+def random_poset_text(rng):
+    """A poset text over a few of ``NAMES``: several ``elements:`` and
+    ``order:`` lines in shuffled order, so that relations may come before
+    their elements; Unicode spaces and tabs; comments, blank lines and
+    empty entries; self-loops, repeated pairs and pairs against element
+    order. Now and then it also holds a cycle, a duplicate element, an
+    undeclared name, a malformed entry, a name holding a space or an
+    unrecognized line."""
+    def sp():
+        return rng.choice(SPACES)
+
+    def often(p):
+        return rng.random() < p
+
+    names = rng.sample(NAMES, rng.randint(1, 8))
+    declared = names + [rng.choice(names)] * often(0.04)
+    rng.shuffle(declared)
+    cuts = sorted(rng.sample(range(len(declared) + 1), rng.randint(0, 2)))
+    groups = [declared[i:j] for i, j in zip([0, *cuts], [*cuts, len(declared)])]
+    lines = [sp() + "elements:" + sp() + "".join(x + rng.choice(SPACES[1:]) for x in g) for g in groups]
+    # pairs along a hidden linear order: element order itself, most of the time
+    rank = names if often(0.6) else rng.sample(names, len(names))
+    pairs = []
+    for _ in range(rng.randint(0, 2 * len(names))):
+        i, j = sorted(rng.choices(range(len(rank)), k=2))
+        pairs.append((rank[i], rank[j]))
+    pairs += rng.choices(pairs, k=2) if pairs and often(0.3) else []
+    pairs += [(y, x) for x, y in pairs if x != y][:1] if often(0.1) else []
+    pairs += [(rng.choice(names), "zz")] if often(0.04) else []
+    entries = [sp() + x + sp() + "<" + sp() + y + sp() for x, y in pairs]
+    for bad in ("{x}", "<{y}", "{x}<{y}<{x}", "{x} <", "{x} {y} < {x}", "{x} < {y}\u00a0{x}"):
+        if often(0.02):
+            entries.insert(rng.randint(0, len(entries)), bad.format(x=rng.choice(names), y=rng.choice(names)))
+    for _ in range(rng.randint(0, 2) if often(0.2) else 0):
+        entries.insert(rng.randint(0, len(entries)), sp())
+    while entries:
+        k = rng.randint(1, len(entries))
+        lines.append(sp() + "order:" + sp() + ";".join(entries[:k]))
+        del entries[:k]
+    lines += rng.choices(["", sp(), "# a < b; c", "elements a", "order a < b"], weights=(4, 4, 4, 1, 1), k=rng.randint(0, 3))
+    lines = [line + "  # x < y ; z" if often(0.1) else line for line in lines]
+    rng.shuffle(lines)
+    return rng.choice(["\n", "\r\n"]).join(lines)
+
+
+REFUSALS = ("duplicate", "undeclared", "malformed", "unrecognized", "cycle")
+
+
+def _read(parse, text):
+    try:
+        P = parse(text)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return P.elements, P._up, P._down, P.covers()
+
+
+def test_reader_matches_the_entry_by_entry_reference():
+    """On seeded random texts (see :func:`random_poset_text`), the bulk reader
+    gives the elements, masks and covers the reference reader gives, or the
+    same exception class and message; the index it keeps is the poset's."""
+    rng = random.Random(29)
+    outcomes = []
+    for _ in range(3000):
+        text = random_poset_text(rng)
+        got = _read(parse_poset, text)
+        assert got == _read(reference_parse_poset, text), text
+        if len(got) == 4:
+            P = parse_poset(text)
+            assert P._index == {e: i for i, e in enumerate(P.elements)}
+        outcomes.append("ok" if len(got) == 4 else next(k for k in REFUSALS if k in got[1]))
+    counts = {k: outcomes.count(k) for k in ("ok", *REFUSALS)}
+    assert counts["ok"] > 1500 and min(counts.values()) >= 20, counts
+
+
+@pytest.mark.parametrize(
+    "order",
+    [
+        "a<b;b<c",
+        "a < b;",
+        ";a < b;;b < c",
+        "a\u00a0<\u3000b\t;\x1fb <c",
+        "; < a ; b < c",  # separators where the stride wants names
+        "a < b ; c < ;",
+        "< < a ; b < c",
+        "< a < ; b c a",
+        "a < b ; ; < c",
+        "a < b < c",
+        "a b < c",
+        "a < b c ; c < a",
+        "a <",
+        "b < a",
+        "c < a ; a < c",
+        "a < zz",
+    ],
+)
+def test_reader_matches_the_reference_on_lines_near_the_stride(order):
+    text = f"elements: a b c\norder: {order}\n"
+    assert _read(parse_poset, text) == _read(reference_parse_poset, text)
+
+
 def test_map_file_round_trip(diamond):
     chain = parse_poset("elements: lo hi\norder: lo < hi")
     f = parse_map(diamond, chain, "bot -> lo\na -> lo\nb -> hi\ntop -> hi\n")
@@ -531,6 +663,77 @@ def labeled_relations(draw):
 def test_closure_matches_reference_on_random_relations(case):
     elements, relations = case
     assert _masks_or_message(elements, relations) == reference_closure(elements, relations)
+
+
+def _closures_by_both_routes(succs, monkeypatch) -> tuple:
+    """``_closure`` of each relation as it runs, and by Kahn's pass alone."""
+    either = [posets._closure(succ) for succ in succs]
+    monkeypatch.setattr(posets, "_points_forward", lambda succ: False)
+    kahn = [posets._closure(succ) for succ in succs]
+    monkeypatch.undo()
+    return either, kahn
+
+
+def test_forward_route_and_kahns_pass_close_alike(monkeypatch):
+    """Every poset with n <= 5, its covers given over a linear extension
+    (every pair forward), over its reverse (every pair backward) and over a
+    shuffle: element order is taken as the topological order just when
+    every pair points forward, and both routes give the order's masks."""
+    rng = random.Random(29)
+    succs, wants = [], []
+    for n in range(1, 6):
+        for P in enumerate_posets(n):
+            extension = sorted(range(n), key=lambda i: P._down[i].bit_count())
+            shuffled = rng.sample(range(n), n)
+            for kind, perm in (("forward", extension), ("backward", extension[::-1]), ("", shuffled)):
+                at = {i: k for k, i in enumerate(perm)}
+                succ, up = [[] for _ in perm], [0] * n
+                for i, covers in enumerate(P._cover_masks()):
+                    succ[at[i]] = [at[j] for j in posets._bits(covers)]
+                    up[at[i]] = sum(1 << at[j] for j in posets._bits(P._up[i]))
+                forward = all(i < j for i, row in enumerate(succ) for j in row)
+                assert posets._points_forward(succ) == forward
+                if kind:
+                    assert forward == (kind == "forward" or not any(succ))
+                succs.append(succ)
+                wants.append((tuple(up), transpose(up)))
+    either, kahn = _closures_by_both_routes(succs, monkeypatch)
+    assert either == kahn == wants
+
+
+def test_every_builder_closes_alike_by_both_routes(monkeypatch):
+    """Each builder's covering relation closes to its masks by either route.
+    Over a poset whose element order is a linear extension, a grid's unit
+    moves all point backward, so such grids take Kahn's pass."""
+    outputs = [B for group in _builder_outputs().values() for B in group]
+    succs = [[list(posets._bits(m)) for m in B._cover_masks()] for B in outputs]
+    either, kahn = _closures_by_both_routes(succs, monkeypatch)
+    assert either == kahn == [(B._up, B._down) for B in outputs]
+    moved = 0
+    for P in (P for n in range(1, 5) for P in enumerate_posets(n)):
+        if posets._points_forward([list(posets._bits(m)) for m in P._cover_masks()]):
+            for N in (1, 2):
+                moves = [list(posets._bits(m)) for m in grid_poset(P, N)._cover_masks()]
+                assert all(j < i for i, row in enumerate(moves) for j in row)
+                moved += any(moves)
+    assert moved > 50
+
+
+def test_one_backward_pair_closes_and_a_cycle_is_refused():
+    n = 200
+    chain = [(i, i + 1) for i in range(n - 1)]
+    # n sits last in element order and below 0: one pair against element order
+    P = Poset(range(n + 1), [*chain, (n, 0)])
+    assert not posets._points_forward(P._succ)
+    assert (P._up, P._down) == reference_closure(range(n + 1), [*chain, (n, 0)])
+    assert P.bottom() == n and P.top() == n - 1
+    for back in ((n - 1, 0), (150, 20), (1, 0)):
+        elements = list(range(n))
+        succ = [[i + 1] for i in range(n - 1)] + [[]]
+        succ[back[0]].append(back[1])
+        with pytest.raises(PosetError) as err:
+            Poset(elements, [*chain, back])
+        assert str(err.value) == reference_cycle_message(elements, succ)
 
 
 def test_cycle_message_matches_the_warshall_reference():

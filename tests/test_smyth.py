@@ -554,7 +554,7 @@ def test_stage_errors_come_before_membership_and_nesting(stages, message):
 
 def test_antichain_format_round_trip():
     E = ("a", "b")
-    assert parse_antichain(DIAMOND, format_antichain(E)) == E
+    assert parse_antichain(DIAMOND, format_antichain(E, DIAMOND)) == E
     assert parse_antichain(DIAMOND, "b, a") == E
     assert parse_antichain(DIAMOND, "{ top, a }") == ("a",)
     with pytest.raises(PosetError):
