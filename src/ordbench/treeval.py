@@ -9,13 +9,15 @@ cover children. Binary least upper bounds of admissible maps are computed
 directly, children before parents, and their nonexistence is detected at the
 root.
 
-Admissible maps hold their masses as integers over one denominator, as
-valuations do. One children-first fold gives the filter masses of a
-valuation, the least upper bound of two maps and the child sums that
-:func:`admissible_to_valuation` and :func:`check_admissible` read, and it
-visits only the down-closure of the nodes where an input is nonzero: every
-other node has an all-zero subtree and gets 0, so a small support costs
-little on a large tree.
+Admissible maps share one representation with valuations: integer
+numerators over one denominator in lowest terms, read from given values by
+the valuations' one reader and scaler (:func:`~ordbench.valuations._ratio`,
+:func:`~ordbench.valuations._scaled`). One children-first fold gives the
+filter masses of a valuation, the least upper bound of two maps and the
+child sums that :func:`admissible_to_valuation` and
+:func:`check_admissible` read, and it visits only the down-closure of the
+nodes where an input is nonzero: every other node has an all-zero subtree
+and gets 0, so a small support costs little on a large tree.
 """
 
 from __future__ import annotations
@@ -24,15 +26,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import compress
-from math import lcm
 from operator import or_
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from .posets import (
     MonotoneMap, Poset, PosetError, _bits, _lines, _require_writable, _unreached,
 )
-from .valuations import Valuation, ValuationError, _checked_ints, _common, _fractions
-from .valuations import _lowest_terms, _ratios, _weight_text
+from .valuations import Valuation, ValuationError, _checked_ints, _common, _Exact
+from .valuations import _lowest_terms, _ratio, _ratios, _scaled, _weight_text
 
 PATH_CAP = 10_000
 
@@ -85,71 +86,40 @@ def path_space(Y: Poset) -> Tuple[Poset, MonotoneMap]:
     return pi, r
 
 
-class AdmissibleMap:
+class AdmissibleMap(_Exact):
     """Filter-mass coordinates of a valuation on a tree.
 
     ``values`` is aligned with the tree's element order. Use
     :func:`check_admissible` to examine a candidate without raising.
 
-    A map the library builds holds integer numerators over one denominator D
-    in lowest terms, as :class:`~ordbench.valuations.Valuation` does, and
-    builds ``values``, a tuple of ``Fraction(k, D)``, on first use. A map
-    built as ``AdmissibleMap(tree, values)`` keeps the given values, as a
-    tuple, and reads them on first integer use as a plain sequence is read
-    (see :meth:`_read`). Equality and the hash compare the tree and those
-    integers, so equal values give equal maps however they were built. Maps
-    are immutable: ``tree`` and ``values`` are read-only.
+    A map holds integer numerators over one denominator D in lowest terms,
+    as :class:`~ordbench.valuations.Valuation` does, and shares its equality,
+    hash and entries (see :class:`~ordbench.valuations._Exact`). A map the
+    library builds makes ``values``, a tuple of ``Fraction(k, D)``, on first
+    use. ``AdmissibleMap(tree, values)`` reads each value once, when the map
+    is built, by :func:`~ordbench.valuations._ratio`, and raises its
+    conversion error; ``values`` and ``repr`` then show the values as given,
+    as a tuple, while ``str`` and :func:`format_admissible` write the
+    integers. Maps are immutable: ``tree`` and ``values`` are read-only.
     """
 
-    __slots__ = ("_tree", "_den", "_nums", "_values")
-    tree = property(lambda self: self._tree)
+    __slots__ = ()
+    tree = property(lambda self: self._poset)
+    values = property(_Exact._values)
 
     def __init__(self, tree: Poset, values):
-        self._tree, self._nums, self._values = tree, None, tuple(values)
-
-    @classmethod
-    def _of(cls, tree: Poset, D: int, nums) -> "AdmissibleMap":
-        """Trusted constructor for integer values ``nums`` over ``D`` in
-        lowest terms: no factor divides D and every numerator."""
-        self = object.__new__(cls)
-        self._tree, self._den, self._nums, self._values = tree, D, tuple(nums), None
-        return self
-
-    @property
-    def values(self) -> tuple:
-        if self._values is None:
-            self._values = _fractions(self._nums, self._den)
-        return self._values
-
-    def _read(self) -> Tuple[int, Tuple[int, ...]]:
-        """``(D, nums)``, also kept as ``_den`` and ``_nums``: the values as
-        integers over D, the lcm of their reduced denominators, so in lowest
-        terms. Given values are read here, once, each by ``Fraction``."""
-        if self._nums is None:
-            fracs = [Fraction(v) for v in self._values]
-            D = self._den = lcm(*[f.denominator for f in fracs])
-            self._nums = tuple([f.numerator * (D // f.denominator) for f in fracs])
-        return self._den, self._nums
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, AdmissibleMap):
-            return False
-        return self._read() == other._read() and self._tree == other._tree
-
-    def __hash__(self) -> int:
-        return hash((self._tree, self._read()))
+        self._poset, self._shown = tree, tuple(values)
+        self._den, self._nums = _scaled(len(self._shown), list(enumerate(map(_ratio, self._shown))))
 
     def __repr__(self) -> str:
-        return f"AdmissibleMap(tree={self._tree!r}, values={self.values!r})"
+        return f"AdmissibleMap(tree={self._poset!r}, values={self.values!r})"
 
     def __call__(self, t) -> Fraction:
-        return self.values[self._tree.index(t)]
+        return self.values[self._poset.index(t)]
 
     def __str__(self) -> str:
         # the text of format_admissible, without its name check
-        lines = [ADMISSIBLE_HEADER]
-        lines += [f"{e}:{v}" for e, v in zip(self._tree.elements, self.values) if v]
-        return "\n".join(lines) + "\n"
+        return "\n".join([ADMISSIBLE_HEADER, *self._entries()]) + "\n"
 
 
 @dataclass(frozen=True)
@@ -159,20 +129,20 @@ class AdmissibleReport:
 
 
 def _as_map(T: Poset, values) -> AdmissibleMap:
-    """A map on ``T`` with its integers read (see :meth:`AdmissibleMap._read`),
-    from an :class:`AdmissibleMap` on ``T``, a dict keyed by nodes (missing
-    ones get 0) or a sequence in element order, read as a map built from it.
-    A map or sequence of the wrong length is refused."""
+    """A map on ``T`` from an :class:`AdmissibleMap` on ``T``, a dict keyed by
+    nodes (missing ones get 0; each value is read before its node is looked
+    up) or a sequence in element order, read as a map built from it. A map
+    or sequence of the wrong length is refused."""
     if isinstance(values, dict):
-        vals = [0] * len(T.elements)
+        ratios = {}
         for e, v in values.items():
-            vals[T.index(e)] = Fraction(v)
-        values = vals
-    if not isinstance(values, AdmissibleMap):
+            ratios[T.index(e)] = _ratio(v)
+        values = AdmissibleMap._of(T, *_scaled(len(T.elements), ratios.items()))
+    elif not isinstance(values, AdmissibleMap):
         values = AdmissibleMap(T, values)
     elif values.tree != T:
         raise ValuationError("admissible maps live on different trees")
-    if len(values._read()[1]) != len(T.elements):
+    if len(values._nums) != len(T.elements):
         raise ValuationError(f"expected {len(T.elements)} values, got {len(values._nums)}")
     return values
 
@@ -327,9 +297,5 @@ def parse_admissible(T: Poset, text: str) -> AdmissibleMap:
         raise ValuationError(f"expected first line {ADMISSIBLE_HEADER!r}")
     entries = ((f"line {ln}: ", line) for ln, line in lines[1:])
     ratios = _ratios(T, entries, "line")
-    D = lcm(*[q for _, q in ratios.values()])
-    nums = [0] * len(T.elements)
-    for i, (p, q) in ratios.items():
-        nums[i] = p * (D // q)
     # checked as a map held in integers, so no Fraction is built on the way in
-    return admissible(T, AdmissibleMap._of(T, *_lowest_terms(D, nums)))
+    return admissible(T, AdmissibleMap._of(T, *_scaled(len(T.elements), ratios.items())))

@@ -13,7 +13,10 @@ automatically by witness search.
 No floating point is used anywhere. A valuation holds integer numerators
 over one denominator, and every kernel works on those integers; a
 `fractions.Fraction` is built only for a public result (weights, masses,
-transport plans, reports).
+transport plans, reports). A given rational, text or number, is read by one
+reader (:func:`_ratio`) and brought to one denominator by one scaler
+(:func:`_scaled`), and valuations share their representation with the
+admissible maps of :mod:`ordbench.treeval` (:class:`_Exact`).
 """
 
 from __future__ import annotations
@@ -35,78 +38,96 @@ class ValuationError(ValueError):
     """Malformed valuation data or an unsatisfied precondition."""
 
 
-class Valuation:
+class _Exact:
+    """Rationals, one per element of a poset, held as integer numerators
+    over one denominator D in lowest terms: no factor divides D and every
+    numerator, so equal rationals give equal integers. The base of
+    :class:`Valuation` and of :class:`~ordbench.treeval.AdmissibleMap`.
+
+    Equality and the hash read the poset, D and the numerators, and the
+    ``name:p/q`` entries of the nonzero values are written from the
+    integers (see :func:`_spelled`). ``_shown`` is the tuple the public
+    values are read from: a tuple of ``Fraction(k, D)``, built on first
+    use, one Fraction per distinct numerator (see :func:`_fractions`),
+    unless a subclass keeps the values it was given there.
+    """
+
+    __slots__ = ("_poset", "_den", "_nums", "_shown")
+
+    @classmethod
+    def _of(cls, poset: Poset, D: int, nums):
+        """Trusted constructor for integer values ``nums`` over ``D`` in
+        lowest terms, already checked for what the subclass requires."""
+        self = object.__new__(cls)
+        self._poset, self._den, self._nums, self._shown = poset, D, tuple(nums), None
+        return self
+
+    def _values(self) -> tuple:
+        if self._shown is None:
+            self._shown = _fractions(self._nums, self._den)
+        return self._shown
+
+    def _entries(self) -> List[str]:
+        D = self._den
+        return [f"{e}:{_spelled(k, D)}" for e, k in zip(self._poset.elements, self._nums) if k]
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, type(self)):
+            return False
+        return self._den == other._den and self._nums == other._nums and self._poset == other._poset
+
+    def __hash__(self) -> int:
+        return hash((self._poset, self._den, self._nums))
+
+
+class Valuation(_Exact):
     """Exact-rational probability weights on the elements of a poset.
 
     Accepts a dict (missing elements default to weight zero) or a sequence
-    aligned with the element order. Weights must be nonnegative and sum to
-    exactly one. Only the given entries of a dict are converted, and only
-    nonzero weights are checked and summed; every other element shares one
-    zero.
+    aligned with the element order. Each weight is read by :func:`_ratio`,
+    the one reader of given rationals, and must be nonnegative; together
+    they must sum to exactly one. Only the given entries of a dict are
+    read, and only nonzero weights are checked and summed; every other
+    element shares one zero.
 
     The weights are stored as integer numerators over one denominator D,
-    the lcm of the reduced denominators of the nonzero weights, so equal
-    valuations have equal numerators. ``weights``, a tuple of
-    ``Fraction(k, D)``, is built on first use, one Fraction per distinct
-    numerator (see :func:`_fractions`).
+    the lcm of the reduced denominators of the nonzero weights (see
+    :class:`_Exact`). ``weights``, a tuple of ``Fraction(k, D)``, is built
+    on first use. ``poset`` is read-only.
     """
 
-    __slots__ = ("poset", "_den", "_nums", "_weights")
+    __slots__ = ()
+    poset = property(lambda self: self._poset)
+    weights = property(_Exact._values)
 
     def __init__(self, poset: Poset, weights):
         if isinstance(weights, dict):
             given = sorted((poset.index(e), w) for e, w in weights.items())
         else:
             given = list(enumerate(weights))
-        fracs = [(i, w if type(w) is Fraction else Fraction(w)) for i, w in given]
-        if not isinstance(weights, dict) and len(fracs) != len(poset.elements):
-            raise ValuationError(f"expected {len(poset.elements)} weights, got {len(fracs)}")
-        ratios = [(i, (f.numerator, f.denominator)) for i, f in fracs]
-        self.poset = poset
+        ratios = [(i, _ratio(w)) for i, w in given]
+        if not isinstance(weights, dict) and len(ratios) != len(poset.elements):
+            raise ValuationError(f"expected {len(poset.elements)} weights, got {len(ratios)}")
+        self._poset, self._shown = poset, None
         self._den, self._nums = _checked_ints(poset, ratios)
-        self._weights = None
-
-    @classmethod
-    def _of(cls, poset: Poset, D: int, nums) -> "Valuation":
-        """Trusted constructor for integer weights ``nums`` over ``D`` already
-        checked and in lowest terms: nonnegative, summing to D, and D the lcm
-        of the reduced denominators of the nonzero ones."""
-        self = object.__new__(cls)
-        self.poset, self._den, self._nums, self._weights = poset, D, tuple(nums), None
-        return self
-
-    @property
-    def weights(self) -> Tuple[Fraction, ...]:
-        if self._weights is None:
-            self._weights = _fractions(self._nums, self._den)
-        return self._weights
 
     def weight(self, x) -> Fraction:
-        return Fraction(self._nums[self.poset.index(x)], self._den)
+        return Fraction(self._nums[self._poset.index(x)], self._den)
 
     @property
     def support(self) -> tuple:
-        return tuple(e for e, k in zip(self.poset.elements, self._nums) if k)
+        return tuple(e for e, k in zip(self._poset.elements, self._nums) if k)
 
     def _support_mask(self) -> int:
         return sum([1 << i for i, k in enumerate(self._nums) if k])
 
     def mass(self, U: Iterable) -> Fraction:
         """Total weight of a set of elements (typically an upper set)."""
-        return Fraction(sum(self._nums[self.poset.index(x)] for x in U), self._den)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Valuation):
-            return False
-        return self._den == other._den and self._nums == other._nums and self.poset == other.poset
-
-    def __hash__(self) -> int:
-        return hash((self.poset, self._den, self._nums))
+        return Fraction(sum(self._nums[self._poset.index(x)] for x in U), self._den)
 
     def __str__(self) -> str:
         # the text of format_valuation, without its name check
-        D, names = self._den, self.poset.elements
-        return " ".join(f"{e}:{_spelled(k, D)}" for e, k in zip(names, self._nums) if k)
+        return " ".join(self._entries())
 
     def __repr__(self) -> str:
         return f"Valuation({str(self)!r})"
@@ -126,22 +147,50 @@ def _spelled(k: int, D: int) -> str:
     return f"{k // g}" if g == D else f"{k // g}/{D // g}"
 
 
-def _checked_ints(P: Poset, ratios: Collection[Tuple[int, Tuple[int, int]]]) -> tuple:
-    """``(D, nums)``: the weights of ``(i, (p, q))`` pairs, p/q (q > 0) the
-    weight of element ``i`` and zero that of every other, as integers over
-    D in lowest terms (see :func:`_lowest_terms`). Refuses a negative weight,
-    naming the first in element order, then a total other than one."""
+def _ratio(value) -> Tuple[int, int]:
+    """The one reader of a given rational, text or number: a ``(p, q)``,
+    q > 0, read as ``Fraction(value)`` reads it, with its errors. It is the
+    one function that takes a Fraction apart.
+
+    A plain ASCII ``p`` or ``p/q`` text with q nonzero is read by ``int``
+    alone, and left unreduced: :func:`_scaled` reduces the whole tuple.
+    ``Fraction`` reads the same digit strings with ``int``, p first, so a
+    number past ``sys.get_int_max_str_digits()`` gets the same error either
+    way. Every other value goes to ``Fraction``: numbers, and texts with
+    signs, decimals, exponents, underscores, non-ASCII digits, a zero
+    denominator or garbage.
+    """
+    if isinstance(value, str):
+        p, slash, q = value.partition("/")
+        if value.isascii() and p.isdigit() and (not slash or q.isdigit() and q.strip("0")):
+            return int(p), int(q or 1)
+    f = value if type(value) is Fraction else Fraction(value)
+    return f.numerator, f.denominator
+
+
+def _scaled(n: int, ratios: Collection[Tuple[int, Tuple[int, int]]]) -> Tuple[int, Tuple[int, ...]]:
+    """The one scaler: ``(D, nums)``, the values of ``(i, (p, q))`` pairs,
+    p/q (q > 0) the value at index ``i`` of ``n`` and zero at every other,
+    as integers over D in lowest terms (see :func:`_lowest_terms`)."""
     D = lcm(*[q for _, (p, q) in ratios if p])
-    nums = [0] * len(P.elements)
+    nums = [0] * n
     for i, (p, q) in ratios:
         nums[i] = p * (D // q)
+    return _lowest_terms(D, nums)
+
+
+def _checked_ints(P: Poset, ratios: Collection[Tuple[int, Tuple[int, int]]]) -> tuple:
+    """``(D, nums)``: the weights of ``(i, (p, q))`` pairs on P, scaled by
+    :func:`_scaled`. Refuses a negative weight, naming the first in element
+    order, then a total other than one."""
+    D, nums = _scaled(len(P.elements), ratios)
     if min(nums, default=0) < 0:
         e, k = next((e, k) for e, k in zip(P.elements, nums) if k < 0)
         raise ValuationError(f"negative weight at {e!r}: {_weight_text(k, D)}")
     total = sum(nums)
     if total != D:
         raise ValuationError(f"weights sum to {_weight_text(total, D)}, not 1")
-    return _lowest_terms(D, nums)
+    return D, nums
 
 
 def _weight_text(k: int, D: int) -> str:
@@ -166,24 +215,6 @@ def _lowest_terms(D: int, nums: Sequence[int]) -> Tuple[int, Tuple[int, ...]]:
 def dirac(P: Poset, x) -> Valuation:
     """Unit mass at a single element."""
     return Valuation(P, {x: Fraction(1)})
-
-
-def _ratio(frac: str) -> Tuple[int, int]:
-    """A ``(p, q)``, q > 0, of a fraction text, read as ``Fraction`` reads it,
-    with its errors.
-
-    A plain ASCII ``p`` or ``p/q`` with q nonzero is read by ``int`` alone,
-    and left unreduced: :func:`_checked_ints` reduces the whole valuation.
-    ``Fraction`` reads the same digit strings with ``int``, p first, so a
-    number past ``sys.get_int_max_str_digits()`` gets the same error either
-    way. Every other spelling goes to ``Fraction``: signs, decimals,
-    exponents, underscores, non-ASCII digits, a zero denominator, garbage.
-    """
-    p, slash, q = frac.partition("/")
-    if frac.isascii() and p.isdigit() and (not slash or q.isdigit() and q.strip("0")):
-        return int(p), int(q or 1)
-    f = Fraction(frac)
-    return f.numerator, f.denominator
 
 
 def _ratios(P: Poset, entries: Iterable[Tuple[str, str]], kind: str) -> Dict[int, Tuple[int, int]]:
@@ -231,9 +262,10 @@ def format_valuation(v: Valuation) -> str:
     one, one holding whitespace, or one that is not the name of that same
     element (see :func:`~ordbench.posets._require_writable`).
     """
+    index = v.poset._index
     for e in v.support:
         name = str(e)
-        if name.split() != [name] or v.poset._index.get(name) != v.poset._index[e]:
+        if name.split() != [name] or index.get(name) != index[e]:
             raise PosetError(f"the valuation format cannot write the name {name!r}")
     return str(v)
 
@@ -540,9 +572,10 @@ def way_below(nu: Valuation, mu: Valuation) -> bool:
     at bottom (see :func:`mixing_oracle`); derived necessity: the mixes form
     a directed family with supremum mu. Both masses on an upper set depend
     only on its trace on the two supports, so the criterion is decided on
-    the traces (see :func:`_strict_gaps`).
+    the traces (see :func:`_strict_gaps`), and a failing answer lists no
+    violation.
     """
-    return way_below_report(nu, mu).result
+    return not any(_strict_gaps(nu, mu)[3])
 
 
 def way_below_report(nu: Valuation, mu: Valuation) -> WayBelowReport:
@@ -947,13 +980,12 @@ def round_down_strict(v: Fraction, step: Fraction) -> Fraction:
     In particular a positive multiple of the step maps to the next multiple
     down (round_down_strict(1/2, 1/2) == 0), never to itself.
     """
-    v = Fraction(v)
-    step = Fraction(step)
-    if step <= 0:
+    (p, q), (s, t) = _ratio(v), _ratio(step)
+    if s <= 0:
         raise ValuationError("step must be positive")
-    # v / step = v.numerator * step.denominator / (v.denominator * step.numerator)
-    (k,) = _units_below((v.numerator,), v.denominator * step.numerator, step.denominator)
-    return k * step
+    # v / step = p * t / (q * s)
+    (k,) = _units_below((p,), q * s, t)
+    return Fraction(k * s, t)
 
 
 def _require_pointed(P: Poset) -> None:

@@ -946,3 +946,73 @@ def reference_preimage(r, w):
         if m:
             out[next(i for i, x in enumerate(r.source.elements) if r(x) == y)] += m
     return tuple(out)
+
+
+# -- given rationals read by Fraction, one value at a time ------------------------
+#
+# How ``Valuation(P, weights)``, ``AdmissibleMap(tree, values)`` and
+# ``round_down_strict`` read their arguments when each took its own Fractions
+# apart: every value by ``Fraction(value)``, brought to the lcm of the reduced
+# denominators. Kept as references for the library's one reader and scaler.
+
+
+def _written(k, D):
+    """``str(Fraction(k, D))``, or the words the library uses for a number
+    with more digits than ``str`` writes."""
+    try:
+        return str(Fraction(k, D))
+    except ValueError:
+        return "a fraction too long to write"
+
+
+def reference_valuation_ints(P, weights):
+    """``(D, nums)`` of ``Valuation(P, weights)`` in lowest terms, with its
+    refusals in the same order: unknown elements of a dict, then the first
+    value ``Fraction`` refuses in element order (in the given order for a
+    sequence), a wrong length, the first negative weight, a wrong total."""
+    from ordbench import ValuationError
+
+    if isinstance(weights, dict):
+        given = sorted((P.index(e), w) for e, w in weights.items())
+    else:
+        given = list(enumerate(weights))
+    fracs = [(i, w if type(w) is Fraction else Fraction(w)) for i, w in given]
+    if not isinstance(weights, dict) and len(fracs) != len(P.elements):
+        raise ValuationError(f"expected {len(P.elements)} weights, got {len(fracs)}")
+    D = lcm(*[f.denominator for _, f in fracs if f])
+    nums = [0] * len(P.elements)
+    for i, f in fracs:
+        nums[i] = f.numerator * (D // f.denominator)
+    if min(nums, default=0) < 0:
+        e, k = next((e, k) for e, k in zip(P.elements, nums) if k < 0)
+        raise ValuationError(f"negative weight at {e!r}: {_written(k, D)}")
+    total = sum(nums)
+    if total != D:
+        raise ValuationError(f"weights sum to {_written(total, D)}, not 1")
+    g = gcd(D, *nums)
+    return D // g, tuple(k // g for k in nums)
+
+
+def reference_valuation_repr(P, D, nums):
+    """``repr`` of the valuation ``(D, nums)`` on P, written by ``Fraction``."""
+    text = " ".join(f"{e}:{Fraction(k, D)}" for e, k in zip(P.elements, nums) if k)
+    return f"Valuation({text!r})"
+
+
+def reference_admissible_ints(values):
+    """``(D, nums)`` of ``AdmissibleMap(tree, values)``: every value read by
+    ``Fraction``, over the lcm of the reduced denominators."""
+    fracs = [Fraction(v) for v in values]
+    D = lcm(*[f.denominator for f in fracs])
+    return D, tuple(f.numerator * (D // f.denominator) for f in fracs)
+
+
+def reference_round_down_strict(v, step):
+    """``round_down_strict`` with both arguments read by ``Fraction``."""
+    from ordbench import ValuationError
+
+    v, step = Fraction(v), Fraction(step)
+    if step <= 0:
+        raise ValuationError("step must be positive")
+    k = -(-v.numerator * step.denominator // (v.denominator * step.numerator))
+    return max(k - 1, 0) * step

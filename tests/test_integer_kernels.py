@@ -1,8 +1,8 @@
 """The integer-kernel rule, read off the source with ``ast``: the valuation
 kernels work on integer numerators alone, so none of them reads ``Fraction``
-or a valuation's ``weights``, a Fraction is taken apart into integers in
-four known functions only, and the upper-set mass kernel does one add per
-upper set."""
+or a valuation's ``weights``, a Fraction is taken apart into integers by one
+reader only, rationals are brought to one denominator in two known functions
+only, and the upper-set mass kernel does one add per upper set."""
 
 import ast
 from pathlib import Path
@@ -31,9 +31,9 @@ def test_no_kernel_reads_fractions_or_weights():
         assert reads == [], name
 
 
-def readers(attrs: set) -> set:
+def scopes(match) -> set:
     """The qualified names (module first) of the functions and classes in
-    ``src/ordbench/`` whose own code reads an attribute named in ``attrs``."""
+    ``src/ordbench/`` whose own code holds a node for which ``match`` holds."""
     found = set()
 
     def visit(node, scope):
@@ -41,7 +41,7 @@ def readers(attrs: set) -> set:
             if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
                 visit(child, scope + [child.name])
                 continue
-            if isinstance(child, ast.Attribute) and child.attr in attrs:
+            if match(child):
                 found.add(".".join(scope))
             visit(child, scope)
 
@@ -50,15 +50,29 @@ def readers(attrs: set) -> set:
     return found
 
 
-def test_fractions_are_taken_apart_in_four_places():
-    # a numerator or denominator is read off a Fraction only where one comes
-    # in from outside; every kernel works on integers from there on
-    assert readers({"numerator", "denominator"}) == {
-        "valuations.Valuation.__init__",
-        "valuations._ratio",
-        "valuations.round_down_strict",
-        "treeval.AdmissibleMap._read",
-    }
+def readers(attrs: set) -> set:
+    """The scopes whose own code reads an attribute named in ``attrs``."""
+    return scopes(lambda node: isinstance(node, ast.Attribute) and node.attr in attrs)
+
+
+def callers(name: str) -> set:
+    """The scopes whose own code calls a function or method named ``name``."""
+    return scopes(
+        lambda node: isinstance(node, ast.Call)
+        and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    )
+
+
+def test_fractions_are_taken_apart_in_one_place():
+    # a numerator or denominator is read off a Fraction only by the one
+    # reader of given rationals; every kernel works on integers from there on
+    assert readers({"numerator", "denominator"}) == {"valuations._ratio"}
+
+
+def test_rationals_are_brought_to_one_denominator_in_two_places():
+    # the one scaler reads given rationals onto one D; _common brings values
+    # the library already holds over their own D to the lcm of those
+    assert callers("lcm") == {"valuations._scaled", "valuations._common"}
 
 
 def test_the_mass_kernel_steps_along_the_parent_table():

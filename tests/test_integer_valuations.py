@@ -7,12 +7,14 @@ errors, the same plans, cuts and reports.
 """
 
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ordbench import (
+    AdmissibleMap,
     MixingReport,
     Poset,
     PosetError,
@@ -29,6 +31,7 @@ from ordbench import (
     path_space,
     pushforward,
     pushforward_preimage,
+    round_down_strict,
     stochastic_leq_report,
     tightly_below,
     valuation_to_admissible,
@@ -47,11 +50,15 @@ from oracles import (
     random_monotone_map,
     random_pointed_poset,
     random_poset,
+    reference_admissible_ints,
     reference_parse_valuation,
     reference_pushforward,
     reference_preimage,
+    reference_round_down_strict,
     reference_tightly_below,
     reference_transport,
+    reference_valuation_ints,
+    reference_valuation_repr,
     reference_way_below,
     reference_weights,
 )
@@ -219,3 +226,155 @@ def test_the_shared_scan_matches_attempt_c_per_target():
                 targets = grid(P, N)
                 shared = list(_maximal_below(P, N, targets))
                 assert shared == [list(failed_deflation_c(v, N).members) for v in targets]
+
+
+# -- the one reader of given rationals against Fraction ------------------------------
+
+ARABIC_INDIC = str.maketrans("0123456789", "".join(map(chr, range(0x660, 0x66A))))
+TINY = Fraction(1, 10**5000)  # its denominator has more digits than str() writes
+BAD = [
+    "x", "1/0", "0/0", "1/2/3", "", None, float("nan"), float("inf"), 1j, [1],
+    "1" * 5000, "1/" + "1" * 5000,
+    "\u00b2", "1/\u00b2",  # digits to str.isdigit, but not decimal digits
+]
+
+
+def attempt(call):
+    """The result of ``call``, or the type and text of any error it raised."""
+    try:
+        return call()
+    except Exception as err:  # the reader must raise what Fraction raises
+        return type(err), str(err)
+
+
+def spelled(rng, r):
+    """The rational ``r`` as a number or text that ``Fraction`` reads as r."""
+    p, q = r.numerator, r.denominator
+    if q.bit_length() > 10_000:  # no text: str() refuses so many digits
+        return r
+    k = rng.randint(2, 5)
+    ways = [r, f"{p * k}/{q * k}", str(r).translate(ARABIC_INDIC), f" {r} ", f"{p}_0/{q}_0"]
+    if p >= 0:
+        ways.append(f"+{p}/{q}")
+    if q == 1:
+        ways += [p, str(p)]
+    if p in (0, 1) and q == 1:
+        ways.append(bool(p))
+    if q & (q - 1) == 0:
+        ways.append(float(r))
+    m = next((m for m in range(12) if 10**m % q == 0), None)
+    if m is not None:
+        n = p * 10**m // q
+        ways += [f"{n}e-{m}", str(Decimal(n).scaleb(-m)), Decimal(n).scaleb(-m)]
+    return rng.choice(ways)
+
+
+def rationals(rng, n):
+    """``n`` Fractions summing to one, over a random common denominator or
+    over mixed ones, zeros among them."""
+    if rng.random() < 0.5:
+        D = rng.choice((1, 2, 4, 5, 8, 10, 20, 40, 3, 6, 12))
+        cuts = sorted(rng.randint(0, D) for _ in range(n - 1))
+        return [Fraction(b - a, D) for a, b in zip([0, *cuts], [*cuts, D])]
+    parts = [Fraction(rng.randint(0, 6), rng.choice((1, 2, 3, 7, 10))) for _ in range(n)]
+    total = sum(parts)
+    return [x / total for x in parts] if total else [Fraction(1)] + [Fraction(0)] * (n - 1)
+
+
+def given_values(rng, n):
+    """``n`` values as a caller might give them: spelled sums to one, now and
+    then broken by a negative, a tiny part, a wrong total or bad values."""
+    rs = rationals(rng, n)
+    i, j = rng.randrange(n), rng.randrange(n)
+    roll = rng.random()
+    if roll < 0.1:
+        rs[i], rs[j] = rs[i] - Fraction(1, 4), rs[j] + Fraction(1, 4)
+    elif roll < 0.2:
+        rs[i], rs[j] = rs[i] - TINY, rs[j] + TINY
+    elif roll < 0.25:
+        rs[i] += Fraction(1, 3)
+    vals = [spelled(rng, r) for r in rs]
+    for k in rng.sample(range(n), min(n, rng.choice((0, 0, 0, 1, 2)))):
+        vals[k] = rng.choice(BAD)
+    return vals
+
+
+def read_valuation(P, weights):
+    v = Valuation(P, weights)
+    return (v._den, v._nums), v.weights, attempt(lambda: repr(v))
+
+
+def reference_valuation(P, weights):
+    D, nums = reference_valuation_ints(P, weights)
+    shown = tuple(Fraction(k, D) for k in nums)
+    return (D, nums), shown, attempt(lambda: reference_valuation_repr(P, D, nums))
+
+
+def read_map(T, values):
+    f = AdmissibleMap(T, values)
+    return (f._den, f._nums), f.values, attempt(lambda: repr(f))
+
+
+def reference_map(T, values):
+    ints, given = reference_admissible_ints(values), tuple(values)
+    return ints, given, attempt(lambda: f"AdmissibleMap(tree={T!r}, values={given!r})")
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_the_one_reader_reads_as_fraction_does(seed):
+    rng = random.Random(seed)
+    seen = set()
+    for _ in range(400):
+        n = rng.randint(1, 6)
+        P = random_poset(rng, n)
+        vals = given_values(rng, n)
+        roll = rng.random()
+        if roll < 0.5:  # a dict, listed out of element order, zeros left out now and then
+            weights = {e: w for e, w in zip(P.elements, vals) if w != 0 or rng.random() < 0.5}
+            items = list(weights.items())
+            rng.shuffle(items)
+            if rng.random() < 0.1:
+                items.insert(rng.randint(0, len(items)), ("zz", rng.choice([*BAD, "1/2"])))
+            weights = dict(items)
+        elif roll < 0.6:  # a sequence of the wrong length
+            weights = vals + [rng.choice(("0", 0, "1/2"))] if rng.random() < 0.5 else vals[:-1]
+        else:
+            weights = tuple(vals) if rng.random() < 0.5 else vals
+        got = attempt(lambda: read_valuation(P, weights))
+        assert got == attempt(lambda: reference_valuation(P, weights)), weights
+        seen.add(got[0] if isinstance(got[0], type) else "valid")
+
+        got = attempt(lambda: read_map(P, vals))
+        assert got == attempt(lambda: reference_map(P, vals)), vals
+        seen.add(got[0] if isinstance(got[0], type) else "valid map")
+
+        v, step = rng.choice(vals), rng.choice([*vals, "1/3", 0, "-1/2", Fraction(1, 7)])
+        got = attempt(lambda: round_down_strict(v, step))
+        assert got == attempt(lambda: reference_round_down_strict(v, step)), (v, step)
+        assert type(got) in (Fraction, tuple)
+    # every kind of outcome came up
+    assert seen >= {"valid", "valid map", ValuationError, PosetError, ValueError, TypeError}
+
+
+def test_the_one_reader_names_the_same_bad_value_first():
+    P = parse_poset("elements: a b c d\norder: a < b")
+    T = parse_poset("elements: r a b\norder: r < a; r < b")
+    cases = [
+        {"d": "x", "b": "1/0", "a": "1"},          # b comes first in element order
+        {"c": None, "zz": "1/2", "a": "y"},         # an unknown element comes first of all
+        {"c": "1/" + "7" * 4500, "b": "1" * 5000},  # b, first in element order, is refused
+        {"d": -TINY, "b": TINY, "a": 1},            # a negative weight too long to write
+        {"a": 1 - TINY},                            # a total too long to write
+        {"a": 1 - TINY, "b": TINY},                 # valid, with a D too long to write
+    ]
+    for weights in cases:
+        got = attempt(lambda: read_valuation(P, weights))
+        assert got == attempt(lambda: reference_valuation(P, weights)), weights
+    assert attempt(lambda: read_valuation(P, cases[1]))[0] is PosetError
+    assert "5000 digits" in attempt(lambda: read_valuation(P, cases[2]))[1]
+    assert attempt(lambda: repr(Valuation(P, cases[-1])))[0] is ValueError
+    for values in ((1, TINY, -TINY), ("1", "x", "1/0"), ("1", "1/0", "x"), (1, 0.5)):
+        assert attempt(lambda: read_map(T, values)) == attempt(lambda: reference_map(T, values))
+    # a dict of node values reads each value before it looks its node up
+    assert attempt(lambda: admissible(T, {"zz": "x"})) == attempt(lambda: Fraction("x"))
+    assert attempt(lambda: admissible(T, {"zz": "1"})) == (PosetError, "unknown element: 'zz'")

@@ -575,6 +575,29 @@ def test_maps_built_directly_read_their_values_as_a_sequence_is_read():
     assert admissible_to_valuation(AdmissibleMap(T, (1, 0.5, 0.5))) == Valuation(T, {"a": H, "b": H})
 
 
+def test_maps_built_directly_are_written_from_their_integers():
+    # the text of a map built from floats or texts is exact p/q with no
+    # zero entry, so it reads back as the same map
+    T = parse_poset("elements: r a b\norder: r < a; r < b")
+    for seq in ((1, 0.1, 0.1), ("1", "0.5", "0")):
+        f = AdmissibleMap(T, seq)
+        assert f.values == seq and repr(f) == f"AdmissibleMap(tree={T!r}, values={seq!r})"
+        assert parse_admissible(T, format_admissible(f)) == f
+        assert format_admissible(f) == format_admissible(admissible(T, f.values)) == str(f)
+    assert str(AdmissibleMap(T, ("1", "0.5", "0"))) == "kind: admissible\nr:1\na:1/2\n"
+
+
+def test_maps_built_directly_read_their_values_when_built():
+    T = parse_poset("elements: r a b\norder: r < a; r < b")
+    for seq, error in (((1, "x", 0), ValueError), ((1, "1/0", 0), ZeroDivisionError),
+                       ((1, None, 0), TypeError), ((1, float("inf"), 0), OverflowError)):
+        with pytest.raises(error) as err:
+            AdmissibleMap(T, seq)
+        with pytest.raises(error) as want:
+            F(seq[1])
+        assert str(err.value) == str(want.value)
+
+
 # -- covering Val1(Y) through the path space ---------------------------------------------
 
 

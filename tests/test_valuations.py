@@ -288,6 +288,22 @@ def test_equality_on_an_upper_set_blocks_way_below():
     assert "equal_mass" in kinds
 
 
+def test_a_failing_way_below_lists_no_violation(monkeypatch):
+    # bottom below a 14-element antichain: 16,385 upper sets, and a failing
+    # report lists 10,240 violations; the bool answer builds none of them
+    P = Poset(["bot", *(f"a{i}" for i in range(14))], [("bot", f"a{i}") for i in range(14)])
+    nu = parse_valuation(P, "a0:1/2 a1:1/2")
+    mu = parse_valuation(P, "a0:1/2 a2:1/2")
+    assert len(way_below_report(nu, mu).violations) == 10_240
+
+    def listed(self, mask):
+        raise AssertionError("way_below built an upper set")
+
+    monkeypatch.setattr(Poset, "_set_of", listed)
+    assert not way_below(nu, mu) and not way_below(mu, nu)
+    assert way_below(dirac(P, "bot"), mu)
+
+
 def test_way_below_implies_order():
     rng = random.Random(11)
     found = 0
@@ -731,6 +747,16 @@ def test_valuation_parser_checks_total_mass():
 def test_valuation_format_omits_zero_weights():
     text = format_valuation(val(a=F(1), b=F(0)))
     assert "b" not in text
+
+
+def test_valuations_are_immutable():
+    # a valuation is hashable, so its poset and weights stay as built
+    nu = val(a=F(1, 2), b=F(1, 2))
+    other = parse_poset("elements: x y\norder: x < y")
+    for attr, value in (("poset", other), ("weights", (F(1), F(0))), ("anything", 1)):
+        with pytest.raises(AttributeError):
+            setattr(nu, attr, value)
+    assert nu.poset is DIAMOND and nu == val(a=F(1, 2), b=F(1, 2))
 
 
 # -- refusals -------------------------------------------------------------------
