@@ -343,16 +343,15 @@ def _cmd_lazy(args) -> int:
         else:
             print(f"i={idx}")
         return 0
-    if action == "truncate":
-        if len(rest) != 1:
-            raise PosetError("lazy truncate takes a depth")
-        trunc = lz.truncate(L, _nat(rest[0]))
-        if args.dot:
-            sys.stdout.write(poset_to_dot(trunc.poset, name=f"{args.kind}_trunc"))
-        else:
-            sys.stdout.write(format_poset(trunc.poset))
-        return 0
-    raise PosetError(f"unknown lazy action {action!r}")
+    # "truncate": the parser's choices allow no other action
+    if len(rest) != 1:
+        raise PosetError("lazy truncate takes a depth")
+    trunc = lz.truncate(L, _nat(rest[0]))
+    if args.dot:
+        sys.stdout.write(poset_to_dot(trunc.poset, name=f"{args.kind}_trunc"))
+    else:
+        sys.stdout.write(format_poset(trunc.poset))
+    return 0
 
 
 def _nat(text: str) -> int:

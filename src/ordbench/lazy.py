@@ -177,15 +177,21 @@ class LazyFamily:
 
 
 def n2_family(i: int, j: int) -> LazyFamily:
-    """The map collapsing branch 0 above level i and branch 1 above level j."""
-    if i < 0 or j < 0:
+    """The map collapsing branch 0 above level i and branch 1 above level j.
+
+    Each index must be an ``int`` itself, not a bool or a float, as a
+    node's level must be (see :meth:`LazyPoset._rank`)."""
+    if not all(type(n) is int and n >= 0 for n in (i, j)):
         raise PosetError("family indices must be naturals")
     return LazyFamily(N2, (i, j))
 
 
 def t_family(i: int) -> LazyFamily:
-    """The map fixing nodes below level i and collapsing the rest to level i."""
-    if i < 0:
+    """The map fixing nodes below level i and collapsing the rest to level i.
+
+    The index must be an ``int`` itself, not a bool or a float, as a node's
+    level must be (see :meth:`LazyPoset._rank`)."""
+    if type(i) is not int or i < 0:
         raise PosetError("family index must be a natural")
     return LazyFamily(T, (i,))
 
@@ -252,8 +258,8 @@ def truncate(L: LazyPoset, k: int) -> Truncation:
     poset), so its truncation carries project=None and serves as a fixture
     for the branch-swap maps.
     """
-    if k < 1:
-        raise PosetError("truncation depth must be at least 1")
+    if type(k) is not int or k < 1:
+        raise PosetError("truncation depth must be an integer of at least 1")
     levels = range(k) if L.kind == "t" else range(k + 1)
     layers = [(BOT,), *((node(0, m), node(1, m)) for m in levels), L._CAPS[L.kind]]
     succ: List[List[int]] = []

@@ -527,12 +527,10 @@ def _unreached(target: Poset, idx: Iterable[int]) -> list:
 
 
 def _resolve(source: Poset, target: Poset, mapping) -> tuple:
-    """``(values, idx)``: the value of ``mapping`` at each element of
-    ``source``, as returned, and its index in ``target``. Each value is
-    resolved as it is read, so a value outside ``target`` is named before a
-    later missing one."""
-    pairs = [(v, target.index(v)) for v in _values(source, mapping)]
-    return tuple(v for v, _ in pairs), tuple(j for _, j in pairs)
+    """The index in ``target`` of the value of ``mapping`` at each element
+    of ``source``. Each value is resolved as it is read, so a value outside
+    ``target`` is named before a later missing one."""
+    return tuple(map(target.index, _values(source, mapping)))
 
 
 class MonotoneMap:
@@ -540,19 +538,18 @@ class MonotoneMap:
 
     A map holds ``_idx``, the index in ``target`` of its value at each
     source element, in source element order; every check and law reads
-    those, and equality and hashing compare them. The public constructor
-    takes a dict or a callable, evaluates it once on every source element,
-    keeps the values as returned in ``values``, and rejects a map that is
-    not monotone, naming a violating cover. :meth:`_of` builds a map from
-    target indices and builds ``values`` from them.
+    those, and equality and hashing compare them. ``values`` and calls
+    give the target's elements at those indices, so equal maps answer
+    alike. The public constructor takes a dict or a callable, evaluates it
+    once on every source element, resolves each value in ``target`` and
+    rejects a map that is not monotone, naming a violating cover.
+    :meth:`_of` builds a map from target indices.
     """
 
-    __slots__ = ("source", "target", "values", "_idx")
+    __slots__ = ("source", "target", "_idx")
 
     def __init__(self, source: Poset, target: Poset, mapping):
-        self.source = source
-        self.target = target
-        self.values, self._idx = _resolve(source, target, mapping)
+        self.source, self.target, self._idx = source, target, _resolve(source, target, mapping)
         bad = _first_failing_cover(source, target, [1 << j for j in self._idx])
         if bad is not None:
             x, y = bad
@@ -567,11 +564,14 @@ class MonotoneMap:
         value at each element of ``source``; monotonicity is not checked."""
         self = object.__new__(cls)
         self.source, self.target, self._idx = source, target, idx
-        self.values = tuple(map(target.elements.__getitem__, idx))
         return self
 
+    @property
+    def values(self) -> tuple:
+        return tuple(map(self.target.elements.__getitem__, self._idx))
+
     def __call__(self, x):
-        return self.values[self.source.index(x)]
+        return self.target.elements[self._idx[self.source.index(x)]]
 
     def __eq__(self, other) -> bool:
         return (
@@ -616,7 +616,7 @@ def map_predicates(source: Poset, target: Poset, mapping) -> MapReport:
 
     A missing value or a value outside ``target`` is still a PosetError.
     """
-    _, idx = _resolve(source, target, mapping)
+    idx = _resolve(source, target, mapping)
     witness = _first_failing_cover(source, target, [1 << j for j in idx])
     missing = tuple(_unreached(target, idx))
     return MapReport(

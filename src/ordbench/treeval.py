@@ -33,7 +33,7 @@ from .posets import (
     MonotoneMap, Poset, PosetError, _bits, _lines, _require_writable, _unreached,
 )
 from .valuations import Valuation, ValuationError, _checked_ints, _common, _Exact
-from .valuations import _lowest_terms, _ratio, _ratios, _scaled, _weight_text
+from .valuations import _lowest_terms, _ratios, _scaled, _weight_text
 
 PATH_CAP = 10_000
 
@@ -94,22 +94,18 @@ class AdmissibleMap(_Exact):
 
     A map holds integer numerators over one denominator D in lowest terms,
     as :class:`~ordbench.valuations.Valuation` does, and shares its equality,
-    hash and entries (see :class:`~ordbench.valuations._Exact`). A map the
-    library builds makes ``values``, a tuple of ``Fraction(k, D)``, on first
-    use. ``AdmissibleMap(tree, values)`` reads each value once, when the map
-    is built, by :func:`~ordbench.valuations._ratio`, and raises its
-    conversion error; ``values`` and ``repr`` then show the values as given,
-    as a tuple, while ``str`` and :func:`format_admissible` write the
-    integers. Maps are immutable: ``tree`` and ``values`` are read-only.
+    hash, entries and table reader (see :class:`~ordbench.valuations._Exact`):
+    ``AdmissibleMap(tree, values)`` reads a dict or a sequence once, when
+    the map is built, raising the reader's errors there. ``values``, calls
+    and ``repr`` give the ``Fraction(k, D)`` of the integers, built on first
+    use, and ``str`` and :func:`format_admissible` write them, so equal maps
+    answer alike. Maps are immutable: ``tree`` and ``values`` are read-only.
     """
 
     __slots__ = ()
+    _ints, _noun, _parser = staticmethod(_scaled), "values", "parse_admissible"
     tree = property(lambda self: self._poset)
     values = property(_Exact._values)
-
-    def __init__(self, tree: Poset, values):
-        self._poset, self._shown = tree, tuple(values)
-        self._den, self._nums = _scaled(len(self._shown), list(enumerate(map(_ratio, self._shown))))
 
     def __repr__(self) -> str:
         return f"AdmissibleMap(tree={self._poset!r}, values={self.values!r})"
@@ -129,21 +125,12 @@ class AdmissibleReport:
 
 
 def _as_map(T: Poset, values) -> AdmissibleMap:
-    """A map on ``T`` from an :class:`AdmissibleMap` on ``T``, a dict keyed by
-    nodes (missing ones get 0; each value is read before its node is looked
-    up) or a sequence in element order, read as a map built from it. A map
-    or sequence of the wrong length is refused."""
-    if isinstance(values, dict):
-        ratios = {}
-        for e, v in values.items():
-            ratios[T.index(e)] = _ratio(v)
-        values = AdmissibleMap._of(T, *_scaled(len(T.elements), ratios.items()))
-    elif not isinstance(values, AdmissibleMap):
-        values = AdmissibleMap(T, values)
-    elif values.tree != T:
+    """A map on ``T``: an :class:`AdmissibleMap` on ``T`` as it is, and any
+    other table read as a map built from it."""
+    if not isinstance(values, AdmissibleMap):
+        return AdmissibleMap(T, values)
+    if values.tree != T:
         raise ValuationError("admissible maps live on different trees")
-    if len(values._nums) != len(T.elements):
-        raise ValuationError(f"expected {len(T.elements)} values, got {len(values._nums)}")
     return values
 
 
@@ -249,8 +236,7 @@ def admissible_to_valuation(f: AdmissibleMap) -> Valuation:
     """Atom weights from filter masses: node value minus children total.
 
     A map built directly rather than through :func:`admissible` is refused
-    when its poset is not a tree (PosetError) or its value count is wrong
-    (ValuationError).
+    when its poset is not a tree (PosetError).
     """
     T = f.tree
     D, (xs,) = _tree_ints(T, f)
@@ -267,8 +253,8 @@ def admissible_lub(f1: AdmissibleMap, f2: AdmissibleMap) -> Optional[AdmissibleM
     result is admissible and is the least upper bound; a root value above 1
     means the pair has no common upper bound at all, reported as None rather
     than an exception so searches can treat it as an empty result. Maps on
-    different trees, on a non-tree or with the wrong value count are refused,
-    as in :func:`admissible_to_valuation`.
+    different trees or on a non-tree are refused, as in
+    :func:`admissible_to_valuation`.
     """
     T = f1.tree
     D, (v1, v2) = _tree_ints(T, f1, f2)
@@ -298,4 +284,4 @@ def parse_admissible(T: Poset, text: str) -> AdmissibleMap:
     entries = ((f"line {ln}: ", line) for ln, line in lines[1:])
     ratios = _ratios(T, entries, "line")
     # checked as a map held in integers, so no Fraction is built on the way in
-    return admissible(T, AdmissibleMap._of(T, *_scaled(len(T.elements), ratios.items())))
+    return admissible(T, AdmissibleMap._of(T, *_scaled(T, ratios.items())))

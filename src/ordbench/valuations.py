@@ -15,8 +15,9 @@ over one denominator, and every kernel works on those integers; a
 `fractions.Fraction` is built only for a public result (weights, masses,
 transport plans, reports). A given rational, text or number, is read by one
 reader (:func:`_ratio`) and brought to one denominator by one scaler
-(:func:`_scaled`), and valuations share their representation with the
-admissible maps of :mod:`ordbench.treeval` (:class:`_Exact`).
+(:func:`_scaled`), and valuations share their representation and their one
+table reader with the admissible maps of :mod:`ordbench.treeval`
+(:class:`_Exact`).
 """
 
 from __future__ import annotations
@@ -44,15 +45,36 @@ class _Exact:
     numerator, so equal rationals give equal integers. The base of
     :class:`Valuation` and of :class:`~ordbench.treeval.AdmissibleMap`.
 
+    ``cls(poset, table)`` is the one reader of a table of rationals: a dict
+    keyed by elements (every key is looked up first; a missing element is
+    0) or a sequence in element order, whose length is checked after its
+    values are read. A text is refused, as it would be read one character
+    per element. Each value is read by :func:`_ratio`, in element order,
+    with its errors, and the subclass's ``_ints(poset, ratios)`` makes
+    ``(D, nums)`` from the ``(index, (p, q))`` pairs.
+
     Equality and the hash read the poset, D and the numerators, and the
     ``name:p/q`` entries of the nonzero values are written from the
-    integers (see :func:`_spelled`). ``_shown`` is the tuple the public
-    values are read from: a tuple of ``Fraction(k, D)``, built on first
-    use, one Fraction per distinct numerator (see :func:`_fractions`),
-    unless a subclass keeps the values it was given there.
+    integers (see :func:`_spelled`). ``_shown`` caches the public values, a
+    tuple of ``Fraction(k, D)`` built on first use with one Fraction per
+    distinct numerator (see :func:`_fractions`).
     """
 
     __slots__ = ("_poset", "_den", "_nums", "_shown")
+
+    def __init__(self, poset: Poset, table):
+        if isinstance(table, (str, bytes)):
+            raise ValuationError(f"{type(self).__name__} takes a dict or a sequence, "
+                                 f"not a text; read a text with {self._parser}")
+        if isinstance(table, dict):
+            given = sorted((poset.index(e), v) for e, v in table.items())
+        else:
+            given = list(enumerate(table))
+        ratios = [(i, _ratio(v)) for i, v in given]
+        if not isinstance(table, dict) and len(ratios) != len(poset.elements):
+            raise ValuationError(f"expected {len(poset.elements)} {self._noun}, got {len(ratios)}")
+        self._poset, self._shown = poset, None
+        self._den, self._nums = self._ints(poset, ratios)
 
     @classmethod
     def _of(cls, poset: Poset, D: int, nums):
@@ -78,59 +100,6 @@ class _Exact:
 
     def __hash__(self) -> int:
         return hash((self._poset, self._den, self._nums))
-
-
-class Valuation(_Exact):
-    """Exact-rational probability weights on the elements of a poset.
-
-    Accepts a dict (missing elements default to weight zero) or a sequence
-    aligned with the element order. Each weight is read by :func:`_ratio`,
-    the one reader of given rationals, and must be nonnegative; together
-    they must sum to exactly one. Only the given entries of a dict are
-    read, and only nonzero weights are checked and summed; every other
-    element shares one zero.
-
-    The weights are stored as integer numerators over one denominator D,
-    the lcm of the reduced denominators of the nonzero weights (see
-    :class:`_Exact`). ``weights``, a tuple of ``Fraction(k, D)``, is built
-    on first use. ``poset`` is read-only.
-    """
-
-    __slots__ = ()
-    poset = property(lambda self: self._poset)
-    weights = property(_Exact._values)
-
-    def __init__(self, poset: Poset, weights):
-        if isinstance(weights, dict):
-            given = sorted((poset.index(e), w) for e, w in weights.items())
-        else:
-            given = list(enumerate(weights))
-        ratios = [(i, _ratio(w)) for i, w in given]
-        if not isinstance(weights, dict) and len(ratios) != len(poset.elements):
-            raise ValuationError(f"expected {len(poset.elements)} weights, got {len(ratios)}")
-        self._poset, self._shown = poset, None
-        self._den, self._nums = _checked_ints(poset, ratios)
-
-    def weight(self, x) -> Fraction:
-        return Fraction(self._nums[self._poset.index(x)], self._den)
-
-    @property
-    def support(self) -> tuple:
-        return tuple(e for e, k in zip(self._poset.elements, self._nums) if k)
-
-    def _support_mask(self) -> int:
-        return sum([1 << i for i, k in enumerate(self._nums) if k])
-
-    def mass(self, U: Iterable) -> Fraction:
-        """Total weight of a set of elements (typically an upper set)."""
-        return Fraction(sum(self._nums[self._poset.index(x)] for x in U), self._den)
-
-    def __str__(self) -> str:
-        # the text of format_valuation, without its name check
-        return " ".join(self._entries())
-
-    def __repr__(self) -> str:
-        return f"Valuation({str(self)!r})"
 
 
 def _fractions(nums: Sequence[int], D: int) -> Tuple[Fraction, ...]:
@@ -168,12 +137,12 @@ def _ratio(value) -> Tuple[int, int]:
     return f.numerator, f.denominator
 
 
-def _scaled(n: int, ratios: Collection[Tuple[int, Tuple[int, int]]]) -> Tuple[int, Tuple[int, ...]]:
-    """The one scaler: ``(D, nums)``, the values of ``(i, (p, q))`` pairs,
-    p/q (q > 0) the value at index ``i`` of ``n`` and zero at every other,
+def _scaled(P: Poset, ratios: Collection[Tuple[int, Tuple[int, int]]]) -> Tuple[int, Tuple[int, ...]]:
+    """The one scaler: ``(D, nums)``, the values of ``(i, (p, q))`` pairs on
+    P, p/q (q > 0) the value at index ``i`` and zero at every other index,
     as integers over D in lowest terms (see :func:`_lowest_terms`)."""
     D = lcm(*[q for _, (p, q) in ratios if p])
-    nums = [0] * n
+    nums = [0] * len(P.elements)
     for i, (p, q) in ratios:
         nums[i] = p * (D // q)
     return _lowest_terms(D, nums)
@@ -183,7 +152,7 @@ def _checked_ints(P: Poset, ratios: Collection[Tuple[int, Tuple[int, int]]]) -> 
     """``(D, nums)``: the weights of ``(i, (p, q))`` pairs on P, scaled by
     :func:`_scaled`. Refuses a negative weight, naming the first in element
     order, then a total other than one."""
-    D, nums = _scaled(len(P.elements), ratios)
+    D, nums = _scaled(P, ratios)
     if min(nums, default=0) < 0:
         e, k = next((e, k) for e, k in zip(P.elements, nums) if k < 0)
         raise ValuationError(f"negative weight at {e!r}: {_weight_text(k, D)}")
@@ -210,6 +179,48 @@ def _lowest_terms(D: int, nums: Sequence[int]) -> Tuple[int, Tuple[int, ...]]:
     if g == 1:
         return D, tuple(nums)
     return D // g, tuple([k // g for k in nums])
+
+
+class Valuation(_Exact):
+    """Exact-rational probability weights on the elements of a poset.
+
+    ``Valuation(poset, weights)`` reads a dict or a sequence by the one
+    table reader (see :class:`_Exact`). Each weight must be nonnegative;
+    together they must sum to exactly one. Only the given entries of a dict
+    are read, and only nonzero weights are checked and summed; every other
+    element shares one zero.
+
+    The weights are stored as integer numerators over one denominator D,
+    the lcm of the reduced denominators of the nonzero weights. ``weights``,
+    a tuple of ``Fraction(k, D)``, is built on first use. ``poset`` is
+    read-only.
+    """
+
+    __slots__ = ()
+    _ints, _noun, _parser = staticmethod(_checked_ints), "weights", "parse_valuation"
+    poset = property(lambda self: self._poset)
+    weights = property(_Exact._values)
+
+    def weight(self, x) -> Fraction:
+        return Fraction(self._nums[self._poset.index(x)], self._den)
+
+    @property
+    def support(self) -> tuple:
+        return tuple(e for e, k in zip(self._poset.elements, self._nums) if k)
+
+    def _support_mask(self) -> int:
+        return sum([1 << i for i, k in enumerate(self._nums) if k])
+
+    def mass(self, U: Iterable) -> Fraction:
+        """Total weight of a set of elements (typically an upper set)."""
+        return Fraction(sum(self._nums[self._poset.index(x)] for x in U), self._den)
+
+    def __str__(self) -> str:
+        # the text of format_valuation, without its name check
+        return " ".join(self._entries())
+
+    def __repr__(self) -> str:
+        return f"Valuation({str(self)!r})"
 
 
 def dirac(P: Poset, x) -> Valuation:

@@ -965,32 +965,45 @@ def _written(k, D):
         return "a fraction too long to write"
 
 
-def reference_valuation_ints(P, weights):
-    """``(D, nums)`` of ``Valuation(P, weights)`` in lowest terms, with its
-    refusals in the same order: unknown elements of a dict, then the first
-    value ``Fraction`` refuses in element order (in the given order for a
-    sequence), a wrong length, the first negative weight, a wrong total."""
+def reference_table_ints(P, table, noun):
+    """``(D, nums)``: a dict keyed by elements of P (missing ones are 0) or a
+    sequence in element order, every value read by ``Fraction``, over the
+    lcm of the reduced denominators of the nonzero values, in lowest terms.
+    Its refusals come in this order: unknown elements of a dict,
+    then the first value ``Fraction`` refuses in element order (in the
+    given order for a sequence), then a wrong length, which calls the
+    values ``noun``."""
     from ordbench import ValuationError
 
-    if isinstance(weights, dict):
-        given = sorted((P.index(e), w) for e, w in weights.items())
+    if isinstance(table, dict):
+        given = sorted((P.index(e), w) for e, w in table.items())
     else:
-        given = list(enumerate(weights))
+        given = list(enumerate(table))
     fracs = [(i, w if type(w) is Fraction else Fraction(w)) for i, w in given]
-    if not isinstance(weights, dict) and len(fracs) != len(P.elements):
-        raise ValuationError(f"expected {len(P.elements)} weights, got {len(fracs)}")
+    if not isinstance(table, dict) and len(fracs) != len(P.elements):
+        raise ValuationError(f"expected {len(P.elements)} {noun}, got {len(fracs)}")
     D = lcm(*[f.denominator for _, f in fracs if f])
     nums = [0] * len(P.elements)
     for i, f in fracs:
         nums[i] = f.numerator * (D // f.denominator)
+    g = gcd(D, *nums)
+    return D // g, tuple(k // g for k in nums)
+
+
+def reference_valuation_ints(P, weights):
+    """``(D, nums)`` of ``Valuation(P, weights)``, with the refusals of
+    :func:`reference_table_ints`, then the first negative weight, then a
+    wrong total."""
+    from ordbench import ValuationError
+
+    D, nums = reference_table_ints(P, weights, "weights")
     if min(nums, default=0) < 0:
         e, k = next((e, k) for e, k in zip(P.elements, nums) if k < 0)
         raise ValuationError(f"negative weight at {e!r}: {_written(k, D)}")
     total = sum(nums)
     if total != D:
         raise ValuationError(f"weights sum to {_written(total, D)}, not 1")
-    g = gcd(D, *nums)
-    return D // g, tuple(k // g for k in nums)
+    return D, nums
 
 
 def reference_valuation_repr(P, D, nums):
@@ -999,12 +1012,10 @@ def reference_valuation_repr(P, D, nums):
     return f"Valuation({text!r})"
 
 
-def reference_admissible_ints(values):
-    """``(D, nums)`` of ``AdmissibleMap(tree, values)``: every value read by
-    ``Fraction``, over the lcm of the reduced denominators."""
-    fracs = [Fraction(v) for v in values]
-    D = lcm(*[f.denominator for f in fracs])
-    return D, tuple(f.numerator * (D // f.denominator) for f in fracs)
+def reference_admissible_ints(T, values):
+    """``(D, nums)`` of ``AdmissibleMap(T, values)``, with the refusals of
+    :func:`reference_table_ints`."""
+    return reference_table_ints(T, values, "values")
 
 
 def reference_round_down_strict(v, step):

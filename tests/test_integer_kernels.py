@@ -1,8 +1,9 @@
 """The integer-kernel rule, read off the source with ``ast``: the valuation
 kernels work on integer numerators alone, so none of them reads ``Fraction``
 or a valuation's ``weights``, a Fraction is taken apart into integers by one
-reader only, rationals are brought to one denominator in two known functions
-only, and the upper-set mass kernel does one add per upper set."""
+reader only, a table of rationals is read in one place, rationals are
+brought to one denominator in two known functions only, and the upper-set
+mass kernel does one add per upper set."""
 
 import ast
 from pathlib import Path
@@ -67,6 +68,27 @@ def test_fractions_are_taken_apart_in_one_place():
     # a numerator or denominator is read off a Fraction only by the one
     # reader of given rationals; every kernel works on integers from there on
     assert readers({"numerator", "denominator"}) == {"valuations._ratio"}
+
+
+def test_tables_of_rationals_are_read_in_one_place():
+    # a dict or sequence of values is read by the one table reader that
+    # valuations and admissible maps share; the parsers' entries by
+    # _ratios; round_down_strict reads its two numbers
+    assert callers("_ratio") == {
+        "valuations._Exact.__init__", "valuations._ratios", "valuations.round_down_strict",
+    }
+    # no class built on _Exact has a reader of its own
+    classes = [
+        node
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ClassDef)
+        and "_Exact" in [getattr(base, "id", None) for base in node.bases]
+    ]
+    assert sorted(node.name for node in classes) == ["AdmissibleMap", "Valuation"]
+    for node in classes:
+        defined = [f.name for f in node.body if isinstance(f, ast.FunctionDef)]
+        assert "__init__" not in defined, node.name
 
 
 def test_rationals_are_brought_to_one_denominator_in_two_places():

@@ -22,7 +22,10 @@ from ordbench import (
     ValuationError,
     admissible,
     admissible_to_valuation,
+    check_admissible,
     failed_deflation_c,
+    format_admissible,
+    format_map,
     grid,
     mixing_oracle,
     parse_admissible,
@@ -312,12 +315,13 @@ def reference_valuation(P, weights):
 
 def read_map(T, values):
     f = AdmissibleMap(T, values)
-    return (f._den, f._nums), f.values, attempt(lambda: repr(f))
+    return (f._den, f._nums), f.values, tuple(map(f, T.elements)), attempt(lambda: repr(f))
 
 
 def reference_map(T, values):
-    ints, given = reference_admissible_ints(values), tuple(values)
-    return ints, given, attempt(lambda: f"AdmissibleMap(tree={T!r}, values={given!r})")
+    D, nums = reference_admissible_ints(T, values)
+    shown = tuple(Fraction(k, D) for k in nums)
+    return (D, nums), shown, shown, attempt(lambda: f"AdmissibleMap(tree={T!r}, values={shown!r})")
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -344,9 +348,10 @@ def test_the_one_reader_reads_as_fraction_does(seed):
         assert got == attempt(lambda: reference_valuation(P, weights)), weights
         seen.add(got[0] if isinstance(got[0], type) else "valid")
 
-        got = attempt(lambda: read_map(P, vals))
-        assert got == attempt(lambda: reference_map(P, vals)), vals
-        seen.add(got[0] if isinstance(got[0], type) else "valid map")
+        for values in (weights, vals):  # maps read the tables valuations read
+            got = attempt(lambda: read_map(P, values))
+            assert got == attempt(lambda: reference_map(P, values)), values
+            seen.add(got[0] if isinstance(got[0], type) else "valid map")
 
         v, step = rng.choice(vals), rng.choice([*vals, "1/3", 0, "-1/2", Fraction(1, 7)])
         got = attempt(lambda: round_down_strict(v, step))
@@ -370,11 +375,83 @@ def test_the_one_reader_names_the_same_bad_value_first():
     for weights in cases:
         got = attempt(lambda: read_valuation(P, weights))
         assert got == attempt(lambda: reference_valuation(P, weights)), weights
+        assert attempt(lambda: read_map(P, weights)) == attempt(lambda: reference_map(P, weights))
     assert attempt(lambda: read_valuation(P, cases[1]))[0] is PosetError
     assert "5000 digits" in attempt(lambda: read_valuation(P, cases[2]))[1]
     assert attempt(lambda: repr(Valuation(P, cases[-1])))[0] is ValueError
     for values in ((1, TINY, -TINY), ("1", "x", "1/0"), ("1", "1/0", "x"), (1, 0.5)):
         assert attempt(lambda: read_map(T, values)) == attempt(lambda: reference_map(T, values))
-    # a dict of node values reads each value before it looks its node up
-    assert attempt(lambda: admissible(T, {"zz": "x"})) == attempt(lambda: Fraction("x"))
-    assert attempt(lambda: admissible(T, {"zz": "1"})) == (PosetError, "unknown element: 'zz'")
+    # a dict of node values looks every node up first, as a dict of weights does
+    for values in ({"zz": "x"}, {"zz": "1"}, {"a": "x", "zz": "1/0"}):
+        assert attempt(lambda: admissible(T, values)) == (PosetError, "unknown element: 'zz'")
+        assert attempt(lambda: AdmissibleMap(T, values)) == attempt(lambda: Valuation(T, values))
+    assert attempt(lambda: admissible(T, {"b": "x", "a": "1/0"})) == attempt(lambda: Fraction("1/0"))
+
+
+@pytest.mark.parametrize("text", ["100", "1/2", "abc", b"\x01\x00\x00"])
+def test_a_text_given_as_a_table_is_refused(text):
+    # read one character per element, "100" would be the Dirac at the root
+    T = parse_poset("elements: r a b\norder: r < a; r < b")
+    refusals = (
+        (lambda: Valuation(T, text), "Valuation", "parse_valuation"),
+        (lambda: AdmissibleMap(T, text), "AdmissibleMap", "parse_admissible"),
+        (lambda: admissible(T, text), "AdmissibleMap", "parse_admissible"),
+        (lambda: check_admissible(T, text), "AdmissibleMap", "parse_admissible"),
+    )
+    for call, kind, parser in refusals:
+        assert attempt(call) == (
+            ValuationError,
+            f"{kind} takes a dict or a sequence, not a text; read a text with {parser}",
+        )
+    assert parse_valuation(T, "r:1") == Valuation(T, (1, 0, 0))
+    assert parse_admissible(T, "kind: admissible\nr:1") == AdmissibleMap(T, (1, 0, 0))
+
+
+def answers(f, writer):
+    """What a map answers: its values, its calls, its repr, str and text."""
+    source = f.source if isinstance(f, MonotoneMap) else f.tree
+    return (f.values, tuple(map(f, source.elements)), repr(f), str(f), attempt(lambda: writer(f)))
+
+
+def assert_equal_maps_answer_alike(maps, writer):
+    for f in maps:
+        assert f == maps[0] and hash(f) == hash(maps[0])
+        assert answers(f, writer) == answers(maps[0], writer)
+
+
+def test_equal_monotone_maps_answer_alike():
+    P = parse_poset("elements: a b\norder: a < b")
+    Q = Poset([1, 2], [(1, 2)])  # True == 1 and 2.0 == 2 name its elements too
+    ident = MonotoneMap(P, P, {"a": "a", "b": "b"})
+    maps = [
+        MonotoneMap(P, Q, {"a": True, "b": 2.0}),
+        MonotoneMap(P, Q, {"a": 1, "b": 2}),
+        MonotoneMap(P, Q, lambda x: Fraction(1 if x == "a" else 2)),
+        MonotoneMap(P, Q, {"a": 1, "b": 2}).compose(ident),
+    ]
+    assert_equal_maps_answer_alike(maps, format_map)
+    # each answers with the target's elements
+    assert maps[0].values == (1, 2) and type(maps[0]("a")) is int
+    assert repr(maps[0]) == "MonotoneMap('a'->1, 'b'->2)"
+
+
+def test_equal_admissible_maps_answer_alike():
+    T = parse_poset("elements: r a b\norder: r < a; r < b")
+    H = Fraction(1, 2)
+    maps = [
+        AdmissibleMap(T, ("1", "0.5", "0")),
+        admissible(T, ("1", "0.5", "0")),
+        AdmissibleMap(T, (True, 0.5, False)),
+        AdmissibleMap(T, {"a": "1/2", "r": 1}),
+        admissible(T, {"r": Decimal("1.0"), "a": H}),
+        valuation_to_admissible(Valuation(T, {"r": H, "a": H})),
+        parse_admissible(T, "kind: admissible\nr:2/2\na:0.5"),
+    ]
+    assert_equal_maps_answer_alike(maps, format_admissible)
+    # each answers with the Fractions of its integers
+    assert maps[0]("a") == H and all(type(x) is Fraction for x in maps[2].values)
+    assert answers(maps[0], format_admissible)[2:] == (
+        f"AdmissibleMap(tree={T!r}, values={(Fraction(1), H, Fraction(0))!r})",
+        "kind: admissible\nr:1\na:1/2\n",
+        "kind: admissible\nr:1\na:1/2\n",
+    )

@@ -457,3 +457,33 @@ def test_refusals_keep_their_messages(call, message):
     with pytest.raises(PosetError) as err:
         call()
     assert type(err.value) is PosetError and str(err.value) == message
+
+
+NOT_INTS = [2.0, True, False, "2", None, 1 + 0j]
+
+
+@pytest.mark.parametrize("bad", NOT_INTS)
+def test_family_indices_must_be_ints(bad):
+    # an index equal to an int is refused too: it would build codes that
+    # format_code writes and validate refuses
+    for call, message in (
+        (lambda: n2_family(bad, 1), "family indices must be naturals"),
+        (lambda: n2_family(1, bad), "family indices must be naturals"),
+        (lambda: t_family(bad), "family index must be a natural"),
+    ):
+        with pytest.raises(PosetError) as err:
+            call()
+        assert type(err.value) is PosetError and str(err.value) == message
+    assert t_family(2)(TOP) == (node(0, 2), node(1, 2))
+    assert n2_family(1, 0)(OMEGA) == (node(0, 1), node(1, 0))
+
+
+@pytest.mark.parametrize("bad", [*NOT_INTS, 0, -1])
+def test_truncation_depths_must_be_ints_of_at_least_one(bad):
+    for L in (N2, T, NSUM):
+        with pytest.raises(PosetError) as err:
+            truncate(L, bad)
+        assert str(err.value) == "truncation depth must be an integer of at least 1"
+    # the projection of a depth-1 truncation names one of its elements
+    trunc = truncate(N2, 1)
+    assert trunc.project(node(0, 5)) == "n:0:1" and "n:0:1" in trunc.poset.elements

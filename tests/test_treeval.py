@@ -350,17 +350,19 @@ def test_maps_built_directly_on_a_non_tree_are_refused():
 
 
 def test_maps_built_directly_with_too_few_values_are_refused():
+    # refused when built, as are too many, and by every function that reads a table
     chain = parse_poset("elements: z0 z1\norder: z0 < z1")
-    short = AdmissibleMap(chain, (F(1),))
     full = admissible(chain, {"z0": F(1)})
-    calls = (
-        lambda: admissible_lub(short, short),
-        lambda: admissible_lub(full, short),
-        lambda: admissible_to_valuation(short),
-    )
-    for call in calls:
-        with pytest.raises(ValuationError, match="^expected 2 values, got 1$"):
-            call()
+    for seq in ((F(1),), (F(1), 0, 0)):
+        calls = (
+            lambda: AdmissibleMap(chain, seq),
+            lambda: admissible_lub(full, seq),
+            lambda: admissible(chain, seq),
+            lambda: check_admissible(chain, seq),
+        )
+        for call in calls:
+            with pytest.raises(ValuationError, match=f"^expected 2 values, got {len(seq)}$"):
+                call()
 
 
 # -- the integer folds against the Fraction folds ---------------------------------------
@@ -562,7 +564,8 @@ def test_maps_built_directly_read_their_values_as_a_sequence_is_read():
     T = parse_poset("elements: r a b\norder: r < a; r < b")
     for seq in ((1, 0.5, 0.5), ("1", "1/2", "1/2"), [F(1), H, H], (1, 0.75, 0.5), (1, "-1/4", 0)):
         f = AdmissibleMap(T, seq)
-        assert f.values == tuple(seq)
+        assert f.values == tuple(map(F, seq)) == tuple(map(f, T.elements))
+        assert all(type(x) is F for x in f.values)
         assert check_admissible(T, f) == check_admissible(T, seq)
         assert outcome(lambda: admissible(T, f)) == outcome(lambda: admissible(T, seq))
         assert outcome(lambda: admissible_to_valuation(f)) == outcome(
@@ -581,7 +584,8 @@ def test_maps_built_directly_are_written_from_their_integers():
     T = parse_poset("elements: r a b\norder: r < a; r < b")
     for seq in ((1, 0.1, 0.1), ("1", "0.5", "0")):
         f = AdmissibleMap(T, seq)
-        assert f.values == seq and repr(f) == f"AdmissibleMap(tree={T!r}, values={seq!r})"
+        exact = tuple(map(F, seq))
+        assert f.values == exact and repr(f) == f"AdmissibleMap(tree={T!r}, values={exact!r})"
         assert parse_admissible(T, format_admissible(f)) == f
         assert format_admissible(f) == format_admissible(admissible(T, f.values)) == str(f)
     assert str(AdmissibleMap(T, ("1", "0.5", "0"))) == "kind: admissible\nr:1\na:1/2\n"
