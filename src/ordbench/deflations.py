@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Tuple
 
 from .posets import (
-    MonotoneMap, Poset, PosetError, _arrow, _bits, _failing_pairs, _lines, _require_writable,
+    MonotoneMap, Poset, PosetError, _arrows, _bits, _failing_pairs, _lines, _write_arrows,
 )
 from .smyth import FinMap, _extend, eta_map, format_antichain, parse_antichain
 
@@ -22,10 +22,15 @@ from .smyth import FinMap, _extend, eta_map, format_antichain, parse_antichain
 class QuasiDeflation(FinMap):
     """An antichain-valued endomap with every point above its own value.
 
-    Construction validates both laws (monotonicity, then membership) unless
-    ``check=False`` is passed; use :func:`check_quasi_deflation` to examine a
-    candidate table without raising.
+    A :class:`~ordbench.smyth.FinMap` from ``poset`` to itself, with its
+    cells, calls, ``values`` and equality: it equals the ``FinMap`` with the
+    same poset and cells. Construction validates both laws (monotonicity,
+    then membership) unless ``check=False`` is passed; use
+    :func:`check_quasi_deflation` to examine a candidate table without
+    raising.
     """
+
+    poset = property(lambda self: self.source)
 
     def __init__(self, poset: Poset, table, *, check: bool = True):
         super().__init__(poset, poset, table, check=check)
@@ -37,14 +42,10 @@ class QuasiDeflation(FinMap):
             x = strays[0]
             raise PosetError(f"not a quasi-deflation: {x!r} is not above its value {self(x)!r}")
 
-    @property
-    def poset(self) -> Poset:
-        return self.source
-
     def _strays(self) -> tuple:
         """The elements not above their own value, in element order."""
         P = self.source
-        return tuple(x for x, E, down in zip(P.elements, self._masks, P._down) if not E & down)
+        return tuple(x for x, E, down in zip(P.elements, self._cells, P._down) if not E & down)
 
 
 @dataclass(frozen=True)
@@ -63,7 +64,7 @@ def check_quasi_deflation(P: Poset, table) -> QuasiDeflationReport:
     phi = QuasiDeflation(P, table, check=False)
     membership = phi._strays()
     strict_ups = [up & ~(1 << i) for i, up in enumerate(P._up)]
-    mono = tuple(_failing_pairs(P, P, phi._masks, strict_ups))
+    mono = tuple(_failing_pairs(P, P, phi._cells, strict_ups))
     return QuasiDeflationReport(
         valid=not membership and not mono,
         membership_violations=membership,
@@ -79,8 +80,8 @@ def qd_self_compose(phi: QuasiDeflation) -> QuasiDeflation:
     so it can also be used to see what self-composition does to a broken
     candidate (run :func:`check_quasi_deflation` on the output if it matters).
     """
-    P, masks = phi.poset, phi._masks
-    return QuasiDeflation._from_masks(P, P, tuple(_extend(P, masks, E) for E in masks))
+    P, masks = phi.poset, phi._cells
+    return QuasiDeflation._of(P, P, tuple(_extend(P, masks, E) for E in masks))
 
 
 def product_qd(phi: QuasiDeflation, psi: QuasiDeflation) -> QuasiDeflation:
@@ -93,9 +94,9 @@ def product_qd(phi: QuasiDeflation, psi: QuasiDeflation) -> QuasiDeflation:
     shift = len(psi.poset)
     # row-major: the pair of indices (a, b) is bit a * shift + b
     masks = tuple(
-        sum(F << a * shift for a in _bits(E)) for E in phi._masks for F in psi._masks
+        sum(F << a * shift for a in _bits(E)) for E in phi._cells for F in psi._cells
     )
-    chi = QuasiDeflation._from_masks(prod, prod, masks)
+    chi = QuasiDeflation._of(prod, prod, masks)
     chi._check()
     return chi
 
@@ -133,7 +134,7 @@ def qfs_separator(
         )
 
     if candidates is None:
-        psi = QuasiDeflation._from_masks(P, P, eta_map(P)._masks)
+        psi = QuasiDeflation._of(P, P, eta_map(P)._cells)
         assert separates(psi)
         return psi
     for psi in candidates:
@@ -170,8 +171,8 @@ def check_controlled(
     f, phi = c.control, c.deflation
     if f.source != P or f.target != P:
         raise PosetError("control must be an endomap of the deflation's poset")
-    fup = [P._up[j] for j in f._idx]
-    containment = tuple(x for x, E, up in zip(P.elements, phi._masks, fup) if E & ~up)
+    fup = [P._up[j] for j in f._cells]
+    containment = tuple(x for x, E, up in zip(P.elements, phi._cells, fup) if E & ~up)
     deflating: Tuple = ()
     if require_deflating:
         deflating = tuple(x for i, (x, up) in enumerate(zip(P.elements, fup)) if not up >> i & 1)
@@ -195,9 +196,9 @@ def separating_set_from_controlled(c: ControlledQuasiDeflation) -> Tuple:
         raise PosetError(f"invalid controlled pair: {report}")
     P = c.deflation.poset
     M = 0
-    for E in c.deflation._masks:
+    for E in c.deflation._cells:
         M |= E
-    for x, j, down in zip(P.elements, c.control._idx, P._down):
+    for x, j, down in zip(P.elements, c.control._cells, P._down):
         if not M & P._up[j] & down:
             raise PosetError(
                 f"separation postcondition failed at {x!r}; input pair is inconsistent"
@@ -214,17 +215,15 @@ def parse_quasi_deflation(P: Poset, text: str, *, check: bool = True):
     Lines of the form ``control: x -> y`` add a monotone control map; when
     any are present the result is a :class:`ControlledQuasiDeflation` (and
     the control must then be total), otherwise a plain
-    :class:`QuasiDeflation`.
+    :class:`QuasiDeflation`. Both kinds of line are read by
+    :func:`~ordbench.posets._arrows`, the plain lines first: of two faulty
+    lines, the first plain one is named before any control line.
     """
-    table: dict = {}
-    control: dict = {}
-    for ln, line in _lines(text):
-        target = table
-        if line.startswith("control:"):
-            line, target = line[len("control:"):].strip(), control
-        x, rhs = _arrow(ln, line, target, "x -> ...", "element")
-        P.index(x)
-        target[x] = P._member(rhs) if target is control else parse_antichain(P, rhs)
+    lines = list(_lines(text))
+    plain = [(ln, s) for ln, s in lines if not s.startswith("control:")]
+    tagged = [(ln, s.partition(":")[2].strip()) for ln, s in lines if s.startswith("control:")]
+    table = _arrows(plain, P, "x -> ...", lambda rhs: parse_antichain(P, rhs), "element")
+    control = _arrows(tagged, P, "x -> ...", P._member, "element")
     phi = QuasiDeflation(P, table, check=check)
     if not control:
         return phi
@@ -242,17 +241,16 @@ def format_quasi_deflation(obj) -> str:
         phi, control = obj.deflation, obj.control
     else:
         phi, control = obj, None
-    _require_writable(phi.poset.elements, "quasi-deflation", P=phi.poset)
-    for x in phi.poset.elements:
-        if str(x).startswith("control:"):
-            raise PosetError(f"the quasi-deflation format cannot write the name {str(x)!r}")
-    lines = [
-        f"{x} -> {format_antichain(E, phi.poset)}"
-        for x, E in zip(phi.poset.elements, phi.values)
-    ]
+    P = phi.poset
+
+    def rhs() -> list:
+        for x in P.elements:
+            if str(x).startswith("control:"):
+                raise PosetError(f"the quasi-deflation format cannot write the name {str(x)!r}")
+        return [format_antichain(E, P) for E in phi.values]
+
+    text = _write_arrows(P, rhs, "quasi-deflation")
     if control is not None:
-        lines.extend(
-            f"control: {x} -> {y}"
-            for x, y in zip(control.source.elements, control.values)
-        )
-    return "\n".join(lines) + "\n"
+        text += "".join(f"control: {x} -> {y}\n"
+                        for x, y in zip(control.source.elements, control.values))
+    return text

@@ -315,8 +315,8 @@ def hat_f_rigidity_check(g: MonotoneMap, bits) -> bool:
     if g.source != Tk or g.target != Tk:
         raise PosetError("g must be an endo-map of the matching truncation of T")
     premise = (
-        all(Tk._up[a] >> b & 1 for a, b in zip(g._idx, fhat._idx))
+        all(Tk._up[a] >> b & 1 for a, b in zip(g._cells, fhat._cells))
         and g("n:0:0") != "bot"
         and g("n:1:0") != "bot"
     )
-    return (not premise) or g._idx == fhat._idx
+    return (not premise) or g._cells == fhat._cells

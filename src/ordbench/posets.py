@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from heapq import nsmallest
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 UPPER_MAX_ELEMENTS = 20
 
@@ -484,8 +484,12 @@ class Poset:
 
 def _values(source: Poset, mapping, noun: str = "map") -> Iterator:
     """The value of ``mapping`` (a dict or a callable) at each element of
-    ``source``, in element order; a missing value is a PosetError."""
+    ``source``, in element order. Every key of a dict is looked up in
+    ``source`` first, so a key that names no element is refused, not
+    dropped; a missing value is a PosetError."""
     get = mapping.__getitem__ if isinstance(mapping, dict) else mapping
+    for x in mapping if isinstance(mapping, dict) else ():
+        source.index(x)
     for e in source.elements:
         try:
             v = get(e)
@@ -533,56 +537,79 @@ def _resolve(source: Poset, target: Poset, mapping) -> tuple:
     return tuple(map(target.index, _values(source, mapping)))
 
 
-class MonotoneMap:
-    """A monotone function between two finite posets.
+class _Map:
+    """A map from the finite poset ``source`` to ``target``, held as one
+    integer cell per source element, in element order: the base of
+    :class:`MonotoneMap` (a cell is a target index) and of
+    :class:`~ordbench.smyth.FinMap` (a cell is a canonical antichain mask).
 
-    A map holds ``_idx``, the index in ``target`` of its value at each
-    source element, in source element order; every check and law reads
-    those, and equality and hashing compare them. ``values`` and calls
-    give the target's elements at those indices, so equal maps answer
-    alike. The public constructor takes a dict or a callable, evaluates it
-    once on every source element, resolves each value in ``target`` and
-    rejects a map that is not monotone, naming a violating cover.
-    :meth:`_of` builds a map from target indices.
+    A subclass gives ``_show(cell)``, the value a cell stands for, and
+    ``_not_monotone``, the wording of its refusal. ``values`` and calls
+    show the cells, so equal maps answer alike. Equality and the hash read
+    the two posets and the cells; two maps whose cells are shown alike (a
+    ``FinMap`` and a ``QuasiDeflation``) can be equal, two that are not (a
+    ``MonotoneMap`` and a ``FinMap``) never are. :meth:`_of` is the trusted
+    constructor.
     """
 
-    __slots__ = ("source", "target", "_idx")
-
-    def __init__(self, source: Poset, target: Poset, mapping):
-        self.source, self.target, self._idx = source, target, _resolve(source, target, mapping)
-        bad = _first_failing_cover(source, target, [1 << j for j in self._idx])
-        if bad is not None:
-            x, y = bad
-            raise PosetError(
-                f"not monotone: {x!r} <= {y!r} but "
-                f"{self(x)!r} !<= {self(y)!r}"
-            )
+    __slots__ = ("source", "target", "_cells")
+    _not_monotone = ""  # formatted with the failing cover x <= y and the values fx, fy
 
     @classmethod
-    def _of(cls, source: Poset, target: Poset, idx: tuple) -> "MonotoneMap":
-        """Trusted constructor: ``idx`` holds the index in ``target`` of the
-        value at each element of ``source``; monotonicity is not checked."""
+    def _of(cls, source: Poset, target: Poset, cells: tuple):
+        """Trusted constructor: ``cells`` holds one cell per element of
+        ``source``; nothing is checked."""
         self = object.__new__(cls)
-        self.source, self.target, self._idx = source, target, idx
+        self.source, self.target, self._cells = source, target, cells
         return self
+
+    def _check(self, marks: Optional[Sequence[int]] = None) -> None:
+        """Refuse a map that is not monotone, naming its first failing cover
+        (see :func:`_first_failing_cover`). ``marks`` are the values as
+        masks of target elements: the cells themselves unless given."""
+        bad = _first_failing_cover(self.source, self.target, marks or self._cells)
+        if bad is not None:
+            x, y = bad
+            raise PosetError(self._not_monotone.format(x=x, y=y, fx=self(x), fy=self(y)))
 
     @property
     def values(self) -> tuple:
-        return tuple(map(self.target.elements.__getitem__, self._idx))
+        """The value at each source element, in source element order."""
+        return tuple(map(self._show, self._cells))
 
     def __call__(self, x):
-        return self.target.elements[self._idx[self.source.index(x)]]
+        return self._show(self._cells[self.source.index(x)])
+
+    def _key(self) -> tuple:
+        return type(self)._show, self.source, self.target, self._cells
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, MonotoneMap)
-            and self.source == other.source
-            and self.target == other.target
-            and self._idx == other._idx
-        )
+        return isinstance(other, _Map) and self._key() == other._key()
 
     def __hash__(self) -> int:
-        return hash((self.source, self.target, self._idx))
+        return hash(self._key())
+
+
+class MonotoneMap(_Map):
+    """A monotone function between two finite posets.
+
+    Its cells are the index in ``target`` of its value at each source
+    element (see :class:`_Map`); every check and law reads those. The
+    public constructor takes a dict or a callable, evaluates it once on
+    every source element (see :func:`_values`), resolves each value in
+    ``target`` and rejects a map that is not monotone, naming a violating
+    cover.
+    """
+
+    __slots__ = ()
+    _not_monotone = "not monotone: {x!r} <= {y!r} but {fx!r} !<= {fy!r}"
+
+    def __init__(self, source: Poset, target: Poset, mapping):
+        self.source, self.target, self._cells = source, target, _resolve(source, target, mapping)
+        self._check([1 << j for j in self._cells])
+
+    def _show(self, j: int):
+        return self.target.elements[j]
 
     def __repr__(self) -> str:
         pairs = ", ".join(f"{e!r}->{v!r}" for e, v in zip(self.source.elements, self.values))
@@ -592,7 +619,8 @@ class MonotoneMap:
         """self after inner."""
         if inner.target != self.source:
             raise PosetError("composition mismatch: inner target differs from outer source")
-        return MonotoneMap._of(inner.source, self.target, tuple(self._idx[j] for j in inner._idx))
+        cells = tuple(self._cells[j] for j in inner._cells)
+        return MonotoneMap._of(inner.source, self.target, cells)
 
 
 @dataclass(frozen=True)
@@ -642,19 +670,26 @@ def _lines(text: str) -> Iterator[Tuple[int, str]]:
             yield ln, line
 
 
-def _arrow(ln: int, line: str, seen, shape: str, noun: str = "source element") -> tuple:
-    """Split ``x -> rhs`` into stripped ``(x, rhs)``.
+def _arrows(lines: Iterable, source: Poset, shape: str, read: Callable, noun: str) -> dict:
+    """The one reader of ``x -> rhs`` lines: a dict from each stripped ``x``
+    to ``read(rhs)``, rhs stripped, in line order.
 
-    Rejects a line that does not have that ``shape`` and an ``x`` already in
-    ``seen``.
+    ``lines`` are numbered lines (see :func:`_lines`). Each line is refused
+    if it does not have that ``shape`` (no ``->``, or a side empty), then if
+    its ``x`` is a repeated ``noun`` or names no element of ``source``, all
+    before its ``rhs`` is read.
     """
-    lhs, arrow, rhs = line.partition("->")
-    x, rhs = lhs.strip(), rhs.strip()
-    if not arrow or not x or not rhs:
-        raise PosetError(f"line {ln}: expected {shape!r}, got {line!r}")
-    if x in seen:
-        raise PosetError(f"line {ln}: repeated {noun} {x!r}")
-    return x, rhs
+    table: dict = {}
+    for ln, line in lines:
+        lhs, arrow, rhs = line.partition("->")
+        x, rhs = lhs.strip(), rhs.strip()
+        if not arrow or not x or not rhs:
+            raise PosetError(f"line {ln}: expected {shape!r}, got {line!r}")
+        if x in table:
+            raise PosetError(f"line {ln}: repeated {noun} {x!r}")
+        source.index(x)
+        table[x] = read(rhs)
+    return table
 
 
 def parse_poset(text: str) -> Poset:
@@ -743,16 +778,12 @@ def format_poset(P: Poset) -> str:
 
 def parse_map(source: Poset, target: Poset, text: str) -> MonotoneMap:
     """Read a monotone map from ``x -> y`` lines (``#`` starts a comment)."""
-    table: dict = {}
-    for ln, line in _lines(text):
-        x, y = _arrow(ln, line, table, "x -> y")
-        source.index(x)
-        table[x] = target._member(y)
+    table = _arrows(_lines(text), source, "x -> y", target._member, "source element")
     return MonotoneMap(source, target, table)
 
 
-def _require_writable(names: Iterable, fmt: str, P: Poset, splits: Tuple[str, ...] = ()) -> None:
-    """Refuse a name that a line format would not read back.
+def _require_writable(names: Iterable, fmt: str, P: Poset, splits: tuple = ()) -> Iterable:
+    """``names``, once none is a name that a line format would not read back.
 
     Every line format strips its names, reads each line alone, ends it at
     ``#`` and splits a map line at its first ``->``; ``splits`` adds what
@@ -772,15 +803,22 @@ def _require_writable(names: Iterable, fmt: str, P: Poset, splits: Tuple[str, ..
             or P._index.get(name) != P.index(e)
         ):
             raise PosetError(f"the {fmt} format cannot write the name {name!r}")
+    return names
+
+
+def _write_arrows(source: Poset, rhs: Callable[[], Iterable], fmt: str) -> str:
+    """The one writer of ``x -> rhs`` lines: one line per element of
+    ``source``, in element order, its right side taken from ``rhs()``.
+    The source names are checked first (see :func:`_require_writable`), and
+    only then is ``rhs`` called, so it may check the names it writes."""
+    _require_writable(source.elements, fmt, P=source)
+    return "\n".join(f"{x} -> {y}" for x, y in zip(source.elements, rhs())) + "\n"
 
 
 def format_map(f: MonotoneMap) -> str:
     """Inverse of :func:`parse_map`; refuses names it cannot read back
     (see :func:`_require_writable`)."""
-    _require_writable(f.source.elements, "map", P=f.source)
-    _require_writable(f.values, "map", P=f.target)
-    lines = [f"{x} -> {y}" for x, y in zip(f.source.elements, f.values)]
-    return "\n".join(lines) + "\n"
+    return _write_arrows(f.source, lambda: _require_writable(f.values, "map", P=f.target), "map")
 
 
 def _dot_quote(s: str) -> str:

@@ -22,25 +22,27 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, List, Optional, Sequence
 
 from .posets import (
-    MonotoneMap, Poset, PosetError, _arrow, _bits, _first_failing_cover, _lines,
-    _require_writable, _unreached, _values,
+    MonotoneMap, Poset, PosetError, _Map, _arrows, _bits, _first_failing_cover, _lines,
+    _require_writable, _unreached, _values, _write_arrows,
 )
 
 FIN_CAP = 100_000
 
 
-class FinMap:
+class FinMap(_Map):
     """A monotone map from a poset into the antichains of a target poset.
 
-    Each value is stored as one mask over the target's elements: the
-    canonical antichain (minimal members) of the value given, made at
-    construction. ``values``, calling the map, :meth:`as_dict`, ``repr`` and
-    the text formats build element tuples from the masks on demand; equality
-    and hashing compare the masks. Monotonicity means: x <= y implies the
-    upward closure of the value at x contains the closure of the value at y.
+    Its cells (see :class:`~ordbench.posets._Map`) are one mask over the
+    target's elements per source element: the canonical antichain (minimal
+    members) of the value given, made at construction. ``values``, calls,
+    :meth:`as_dict`, ``repr`` and the text formats show a mask as the
+    tuple of its members. Monotonicity means: x <= y implies the upward
+    closure of the value at x contains the closure of the value at y.
     """
 
-    __slots__ = ("source", "target", "_masks")
+    __slots__ = ()
+    _not_monotone = ("not monotone into the antichain order: {x!r} <= {y!r} "
+                     "but {fx!r} does not refine to {fy!r}")
 
     def __init__(self, source: Poset, target: Poset, table, *, check: bool = True):
         self.source, self.target = source, target
@@ -50,45 +52,12 @@ class FinMap:
             if not mask:
                 raise PosetError(f"antichain map has an empty value for {x!r}")
             masks.append(target._minimal(mask))
-        self._masks = tuple(masks)
+        self._cells = tuple(masks)
         if check:
             self._check()
 
-    @classmethod
-    def _from_masks(cls, source: Poset, target: Poset, masks: tuple):
-        """Trusted constructor: ``masks`` holds one canonical antichain mask
-        of ``target`` per element of ``source``; nothing is checked."""
-        self = object.__new__(cls)
-        self.source, self.target, self._masks = source, target, masks
-        return self
-
-    def _check(self) -> None:
-        bad = _first_failing_cover(self.source, self.target, self._masks)
-        if bad is not None:
-            x, y = bad
-            raise PosetError(
-                f"not monotone into the antichain order: {x!r} <= {y!r} "
-                f"but {self(x)!r} does not refine to {self(y)!r}"
-            )
-
-    @property
-    def values(self) -> tuple:
-        """The value at each source element, as element tuples in source order."""
-        return tuple(map(self.target._tuple_of, self._masks))
-
-    def __call__(self, x) -> tuple:
-        return self.target._tuple_of(self._masks[self.source.index(x)])
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, FinMap)
-            and self.source == other.source
-            and self.target == other.target
-            and self._masks == other._masks
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.source, self.target, self._masks))
+    def _show(self, mask: int) -> tuple:
+        return self.target._tuple_of(mask)
 
     def __repr__(self) -> str:
         body = ", ".join(
@@ -118,7 +87,7 @@ def eta(P: Poset, x) -> tuple:
 
 
 def eta_map(P: Poset) -> FinMap:
-    return FinMap._from_masks(P, P, tuple(1 << i for i in range(len(P))))
+    return FinMap._of(P, P, tuple(1 << i for i in range(len(P))))
 
 
 def dagger(h: FinMap) -> Callable[[Iterable], tuple]:
@@ -128,14 +97,14 @@ def dagger(h: FinMap) -> Callable[[Iterable], tuple]:
     the members of E. Monotonicity of ``h`` makes restricting to the members
     (rather than the whole upward closure) sound.
     """
-    src, tgt, masks = h.source, h.target, h._masks
+    src, tgt, masks = h.source, h.target, h._cells
     return lambda E: tgt._tuple_of(_extend(tgt, masks, src._mask_of(E)))
 
 
 def smyth_map(r: MonotoneMap) -> Callable[[Iterable], tuple]:
     """The antichain action of a monotone map: the extension (see
     :func:`dagger`) of the unit after ``r``, so image, then normalize."""
-    return dagger(FinMap._from_masks(r.source, r.target, tuple(1 << j for j in r._idx)))
+    return dagger(FinMap._of(r.source, r.target, tuple(1 << j for j in r._cells)))
 
 
 def mu(P: Poset, Q2: Iterable[Iterable]) -> tuple:
@@ -284,7 +253,7 @@ def check_monad_laws(
         raise PosetError("g must have source equal to h's target poset")
     fin = _fin_masks(P)
     Y, Z = h.target, g.target
-    hv, gv = h._masks, g._masks
+    hv, gv = h._cells, g._cells
     if _first_failing_cover(Y, Z, gv) is None:
         return MonadLawsReport(True, True, True)
     gh = [_extend(Z, gv, m) for m in hv]  # the extension of g after h, pointwise
@@ -331,16 +300,16 @@ def canonical_quasi_section(r: MonotoneMap) -> FinMap:
     preimage of the filter of y holds the preimage of every filter above it.
     """
     X, Y = r.source, r.target
-    missing = _unreached(Y, r._idx)
+    missing = _unreached(Y, r._cells)
     if missing:
         raise PosetError(
             f"canonical section needs a surjective map; unreached: {missing!r}"
         )
     fibre = [0] * len(Y)
-    for i, j in enumerate(r._idx):
+    for i, j in enumerate(r._cells):
         fibre[j] |= 1 << i
     # the preimage of a filter is the union of the fibres of its members
-    return FinMap._from_masks(Y, X, tuple(_extend(X, fibre, up) for up in Y._up))
+    return FinMap._of(Y, X, tuple(_extend(X, fibre, up) for up in Y._up))
 
 
 def check_quasi_retraction(r: MonotoneMap, qs: FinMap) -> QuasiSectionReport:
@@ -354,7 +323,7 @@ def check_quasi_retraction(r: MonotoneMap, qs: FinMap) -> QuasiSectionReport:
     X, Y = r.source, r.target
     if qs.source != Y or qs.target != X:
         raise PosetError("qs must map the target of r into antichains of its source")
-    act, sec = [1 << j for j in r._idx], qs._masks
+    act, sec = [1 << j for j in r._cells], qs._cells
     # each scan yields the message of its law's first violation, or None
     retraction = next(
         (f"retraction law fails at {y!r}: image antichain {Y._tuple_of(got)!r} is not {{{y!r}}}"
@@ -363,10 +332,10 @@ def check_quasi_retraction(r: MonotoneMap, qs: FinMap) -> QuasiSectionReport:
     )
     projection = next(
         (f"projection law fails at {x!r}: {x!r} is not above {X._tuple_of(sec[j])!r}"
-         for x, j, down in zip(X.elements, r._idx, X._down) if not sec[j] & down),
+         for x, j, down in zip(X.elements, r._cells, X._down) if not sec[j] & down),
         None,
     )
-    canonical = None if _unreached(Y, r._idx) else canonical_quasi_section(r)._masks == sec
+    canonical = None if _unreached(Y, r._cells) else canonical_quasi_section(r)._cells == sec
     return QuasiSectionReport(
         retraction is None, projection is None, canonical, retraction or projection
     )
@@ -479,11 +448,8 @@ def format_antichain(E, P: Poset) -> str:
 
 def parse_finmap(source: Poset, target: Poset, text: str) -> FinMap:
     """Read an antichain-valued map from ``x -> {y1, y2}`` lines."""
-    table: dict = {}
-    for ln, line in _lines(text):
-        x, rhs = _arrow(ln, line, table, "x -> {y1, y2}")
-        source.index(x)
-        table[x] = parse_antichain(target, rhs)
+    table = _arrows(_lines(text), source, "x -> {y1, y2}",
+                    lambda rhs: parse_antichain(target, rhs), "source element")
     return FinMap(source, target, table)
 
 
@@ -491,9 +457,5 @@ def format_finmap(h: FinMap) -> str:
     """Inverse of :func:`parse_finmap`, values in canonical form; refuses
     names it cannot read back. A value's names are checked as antichain
     members of the target (see :func:`format_antichain`)."""
-    _require_writable(h.source.elements, "finmap", P=h.source)
-    lines = [
-        f"{x} -> {format_antichain(E, h.target)}"
-        for x, E in zip(h.source.elements, h.values)
-    ]
-    return "\n".join(lines) + "\n"
+    return _write_arrows(h.source, lambda: [format_antichain(E, h.target) for E in h.values],
+                         "finmap")

@@ -82,7 +82,7 @@ def path_space(Y: Poset) -> Tuple[Poset, MonotoneMap]:
     pi = Poset._from_covers(tuple(paths), succ)
     r = MonotoneMap._of(pi, Y, tuple(ends))
     assert pi.is_tree()
-    assert not _unreached(Y, r._idx)
+    assert not _unreached(Y, r._cells)
     return pi, r
 
 

@@ -49,9 +49,11 @@ class _Exact:
     keyed by elements (every key is looked up first; a missing element is
     0) or a sequence in element order, whose length is checked after its
     values are read. A text is refused, as it would be read one character
-    per element. Each value is read by :func:`_ratio`, in element order,
-    with its errors, and the subclass's ``_ints(poset, ratios)`` makes
-    ``(D, nums)`` from the ``(index, (p, q))`` pairs.
+    per element, and so is any other table, such as a set, which has no
+    element order, or a generator; the refusal names its type. Each value
+    is read by :func:`_ratio`, in element order, with its errors, and the
+    subclass's ``_ints(poset, ratios)`` makes ``(D, nums)`` from the
+    ``(index, (p, q))`` pairs.
 
     Equality and the hash read the poset, D and the numerators, and the
     ``name:p/q`` entries of the nonzero values are written from the
@@ -63,9 +65,10 @@ class _Exact:
     __slots__ = ("_poset", "_den", "_nums", "_shown")
 
     def __init__(self, poset: Poset, table):
-        if isinstance(table, (str, bytes)):
-            raise ValuationError(f"{type(self).__name__} takes a dict or a sequence, "
-                                 f"not a text; read a text with {self._parser}")
+        text = isinstance(table, (str, bytes))
+        if text or not isinstance(table, (dict, Sequence)):
+            kind = f"text; read a text with {self._parser}" if text else type(table).__name__
+            raise ValuationError(f"{type(self).__name__} takes a dict or a sequence, not a {kind}")
         if isinstance(table, dict):
             given = sorted((poset.index(e), v) for e, v in table.items())
         else:
@@ -661,7 +664,7 @@ def pushforward(r: MonotoneMap, nu: Valuation) -> Valuation:
     if nu.poset != r.source:
         raise ValuationError("valuation does not live on the map's source")
     nums = [0] * len(r.target)
-    for j, k in zip(r._idx, nu._nums):
+    for j, k in zip(r._cells, nu._nums):
         nums[j] += k
     return Valuation._of(r.target, *_lowest_terms(nu._den, nums))
 
@@ -675,11 +678,11 @@ def pushforward_preimage(r: MonotoneMap, nu: Valuation) -> Valuation:
     """
     if nu.poset != r.target:
         raise ValuationError("valuation does not live on the map's target")
-    missing = _unreached(r.target, r._idx)
+    missing = _unreached(r.target, r._cells)
     if missing:
         raise ValuationError(f"map is not surjective; unreached: {missing!r}")
     # the index of each target's first preimage: later entries of a dict win
-    section = {j: i for i, j in reversed(list(enumerate(r._idx)))}
+    section = {j: i for i, j in reversed(list(enumerate(r._cells)))}
     nums = [0] * len(r.source)
     for j, k in enumerate(nu._nums):
         nums[section[j]] = k

@@ -62,3 +62,14 @@ def test_main_counts_the_package_by_default(capsys):
     modules = sorted(p.name for p in (ROOT / "src" / "ordbench").glob("*.py"))
     assert [name for _, name in rows] == modules + ["total"]
     assert int(rows[-1][0]) == sum(int(count) for count, _ in rows[:-1])
+
+
+# The package's code-line budget. A change that needs more lines raises it
+# in the same diff and says in CHANGES.md why, and what it paid with.
+BUDGET = 2148
+
+
+def test_the_package_keeps_to_its_line_budget(capsys):
+    assert code_lines.main(["code_lines.py"]) == 0
+    count, name = capsys.readouterr().out.splitlines()[-1].split()
+    assert name == "total" and int(count) <= BUDGET

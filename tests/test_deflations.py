@@ -20,6 +20,8 @@ from ordbench import (
     eta_map,
     format_quasi_deflation,
     koenig_chain,
+    parse_finmap,
+    parse_map,
     parse_poset,
     parse_quasi_deflation,
     product_qd,
@@ -371,6 +373,69 @@ def test_deflation_parse_errors():
         parse_quasi_deflation(DIAMOND, "a -> {a}\na -> {a}")
     with pytest.raises(PosetError):
         parse_quasi_deflation(DIAMOND, "a -> {zed}")
+
+
+# one fault per text, and the message each map reader gives for it
+SINGLE_FAULTS = [
+    ("a -> {a}\nb", "line 2: expected 'x -> ...', got 'b'"),
+    ("a -> {a}\n -> {a}", "line 2: expected 'x -> ...', got '-> {a}'"),
+    ("a -> ", "line 1: expected 'x -> ...', got 'a ->'"),
+    ("a -> {a}\na -> {a}", "line 2: repeated element 'a'"),
+    ("zz -> {a}", "unknown element: 'zz'"),
+    ("a -> {zz}", "unknown element: 'zz'"),
+    ("control: a", "line 1: expected 'x -> ...', got 'a'"),
+    ("control:", "line 1: expected 'x -> ...', got ''"),
+    ("control: a -> a\ncontrol: a -> b", "line 2: repeated element 'a'"),
+    ("control: zz -> a", "unknown element: 'zz'"),
+    ("control: a -> zz", "unknown element: 'zz'"),
+    ("a -> {a}\nb -> {b}\ntop -> {top}", "antichain map is missing a value for 'bot'"),
+]
+
+
+@pytest.mark.parametrize("text, message", SINGLE_FAULTS)
+def test_each_fault_of_a_deflation_file_has_one_message(text, message):
+    for check in (True, False):
+        with pytest.raises(PosetError) as err:
+            parse_quasi_deflation(DIAMOND, text, check=check)
+        assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "read, text, message",
+    [
+        (parse_map, "bot -> bot\na", "line 2: expected 'x -> y', got 'a'"),
+        (parse_map, "a -> a\na -> a", "line 2: repeated source element 'a'"),
+        (parse_map, "zz -> a", "unknown element: 'zz'"),
+        (parse_map, "a -> zz", "unknown element: 'zz'"),
+        (parse_map, "a -> a", "map is missing a value for 'bot'"),
+        (parse_finmap, "a -> {a}\n-> {a}", "line 2: expected 'x -> {y1, y2}', got '-> {a}'"),
+        (parse_finmap, "a -> {a}\na -> {a}", "line 2: repeated source element 'a'"),
+        (parse_finmap, "zz -> {a}", "unknown element: 'zz'"),
+        (parse_finmap, "a -> {}", "empty antichain in '{}'"),
+        (parse_finmap, "a -> {a}", "antichain map is missing a value for 'bot'"),
+    ],
+)
+def test_each_fault_of_a_map_file_has_one_message(read, text, message):
+    with pytest.raises(PosetError) as err:
+        read(DIAMOND, DIAMOND, text)
+    assert str(err.value) == message
+
+
+def test_the_plain_lines_of_a_deflation_file_are_read_before_its_control_lines():
+    # each fault alone is named as above; of two, the first plain line's
+    # comes first, even below a faulty control line
+    text = "control: a\nb -> {b}\nb -> {b}\n"
+    with pytest.raises(PosetError) as err:
+        parse_quasi_deflation(DIAMOND, text)
+    assert str(err.value) == "line 3: repeated element 'b'"
+    with pytest.raises(PosetError) as err:
+        parse_quasi_deflation(DIAMOND, "control: a\nb -> {b}\n")
+    assert str(err.value) == "line 1: expected 'x -> ...', got 'a'"
+    # every line is read before the deflation is built, so a faulty line
+    # comes before a missing value
+    with pytest.raises(PosetError) as err:
+        parse_quasi_deflation(DIAMOND, "a -> {a}\ncontrol: a -> zz\n")
+    assert str(err.value) == "unknown element: 'zz'"
 
 
 # -- the mask layer against element-tuple references ---------------------------------

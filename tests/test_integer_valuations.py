@@ -407,6 +407,33 @@ def test_a_text_given_as_a_table_is_refused(text):
     assert parse_admissible(T, "kind: admissible\nr:1") == AdmissibleMap(T, (1, 0, 0))
 
 
+@pytest.mark.parametrize(
+    "table, kind",
+    [
+        (lambda: {"1", "0"}, "set"),  # read in hash order, it put the mass on r or on a
+        (lambda: frozenset({"1"}), "frozenset"),
+        (lambda: (v for v in ("1", "0", "0")), "generator"),
+        (lambda: {"r": "1", "a": "0", "b": "0"}.values(), "dict_values"),
+    ],
+)
+def test_a_table_without_an_element_order_is_refused(table, kind):
+    T = parse_poset("elements: r a b\norder: r < a; r < b")
+    refusals = (
+        (lambda: Valuation(T, table()), "Valuation"),
+        (lambda: AdmissibleMap(T, table()), "AdmissibleMap"),
+        (lambda: admissible(T, table()), "AdmissibleMap"),
+        (lambda: check_admissible(T, table()), "AdmissibleMap"),
+    )
+    for call, cls in refusals:
+        assert attempt(call) == (
+            ValuationError, f"{cls} takes a dict or a sequence, not a {kind}"
+        )
+    # a sequence of any kind is read in element order
+    for seq in (["1", "0", "0"], ("1", "0", "0"), [1, 0, 0]):
+        assert Valuation(T, seq) == Valuation(T, {"r": 1})
+        assert AdmissibleMap(T, seq) == AdmissibleMap(T, {"r": 1})
+
+
 def answers(f, writer):
     """What a map answers: its values, its calls, its repr, str and text."""
     source = f.source if isinstance(f, MonotoneMap) else f.tree

@@ -25,14 +25,17 @@ from ordbench import (
     QuasiDeflation,
     T,
     canonical_quasi_section,
+    check_quasi_deflation,
     check_controlled,
     check_quasi_retraction,
     enumerate_posets,
+    eta_map,
     fin_antichains,
     format_code,
     format_map,
     hat_f,
     hat_f_rigidity_check,
+    map_predicates,
     node,
     parse_code,
     parse_map,
@@ -291,3 +294,63 @@ def test_an_unknown_target_is_named_before_a_missing_value(call):
     with pytest.raises(PosetError) as err:
         call()
     assert str(err.value) == "unknown element: 'zz'"
+
+
+# -- every key of a dict names a source element ----------------------------------
+
+
+TABLES = {"a": ["a"], "b": ["b"], "zz": ["a"]}
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: MonotoneMap(CHAIN2, CHAIN2, {"a": "a", "b": "b", "zz": "a"}),
+        lambda: map_predicates(CHAIN2, CHAIN2, {"a": "a", "b": "b", "zz": "a"}),
+        lambda: FinMap(CHAIN2, CHAIN2, TABLES),
+        lambda: FinMap(CHAIN2, CHAIN2, TABLES, check=False),
+        lambda: QuasiDeflation(CHAIN2, TABLES),
+        lambda: QuasiDeflation(CHAIN2, TABLES, check=False),
+        lambda: check_quasi_deflation(CHAIN2, TABLES),
+        # named before a value outside the target, a missing value or an empty one
+        lambda: MonotoneMap(CHAIN2, CHAIN2, {"a": "yy", "zz": "a"}),
+        lambda: map_predicates(CHAIN2, CHAIN2, {"b": "b", "zz": "a"}),
+        lambda: FinMap(CHAIN2, CHAIN2, {"a": [], "b": ["b"], "zz": ["a"]}),
+        lambda: QuasiDeflation(CHAIN2, {"a": ["yy"], "zz": ["a"]}),
+    ],
+)
+def test_a_key_that_names_no_source_element_is_refused_not_dropped(call):
+    with pytest.raises(PosetError) as err:
+        call()
+    assert str(err.value) == "unknown element: 'zz'"
+
+
+# -- one map layer: equality reads what the cells stand for ------------------------
+
+
+def test_maps_with_the_same_cells_are_equal_only_when_shown_alike():
+    # the constant map to b and the constant antichain {a} hold the same cells, (1, 1)
+    point = MonotoneMap(CHAIN2, CHAIN2, {"a": "b", "b": "b"})
+    antichain = FinMap(CHAIN2, CHAIN2, {"a": ["a"], "b": ["a"]})
+    deflation = QuasiDeflation(CHAIN2, {"a": ["a"], "b": ["a"]})
+    assert point._cells == antichain._cells == deflation._cells == (1, 1)
+    assert point != antichain and antichain != point and point != deflation
+    assert antichain == deflation and deflation == antichain
+    assert hash(antichain) == hash(deflation)
+    assert len({point, antichain, deflation}) == 2
+    assert (point.values, antichain.values) == (("b", "b"), (("a",), ("a",)))
+    assert deflation.values == antichain.values and deflation("b") == antichain("b") == ("a",)
+    unit = eta_map(CHAIN2)
+    assert unit == QuasiDeflation(CHAIN2, unit) and hash(unit) == hash(QuasiDeflation(CHAIN2, unit))
+
+
+def test_each_map_words_its_own_refusal_of_a_failing_cover():
+    with pytest.raises(PosetError) as err:
+        MonotoneMap(CHAIN2, CHAIN2, {"a": "b", "b": "a"})
+    assert str(err.value) == "not monotone: 'a' <= 'b' but 'b' !<= 'a'"
+    for make in (lambda t: FinMap(CHAIN2, CHAIN2, t), lambda t: QuasiDeflation(CHAIN2, t)):
+        with pytest.raises(PosetError) as err:
+            make({"a": ["b"], "b": ["a"]})
+        assert str(err.value) == (
+            "not monotone into the antichain order: 'a' <= 'b' but ('b',) does not refine to ('a',)"
+        )
