@@ -27,7 +27,7 @@ from fractions import Fraction
 from functools import cache, reduce
 from itertools import combinations, combinations_with_replacement, compress, repeat
 from math import comb, gcd, lcm
-from operator import and_, le, mul, or_, sub
+from operator import add, and_, le, mul, or_, sub
 from typing import Callable, Collection, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .posets import MonotoneMap, Poset, PosetError, _bits, _unreached
@@ -349,14 +349,18 @@ def _trace_masses(nu: Valuation, mu: Valuation) -> tuple:
     route is taken when ``TRACE_FACTOR * 2^|S|`` is below the number #U of
     upper sets of P; otherwise the traces are the upper sets of P's own
     listing, and all but the carrier are proper. P's listing is made first
-    either way, so ``UPPER_MAX_ELEMENTS`` refuses the same inputs.
+    either way, so ``UPPER_MAX_ELEMENTS`` refuses the same inputs. |S| is at
+    least the larger support, which is counted without listing S, so S is
+    listed only when that count leaves the subposet route open.
     """
     P = nu.poset
     listing = P._upper_masks()
     D, ints = _common((nu, mu))
-    idx = list(compress(range(len(P.elements)), map(or_, *ints)))
-    if TRACE_FACTOR << len(idx) >= len(listing[0]):
-        return D, _mass_rows(ints, listing), listing[0], len(listing[0]) - 1
+    U, n, (a, b) = len(listing[0]), len(P.elements), ints
+    whole = TRACE_FACTOR << n - min(a.count(0), b.count(0)) >= U
+    idx = [] if whole else list(compress(range(n), map(or_, a, b)))
+    if whole or TRACE_FACTOR << len(idx) >= U:
+        return D, _mass_rows(ints, listing), listing[0], U - 1
     # element k of P|S is element idx[k] of P, with its masks over the k
     up, down = (
         tuple([sum([1 << k for k, j in enumerate(idx) if r[i] >> j & 1]) for i in idx])
@@ -693,31 +697,34 @@ def pushforward_preimage(r: MonotoneMap, nu: Valuation) -> Valuation:
 # -- grids ---------------------------------------------------------------------
 
 
-def _compositions(total: int, parts: int) -> List[tuple]:
-    """Every ``parts``-tuple of naturals summing to ``total``, lexicographically.
-
-    Stars and bars: the partial sums of the first ``parts - 1`` parts are a
-    nondecreasing sequence in [0, total], and ``combinations_with_replacement``
-    lists those sequences in the lexicographic order the parts need. The
-    sequences are read column by column: with a column of ``total`` after
-    them, part k is cut column k minus cut column k - 1 (zero for k = 0),
-    and the points are the rows of the part columns. No recursion, and no
-    Python loop per point.
-    """
-    count = comb(total + parts - 1, parts - 1)
-    cuts = [*zip(*combinations_with_replacement(range(total + 1), parts - 1)), (total,) * count]
-    return list(zip(*map(map, repeat(sub), cuts, [(0,) * count, *cuts])))
-
-
 def _require_denominator(N: int) -> None:
     if not isinstance(N, int) or N < 1:
         raise ValuationError("grid denominator must be a positive integer")
 
 
+def _cuts(total: int, parts: int) -> List[tuple]:
+    """Every ``parts``-tuple of naturals summing to ``total``,
+    lexicographically, in stars-and-bars form: ``cuts[k][i]`` is the sum of
+    the first k parts of tuple i, so ``cuts[0]`` is all 0, ``cuts[parts]``
+    all ``total``, and part k of tuple i is ``cuts[k + 1][i] - cuts[k][i]``.
+
+    The inner cuts of a tuple are a nondecreasing sequence in [0, total],
+    and ``combinations_with_replacement`` lists those sequences in the
+    lexicographic order of the tuples; they are read column by column. No
+    recursion, and no Python object is kept per tuple: its row of parts is
+    made only by :func:`_compositions`, for callers that need every tuple,
+    and by :func:`_point`, for the ones a caller returns or visits.
+    """
+    count = comb(total + parts - 1, parts - 1)
+    inner = zip(*combinations_with_replacement(range(total + 1), parts - 1))
+    return [(0,) * count, *inner, (total,) * count]
+
+
 def _grid_points(P: Poset, N: int) -> List[tuple]:
-    """The grid of :func:`grid` as integer compositions of ``N`` (the weights
-    times N), lexicographically, once ``N``, ``P`` and the count pass. This
-    is the one place ``GRID_CAP`` is read: every grid consumer obeys it."""
+    """The grid of :func:`grid` as the cut columns of the compositions of
+    ``N`` into one part per element (the weights times N, see
+    :func:`_cuts`), once ``N``, ``P`` and the count pass. This is the one
+    place ``GRID_CAP`` is read: every grid consumer obeys it."""
     cap = GRID_CAP
     _require_denominator(N)
     n = len(P.elements)
@@ -728,17 +735,31 @@ def _grid_points(P: Poset, N: int) -> List[tuple]:
         raise ValuationError(
             f"grid would hold {count} valuations, above the cap of {cap}"
         )
-    return _compositions(N, n)
+    return _cuts(N, n)
 
 
-def _grid_moves(P: Poset, N: int, points: List[tuple]) -> tuple:
-    """``(find, moves)`` on ``points``, grid points closed upward (the whole
-    grid or an upper set of it): ``find(p)`` is the index of the grid point
-    p among them, and ``moves(i)`` the indices of the points one unit move
-    above point i, made when asked for. This is the one place grid points
-    are keyed and moved. A caller that asks for a point's moves more than
-    once keeps them itself: making a ``functools.cache`` takes microseconds,
-    which shows on small grids.
+def _compositions(cuts: Sequence[Sequence[int]]) -> List[tuple]:
+    """Every tuple of the cut columns ``cuts`` (see :func:`_cuts`) as a row
+    of parts, in their order: part column k is cut column k + 1 minus cut
+    column k, and the rows are those columns transposed. No Python loop per
+    tuple."""
+    return list(zip(*map(map, repeat(sub), cuts[1:], cuts)))
+
+
+def _point(cuts: Sequence[Sequence[int]], i: int) -> tuple:
+    """Point ``i`` of the cut columns ``cuts`` as a row of counts."""
+    return tuple([b[i] - a[i] for a, b in zip(cuts, cuts[1:])])
+
+
+def _grid_moves(P: Poset, N: int, cuts: Sequence[Sequence[int]]) -> tuple:
+    """``(find, moves)`` on the points of the cut columns ``cuts`` (see
+    :func:`_grid_points`), grid points closed upward (the whole grid or an
+    upper set of it): ``find(p)`` is the index of the grid point p, a row
+    of counts, among them, and ``moves(i)`` the indices of the points one
+    unit move above point i, made when asked for. This is the one place
+    grid points are keyed and moved. A caller that asks for a point's moves
+    more than once keeps them itself: making a ``functools.cache`` takes
+    microseconds, which shows on small grids.
 
     A move takes one unit (1/N) from an element x that holds some to an
     upper cover y of x. The moves generate the grid order: a point p sits
@@ -747,24 +768,27 @@ def _grid_moves(P: Poset, N: int, points: List[tuple]) -> tuple:
     route x -> z with x < z can be cut to x -> y with x covered by y <= z,
     and the point after that move still lies below q. Each point is keyed
     by its counts read as digits in base N + 1, so a move adds
-    (N+1)^y - (N+1)^x to the key. O(M * n) for the keys of M points, then
+    (N+1)^y - (N+1)^x to the key. Summed by parts, with c_k the k-th cut
+    column and d_k = (N+1)^k, the key is N * d_(n-1) plus c_k * (d_(k-1) -
+    d_k) over the n - 1 inner cuts: one bulk pass per inner cut keys every
+    point, and no row is made. O(M * n) for the keys of M points, then
     O(covers) per point moved.
     """
     digit = [(N + 1) ** x for x in range(len(P.elements))]
-    steps = [
-        (x, digit[y] - digit[x])
-        for x, covers in enumerate(P._cover_masks())
-        for y in _bits(covers)
-    ]
-    keys = [sum(map(mul, p, digit)) for p in points]
+    up = P._cover_masks()
+    # a move from x to y is open to point i iff cut columns x and x + 1 differ at i
+    steps = [(cuts[x], cuts[x + 1], digit[y] - digit[x]) for x in range(len(up)) for y in _bits(up[x])]
+    keys = [N * digit[-1]] * len(cuts[0])
+    for c, d in zip(cuts[1:-1], map(sub, digit, digit[1:])):
+        keys = list(map(add, keys, map(mul, c, repeat(d))))
     index = dict(zip(keys, range(len(keys))))
 
     def find(p: Sequence[int]) -> int:
         return index[sum(map(mul, p, digit))]
 
     def moves(i: int) -> List[int]:
-        p, key = points[i], keys[i]
-        return [index[key + step] for x, step in steps if p[x]]
+        key = keys[i]
+        return [index[key + step] for lo, hi, step in steps if hi[i] != lo[i]]
 
     return find, moves
 
@@ -775,11 +799,11 @@ def _grid_valuations(P: Poset, N: int, points: Iterable[tuple]) -> List[Valuatio
 
 
 def _grid_masses(P: Poset, N: int, vals: Sequence[Valuation]) -> tuple:
-    """``(points, tops, W, ones, X, S)``: the grid points of ``P`` and ``N``
-    (see :func:`_grid_points`), the integer upper-set mass rows ``tops`` of
-    ``vals``, and the masses and supports of every point, packed. All masses
-    are over one denominator D, the lcm of N and of the denominators of
-    ``vals``. The upper-set limit is checked first.
+    """``(cuts, tops, W, ones, X, S)``: the grid of ``P`` and ``N`` as cut
+    columns (see :func:`_grid_points`), the integer upper-set mass rows
+    ``tops`` of ``vals``, and the masses and supports of every point,
+    packed. All masses are over one denominator D, the lcm of N and of the
+    denominators of ``vals``. The upper-set limit is checked first.
 
     The points are held column by column: for each element, one integer
     with a field of B = 8W bits per point, point i in bits B * i up to
@@ -801,24 +825,34 @@ def _grid_masses(P: Poset, N: int, vals: Sequence[Valuation]) -> tuple:
     difference fits in its own B bits, so subtracting ``y * ones`` borrows
     nothing across fields, and the top bit of the difference is set iff
     x + h - y >= h, that is iff x >= y.
+
+    The columns come straight from the cuts, with no row per point: each
+    inner cut column is packed once, the count column of element k is
+    packed cut k + 1 minus packed cut k (a point's cuts never decrease, so
+    no field borrows), and its support column is the guard test at y = 1
+    on the counts, shifted down to the field's low bit.
     """
     listing = P._upper_masks()
-    points = _grid_points(P, N)
+    cuts = _grid_points(P, N)
     D, ints = _common(vals, N)
     W = (D + 1).bit_length() // 8 + 1
     V = (N.bit_length() + 7) // 8  # the bytes of a count, at most W
+    B, M = 8 * W, len(cuts[0])
 
     def packed(column) -> int:
         raw = bytes(column) if V == 1 else b"".join(map(int.to_bytes, column, repeat(V), repeat("little")))
-        fields = bytearray(len(points) * W)
+        fields = bytearray(M * W)
         for j in range(V):
             fields[j::W] = raw[j::V]
         return int.from_bytes(fields, "little")
 
-    columns = list(zip(*points))
-    supports = [packed(map(bool, c)) for c in columns]
-    *tops, X, S = _mass_rows([*ints, [packed(c) * (D // N) for c in columns], supports], listing)
-    return points, tops, W, packed([1] * len(points)), X, S
+    ones = int.from_bytes((1).to_bytes(W, "little") * M, "little")
+    guard = ones << B - 1
+    packs = [0, *map(packed, cuts[1:-1]), N * ones]
+    counts = list(map(sub, packs[1:], packs))
+    supports = [((c | guard) - ones & guard) >> B - 1 for c in counts]
+    *tops, X, S = _mass_rows([*ints, [c * (D // N) for c in counts], supports], listing)
+    return cuts, tops, W, ones, X, S
 
 
 def grid(P: Poset, N: int) -> List[Valuation]:
@@ -828,7 +862,7 @@ def grid(P: Poset, N: int) -> List[Valuation]:
     ``GRID_CAP`` raises ValuationError before any point is built. Costs
     O(M * n).
     """
-    return _grid_valuations(P, N, _grid_points(P, N))
+    return _grid_valuations(P, N, _compositions(_grid_points(P, N)))
 
 
 def grid_poset(P: Poset, N: int) -> Poset:
@@ -852,10 +886,10 @@ def grid_poset(P: Poset, N: int) -> Poset:
     grid point lies strictly between p and q. Distinct covers give distinct
     moves, so no move is listed twice.
     """
-    points = _grid_points(P, N)
-    _, moves = _grid_moves(P, N, points)
-    succ = list(map(moves, range(len(points))))
-    return Poset._from_covers(tuple(_grid_valuations(P, N, points)), succ)
+    cuts = _grid_points(P, N)
+    _, moves = _grid_moves(P, N, cuts)
+    succ = list(map(moves, range(len(cuts[0]))))
+    return Poset._from_covers(tuple(_grid_valuations(P, N, _compositions(cuts))), succ)
 
 
 def minimal_upper_bounds_grid(v1: Valuation, v2: Valuation, N: int) -> List[Valuation]:
@@ -869,19 +903,21 @@ def minimal_upper_bounds_grid(v1: Valuation, v2: Valuation, N: int) -> List[Valu
     masses. The bounds form an upper set of the grid, so a bound is minimal
     iff no other bound reaches it in one unit move, and the moves of the
     bounds alone land on bounds (see :func:`_grid_moves`): O(K * (n +
-    covers)) for K bounds, and no pairwise scan. Held to ``GRID_CAP``
-    points.
+    covers)) for K bounds, and no pairwise scan. The bounds' cut columns
+    are picked out of the grid's, and only the bounds get rows. Held to
+    ``GRID_CAP`` points.
     """
     P = _require_same_poset(v1, v2)
-    points, (lo1, lo2), W, ones, X, _ = _grid_masses(P, N, (v1, v2))
+    cuts, (lo1, lo2), W, ones, X, _ = _grid_masses(P, N, (v1, v2))
     guard = bound = ones << 8 * W - 1
     for x, y in zip(X, map(max, lo1, lo2)):
         bound &= (x | guard) - y * ones
     # a guard bit is the top bit of its field's last byte
-    bounds = list(compress(points, bound.to_bytes(len(points) * W, "little")[W - 1 :: W]))
+    picked = bound.to_bytes(len(cuts[0]) * W, "little")[W - 1 :: W]
+    bounds = [list(compress(c, picked)) for c in cuts]
     _, moves = _grid_moves(P, N, bounds)
-    beaten = {j for i in range(len(bounds)) for j in moves(i)}
-    return _grid_valuations(P, N, [p for j, p in enumerate(bounds) if j not in beaten])
+    beaten = {j for i in range(len(bounds[0])) for j in moves(i)}
+    return _grid_valuations(P, N, [p for j, p in enumerate(_compositions(bounds)) if j not in beaten])
 
 
 def tightly_below(mu: Valuation, nu: Valuation) -> bool:
@@ -954,9 +990,10 @@ def _maximal_below(P: Poset, N: int, targets: Sequence[Valuation]) -> Iterator[L
     every point below it. So each point kept is maximal among all the tight
     points. Every point dropped lies below a kept one, so every maximal
     point is kept; and the points a climb visits are dropped after it, so
-    each tight point is visited once at most.
+    each tight point is visited once at most. Only the maximal points get
+    rows (see :func:`_point`).
     """
-    points, tops, W, ones, X, S = _grid_masses(P, N, targets)
+    cuts, tops, W, ones, X, S = _grid_masses(P, N, targets)
     B = 8 * W
     guard, low = ones << B - 1, (1 << B - 1) - 1
     # the empty set and the carrier hold the same masses for every point
@@ -972,10 +1009,10 @@ def _maximal_below(P: Poset, N: int, targets: Sequence[Valuation]) -> Iterator[L
                 i = (heavier & -heavier).bit_length() - 1
                 row = [xg >> i - B + 1 & low for xg in XG]
                 heavier = reduce(and_, [xg - y * ones for xg, y in zip(XG, row)], left ^ 1 << i)
-            maximal.append(points[i // B])
+            maximal.append(i // B)
             # keep the points left that are heavier than i somewhere
             left &= reduce(or_, [xg - (y + 1) * ones for xg, y in zip(XG, row)], 0)
-        yield _grid_valuations(P, N, sorted(maximal))
+        yield _grid_valuations(P, N, [_point(cuts, i) for i in sorted(maximal)])
 
 
 # -- deliberately broken rounding schemes --------------------------------------
@@ -1096,8 +1133,8 @@ def failed_deflation_b(nu: Valuation, N: int) -> WeightRounding:
     whose image is not above i's image closes the search: O(M) per point
     until the first witness, in O(M * covers) memory. A point's image and
     unit moves are made when the search first reaches it, and kept, so the
-    points it never reaches cost only their listing and their keys (see
-    :func:`_grid_moves`). Held to ``GRID_CAP`` points.
+    points it never reaches cost only their cut columns and their keys (see
+    :func:`_grid_moves`), and no row. Held to ``GRID_CAP`` points.
     """
     P = nu.poset
     _require_pointed(P)
@@ -1110,18 +1147,18 @@ def failed_deflation_b(nu: Valuation, N: int) -> WeightRounding:
         return tuple(image)
 
     rounded = _grid_valuations(P, N, [to_bottom(nu._nums, nu._den)])[0]
-    points = _grid_points(P, N)
+    cuts = _grid_points(P, N)
     if N < 2 or not any(c for x, c in enumerate(P._cover_masks()) if x != bot):
         return WeightRounding(rounded=rounded, witness=None)
-    find, moves = _grid_moves(P, N, points)
+    find, moves = _grid_moves(P, N, cuts)
     moves = cache(moves)
-    image = cache(lambda i: find(to_bottom(points[i], N)))
+    image = cache(lambda i: find(to_bottom(_point(cuts, i), N)))
     witness = None
-    for i in range(len(points)):
+    for i in range(len(cuts[0])):
         above = _reach(moves, image(i))
         failed = [j for j in _reach(moves, i) if image(j) not in above]
         if failed:
-            witness = tuple(_grid_valuations(P, N, (points[i], points[min(failed)])))
+            witness = tuple(_grid_valuations(P, N, (_point(cuts, i), _point(cuts, min(failed)))))
             break
     return WeightRounding(rounded=rounded, witness=witness)
 

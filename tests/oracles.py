@@ -393,6 +393,35 @@ def dominance_grid(P, N):
     ]
 
 
+def lex_compositions(N, n):
+    """The n-tuples of naturals summing to N, lexicographically, by
+    recursion on the first part."""
+    if n == 1:
+        yield (N,)
+        return
+    for k in range(N + 1):
+        for rest in lex_compositions(N - k, n - 1):
+            yield (k, *rest)
+
+
+def grid_point_masses(P, N, vals):
+    """``(D, rows)``: D the lcm of N and the denominators of ``vals``, and
+    for each brute-force upper set of P, keyed by its mask of element
+    indices, the masses over D of ``vals`` on it, then for each grid point
+    (lexicographic in its counts) its mass over D on the set and the number
+    of the set's elements where it is positive, each read from the point's
+    row of counts."""
+    D = lcm(N, *(w.denominator for v in vals for w in v.weights))
+    points = list(lex_compositions(N, len(P.elements)))
+    rows = {}
+    for U in brute_upper_sets(P):
+        idx = [P.index(x) for x in U]
+        tops = tuple(int(sum(v.weights[i] for i in idx) * D) for v in vals)
+        each = [(sum(p[i] for i in idx) * (D // N), sum(1 for i in idx if p[i])) for p in points]
+        rows[sum(1 << i for i in idx)] = (tops, each)
+    return D, rows
+
+
 def _dominance_rows(vals):
     """Each valuation's mass on every brute-force upper set of their poset,
     each set summed directly, in integers over the lcm of all denominators."""

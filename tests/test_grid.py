@@ -28,16 +28,27 @@ from ordbench import (
     parse_poset,
     stochastic_leq,
 )
-from ordbench.valuations import _compositions, _grid_moves, _grid_points, _maximal_below
+from ordbench.valuations import (
+    _compositions,
+    _cuts,
+    _grid_masses,
+    _grid_moves,
+    _grid_points,
+    _maximal_below,
+    _point,
+)
 
 from oracles import (
     bottom_rounding,
     brute_covers,
     brute_posets,
+    dominance_grid,
     dominance_grid_order,
     dominance_maximal_below,
     dominance_minimal_upper_bounds,
     dominance_rounding_witness,
+    grid_point_masses,
+    lex_compositions,
 )
 
 DIAMOND = parse_poset("elements: bot a b top\norder: bot < a; bot < b; a < top; b < top")
@@ -82,8 +93,10 @@ def test_unit_moves_are_the_covers_of_the_dominance_order():
     for n in range(1, 5):
         for P in brute_posets(n):
             for N in (1, 2, 3) if n < 4 else (1, 2):
-                points = _grid_points(P, N)
-                _, moves = _grid_moves(P, N, points)
+                cuts = _grid_points(P, N)
+                points = _compositions(cuts)
+                assert points == [tuple(int(w * N) for w in v.weights) for v in dominance_grid(P, N)]
+                _, moves = _grid_moves(P, N, cuts)
                 slow = Poset._from_masks(tuple(range(len(points))), *dominance_grid_order(P, N))
                 want = [(i, j) for i in range(len(points)) for j in sorted(moves(i))]
                 assert brute_covers(slow) == want
@@ -149,10 +162,11 @@ def test_a_unit_move_breaks_the_bottom_rounding_exactly_by_the_move_rule():
                 image[bot] = N - (sum(image) - image[bot])
                 return [sum(image[i] for i in range(n) if m >> i & 1) for m in masks]
 
-            points = _grid_points(P, N)
-            find, above = _grid_moves(P, N, points)
+            cuts = _grid_points(P, N)
+            points = _compositions(cuts)
+            find, above = _grid_moves(P, N, cuts)
             for i, p in enumerate(points):
-                assert find(p) == i
+                assert find(p) == i and _point(cuts, i) == p
                 for q in map(points.__getitem__, above(i)):
                     x = next(i for i in range(n) if q[i] < p[i])
                     y = next(i for i in range(n) if q[i] > p[i])
@@ -201,7 +215,13 @@ def test_compositions_match_a_filtered_product():
     for n in range(1, 6):
         for N in range(6):
             want = sorted(t for t in itertools.product(range(N + 1), repeat=n) if sum(t) == N)
-            assert _compositions(N, n) == want, (n, N)
+            cuts = _cuts(N, n)
+            # the cut columns are the partial sums of the parts, 0 first
+            assert cuts == [tuple(sum(t[:k]) for t in want) for k in range(n + 1)], (n, N)
+            assert _compositions(cuts) == want, (n, N)
+            assert [_point(cuts, i) for i in range(len(want))] == want, (n, N)
+            if N:
+                assert _grid_points(Poset(range(n), []), N) == cuts, (n, N)
 
 
 # D + 1 on either side of a byte or word boundary, D the common denominator
@@ -237,6 +257,60 @@ def test_packed_grid_fields_at_every_width():
                 assert list(_maximal_below(P, N, targets)) == [
                     dominance_maximal_below(t, N) for t in targets
                 ], (P, q, N)
+
+
+def _fields(x, M, W):
+    """The M fields of W bytes of the packed integer ``x``, low field first."""
+    raw = x.to_bytes(M * W, "little")
+    return [int.from_bytes(raw[i : i + W], "little") for i in range(0, M * W, W)]
+
+
+def _check_packed_masses(P, N, vals):
+    """``_grid_masses`` field by field against the per-point oracle."""
+    D, want = grid_point_masses(P, N, vals)
+    cuts, tops, W, ones, X, S = _grid_masses(P, N, vals)
+    M = len(cuts[0])
+    assert _compositions(cuts) == list(lex_compositions(N, len(P.elements)))
+    # W is the least width whose fields hold D + 1 below their guard bit
+    assert D + 1 < 2 ** (8 * W - 1) and (W == 1 or D + 1 >= 2 ** (8 * W - 9)), (D, W)
+    assert _fields(ones, M, W) == [1] * M
+    masks = P._upper_masks()[0]
+    assert sorted(masks) == sorted(want)
+    for u, m in enumerate(masks):
+        assert tuple(top[u] for top in tops) == want[m][0], (P, N, m)
+        assert list(zip(_fields(X[u], M, W), _fields(S[u], M, W))) == want[m][1], (P, N, m)
+    return W
+
+
+def test_packed_masses_match_a_per_point_oracle():
+    rng = random.Random(33)
+    for P in _pointed_posets(4):
+        elements = list(P.elements)
+        rng.shuffle(elements)
+        P = Poset(elements, P.covers())
+        for N in range(1, 5):
+            vals = [_valuation(rng, P, rng.choice((4, 5, 7))) for _ in range(2)]
+            _check_packed_masses(P, N, vals)
+
+
+def test_packed_masses_with_two_byte_counts():
+    # at N = 256 a count needs two bytes; at 255 one byte, in two-byte fields
+    P = Poset(["a", "bot", "b"], [("bot", "a"), ("bot", "b")])
+    rng = random.Random(256)
+    for N in (255, 256):
+        vals = [_valuation(rng, P, 5), dirac(P, "a")]
+        assert _check_packed_masses(P, N, vals) == 2
+        assert len(_grid_points(P, N)[0]) == (N + 1) * (N + 2) // 2
+
+
+def test_bounds_and_approximants_with_two_byte_counts():
+    P = _chain(2)
+    N = 256
+    rng = random.Random(2)
+    for _ in range(3):
+        v1, v2 = _valuation(rng, P, 7), _valuation(rng, P, 5)
+        assert minimal_upper_bounds_grid(v1, v2, N) == dominance_minimal_upper_bounds(v1, v2, N)
+        assert maximal_below_grid(v1, N) == dominance_maximal_below(v1, N)
 
 
 def test_upper_bounds_and_approximants_take_memory_linear_in_the_grid():

@@ -179,3 +179,33 @@ def test_the_queries_list_no_more_upper_sets_than_the_supports_span(monkeypatch)
         del seen[:]
         stochastic_leq(nu, mu, mode="oracle")
         assert seen and max(seen) <= span
+
+
+def test_the_route_is_chosen_by_the_union_of_the_supports(monkeypatch):
+    # the larger support is counted first, and S is listed only when that
+    # count leaves the subposet route open; the route is still the one
+    # |S| gives. On a width-6 antichain under a bottom (65 upper sets), one
+    # support of 4 closes the route at once (8 * 2^4 >= 65); two disjoint
+    # supports of 3 pass the first count (8 * 2^3 < 65) but their union of
+    # 6 closes it; two equal supports of 3 take it.
+    kernel, taken = valuations._mass_rows, []
+
+    def spy(ints, listing):
+        taken.append(listing is not P._upper_masks())
+        return kernel(ints, listing)
+
+    monkeypatch.setattr(valuations, "_mass_rows", spy)
+    rng = random.Random(6)
+    P = bottom_antichain(6)
+    crafted = [
+        (P, weights(rng, P, ["a0", "a1", "a2", "a3"]), weights(rng, P, ["a0"])),
+        (P, weights(rng, P, ["a0", "a1", "a2"]), weights(rng, P, ["a3", "a4", "a5"])),
+        (P, weights(rng, P, ["a0", "a1", "a2"]), weights(rng, P, ["a2", "a1", "a0"])),
+    ]
+    routes = []
+    for P, a, b in [*crafted, *cases(3)]:
+        del taken[:]
+        valuations._trace_masses(Valuation(P, a), Valuation(P, b))
+        assert taken == [subposet_route(P, a, b)], (P, a, b)
+        routes.append(taken[0])
+    assert routes[:3] == [False, False, True] and set(routes[3:]) == {True, False}
