@@ -406,18 +406,26 @@ class Poset:
         """Every upward-closed subset, the empty set and the carrier included.
 
         Listed in increasing bitmask order over element indices, which is
-        deterministic for a fixed element order. Each set is built from its
-        parent in the listing (see :meth:`_upper_masks`) by one union with
-        the singleton of the added element, made once per element, so the
-        work is one union per upper set listed, but an antichain of ``n``
-        elements has ``2^n`` of them, so posets with more than
-        ``UPPER_MAX_ELEMENTS`` elements are refused.
+        deterministic for a fixed element order, and built from the parent
+        table (see :meth:`_frozensets`): one union per upper set listed, but
+        an antichain of ``n`` elements has ``2^n`` of them, so posets with
+        more than ``UPPER_MAX_ELEMENTS`` elements are refused.
         """
+        return self._frozensets(range(1, len(self._upper_masks()[0])))
+
+    def _frozensets(self, wanted: Iterable[int]) -> list:
+        """The upper sets at the indices ``wanted`` of the listing of
+        :meth:`_upper_masks`, as frozensets in a list indexed like the
+        listing (the empty set at every other index). ``wanted`` must be
+        increasing and hold the parent of each of its members but 0, the
+        empty set: each set is its parent's set joined with the singleton of
+        its added element, and the singletons are made once, so the work is
+        one union per set made."""
         _, parent, added = self._upper_masks()
         single = [frozenset((x,)) for x in self.elements]
-        sets = [frozenset()]
-        for p, x in zip(parent[1:], added[1:]):
-            sets.append(sets[p] | single[x])
+        sets = [frozenset()] * len(parent)
+        for u in wanted:
+            sets[u] = sets[parent[u]] | single[added[u]]
         return sets
 
     # -- antichains and the Smyth preorder ---------------------------------

@@ -55,9 +55,12 @@ class _Exact:
     subclass's ``_ints(poset, ratios)`` makes ``(D, nums)`` from the
     ``(index, (p, q))`` pairs.
 
-    Equality and the hash read the poset, D and the numerators, and the
-    ``name:p/q`` entries of the nonzero values are written from the
-    integers (see :func:`_spelled`). ``_shown`` caches the public values, a
+    Equality reads D, the numerators and then the poset; the hash reads D
+    and the numerators only, so equal values hash equal and hashing never
+    hashes the poset, which :meth:`Poset.__hash__` would rebuild on every
+    call (a grid hashes one valuation per point). The ``name:p/q`` entries
+    of the nonzero values are written from the integers (see
+    :func:`_spelled`). ``_shown`` caches the public values, a
     tuple of ``Fraction(k, D)`` built on first use with one Fraction per
     distinct numerator (see :func:`_fractions`).
     """
@@ -102,7 +105,7 @@ class _Exact:
         return self._den == other._den and self._nums == other._nums and self._poset == other._poset
 
     def __hash__(self) -> int:
-        return hash((self._poset, self._den, self._nums))
+        return hash((self._den, self._nums))
 
 
 def _fractions(nums: Sequence[int], D: int) -> Tuple[Fraction, ...]:
@@ -602,21 +605,29 @@ def way_below_report(nu: Valuation, mu: Valuation) -> WayBelowReport:
     The scan of :func:`_strict_gaps` labels traces; a failing report then
     walks P's own listing once and keeps each proper upper set whose trace
     on the supports, ``m & S``, was labelled, so the violations come in P's
-    listing order whichever listing the scan ran over.
+    listing order whichever listing the scan ran over. Their sets are made
+    from the parent table, each from its parent's set, along the parent
+    chains of the violations only (see :meth:`~Poset._frozensets`), and
+    their masses with one Fraction per distinct numerator.
     """
     masks, D, (a, b), kinds = _strict_gaps(nu, mu)
     found = {m: (kind, x, y) for kind, m, x, y in zip(kinds, masks, a, b) if kind}
     if not found:
         return WayBelowReport(True)
     P, S = nu.poset, masks[-1]
-    uppers = P._upper_masks()[0][:-1]
-    violations = []
-    for m in compress(uppers, map(found.__contains__, map(S.__and__, uppers))):
-        kind, x, y = found[m & S]
-        violations.append(
-            {"kind": kind, "upper": P._set_of(m), "lhs": Fraction(x, D), "rhs": Fraction(y, D)}
-        )
-    return WayBelowReport(False, tuple(violations))
+    uppers, parent, _ = P._upper_masks()
+    hits = list(compress(range(len(uppers) - 1), map(found.__contains__, map(S.__and__, uppers))))
+    chains = set()
+    for u in hits:
+        while u and u not in chains:
+            chains.add(u)
+            u = parent[u]
+    sets = P._frozensets(sorted(chains))
+    made = {k: Fraction(k, D) for k in {k for _, x, y in found.values() for k in (x, y)}}
+    return WayBelowReport(False, tuple(
+        {"kind": kind, "upper": sets[u], "lhs": made[x], "rhs": made[y]}
+        for u in hits for kind, x, y in [found[uppers[u] & S]]
+    ))
 
 
 @dataclass(frozen=True)
@@ -1128,13 +1139,23 @@ def failed_deflation_b(nu: Valuation, N: int) -> WeightRounding:
     transitive, so a witness exists iff some move breaks: iff N >= 2 and
     some non-bottom element has an upper cover (2 units on it, the rest on
     bottom). Without one the answer costs the listing of the points, O(M *
-    n). With one, for each point i in turn, the points above i and above
-    its image are walked along the unit moves, and the least j above i
-    whose image is not above i's image closes the search: O(M) per point
-    until the first witness, in O(M * covers) memory. A point's image and
-    unit moves are made when the search first reaches it, and kept, so the
-    points it never reaches cost only their cut columns and their keys (see
-    :func:`_grid_moves`), and no row. Held to ``GRID_CAP`` points.
+    n).
+
+    With one, the points are taken in turn. The points above point i are
+    walked along the unit moves, and i is skipped unless one of them is the
+    source of a breaking move. If none is, every move among them keeps the
+    image order, and as the moves generate the grid order, every point
+    above i has its image above i's: i has no witness. Otherwise the points
+    above i's image are walked too, and the least j above i whose image is
+    not above i's image closes the search. That is O(M) per point until the
+    first witness, in O(M * covers) memory. Where the element order extends
+    P's order, a move lowers a point's place in the listing, so the points
+    before the first breaking source are all skipped and that source is
+    the first point tested, which has a witness: the image is walked once.
+    A point's image, unit moves and source test are made when the search
+    first reaches it, and kept, so the points it never reaches cost only
+    their cut columns and their keys (see :func:`_grid_moves`), and no row.
+    Held to ``GRID_CAP`` points.
     """
     P = nu.poset
     _require_pointed(P)
@@ -1148,19 +1169,25 @@ def failed_deflation_b(nu: Valuation, N: int) -> WeightRounding:
 
     rounded = _grid_valuations(P, N, [to_bottom(nu._nums, nu._den)])[0]
     cuts = _grid_points(P, N)
-    if N < 2 or not any(c for x, c in enumerate(P._cover_masks()) if x != bot):
+    # the move rule reads the cut columns of x off bottom and of its upper cover y
+    arcs = [(x, y) for x, c in enumerate(P._cover_masks()) if x != bot for y in _bits(c)]
+    rules = [(cuts[x], cuts[x + 1], cuts[y], cuts[y + 1]) for x, y in arcs]
+    if N < 2 or not rules:
         return WeightRounding(rounded=rounded, witness=None)
     find, moves = _grid_moves(P, N, cuts)
     moves = cache(moves)
     image = cache(lambda i: find(to_bottom(_point(cuts, i), N)))
-    witness = None
+    # point i is the source of a breaking move: p[x] >= 2 and p[y] = 0
+    breaks = cache(lambda i: any(b[i] - a[i] > 1 and c[i] == d[i] for a, b, c, d in rules))
     for i in range(len(cuts[0])):
-        above = _reach(moves, image(i))
-        failed = [j for j in _reach(moves, i) if image(j) not in above]
-        if failed:
-            witness = tuple(_grid_valuations(P, N, (_point(cuts, i), _point(cuts, min(failed)))))
-            break
-    return WeightRounding(rounded=rounded, witness=witness)
+        up = _reach(moves, i)
+        if any(map(breaks, up)):
+            above = _reach(moves, image(i))
+            failed = [j for j in up if image(j) not in above]
+            if failed:
+                witness = _grid_valuations(P, N, (_point(cuts, i), _point(cuts, min(failed))))
+                return WeightRounding(rounded=rounded, witness=tuple(witness))
+    return WeightRounding(rounded=rounded, witness=None)
 
 
 @dataclass(frozen=True)

@@ -502,6 +502,43 @@ def dominance_rounding_witness(P, N):
     return None
 
 
+def reference_rounding_witness(P, N):
+    """The first witness of :func:`dominance_rounding_witness` by the
+    per-point search over unit moves, as a pair of count tuples, or None.
+    For each grid point p in lexicographic order, the points above p and the
+    points above its bottom-rounded image are the ones reached from them by
+    moving one unit from an element to an upper cover; the first p with a
+    point above it whose image is not above p's image gives p and the least
+    such point. Each point's up-set is made once, as the union of the
+    up-sets one move above it."""
+    n, bot = len(P.elements), P.index(P.bottom())
+    covers = [(P.index(x), P.index(y)) for x, y in P.covers()]
+    ups = {}
+
+    def step(p, x, y):
+        q = list(p)
+        q[x] -= 1
+        q[y] += 1
+        return tuple(q)
+
+    def above(p):
+        if p not in ups:
+            ups[p] = frozenset([p]).union(*(above(step(p, x, y)) for x, y in covers if p[x]))
+        return ups[p]
+
+    def image(p):
+        out = [max(c - 1, 0) for c in p]
+        out[bot] = N - (sum(out) - out[bot])
+        return tuple(out)
+
+    for p in lex_compositions(N, n):
+        up = above(image(p))
+        failed = [q for q in above(p) if image(q) not in up]
+        if failed:
+            return p, min(failed)
+    return None
+
+
 # -- tree folds in Fractions and the element-tuple law scan ----------------------
 
 
@@ -925,8 +962,9 @@ def reference_way_below(P, a, b):
     """``(violations, mixing)`` for the Fraction weight tuples ``a`` and
     ``b`` on a pointed poset: the ``way_below_report`` violations as dicts,
     and the ``mixing_oracle`` triple (exists, epsilon, bound), from the
-    masses of every proper upper set in listing order."""
-    uppers = P.upper_sets()
+    masses of every proper upper set in listing order, each set read from
+    the bits of its mask."""
+    uppers = [frozenset(e for i, e in enumerate(P.elements) if m >> i & 1) for m in P._upper_masks()[0]]
     violations = []
     k = 1
     for U in uppers[:-1]:

@@ -66,7 +66,7 @@ def test_main_counts_the_package_by_default(capsys):
 
 # The package's code-line budget. A change that needs more lines raises it
 # in the same diff and says in CHANGES.md why, and what it paid with.
-BUDGET = 2158
+BUDGET = 2169
 
 
 def test_the_package_keeps_to_its_line_budget(capsys):

@@ -482,3 +482,27 @@ def test_equal_admissible_maps_answer_alike():
         "kind: admissible\nr:1\na:1/2\n",
         "kind: admissible\nr:1\na:1/2\n",
     )
+
+
+def test_the_hash_reads_the_integers_and_never_the_poset(monkeypatch):
+    # equal valuations on equal but distinct posets compare and hash equal,
+    # and the hash is made without Poset.__hash__, which a grid would
+    # otherwise call once per point
+    P = parse_poset("elements: a b\norder: a < b")
+    Q = Poset(["a", "b"], [("a", "b")])
+    T = parse_poset("elements: r a b\norder: r < a; r < b")
+    assert P == Q and P is not Q
+    pairs = [
+        (Valuation(P, {"a": "1/3", "b": "2/3"}), Valuation(Q, (Fraction(1, 3), Fraction(2, 3)))),
+        (AdmissibleMap(T, ("1", "1/2", "0")), AdmissibleMap(Poset(T.elements, T.covers()), (1, 0.5, 0))),
+    ]
+    hashes = [tuple(map(hash, pair)) for pair in pairs]
+
+    def refuse(self):
+        raise AssertionError("Poset.__hash__ called")
+
+    monkeypatch.setattr(Poset, "__hash__", refuse)
+    for (x, y), before in zip(pairs, hashes):
+        assert x == y and hash(x) == hash(y) == before[0] == before[1]
+    assert len({*grid(P, 4), *grid(Q, 4)}) == 5
+    assert len(set(grid(T, 3))) == 10

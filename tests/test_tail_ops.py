@@ -1,0 +1,31 @@
+"""``tools/tail_ops.py``, the ranking of a benchmark workload's slowest ops,
+run end to end on three passes of ``order-flow``.
+
+The tool imports ordbench afresh from ``src/``, as the benchmark does, so it
+runs in a child process and leaves this one's modules alone.
+"""
+
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_three_passes_of_order_flow_rank_the_ops_at_the_tail():
+    argv = [sys.executable, str(ROOT / "tools" / "tail_ops.py"),
+            "--workload", "order-flow", "--seed", "1", "--passes", "3"]
+    proc = subprocess.run(argv, cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    *ranked, last = proc.stdout.splitlines()
+    tail = re.fullmatch(r"tail p([\d.]+): rank (\d+) of (\d+) passing ops, 3 passes", last)
+    assert tail, last
+    rank, passing = int(tail[2]), int(tail[3])
+    # every op at or above the tail rank, slowest first, numbered from 1
+    assert len(ranked) == passing - rank + 1 >= 1
+    rows = [line.split(maxsplit=3) for line in ranked]
+    assert [int(row[0]) for row in rows] == list(range(1, len(rows) + 1))
+    assert all(row[1].startswith("flow.") for row in rows)
+    clocks = [float(row[2]) for row in rows]
+    assert clocks == sorted(clocks, reverse=True) and clocks[-1] > 0

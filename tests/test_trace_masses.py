@@ -209,3 +209,25 @@ def test_the_route_is_chosen_by_the_union_of_the_supports(monkeypatch):
         assert taken == [subposet_route(P, a, b)], (P, a, b)
         routes.append(taken[0])
     assert routes[:3] == [False, False, True] and set(routes[3:]) == {True, False}
+
+
+def test_violations_match_the_reference_under_shuffled_element_orders():
+    # in a shuffled element order the parent of an upper set in the listing
+    # is not the walk's include branch, and a violation's set is made along
+    # its parent chain; n <= 7, pointed, with failing and holding pairs
+    rng = random.Random(34)
+    outcomes = []
+    for _ in range(400):
+        P = shuffled(rng, random_pointed_poset(rng, rng.randint(1, 7)))
+        b = weights(rng, P, supports(rng, P))
+        if rng.random() < 0.5:
+            a = weights(rng, P, supports(rng, P))
+        else:
+            # half of b's mass, the other half on bottom: strictly below b
+            a = tuple(x / 2 + (Fraction(1, 2) if e == P.bottom() else 0) for e, x in zip(P.elements, b))
+        violations, _ = reference_way_below(P, a, b)
+        report = way_below_report(Valuation(P, a), Valuation(P, b))
+        assert report == valuations.WayBelowReport(not violations, tuple(violations))
+        assert all(type(v[side]) is Fraction for v in report.violations for side in ("lhs", "rhs"))
+        outcomes.append(report.result)
+    assert outcomes.count(True) > 100 and outcomes.count(False) > 100

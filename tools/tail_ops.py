@@ -1,0 +1,66 @@
+"""Rank the ops of one benchmark workload by their median calibrated clock.
+
+Usage: python tools/tail_ops.py --workload upper-mass --seed 5 --passes 15
+
+Builds the seeded op list of ``ordperf/run.py`` (imported as a library, with
+its warm-up) in a temporary work directory, runs that many whole untraced
+passes, and prints every op at or above the tail rank: the ops whose median
+calibrated clock over the passes is at least that of the op the workload's
+tail percentile (``op_tail_ms``) falls on. One line per op, slowest first::
+
+    <rank> <op class> <median ms> <inputs, cut short>
+
+then the tail percentile and its rank. Ops that did not pass in every pass
+are left out, as the tail leaves them out. Exits 1 on an unexpected failure,
+printed to stderr, and 0 otherwise.
+"""
+
+import argparse
+import importlib.util
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+BENCH = ROOT / "ordperf"
+
+
+def load_runner():
+    """``ordperf/run.py`` as a module, with ``ordperf/`` and ``src/`` on the path."""
+    sys.path[:0] = [str(BENCH), str(ROOT / "src")]
+    spec = importlib.util.spec_from_file_location("ordperf_run", BENCH / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run)
+    return run
+
+
+def main(argv=None) -> int:
+    run = load_runner()
+    hn = run.hn
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--workload", required=True, choices=run.wl.WORKLOADS)
+    ap.add_argument("--seed", type=int, required=True)
+    ap.add_argument("--passes", type=int, default=15)
+    args = ap.parse_args(argv)
+    with tempfile.TemporaryDirectory() as tmp:
+        ops = run.setup(args.workload, args.seed, Path(tmp) / "work")
+        out = hn.Outcome()
+        for _ in range(max(1, args.passes)):
+            hn.run_pass(ops, hn.NullTracer(), out)
+    for u in out.unexpected:
+        print(f"unexpected failure: {u}", file=sys.stderr)
+    tail_p = hn.tail_percentile(sum(1 for op in ops if not op.known_failure))
+    passing = sorted(
+        ((t, op) for op, t, ok in zip(ops, out.op_medians(), out.passed_by_op) if ok == out.passes),
+        key=lambda pair: -pair[0],
+    )
+    # the tail op is the rank-th fastest, so len - rank + 1 ops sit at or above it
+    rank = hn.rank(tail_p, len(passing))
+    for k, (t, op) in enumerate(passing[: len(passing) - rank + 1], 1):
+        print(f"{k:4d} {op.cls:24s} {t * 1e3:8.3f} {' '.join(op.desc.split())[:60]}")
+    print(f"tail p{tail_p:g}: rank {rank} of {len(passing)} passing ops, {out.passes} passes")
+    return 1 if out.unexpected else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
