@@ -338,19 +338,13 @@ def _cmd_lazy(args) -> int:
         if len(rest) != 2:
             raise PosetError("lazy witness takes two elements")
         idx = lz.family_witness(L, lz.parse_code(rest[0]), lz.parse_code(rest[1]))
-        if isinstance(idx, tuple):
-            print(f"i={idx[0]} j={idx[1]}")
-        else:
-            print(f"i={idx}")
+        print(f"i={idx[0]} j={idx[1]}" if isinstance(idx, tuple) else f"i={idx}")
         return 0
     # "truncate": the parser's choices allow no other action
     if len(rest) != 1:
         raise PosetError("lazy truncate takes a depth")
-    trunc = lz.truncate(L, _nat(rest[0]))
-    if args.dot:
-        sys.stdout.write(poset_to_dot(trunc.poset, name=f"{args.kind}_trunc"))
-    else:
-        sys.stdout.write(format_poset(trunc.poset))
+    Tk = lz.truncate(L, _nat(rest[0])).poset
+    sys.stdout.write(poset_to_dot(Tk, name=f"{args.kind}_trunc") if args.dot else format_poset(Tk))
     return 0
 
 

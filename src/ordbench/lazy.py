@@ -286,22 +286,31 @@ def truncate(L: LazyPoset, k: int) -> Truncation:
     return Truncation(P, embed, project)
 
 
+def _swap_cells(bits) -> tuple:
+    """The cells of :func:`hat_f`: for each element of the truncation of
+    ``t`` at depth ``len(bits)``, in the order :func:`truncate` lists them
+    (bottom, then nodes (0, m) and (1, m) at indices 2m + 1 and 2m + 2, then
+    top), the index of its image. Bottom and top stay put, and node (j, m)
+    goes to (j XOR bits[m], m)."""
+    bits = tuple(bits)
+    if not bits or any(b not in (0, 1) for b in bits):
+        raise PosetError("bits must be a nonempty 0/1 sequence")
+    nodes = [2 * m + 1 + (j ^ b) for m, b in enumerate(bits) for j in (0, 1)]
+    return (0, *nodes, len(nodes) + 1)
+
+
 def hat_f(bits) -> MonotoneMap:
     """The involution of T_k swapping branches at each level where bits is 1.
 
     ``bits`` is a 0/1 sequence whose length fixes the truncation depth;
     bottom and top stay put and node (j, n) goes to (j XOR bits[n], n). The
-    map is built from indices: :func:`truncate` lists bottom, then nodes
-    (0, m) and (1, m) at indices 2m + 1 and 2m + 2, then top. It swaps
-    nodes within a level only, and the order of ``t`` compares nodes by
-    level, so it is monotone.
+    map is built from indices (see :func:`_swap_cells`). It swaps nodes
+    within a level only, and the order of ``t`` compares nodes by level, so
+    it is monotone.
     """
-    bits = tuple(bits)
-    if not bits or any(b not in (0, 1) for b in bits):
-        raise PosetError("bits must be a nonempty 0/1 sequence")
-    Tk = truncate(T, len(bits)).poset
-    nodes = [2 * m + 1 + (j ^ b) for m, b in enumerate(bits) for j in (0, 1)]
-    return MonotoneMap._of(Tk, Tk, (0, *nodes, len(nodes) + 1))
+    cells = _swap_cells(bits)
+    Tk = truncate(T, len(cells) // 2 - 1).poset
+    return MonotoneMap._of(Tk, Tk, cells)
 
 
 def hat_f_rigidity_check(g: MonotoneMap, bits) -> bool:
@@ -309,14 +318,20 @@ def hat_f_rigidity_check(g: MonotoneMap, bits) -> bool:
 
     Evaluates the implication (g <= f̂ pointwise, g(0,0) != bot, g(1,0) != bot)
     ⇒ g = f̂ for one concrete g; the suite quantifies it over all monotone g.
+    f̂ is read as its cells (see :func:`_swap_cells`), with no truncation.
+    g's source and target must be T_k as :func:`truncate` lists it: its
+    names, and its up masks in closed form (x <= y iff x == y or x's level
+    is below y's, bottom below and top above every level), each element's
+    up mask being itself and every index from the next level's first on.
     """
-    fhat = hat_f(bits)
-    Tk = fhat.source
-    if g.source != Tk or g.target != Tk:
+    cells = _swap_cells(bits)
+    n = len(cells)
+    names = ("bot", *(f"n:{j}:{m}" for m in range(n // 2 - 1) for j in (0, 1)), "top")
+    # levels start at the odd indices (top's at n - 1), so the next level
+    # above index i starts at the first odd index above i
+    up = tuple(1 << i | (1 << n) - 1 >> (i + 1 | 1) << (i + 1 | 1) for i in range(n))
+    if {(P.elements, tuple(P._up)) for P in (g.source, g.target)} != {(names, up)}:
         raise PosetError("g must be an endo-map of the matching truncation of T")
-    premise = (
-        all(Tk._up[a] >> b & 1 for a, b in zip(g._cells, fhat._cells))
-        and g("n:0:0") != "bot"
-        and g("n:1:0") != "bot"
-    )
-    return (not premise) or g._cells == fhat._cells
+    # bottom is cell 0, and the level-0 nodes are cells 1 and 2
+    premise = all(up[a] >> b & 1 for a, b in zip(g._cells, cells)) and g._cells[1] and g._cells[2]
+    return (not premise) or g._cells == cells

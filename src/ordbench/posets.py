@@ -30,9 +30,10 @@ def _bits(mask: int) -> Iterator[int]:
 
 
 def _upper_walk(up: Sequence[int], down: Sequence[int], excluded: int = 0) -> tuple:
-    """``(masks, added)``: the masks of every upper set disjoint from
-    ``excluded``, increasing, and for each the element whose inclusion
-    emitted it (None for the empty set).
+    """``(masks, added, parent)``: the masks of every upper set disjoint from
+    ``excluded``, increasing; for each the element whose inclusion emitted
+    it (None for the empty set); and the index of the mask of the state
+    that branched to emit it (0 for the empty set).
 
     ``up[i]`` and ``down[i]`` are the masks of the elements above and below
     element ``i``; ``excluded`` must be down-closed. The walk decides the
@@ -46,19 +47,49 @@ def _upper_walk(up: Sequence[int], down: Sequence[int], excluded: int = 0) -> tu
     increasing order, one branch point per upper set. Nothing below ``i`` is
     included when it is branched on, so ``added[u]`` is minimal in
     ``masks[u]``: the mask without it is a smaller upper set, listed earlier.
+
+    A state's own mask takes the index ``len(masks)`` when it is popped, and
+    each child it pushes carries that index. When the include step adds
+    ``i`` alone (``up[i] & free == 1 << i``), the branching state's mask is
+    ``masks[u] ^ 1 << added[u]``, so ``parent[u]`` is its index. That holds
+    for every child when the element order extends the order: every free
+    index is at most ``i``, and nothing above ``i`` has a lower index. A
+    child that also gains a free element above ``i`` with a lower index is
+    emitted with the index of a smaller set, and :func:`_mend_parents`
+    mends it. Callers that read the masks alone ignore ``parent``.
     """
-    masks, added = [], []
-    # (mask included so far, mask of the indices still free, element added)
-    stack = [(0, ((1 << len(up)) - 1) & ~excluded, None)]
+    masks, added, parent = [], [], []
+    # (mask included so far, mask of the indices still free, element added,
+    # index of the branching state's mask)
+    stack = [(0, ((1 << len(up)) - 1) & ~excluded, None, 0)]
     while stack:
-        inc, free, x = stack.pop()
+        inc, free, x, p = stack.pop()
+        u = len(masks)
         while free:
             i = free.bit_length() - 1
-            stack.append((inc | up[i], free & ~up[i], i))
+            stack.append((inc | up[i], free & ~up[i], i, u))
             free &= ~down[i]
         masks.append(inc)
         added.append(x)
-    return masks, added
+        parent.append(p)
+    return masks, added, parent
+
+
+def _mend_parents(masks: list, added: list, parent: list) -> None:
+    """Point each ``parent[u]`` of a listing of :func:`_upper_walk` at the
+    index of ``masks[u] ^ 1 << added[u]``, read from a mask -> index dict.
+
+    Needed exactly when some element sits above one with a higher index.
+    Then some child gains more than its branch element: take such a pair
+    i <= j, j's index below i's, with i's index the highest of any such
+    pair; the walk reaches i with j free, including what lies above i and
+    excluding the rest of the higher indices, and the include step on i
+    adds j too. When no element sits above a higher one, every walk parent
+    is already right and this is not called (see :meth:`Poset._upper_masks`).
+    """
+    index = dict(zip(masks, range(len(masks))))
+    for u in range(1, len(masks)):
+        parent[u] = index[masks[u] ^ 1 << added[u]]
 
 
 def _first_repeat(names: Iterable):
@@ -384,21 +415,27 @@ class Poset:
         """The listing of :meth:`upper_sets`, made once per poset, as
         ``(masks, parent, added)``: the masks in increasing order, and for
         each upper set ``u`` after the empty one a minimal element
-        ``added[u]`` and the index ``parent[u]`` of ``masks[u] ^ 1 << added[u]``
-        (see :func:`_upper_walk`), so ``parent[u] < u``. This is the one place
+        ``added[u]`` and the index ``parent[u]`` of ``masks[u] ^ 1 << added[u]``,
+        so ``parent[u] < u``. The walk emits each parent (see
+        :func:`_upper_walk`), with no mask index, wherever an include step
+        adds its element alone, as every one does when the element order
+        extends the order. Only when some element sits above one with a
+        higher index, and so some include step gains more, is the mask ->
+        index dict built after the walk to read the parents from (see
+        :func:`_mend_parents`). This is the one place
         ``UPPER_MAX_ELEMENTS`` is read: every upper-set consumer obeys it, and
         it is checked before the cached listing is returned."""
-        limit = UPPER_MAX_ELEMENTS
         n = len(self.elements)
-        if n > limit:
+        if n > UPPER_MAX_ELEMENTS:
             raise PosetError(
                 f"upper-set enumeration on {n} elements may list up to 2^{n} sets, "
-                f"above the limit of {limit} elements"
+                f"above the limit of {UPPER_MAX_ELEMENTS} elements"
             )
         if self._uppers_cache is None:
-            masks, added = _upper_walk(self._up, self._down)
-            index = {m: u for u, m in enumerate(masks)}
-            parent = [0] + [index[m ^ 1 << x] for m, x in zip(masks[1:], added[1:])]
+            masks, added, parent = _upper_walk(self._up, self._down)
+            # an element above a later one: some include step gains more
+            if any(m >> i << i != m for i, m in enumerate(self._up)):
+                _mend_parents(masks, added, parent)
             self._uppers_cache = masks, parent, added
         return self._uppers_cache
 
@@ -407,24 +444,26 @@ class Poset:
 
         Listed in increasing bitmask order over element indices, which is
         deterministic for a fixed element order, and built from the parent
-        table (see :meth:`_frozensets`): one union per upper set listed, but
-        an antichain of ``n`` elements has ``2^n`` of them, so posets with
-        more than ``UPPER_MAX_ELEMENTS`` elements are refused.
+        table, which the walk emits (see :meth:`_upper_masks` and
+        :meth:`_frozensets`): the listing is read once, and the work is one
+        union per upper set listed, but an antichain of ``n`` elements has
+        ``2^n`` of them, so posets with more than ``UPPER_MAX_ELEMENTS``
+        elements are refused.
         """
-        return self._frozensets(range(1, len(self._upper_masks()[0])))
+        return self._frozensets()
 
-    def _frozensets(self, wanted: Iterable[int]) -> list:
+    def _frozensets(self, wanted: Optional[Iterable[int]] = None) -> list:
         """The upper sets at the indices ``wanted`` of the listing of
-        :meth:`_upper_masks`, as frozensets in a list indexed like the
-        listing (the empty set at every other index). ``wanted`` must be
-        increasing and hold the parent of each of its members but 0, the
-        empty set: each set is its parent's set joined with the singleton of
-        its added element, and the singletons are made once, so the work is
-        one union per set made."""
+        :meth:`_upper_masks` (every index when None), as frozensets in a list
+        indexed like the listing (the empty set at every other index).
+        ``wanted`` must be increasing and hold the parent of each of its
+        members but 0, the empty set: each set is its parent's set joined
+        with the singleton of its added element, and the singletons are made
+        once, so the work is one union per set made."""
         _, parent, added = self._upper_masks()
         single = [frozenset((x,)) for x in self.elements]
         sets = [frozenset()] * len(parent)
-        for u in wanted:
+        for u in range(1, len(parent)) if wanted is None else wanted:
             sets[u] = sets[parent[u]] | single[added[u]]
         return sets
 

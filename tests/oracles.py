@@ -11,7 +11,7 @@ from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
 from math import ceil, gcd, lcm
 
-from ordbench import BOT, OMEGA, TOP, Poset, PosetError, format_code, node, omega_side
+from ordbench import BOT, OMEGA, TOP, Poset, PosetError, format_code, hat_f, node, omega_side
 
 # Labeled partial orders on n elements, n = 1..6. The first four values are
 # recomputed here by brute force; the last two pin the library's enumerator.
@@ -61,6 +61,14 @@ def brute_upper_sets(P):
             if all(y in S for x in S for y in elems if P.leq(x, y)):
                 out.append(frozenset(S))
     return out
+
+
+def reference_parent_table(masks, added):
+    """The parent table of an upper-set listing, derived from the masks
+    alone: ``parent[u]`` is the index of ``masks[u] ^ 1 << added[u]``, found
+    in a mask -> index dict, and 0 for the empty set at index 0."""
+    index = {m: u for u, m in enumerate(masks)}
+    return [0] + [index[m ^ 1 << x] for m, x in zip(masks[1:], added[1:])]
 
 
 def reference_closure(elements, relations):
@@ -192,6 +200,22 @@ def reference_lazy_leq(kind, k):
     up, _ = reference_closure(codes, covers)
     index = {c: i for i, c in enumerate(codes)}
     return lambda x, y: bool(up[index[x]] >> index[y] & 1)
+
+
+def reference_rigidity_check(g, bits):
+    """``hat_f_rigidity_check`` as it read with f̂ built in full: truncate
+    ``t`` again, compare g's source and target with that truncation as
+    posets, and ask the order and the maps through their public calls."""
+    fhat = hat_f(bits)
+    Tk = fhat.source
+    if g.source != Tk or g.target != Tk:
+        raise PosetError("g must be an endo-map of the matching truncation of T")
+    premise = (
+        all(Tk.leq(g(x), fhat(x)) for x in Tk.elements)
+        and g("n:0:0") != "bot"
+        and g("n:1:0") != "bot"
+    )
+    return not premise or g == fhat
 
 
 def brute_stochastic_leq(nu, mu):

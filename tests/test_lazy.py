@@ -28,9 +28,19 @@ from ordbench import (
     truncate,
 )
 
+from ordbench import lazy
 from ordbench.lazy import KINDS
+from ordbench.posets import Poset
 
-from oracles import LAZY_CAPS, all_pairs_truncation, lazy_codes, monotone_maps, reference_lazy_leq
+from oracles import (
+    LAZY_CAPS,
+    all_pairs_truncation,
+    lazy_codes,
+    monotone_maps,
+    reference_lazy_leq,
+    reference_rigidity_check,
+    transpose,
+)
 
 
 # -- codes ------------------------------------------------------------------
@@ -439,6 +449,94 @@ def test_rigidity_holds_for_every_monotone_endomap_at_depth_two():
             keeps = g("n:0:0") != "bot" and g("n:1:0") != "bot"
             if below and keeps:
                 assert g == f
+
+
+DEPTH_TWO_BITS = ([0, 0], [0, 1], [1, 0], [1, 1])
+
+
+def _verdict(check, g, bits):
+    try:
+        return check(g, bits)
+    except PosetError as err:
+        return str(err)
+
+
+def test_rigidity_reads_as_the_full_swap_map_did():
+    # every monotone endomap of T_2; every map below f̂ cell by cell, built
+    # without the monotonicity check so that the premise can hold with g
+    # != f̂; and random cell tables, at several bit patterns
+    rng = random.Random(11)
+    Tk = truncate(T, 2).poset
+    tables = monotone_maps(Tk, Tk)
+    assert len(tables) == 477
+    downs = [[a for a in range(6) if Tk._up[a] >> b & 1] for b in range(6)]
+    for bits in DEPTH_TWO_BITS:
+        f = hat_f(bits)
+        maps = [MonotoneMap(Tk, Tk, dict(zip(Tk.elements, t))) for t in tables]
+        maps += [MonotoneMap._of(Tk, Tk, c) for c in itertools.product(*(downs[b] for b in f._cells))]
+        maps += [MonotoneMap._of(Tk, Tk, tuple(rng.randrange(6) for _ in range(6))) for _ in range(300)]
+        verdicts = [hat_f_rigidity_check(g, bits) for g in maps]
+        assert verdicts == [reference_rigidity_check(g, bits) for g in maps]
+        assert False in verdicts and True in verdicts
+
+
+def test_rigidity_accepts_t_as_the_reference_order_spells_it():
+    # T_k rebuilt from the reference order on the codes, not from truncate,
+    # is the poset the check takes, at every depth and several bit patterns
+    rng = random.Random(7)
+    for k in range(1, 8):
+        leq = reference_lazy_leq("t", k - 1)
+        codes = lazy_codes("t", k)
+        up = tuple(sum(1 << j for j, d in enumerate(codes) if leq(c, d)) for c in codes)
+        P = Poset._from_masks(tuple(map(format_code, codes)), up, transpose(up))
+        assert P == truncate(T, k).poset
+        for bits in ([0] * k, [rng.randrange(2) for _ in range(k)]):
+            swap = MonotoneMap(P, P, dict(zip(P.elements, hat_f(bits).values)))
+            for g in (hat_f(bits), swap, MonotoneMap._of(P, P, (0,) * len(P))):
+                assert hat_f_rigidity_check(g, bits) is reference_rigidity_check(g, bits) is True
+
+
+def _renamed(P, names):
+    """P with each element renamed by the dict ``names`` (others kept), each at its own index."""
+    return Poset._from_masks(tuple(names.get(x, x) for x in P.elements), P._up, P._down)
+
+
+def test_rigidity_refuses_g_on_any_other_poset():
+    # T at other depths, the n2 truncation with as many elements, T_2
+    # renamed, with two names swapped across a level or within one, and
+    # T_2 with its elements listed in another order
+    T2 = truncate(T, 2).poset
+    others = [
+        truncate(T, 1).poset,
+        truncate(T, 3).poset,
+        truncate(N2, 1).poset,
+        _renamed(T2, {x: x.upper() for x in T2.elements}),
+        _renamed(T2, {"n:0:0": "n:0:1", "n:0:1": "n:0:0"}),
+        _renamed(T2, {"n:0:0": "n:1:0", "n:1:0": "n:0:0"}),
+        Poset(reversed(T2.elements), T2.covers()),
+    ]
+    assert len(others[2]) == len(T2) and all(set(P.elements) == set(T2.elements) for P in others[4:])
+    message = "g must be an endo-map of the matching truncation of T"
+    for P in others:
+        assert P != T2
+        for g in (MonotoneMap._of(P, P, (0,) * len(P)), MonotoneMap._of(P, T2, (0,) * len(P)),
+                  MonotoneMap._of(T2, P, (0,) * len(T2))):
+            for bits in DEPTH_TWO_BITS:
+                assert _verdict(hat_f_rigidity_check, g, bits) == message
+                assert _verdict(reference_rigidity_check, g, bits) == message
+
+
+def test_rigidity_check_truncates_nothing(monkeypatch):
+    gs = [(hat_f(bits), bits) for bits in ([1], [0, 1], [1, 0, 1, 1], [1] * 9)]
+
+    def no_truncation(*args):
+        raise AssertionError("truncate was called")
+
+    monkeypatch.setattr(lazy, "truncate", no_truncation)
+    for g, bits in gs:
+        assert hat_f_rigidity_check(g, bits)
+        with pytest.raises(AssertionError, match="truncate was called"):
+            hat_f(bits)
 
 
 T3 = truncate(T, 3).poset

@@ -36,6 +36,7 @@ from oracles import (
     brute_upper_sets,
     reference_closure,
     reference_cycle_message,
+    reference_parent_table,
     reference_parse_poset,
     transpose,
 )
@@ -215,13 +216,14 @@ def test_upper_masks_match_brute_force_up_to_5():
             _check_mass_rows(P, listing, rng, (0, 1, 2, 300) if n <= 3 else (0, 1, 2))
 
 
-def random_posets(top):
-    """Draws ``(n, pairs, order, rng)`` for :func:`_random_poset`, n <= top."""
+def random_posets(top, orders=("kept", "shuffled", "reversed")):
+    """Draws ``(n, pairs, order, rng)`` for :func:`_random_poset`, n <= top,
+    with the element order one of ``orders``."""
     return st.integers(1, top).flatmap(
         lambda n: st.tuples(
             st.just(n),
             st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))),
-            st.sampled_from(["kept", "shuffled", "reversed"]),
+            st.sampled_from(orders),
             st.randoms(use_true_random=False),
         )
     )
@@ -249,6 +251,91 @@ def test_upper_masks_match_brute_force_on_random_posets(case):
 def test_parent_table_and_mass_rows_on_random_posets(case):
     P = _random_poset(case)
     _check_mass_rows(P, _check_upper_masks(P), case[3], (0, 1, 2, 300))
+
+
+_mend = posets._mend_parents
+
+
+def _check_parent_table(P):
+    """The listing's parent table is the one derived from its masks alone,
+    the walk's own parents are right just when no element sits above one
+    listed later, and the mend step runs just when they are not."""
+    mended = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(posets, "UPPER_MAX_ELEMENTS", len(P))
+        mp.setattr(posets, "_mend_parents", lambda *a: mended.append(_mend(*a)))
+        masks, parent, added = P._upper_masks()
+    assert parent == reference_parent_table(masks, added)
+    index = P.index
+    forward = all(index(x) <= index(y) for x in P.elements for y in P.elements if P.leq(x, y))
+    walk_masks, walk_added, walk_parent = posets._upper_walk(P._up, P._down)
+    assert (walk_masks, walk_added) == (masks, added)
+    assert (walk_parent == parent) is forward
+    assert len(mended) == (not forward)
+
+
+def _shuffled(P, rng):
+    """The same order with its elements listed in a random order."""
+    els = list(P.elements)
+    rng.shuffle(els)
+    return Poset(els, P.covers())
+
+
+def test_parent_table_matches_the_reference_on_every_poset_up_to_5():
+    rng = random.Random(35)
+    for n in range(1, 6):
+        for P in enumerate_posets(n):
+            _check_parent_table(P)
+            _check_parent_table(_shuffled(P, rng))
+
+
+@given(random_posets(12, orders=("shuffled", "reversed")))
+@settings(max_examples=80, deadline=None)
+def test_parent_table_matches_the_reference_on_shuffled_and_reversed_posets(case):
+    _check_parent_table(_random_poset(case))
+
+
+def _never_mended(*args):
+    raise AssertionError("the parent table was mended after the walk")
+
+
+def _chain(n, tag=""):
+    return Poset([f"{tag}{i}" for i in range(n)], [(f"{tag}{i}", f"{tag}{i + 1}") for i in range(n - 1)])
+
+
+def test_forward_element_orders_take_every_parent_from_the_walk(monkeypatch):
+    # chains, chain products and a bottom under an antichain, each declared
+    # with every relation pointing forward: no include step gains more than
+    # its branch element, so the mask -> index dict is never built
+    monkeypatch.setattr(posets, "_mend_parents", _never_mended)
+    monkeypatch.setattr(posets, "UPPER_MAX_ELEMENTS", 60)
+    fan = lambda w: Poset(["b", *range(w)], [("b", i) for i in range(w)])
+    grid = lambda a, b: Poset(
+        [(i, j) for i in range(a) for j in range(b)],
+        [((i, j), (i + 1, j)) for i in range(a - 1) for j in range(b)]
+        + [((i, j), (i, j + 1)) for i in range(a) for j in range(b - 1)],
+    )
+    forward = [_chain(n) for n in (1, 2, 7, 60)]
+    forward += [_chain(a, "x").product(_chain(b, "y")) for a, b in ((2, 3), (4, 4), (3, 6))]
+    forward += [grid(3, 4), grid(5, 5)]
+    forward += [fan(w) for w in (1, 5, 12, 13)]
+    for P in forward:
+        masks, parent, added = P._upper_masks()
+        assert parent == reference_parent_table(masks, added)
+        assert len(masks) == len(P.upper_sets())
+    # the same fan listed top first does mend: the patch above is live
+    with pytest.raises(AssertionError, match="mended"):
+        Poset([*range(5), "b"], [("b", i) for i in range(5)])._upper_masks()
+
+
+def test_upper_sets_reads_the_listing_once(monkeypatch):
+    P = Poset(["b", *range(6)], [("b", i) for i in range(6)])
+    reads = []
+    listing = posets.Poset._upper_masks
+    monkeypatch.setattr(posets.Poset, "_upper_masks", lambda self: reads.append(1) or listing(self))
+    sets = P.upper_sets()
+    assert len(reads) == 1 and len(sets) == 2**6 + 1
+    assert sets == [P._set_of(m) for m in listing(P)[0]]
 
 
 def test_upper_sets_of_a_long_chain(monkeypatch):

@@ -24,8 +24,19 @@ def test_three_passes_of_order_flow_rank_the_ops_at_the_tail():
     rank, passing = int(tail[2]), int(tail[3])
     # every op at or above the tail rank, slowest first, numbered from 1
     assert len(ranked) == passing - rank + 1 >= 1
-    rows = [line.split(maxsplit=3) for line in ranked]
+    rows = [line.split(maxsplit=4) for line in ranked]
     assert [int(row[0]) for row in rows] == list(range(1, len(rows) + 1))
     assert all(row[1].startswith("flow.") for row in rows)
     clocks = [float(row[2]) for row in rows]
     assert clocks == sorted(clocks, reverse=True) and clocks[-1] > 0
+    # each op's share of the pass clock, the sum of every passing op's median
+    assert all(re.fullmatch(r"\d+\.\d\d%", row[3]) for row in rows)
+    shares = [float(row[3][:-1]) for row in rows]
+    assert shares == sorted(shares, reverse=True) and shares[-1] > 0
+    # the ops below the tail rank, most of them, carry the rest of the clock
+    assert rank > 1 and sum(shares) < 99
+    # the shares are the clocks over one common total: the totals each line
+    # allows, given the rounding of its clock and share, overlap
+    lines = [(c, s) for c, s in zip(clocks, shares) if s > 0.005]
+    assert max((c - 5e-4) / (s + 5e-3) for c, s in lines) <= min(
+        (c + 5e-4) / (s - 5e-3) for c, s in lines)

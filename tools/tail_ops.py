@@ -8,7 +8,11 @@ passes, and prints every op at or above the tail rank: the ops whose median
 calibrated clock over the passes is at least that of the op the workload's
 tail percentile (``op_tail_ms``) falls on. One line per op, slowest first::
 
-    <rank> <op class> <median ms> <inputs, cut short>
+    <rank> <op class> <median ms> <share %> <inputs, cut short>
+
+where the share is the op's part of the pass clock: its median over the sum
+of the medians of all passing ops, so a throughput claim can name the ops
+that carry the pass.
 
 then the tail percentile and its rank. Ops that did not pass in every pass
 are left out, as the tail leaves them out. Exits 1 on an unexpected failure,
@@ -56,8 +60,10 @@ def main(argv=None) -> int:
     )
     # the tail op is the rank-th fastest, so len - rank + 1 ops sit at or above it
     rank = hn.rank(tail_p, len(passing))
+    clock = sum(t for t, _ in passing)
     for k, (t, op) in enumerate(passing[: len(passing) - rank + 1], 1):
-        print(f"{k:4d} {op.cls:24s} {t * 1e3:8.3f} {' '.join(op.desc.split())[:60]}")
+        share = f"{100 * t / clock:5.2f}%"
+        print(f"{k:4d} {op.cls:24s} {t * 1e3:8.3f} {share:>7s} {' '.join(op.desc.split())[:60]}")
     print(f"tail p{tail_p:g}: rank {rank} of {len(passing)} passing ops, {out.passes} passes")
     return 1 if out.unexpected else 0
 
