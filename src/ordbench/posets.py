@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from heapq import nsmallest
+from operator import lt
 from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 UPPER_MAX_ELEMENTS = 20
@@ -98,37 +99,30 @@ def _first_repeat(names: Iterable):
     return next(x for x in names if x in seen or seen.add(x))
 
 
-def _points_forward(succ: Sequence[Sequence[int]]) -> bool:
-    """True when every j in ``succ[i]`` is above i: element order is then a
-    topological order of the relation. One comparison per relation."""
-    for i, row in enumerate(succ):
-        for j in row:
-            if j < i:
-                return False
-    return True
+def _closure(n: int, low: List[int], high: List[int]) -> Optional[tuple]:
+    """The reflexive transitive closure of the relation ``low[k] <= high[k]``
+    over the indices 0..n-1 (self-loops and repeated pairs allowed).
 
-
-def _closure(succ: Sequence[Sequence[int]]) -> Optional[Tuple[tuple, tuple]]:
-    """The reflexive transitive closure of a relation given by successor lists.
-
-    ``succ[i]`` lists indices j with i <= j (no self-loops; repeats allowed).
-    The passes below need an order of the indices in which every relation
-    points forward. Element order is one when every relation already points
-    forward (see :func:`_points_forward`), as when each ``x < y`` declares x
-    before y; otherwise Kahn's algorithm (Kahn, "Topological sorting of
-    large networks", 1962) finds one. Then ``up[i]`` is i's bit OR-ed with
-    ``up`` of its successors, taken in reverse order, and ``down[j]`` is j's
-    bit OR-ed with ``down`` of its predecessors, pushed forward in order: one
-    mask OR per element and per relation. Returns ``(up, down)``, or None
-    when the relation has a cycle.
+    Returns ``(up, low, high)``: ``up[i]`` is the mask of the indices at or
+    above ``i``, and ``low``, ``high`` are the relation kept for the down
+    masks and the covers, self-loops dropped, its pairs in order of the rank
+    of their lower end; or None when the relation has a cycle. The rank is
+    element order when every pair points forward (``low[k] < high[k]``), as
+    when each ``x < y`` declares x before y; otherwise it is the order
+    Kahn's algorithm finds (Kahn, "Topological sorting of large networks",
+    1962) from successor lists, and the pairs are listed again from them in
+    that order. Forward pairs already listed by lower end are kept as given,
+    with no sort and no successor list. Then one pass over the pairs in
+    reverse ORs ``up[j]`` into ``up[i]``: each pair leaving ``j`` comes
+    later, so ``up[j]`` is whole when read. One mask OR per relation; the
+    down masks wait until first read (see :attr:`Poset._down`).
     """
-    n = len(succ)
-    if _points_forward(succ):
-        order = range(n)
-    else:
+    if not all(map(lt, low, high)):
+        succ: List[List[int]] = [[] for _ in range(n)]
         indegree = [0] * n
-        for row in succ:
-            for j in row:
+        for i, j in zip(low, high):
+            if i != j:
+                succ[i].append(j)
                 indegree[j] += 1
         order = [i for i in range(n) if not indegree[i]]
         for i in order:  # grows while it is walked
@@ -138,48 +132,48 @@ def _closure(succ: Sequence[Sequence[int]]) -> Optional[Tuple[tuple, tuple]]:
                     order.append(j)
         if len(order) < n:
             return None
+        low = [i for i in order for _ in succ[i]]
+        high = [j for i in order for j in succ[i]]
+    elif any(map(lt, low[1:], low)):
+        low, high = map(list, zip(*sorted(zip(low, high))))
     up = [1 << i for i in range(n)]
-    for i in reversed(order):
-        mask = up[i]
-        for j in succ[i]:
-            mask |= up[j]
-        up[i] = mask
-    down = [1 << i for i in range(n)]
-    for i in order:
-        mask = down[i]
-        for j in succ[i]:
-            down[j] |= mask
-    return tuple(up), tuple(down)
+    for i, j in zip(reversed(low), reversed(high)):
+        up[i] |= up[j]
+    return tuple(up), low, high
 
 
-def _cycle_message(elements: tuple, succ: Sequence[Sequence[int]]) -> str:
-    """Name the first element, in element order, that lies on a cycle, and the
-    first other element on a cycle with it.
+def _cycle_message(elements: tuple, low: Sequence[int], high: Sequence[int]) -> str:
+    """Name the first element, in element order, that lies on a cycle of the
+    relation ``low[k] <= high[k]``, and the first other element on a cycle
+    with it.
 
     Runs only on cyclic input: one iterative walk for the strongly connected
     components (Tarjan, "Depth-first search and linear graph algorithms",
-    1972), O(n + relations), from an extra root n above every index. ``num``
-    is an index's place on the component stack while its component is open
-    and n + 1 once it is closed. The answer is the least index of a component
-    with two or more members, and the next least index of that component.
+    1972), O(n + relations), over successor lists with an extra root n above
+    every index. ``num`` is an index's place on the component stack while its
+    component is open and n + 1 once it is closed. The answer is the least
+    index of a component with two or more members, and the next least index
+    of that component; a self-loop makes none.
     """
-    n = len(succ)
-    succ = [*succ, range(n)]
-    num, low = [-1] * n + [0], [0] * (n + 1)
+    n = len(elements)
+    succ: list = [[] for _ in elements] + [range(n)]
+    for i, j in zip(low, high):
+        succ[i].append(j)
+    num, link = [-1] * n + [0], [0] * (n + 1)
     stack, work, best = [n], [(n, iter(succ[n]))], (n, n)
     while work:
         v, edges = work[-1]
         for w in edges:
             if num[w] < 0:
-                num[w] = low[w] = len(stack)
+                num[w] = link[w] = len(stack)
                 stack.append(w)
                 work.append((w, iter(succ[w])))
                 break
-            low[v] = min(low[v], num[w])
+            link[v] = min(link[v], num[w])
         else:
             work.pop()
-            if low[v] < num[v]:
-                low[work[-1][0]] = min(low[work[-1][0]], low[v])
+            if link[v] < num[v]:
+                link[work[-1][0]] = min(link[work[-1][0]], link[v])
                 continue
             comp = stack[num[v]:]
             del stack[num[v]:]
@@ -203,20 +197,20 @@ class Poset:
             pairs are allowed.
 
     Construction costs one dict lookup per name, each pair resolved as it
-    is read (:func:`parse_poset` resolves in bulk), and
-    O(n + relations) mask ORs (see :func:`_closure`), with no topological
-    sort when every relation ``(x, y)`` lists x before y in ``elements``:
-    the order is stored as the up-set and down-set mask of each element.
-    The relations are kept as successor lists until the covers are first
-    asked for, and the covers are derived from them (see
-    :meth:`_cover_masks`).
+    is read (:func:`parse_poset` resolves in bulk), and one mask OR per
+    relation for the up-set mask of each element (see :func:`_closure`),
+    with no sort and no successor list when every relation ``(x, y)`` lists
+    x before y in ``elements`` and the relations come in element order of
+    their x. The relation is kept, in that order, and the down-set masks
+    (:attr:`_down`) and the covers (:meth:`_cover_masks`) are derived from
+    it when first read.
 
     Raises:
         PosetError: duplicate identifiers, unknown identifiers in a
             relation, or a cycle (antisymmetry failure after closure).
     """
 
-    __slots__ = ("elements", "_index", "_up", "_down", "_succ",
+    __slots__ = ("elements", "_index", "_up", "_down_cache", "_low", "_high",
                  "_uppers_cache", "_covers_cache", "_tree_cache")
 
     def __init__(self, elements: Iterable, relations: Iterable[tuple] = ()):
@@ -234,49 +228,66 @@ class Poset:
             high.append(j)
         self._relate(elements, index, low, high)
 
-    def _relate(self, elements: tuple, index: dict, low: Sequence, high: Sequence) -> "Poset":
+    def _relate(self, elements: tuple, index: dict, low: List[int], high: List[int]) -> "Poset":
         """Make this the order on ``elements`` generated by ``low[k] <=
         high[k]`` (indices into ``elements``), and return it: the body of
         :meth:`__init__` and of :func:`parse_poset`, which resolve the names.
         ``index`` maps each element to its position and is kept as the
         poset's own."""
-        succ: List[List[int]] = [[] for _ in elements]
-        for i, j in zip(low, high):
-            if i != j:
-                succ[i].append(j)
-        masks = _closure(succ)
-        if masks is None:
-            raise PosetError(_cycle_message(elements, succ))
+        closed = _closure(len(elements), low, high)
+        if closed is None:
+            raise PosetError(_cycle_message(elements, low, high))
         self.elements, self._index = elements, index
-        self._up, self._down, self._succ = *masks, succ
-        self._uppers_cache = self._covers_cache = self._tree_cache = None
+        self._up, self._low, self._high = closed
+        self._down_cache = self._uppers_cache = self._covers_cache = self._tree_cache = None
         return self
 
     @classmethod
-    def _from_masks(cls, elements: tuple, up: tuple, down: tuple, covers=None) -> "Poset":
+    def _from_masks(cls, elements: tuple, up: tuple, down, covers=None) -> "Poset":
         """Trusted constructor for already-closed, already-checked mask tuples;
-        ``down`` must be the transpose of ``up``. ``covers``, when given, must
-        be the masks :meth:`_cover_masks` would derive, and is cached as is;
-        without it, :meth:`_cover_masks` reads the strict up-sets as the
-        relation the order was closed from."""
+        ``down`` must be the transpose of ``up``, or None when the caller then
+        keeps the relation ``up`` was closed from (as :meth:`_from_covers`
+        does). ``covers``, when given, must be the masks :meth:`_cover_masks`
+        would derive, and is cached as is; without it, :meth:`_cover_masks`
+        reads the strict up-sets as the relation the order was closed from."""
         self = object.__new__(cls)
         self.elements = elements
         self._index = {e: i for i, e in enumerate(elements)}
-        self._up, self._down, self._covers_cache = up, down, covers
-        self._succ = self._uppers_cache = self._tree_cache = None
+        self._up, self._down_cache, self._covers_cache = up, down, covers
+        self._low = self._high = self._uppers_cache = self._tree_cache = None
         return self
 
     @classmethod
     def _from_covers(cls, elements: tuple, succ: Sequence[Sequence[int]]) -> "Poset":
         """Trusted constructor for an order given by its covering relation:
         ``succ[i]`` lists the upper covers of element ``i`` (repeats
-        allowed), and the relation has no cycle. The order is its closure,
-        and the covers are cached as given, each row ORed into a mask."""
+        allowed), and the relation has no cycle. The rows are flattened in
+        element order and closed (see :func:`_closure`); the closure keeps
+        them for the down masks, and the covers are cached as given, each
+        row ORed into a mask."""
         covers = [0] * len(succ)
         for i, row in enumerate(succ):
             for j in row:
                 covers[i] |= 1 << j
-        return cls._from_masks(elements, *_closure(succ), tuple(covers))
+        low = [i for i, row in enumerate(succ) for _ in row]
+        up, *kept = _closure(len(succ), low, [j for row in succ for j in row])
+        self = cls._from_masks(elements, up, None, tuple(covers))
+        self._low, self._high = kept
+        return self
+
+    @property
+    def _down(self) -> tuple:
+        """For each element index, the mask of the elements at or below it:
+        the transpose of ``_up``. A poset closed from a relation makes it on
+        first read, by one pass over the kept relation in its order: each
+        pair into ``i`` comes before the pairs out of ``i``, so ``down[i]``
+        is whole when ORed into ``down[j]``."""
+        if self._down_cache is None:
+            down = [1 << i for i in range(len(self.elements))]
+            for i, j in zip(self._low, self._high):
+                down[j] |= down[i]
+            self._down_cache = tuple(down)
+        return self._down_cache
 
     # -- basic queries ----------------------------------------------------
 
@@ -322,11 +333,11 @@ class Poset:
         return None
 
     def top(self):
-        full = (1 << len(self.elements)) - 1
-        for i, mask in enumerate(self._down):
-            if mask == full:
-                return self.elements[i]
-        return None
+        """The greatest element, or None if there is none: in a finite poset,
+        the maximal element when there is only one. Read from the up masks,
+        so the down masks are not made for it."""
+        maximal = [i for i, mask in enumerate(self._up) if mask == 1 << i]
+        return self.elements[maximal[0]] if len(maximal) == 1 else None
 
     @property
     def is_pointed(self) -> bool:
@@ -353,11 +364,11 @@ class Poset:
         return out
 
     def _set_of(self, mask: int) -> frozenset:
-        return frozenset(self.elements[i] for i in _bits(mask))
+        return frozenset(map(self.elements.__getitem__, _bits(mask)))
 
     def _tuple_of(self, mask: int) -> tuple:
         """The elements of ``mask``, in element order."""
-        return tuple(self.elements[i] for i in _bits(mask))
+        return tuple(map(self.elements.__getitem__, _bits(mask)))
 
     def up_closure(self, S: Iterable) -> frozenset:
         """All elements above something in ``S`` (including ``S`` itself)."""
@@ -373,29 +384,33 @@ class Poset:
         """For each element index, the mask of its upper covers, computed once
         per poset (posets are immutable, so the tuple never goes stale).
 
-        The covers of i are the minimal elements of its strict up-set. Let
-        ``succ`` be a relation the order was closed from: its closure is
-        the order, and it has no self-loops. Every element strictly above i
-        is at or above a successor of i, and it is minimal in the strict
-        up-set just when it lies strictly above none of them. So the covers
-        of i are its successors less everything strictly above one of them
-        (Aho, Garey & Ullman, "The transitive reduction of a binary
-        relation", 1972): one OR per relation. A poset built from its
-        relations keeps them for this, and drops them once the covers are
-        made; one built from masks alone reads its strict up-sets as the
-        relation, and one built by :meth:`_from_covers` never comes here.
+        The covers of i are the minimal elements of its strict up-set. Take
+        a relation the order was closed from, with no self-loops: its closure
+        is the order. Every element strictly above i is at or above a
+        successor of i, and it is minimal in the strict up-set just when it
+        lies strictly above none of them. So the covers of i are its
+        successors less everything strictly above one of them (Aho, Garey &
+        Ullman, "The transitive reduction of a binary relation", 1972): one
+        OR per relation, gathered over each run of pairs with one lower end.
+        A poset built from its relations reads the relation its closure kept,
+        whose pairs with one lower end stand together; one built from masks
+        alone reads its strict up-sets as the relation, and one built by
+        :meth:`_from_covers` never comes here.
         """
         if self._covers_cache is None:
             up = self._up
-            succ = self._succ or [_bits(row ^ 1 << i) for i, row in enumerate(up)]
-            out = []
-            for row in succ:
-                near = far = 0
-                for j in row:
-                    near |= 1 << j
-                    far |= up[j] ^ 1 << j
-                out.append(near & ~far)
-            self._covers_cache, self._succ = tuple(out), None
+            pairs = (((i, j) for i, row in enumerate(up) for j in _bits(row ^ 1 << i))
+                     if self._low is None else zip(self._low, self._high))
+            out = [0] * len(up)
+            at = near = far = 0
+            for i, j in pairs:
+                if i != at:  # the run of pairs out of ``at`` is over
+                    out[at] = near & ~far
+                    at, near, far = i, 0, 0
+                near |= 1 << j
+                far |= up[j] ^ 1 << j
+            out[at] = near & ~far
+            self._covers_cache = tuple(out)
         return self._covers_cache
 
     def covers(self) -> tuple:

@@ -753,10 +753,17 @@ def test_closure_matches_reference_on_random_relations(case):
 
 
 def _closures_by_both_routes(succs, monkeypatch) -> tuple:
-    """``_closure`` of each relation as it runs, and by Kahn's pass alone."""
-    either = [posets._closure(succ) for succ in succs]
-    monkeypatch.setattr(posets, "_points_forward", lambda succ: False)
-    kahn = [posets._closure(succ) for succ in succs]
+    """The masks each relation of successor lists closes to as ``_closure``
+    runs, and by Kahn's pass alone (no pair taken to point forward), read
+    from the poset ``Poset._from_covers`` builds on it."""
+
+    def close(succ):
+        P = Poset._from_covers(tuple(range(len(succ))), succ)
+        return P._up, P._down
+
+    either = [close(succ) for succ in succs]
+    monkeypatch.setattr(posets, "lt", lambda a, b: False)
+    kahn = [close(succ) for succ in succs]
     monkeypatch.undo()
     return either, kahn
 
@@ -764,8 +771,9 @@ def _closures_by_both_routes(succs, monkeypatch) -> tuple:
 def test_forward_route_and_kahns_pass_close_alike(monkeypatch):
     """Every poset with n <= 5, its covers given over a linear extension
     (every pair forward), over its reverse (every pair backward) and over a
-    shuffle: element order is taken as the topological order just when
-    every pair points forward, and both routes give the order's masks."""
+    shuffle: element order is taken as the rank just when every pair points
+    forward, and then the pairs, listed row by row, are kept as given; both
+    routes give the order's masks."""
     rng = random.Random(29)
     succs, wants = [], []
     for n in range(1, 6):
@@ -779,7 +787,9 @@ def test_forward_route_and_kahns_pass_close_alike(monkeypatch):
                     succ[at[i]] = [at[j] for j in posets._bits(covers)]
                     up[at[i]] = sum(1 << at[j] for j in posets._bits(P._up[i]))
                 forward = all(i < j for i, row in enumerate(succ) for j in row)
-                assert posets._points_forward(succ) == forward
+                low = [i for i, row in enumerate(succ) for _ in row]
+                high = [j for row in succ for j in row]
+                assert (posets._closure(n, low, high)[1] is low) == forward
                 if kind:
                     assert forward == (kind == "forward" or not any(succ))
                 succs.append(succ)
@@ -798,7 +808,7 @@ def test_every_builder_closes_alike_by_both_routes(monkeypatch):
     assert either == kahn == [(B._up, B._down) for B in outputs]
     moved = 0
     for P in (P for n in range(1, 5) for P in enumerate_posets(n)):
-        if posets._points_forward([list(posets._bits(m)) for m in P._cover_masks()]):
+        if all(m >> i << i == m for i, m in enumerate(P._up)):
             for N in (1, 2):
                 moves = [list(posets._bits(m)) for m in grid_poset(P, N)._cover_masks()]
                 assert all(j < i for i, row in enumerate(moves) for j in row)
@@ -811,7 +821,8 @@ def test_one_backward_pair_closes_and_a_cycle_is_refused():
     chain = [(i, i + 1) for i in range(n - 1)]
     # n sits last in element order and below 0: one pair against element order
     P = Poset(range(n + 1), [*chain, (n, 0)])
-    assert not posets._points_forward(P._succ)
+    # Kahn's pass ranks n first, then the chain: the pairs are kept that way
+    assert (P._low, P._high) == ([n, *range(n - 1)], list(range(n)))
     assert (P._up, P._down) == reference_closure(range(n + 1), [*chain, (n, 0)])
     assert P.bottom() == n and P.top() == n - 1
     for back in ((n - 1, 0), (150, 20), (1, 0)):
@@ -821,6 +832,56 @@ def test_one_backward_pair_closes_and_a_cycle_is_refused():
         with pytest.raises(PosetError) as err:
             Poset(elements, [*chain, back])
         assert str(err.value) == reference_cycle_message(elements, succ)
+
+
+@st.composite
+def dag_relations(draw):
+    """Relations with n <= 12 along element order, with repeats, sometimes
+    self-loops and sometimes one pair reversed into a cycle."""
+    n = draw(st.integers(1, 12))
+    index = st.integers(0, n - 1)
+    pairs = [(min(p), max(p)) for p in draw(st.lists(st.tuples(index, index), max_size=3 * n))]
+    if not draw(st.booleans()):
+        pairs = [(a, b) for a, b in pairs if a != b]
+    pairs += pairs[: draw(st.integers(0, 3))]
+    if draw(st.booleans()):
+        pairs += [(b, a) for a, b in pairs if a != b][:1]
+    return n, pairs, draw(st.randoms(use_true_random=False))
+
+
+@given(dag_relations())
+@settings(max_examples=150, deadline=None)
+def test_every_relation_order_closes_alike(case):
+    """Each relation, its pairs sorted by the element order of their ends,
+    shuffled and reversed, over elements kept and reversed: the up masks,
+    the down masks and the covers are the reference closure's and the
+    transitive reduction, and the top is the brute-force one, or the cycle
+    is refused with the reference message. Forward pairs listed by lower
+    end are kept as given, and no poset makes its down masks before they
+    are read."""
+    n, pairs, rng = case
+    names = [f"v{i}" for i in range(n)]
+    for elements in (names, names[::-1]):
+        at = {e: k for k, e in enumerate(elements)}
+        relation = sorted(((names[a], names[b]) for a, b in pairs),
+                          key=lambda pair: (at[pair[0]], at[pair[1]]))
+        shuffled = rng.sample(relation, len(relation))
+        for relations in (relation, shuffled, relation[::-1]):
+            want = reference_closure(elements, relations)
+            try:
+                P = Poset(elements, relations)
+            except PosetError as exc:
+                assert str(exc) == want
+                continue
+            assert P._down_cache is None
+            assert (P._up, P._down) == want
+            assert list(P.covers()) == brute_covers(P)
+            tops = [t for t in elements if all(P.leq(x, t) for x in elements)]
+            assert P.top() == (tops[0] if tops else None)
+            loops = any(x == y for x, y in relations)
+            if relations is relation and elements is names and not loops:
+                assert P._low == [at[x] for x, _ in relation]
+                assert P._high == [at[y] for _, y in relation]
 
 
 def test_cycle_message_matches_the_warshall_reference():

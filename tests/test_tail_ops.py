@@ -40,3 +40,25 @@ def test_three_passes_of_order_flow_rank_the_ops_at_the_tail():
     lines = [(c, s) for c, s in zip(clocks, shares) if s > 0.005]
     assert max((c - 5e-4) / (s + 5e-3) for c, s in lines) <= min(
         (c + 5e-4) / (s - 5e-3) for c, s in lines)
+
+
+def test_by_class_sums_one_pass_of_order_flow_by_op_class():
+    argv = [sys.executable, str(ROOT / "tools" / "tail_ops.py"),
+            "--workload", "order-flow", "--seed", "1", "--passes", "1", "--by-class"]
+    proc = subprocess.run(argv, cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    *rows, last = proc.stdout.splitlines()
+    total = re.fullmatch(r"pass clock ([\d.]+) ms: (\d+) passing ops, 1 passes", last)
+    assert total, last
+    rows = [line.split() for line in rows]
+    assert sorted(row[0] for row in rows) == ["flow.cli", "flow.report"]
+    counts = [int(row[1]) for row in rows]
+    sums, medians, maxima = ([float(row[k]) for row in rows] for k in (2, 4, 5))
+    assert all(re.fullmatch(r"\d+\.\d\d%", row[3]) for row in rows)
+    shares = [float(row[3][:-1]) for row in rows]
+    # the largest sum first; each class's sum, median and maximum in order
+    assert sums == sorted(sums, reverse=True)
+    assert all(0 < m <= x <= s for s, m, x in zip(sums, medians, maxima))
+    assert sum(counts) == int(total[2])
+    assert abs(sum(sums) - float(total[1])) <= 1e-3 * len(rows)
+    assert abs(sum(shares) - 100) <= 0.01 + 1e-9

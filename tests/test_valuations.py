@@ -45,6 +45,7 @@ from oracles import (
     random_poset,
     random_valuation,
     strict_round_down,
+    transpose,
 )
 
 DIAMOND = parse_poset("elements: bot a b top\norder: bot < a; bot < b; a < top; b < top")
@@ -266,6 +267,23 @@ def test_flow_decides_both_directions_on_a_thousand_elements():
     down_rep = stochastic_leq_report(mu, nu)
     assert not down_rep.result
     _check_certificate(mu, nu, down_rep)
+
+
+def test_the_flow_report_and_the_covers_make_no_down_masks():
+    """Deciding nu <= mu reads only up masks: a parsed poset, two valuations
+    read on it and the flow report both ways leave its down masks unmade,
+    and so do the covers of a parsed poset. The first upper-set listing
+    makes them: the transpose of the up masks."""
+    text = "elements: bot a b c top\norder: bot < a; bot < b; a < c; b < c; c < top\n"
+    P = parse_poset(text)
+    nu, mu = parse_valuation(P, "bot:1/2 a:1/2"), parse_valuation(P, "b:1/2 top:1/2")
+    assert stochastic_leq_report(nu, mu).result and not stochastic_leq_report(mu, nu).result
+    Q = parse_poset(text)
+    assert Q.covers() == (("bot", "a"), ("bot", "b"), ("a", "c"), ("b", "c"), ("c", "top"))
+    for R in (P, Q):
+        assert R._down_cache is None
+        assert len(R.upper_sets()) == 7
+        assert R._down_cache == transpose(R._up)
 
 
 # -- way-below -----------------------------------------------------------------------

@@ -17,10 +17,20 @@ that carry the pass.
 then the tail percentile and its rank. Ops that did not pass in every pass
 are left out, as the tail leaves them out. Exits 1 on an unexpected failure,
 printed to stderr, and 0 otherwise.
+
+With ``--by-class`` it prints instead where the pass clock goes by op
+class: one line per class, the largest sum first::
+
+    <op class> <ops> <sum ms> <share %> <median ms> <max ms>
+
+the sum, share of the pass clock, median and maximum of the op medians of
+the class's passing ops, then the pass clock, the number of passing ops and
+the passes.
 """
 
 import argparse
 import importlib.util
+import statistics
 import sys
 import tempfile
 from pathlib import Path
@@ -45,6 +55,7 @@ def main(argv=None) -> int:
     ap.add_argument("--workload", required=True, choices=run.wl.WORKLOADS)
     ap.add_argument("--seed", type=int, required=True)
     ap.add_argument("--passes", type=int, default=15)
+    ap.add_argument("--by-class", action="store_true", help="sum the op medians by op class")
     args = ap.parse_args(argv)
     with tempfile.TemporaryDirectory() as tmp:
         ops = run.setup(args.workload, args.seed, Path(tmp) / "work")
@@ -53,14 +64,24 @@ def main(argv=None) -> int:
             hn.run_pass(ops, hn.NullTracer(), out)
     for u in out.unexpected:
         print(f"unexpected failure: {u}", file=sys.stderr)
-    tail_p = hn.tail_percentile(sum(1 for op in ops if not op.known_failure))
     passing = sorted(
         ((t, op) for op, t, ok in zip(ops, out.op_medians(), out.passed_by_op) if ok == out.passes),
         key=lambda pair: -pair[0],
     )
+    clock = sum(t for t, _ in passing)
+    if args.by_class:
+        by_class = {}
+        for t, op in passing:
+            by_class.setdefault(op.cls, []).append(t)
+        for cls, ts in sorted(by_class.items(), key=lambda item: -sum(item[1])):
+            share = f"{100 * sum(ts) / clock:6.2f}%"
+            print(f"{cls:24s} {len(ts):5d} {sum(ts) * 1e3:9.3f} {share:>7s} "
+                  f"{statistics.median(ts) * 1e3:8.3f} {max(ts) * 1e3:8.3f}")
+        print(f"pass clock {clock * 1e3:.3f} ms: {len(passing)} passing ops, {out.passes} passes")
+        return 1 if out.unexpected else 0
+    tail_p = hn.tail_percentile(sum(1 for op in ops if not op.known_failure))
     # the tail op is the rank-th fastest, so len - rank + 1 ops sit at or above it
     rank = hn.rank(tail_p, len(passing))
-    clock = sum(t for t, _ in passing)
     for k, (t, op) in enumerate(passing[: len(passing) - rank + 1], 1):
         share = f"{100 * t / clock:5.2f}%"
         print(f"{k:4d} {op.cls:24s} {t * 1e3:8.3f} {share:>7s} {' '.join(op.desc.split())[:60]}")
