@@ -139,8 +139,10 @@ def _cmd_upper_sets(args) -> int:
 def _relabel(P: Poset, rename) -> Poset:
     """P with each element renamed; refuses two elements given one label, so
     that no output line or DOT node stands for two elements. The indices stay,
-    so the copy keeps P's cover masks when P has them."""
-    named = Poset._from_masks(tuple(map(rename, P.elements)), P._up, P._down, P._covers_cache)
+    so the copy keeps P's down and cover masks when P has them, and the
+    relation P keeps to make them from when it has not."""
+    named = Poset._from_masks(tuple(map(rename, P.elements)), P._up, P._down_cache,
+                              P._covers_cache, P._low, P._high)
     if len(named._index) < len(named.elements):
         # the index keeps the last position of a label, so its first one differs
         clash = next(e for i, e in enumerate(named.elements) if named._index[e] != i)

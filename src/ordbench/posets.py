@@ -106,18 +106,20 @@ def _closure(n: int, low: List[int], high: List[int]) -> Optional[tuple]:
     Returns ``(up, low, high)``: ``up[i]`` is the mask of the indices at or
     above ``i``, and ``low``, ``high`` are the relation kept for the down
     masks and the covers, self-loops dropped, its pairs in order of the rank
-    of their lower end; or None when the relation has a cycle. The rank is
-    element order when every pair points forward (``low[k] < high[k]``), as
-    when each ``x < y`` declares x before y; otherwise it is the order
-    Kahn's algorithm finds (Kahn, "Topological sorting of large networks",
-    1962) from successor lists, and the pairs are listed again from them in
-    that order. Forward pairs already listed by lower end are kept as given,
-    with no sort and no successor list. Then one pass over the pairs in
-    reverse ORs ``up[j]`` into ``up[i]``: each pair leaving ``j`` comes
-    later, so ``up[j]`` is whole when read. One mask OR per relation; the
-    down masks wait until first read (see :attr:`Poset._down`).
+    of their lower end; or None when the relation has a cycle. When every
+    pair points forward (``low[k] < high[k]``) and the pairs come in element
+    order of their lower ends, as when each ``x < y`` declares x before y
+    and the relations are listed by x, element order is the rank and the
+    pairs are kept as given, with no sort and no successor list. Any other
+    relation is ranked by the order Kahn's algorithm finds (Kahn,
+    "Topological sorting of large networks", 1962) from successor lists,
+    and its pairs are listed again from them in that order. Then one pass
+    over the pairs in reverse ORs ``up[j]`` into ``up[i]``: each pair
+    leaving ``j`` comes later, so ``up[j]`` is whole when read. One mask OR
+    per relation; the down masks wait until first read (see
+    :attr:`Poset._down`).
     """
-    if not all(map(lt, low, high)):
+    if not all(map(lt, low, high)) or any(map(lt, low[1:], low)):
         succ: List[List[int]] = [[] for _ in range(n)]
         indegree = [0] * n
         for i, j in zip(low, high):
@@ -134,8 +136,6 @@ def _closure(n: int, low: List[int], high: List[int]) -> Optional[tuple]:
             return None
         low = [i for i in order for _ in succ[i]]
         high = [j for i in order for j in succ[i]]
-    elif any(map(lt, low[1:], low)):
-        low, high = map(list, zip(*sorted(zip(low, high))))
     up = [1 << i for i in range(n)]
     for i, j in zip(reversed(low), reversed(high)):
         up[i] |= up[j]
@@ -243,18 +243,22 @@ class Poset:
         return self
 
     @classmethod
-    def _from_masks(cls, elements: tuple, up: tuple, down, covers=None) -> "Poset":
-        """Trusted constructor for already-closed, already-checked mask tuples;
-        ``down`` must be the transpose of ``up``, or None when the caller then
-        keeps the relation ``up`` was closed from (as :meth:`_from_covers`
-        does). ``covers``, when given, must be the masks :meth:`_cover_masks`
-        would derive, and is cached as is; without it, :meth:`_cover_masks`
-        reads the strict up-sets as the relation the order was closed from."""
+    def _from_masks(cls, elements: tuple, up: tuple, down, covers=None,
+                    low: Optional[list] = None, high: Optional[list] = None) -> "Poset":
+        """Trusted constructor for already-closed, already-checked mask tuples.
+        ``low``, ``high``, when given, are the relation ``up`` was closed
+        from, as :func:`_closure` keeps it; ``down`` must be the transpose of
+        ``up``, and may be None only when the relation is given, for
+        :attr:`_down` to make it from on first read. ``covers``, when given,
+        must be the masks :meth:`_cover_masks` would derive, and is cached as
+        is; without it, :meth:`_cover_masks` reads the relation, or the
+        strict up-sets when there is none."""
         self = object.__new__(cls)
         self.elements = elements
         self._index = {e: i for i, e in enumerate(elements)}
         self._up, self._down_cache, self._covers_cache = up, down, covers
-        self._low = self._high = self._uppers_cache = self._tree_cache = None
+        self._low, self._high = low, high
+        self._uppers_cache = self._tree_cache = None
         return self
 
     @classmethod
@@ -270,10 +274,8 @@ class Poset:
             for j in row:
                 covers[i] |= 1 << j
         low = [i for i, row in enumerate(succ) for _ in row]
-        up, *kept = _closure(len(succ), low, [j for row in succ for j in row])
-        self = cls._from_masks(elements, up, None, tuple(covers))
-        self._low, self._high = kept
-        return self
+        up, low, high = _closure(len(succ), low, [j for row in succ for j in row])
+        return cls._from_masks(elements, up, None, tuple(covers), low, high)
 
     @property
     def _down(self) -> tuple:
@@ -409,7 +411,8 @@ class Poset:
                     at, near, far = i, 0, 0
                 near |= 1 << j
                 far |= up[j] ^ 1 << j
-            out[at] = near & ~far
+            if up:  # the last run; an empty poset has none
+                out[at] = near & ~far
             self._covers_cache = tuple(out)
         return self._covers_cache
 

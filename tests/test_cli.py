@@ -73,6 +73,16 @@ def test_cyclic_input_is_a_usage_error(capsys, tmp_path):
     assert "cycle" in err
 
 
+@pytest.mark.parametrize("text", ["", "# nothing\n"])
+def test_an_empty_poset_is_checked_and_drawn(capsys, tmp_path, text):
+    empty = tmp_path / "empty.poset"
+    empty.write_text(text)
+    assert run(capsys, "check-poset", str(empty)) == (
+        0, "elements: 0\ncovers: 0\npointed: false\nbottom: none\ntop: none\n", "")
+    assert run(capsys, "hasse", str(empty)) == (0, "", "")
+    assert run(capsys, "hasse", str(empty), "--dot") == (0, "digraph hasse {\n}\n", "")
+
+
 def test_hasse_dot_matches_golden(capsys, diamond_file):
     code, out, _ = run(capsys, "hasse", diamond_file, "--dot")
     assert code == 0

@@ -134,9 +134,28 @@ def test_cover_masks_are_computed_once_per_poset(diamond):
     assert copy._covers_cache is None
     assert copy.covers() == (("A", "B"), ("B", "C"))
     assert user.covers() == (("a", "b"), ("b", "c"))
+    # it keeps the relation too, so it makes no down masks until they are read
+    assert copy._down_cache is None and (copy._low, copy._high) == (user._low, user._high)
+    assert copy._down == user._down == reference_closure("abc", [("a", "b"), ("b", "c")])[1]
     # a covering relation listed with repeats gives the same diagram
     twice = Poset._from_covers(diamond.elements, [[1, 2, 1], [3, 3], [3], []])
     assert twice == diamond and twice._cover_masks() == first
+
+
+def test_the_empty_poset_closes_and_prints():
+    """No elements: no masks, no covers, and every printer writes the empty
+    order, as built, parsed from an empty or comment-only text, or read
+    from masks alone."""
+    built = Poset([], [])
+    for P in (built, parse_poset(""), parse_poset("# nothing\n"),
+              Poset._from_masks((), (), ()), Poset._from_covers((), [])):
+        assert P == built and (P._up, P._down) == ((), ())
+        assert P.covers() == () and P._cover_masks() == ()
+        assert P.bottom() is None and P.top() is None
+        assert repr(P) == "Poset(0 elements, 0 covers)"
+        assert format_poset(P) == "elements: \n"
+        assert poset_to_dot(P) == "digraph hasse {\n}\n"
+        assert P.upper_sets() == [frozenset()]
 
 
 def test_covers_skip_transitive_edges():

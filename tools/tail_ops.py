@@ -78,14 +78,14 @@ def main(argv=None) -> int:
             print(f"{cls:24s} {len(ts):5d} {sum(ts) * 1e3:9.3f} {share:>7s} "
                   f"{statistics.median(ts) * 1e3:8.3f} {max(ts) * 1e3:8.3f}")
         print(f"pass clock {clock * 1e3:.3f} ms: {len(passing)} passing ops, {out.passes} passes")
-        return 1 if out.unexpected else 0
-    tail_p = hn.tail_percentile(sum(1 for op in ops if not op.known_failure))
-    # the tail op is the rank-th fastest, so len - rank + 1 ops sit at or above it
-    rank = hn.rank(tail_p, len(passing))
-    for k, (t, op) in enumerate(passing[: len(passing) - rank + 1], 1):
-        share = f"{100 * t / clock:5.2f}%"
-        print(f"{k:4d} {op.cls:24s} {t * 1e3:8.3f} {share:>7s} {' '.join(op.desc.split())[:60]}")
-    print(f"tail p{tail_p:g}: rank {rank} of {len(passing)} passing ops, {out.passes} passes")
+    else:
+        tail_p = hn.tail_percentile(sum(1 for op in ops if not op.known_failure))
+        # the tail op is the rank-th fastest, so len - rank + 1 ops sit at or above it
+        rank = hn.rank(tail_p, len(passing))
+        for k, (t, op) in enumerate(passing[: len(passing) - rank + 1], 1):
+            share = f"{100 * t / clock:5.2f}%"
+            print(f"{k:4d} {op.cls:24s} {t * 1e3:8.3f} {share:>7s} {' '.join(op.desc.split())[:60]}")
+        print(f"tail p{tail_p:g}: rank {rank} of {len(passing)} passing ops, {out.passes} passes")
     return 1 if out.unexpected else 0
 
 
