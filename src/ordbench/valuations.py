@@ -113,7 +113,10 @@ def _fractions(nums: Sequence[int], D: int) -> Tuple[Fraction, ...]:
     k: Fractions are immutable, so equal values can share one object, and a
     tuple of them compares and prints the same."""
     made = {k: Fraction(k, D) for k in set(nums)}
-    return tuple(map(made.__getitem__, nums))
+    # from a list, whose length tuple() reads: from a map it would start at
+    # 10 slots and resize, and each call would leave one more tuple of the
+    # result's size on CPython's tuple free lists
+    return tuple([made[k] for k in nums])
 
 
 def _spelled(k: int, D: int) -> str:
@@ -388,7 +391,9 @@ class StochasticOrderReport:
     then of y. When it fails, ``violating_upper`` is the up-closure of the
     left support on the source side of the minimal minimum cut: an upper set
     where the left mass exceeds the right. ``augmentations`` counts the
-    augmenting paths the flow found; it is work done, not part of the answer.
+    augmenting paths the flow found, the one-hop paths that a linear scan
+    takes before the first search included; it is work done, not part of
+    the answer.
     """
 
     result: bool
@@ -420,6 +425,18 @@ def _transport_decide(nu: Valuation, mu: Valuation) -> tuple:
     the lefts that send it flow, then ends the search if it still takes
     mass, as its sink edge comes last.
 
+    The one-hop paths, left to right, are taken first, by one greedy scan
+    that builds ``flow``: for each left k in order and each right r in
+    ``adj[k]`` in order, it pushes the least of what k still sends and r
+    still takes. This is what the searches do. While some left that still
+    sends is joined to a right that still takes mass, a search ends at the
+    first such right r in ``adj[k]``, k the least such left: every left
+    before k reaches only full rights, and r is reached from k, so the path
+    is k -> r and its bottleneck the least of the two. And Edmonds-Karp's
+    path lengths never decrease (Edmonds and Karp 1972), so no one-hop path
+    opens once the scan ends. The searches then run from where the scan
+    left off, and each positive push counts in ``augmentations``.
+
     The pair edges need no capacity. Give each one capacity D, as the
     residual graph does: while a search runs the total flow is below D
     (else no left still sends and the search is empty), and no pair
@@ -439,11 +456,14 @@ def _transport_decide(nu: Valuation, mu: Valuation) -> tuple:
     free = [a[i] for i in left] + [b[j] for j in right]
     right_mask = mu._support_mask()
     adj = [[node[j] for j in _bits(P._up[i] & right_mask)] for i in left] + [[] for _ in right]
-    flow = {(k, r): 0 for k in range(L) for r in adj[k]}
-    for k, r in flow:
-        adj[r].append(k)
-
-    augmentations = 0
+    flow = {}
+    for k in range(L):
+        for r in adj[k]:
+            adj[r].append(k)
+            f = flow[k, r] = min(free[k], free[r])
+            free[k] -= f
+            free[r] -= f
+    augmentations = sum(map(bool, flow.values()))
     while True:
         # the lefts that still send are reached from the source, the other
         # nodes from the node in ``via``, -1 while unreached
@@ -500,7 +520,10 @@ def stochastic_leq(nu: Valuation, mu: Valuation, *, mode: str = "flow") -> bool:
     flow is Edmonds-Karp in integers, on the two valuations' numerators
     brought to D, the lcm of their denominators, with one multiply per
     entry, on the bipartite support graph: supp(nu) on the left, supp(mu)
-    on the right, and an edge from i to each j >= i. It allocates nothing
+    on the right, and an edge from i to each j >= i. The one-hop augmenting
+    paths, i -> j, are found by one linear scan before the first
+    breadth-first search, in the order the searches would take them, and
+    still count in the report's ``augmentations``. It allocates nothing
     of size n x n and builds no ``Fraction``. ``mode="oracle"``
     quantifies over all upper sets (needs the upper-set enumeration to be
     feasible), each through its trace on the union S of the two supports,
@@ -533,7 +556,8 @@ def stochastic_leq_report(nu: Valuation, mu: Valuation) -> StochasticOrderReport
     D, plan, cut, augmentations = _transport_decide(nu, mu)
     if plan is None:
         return StochasticOrderReport(False, None, P._set_of(P._up_mask(cut)), augmentations)
-    transport = {(P.elements[i], P.elements[j]): Fraction(k, D) for (i, j), k in plan.items()}
+    names = P.elements
+    transport = dict(zip([(names[i], names[j]) for i, j in plan], _fractions(plan.values(), D)))
     return StochasticOrderReport(True, transport, None, augmentations)
 
 
@@ -736,15 +760,14 @@ def _grid_points(P: Poset, N: int) -> List[tuple]:
     ``N`` into one part per element (the weights times N, see
     :func:`_cuts`), once ``N``, ``P`` and the count pass. This is the one
     place ``GRID_CAP`` is read: every grid consumer obeys it."""
-    cap = GRID_CAP
     _require_denominator(N)
     n = len(P.elements)
     if n == 0:
         raise ValuationError("grid needs a nonempty poset")
     count = comb(N + n - 1, n - 1)
-    if count > cap:
+    if count > GRID_CAP:
         raise ValuationError(
-            f"grid would hold {count} valuations, above the cap of {cap}"
+            f"grid would hold {count} valuations, above the cap of {GRID_CAP}"
         )
     return _cuts(N, n)
 

@@ -908,10 +908,11 @@ def reference_transport(P, a, b):
     paired reverse edges and capacity D on every pair edge, D the lcm of
     every denominator. The library's bipartite search reproduces this
     graph's breadth-first searches, so its paths, plan and cut are these.
-    Returns ``(plan, violating_upper)``: a dict of positive Fraction flows
-    keyed by element pairs and None when ``a`` sits below ``b``, otherwise
-    None and the up-closure of the left support on the source side of the
-    minimal minimum cut."""
+    Returns ``(plan, violating_upper, paths)``: a dict of positive Fraction
+    flows keyed by element pairs and None when ``a`` sits below ``b``,
+    otherwise None and the up-closure of the left support on the source
+    side of the minimal minimum cut; and the number of augmenting paths
+    the loop took."""
     D = 1
     for w in a + b:
         D = D * w.denominator // gcd(D, w.denominator)
@@ -944,7 +945,7 @@ def reference_transport(P, a, b):
         edge(src, k, a[i])
     for j in right:
         edge(node[j], snk, b[j])
-    total = 0
+    total = paths = 0
     while True:
         via = [-1] * (snk + 1)
         via[src] = -2
@@ -967,6 +968,7 @@ def reference_transport(P, a, b):
             res[e] -= bottleneck
             res[e ^ 1] += bottleneck
         total += bottleneck
+        paths += 1
     names = P.elements
     if total == D:
         plan = {
@@ -974,8 +976,8 @@ def reference_transport(P, a, b):
             for m, (i, j) in enumerate(pairs)
             if res[2 * m + 1]
         }
-        return plan, None
-    return None, P.up_closure([names[i] for k, i in enumerate(left) if via[k] != -1])
+        return plan, None, paths
+    return None, P.up_closure([names[i] for k, i in enumerate(left) if via[k] != -1]), paths
 
 
 def fraction_mass(P, w, U):
